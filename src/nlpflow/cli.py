@@ -36,6 +36,30 @@ def _parse_vector(text):
     return np.array([float(v) for v in text.split(",")], dtype=float)
 
 
+def _step_count(text):
+    """argparse type: a non-negative number of Euler steps."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {steps}")
+    return steps
+
+
+def _grid_counts(text):
+    """argparse type: grid point counts ``AxB``, each at least 1."""
+    try:
+        counts = tuple(int(v) for v in text.lower().split("x"))
+    except ValueError:
+        counts = ()
+    if len(counts) != 2:
+        raise argparse.ArgumentTypeError(f"expected counts like 11x11, got {text!r}")
+    if min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"counts must be >= 1, got {text!r}")
+    return counts
+
+
 def _load(path):
     problem, reduced = io.load_problem(path)
     log.info("loaded %s: n=%d m=%d k=%d reduced=%s", path, problem.n,
@@ -120,14 +144,13 @@ def cmd_phase(args):
     target = reduced if reduced is not None else problem
     plane = tuple(_plane_index(target, tok) for tok in args.plane.split(","))
     a, b, c, d = (float(v) for v in args.range.split(","))
-    gi, gj = (int(v) for v in args.grid.lower().split("x"))
     base = np.zeros(target.n)
     if args.fix:
         for item in args.fix.split(","):
             name, value = (s.strip() for s in item.split("="))
             base[target.names.index(name)] = float(value)
     params = FieldParams.default(target.n, target.k, sigma=args.sigma)
-    grid = flow.phase_grid(target, params, plane, (a, b, c, d), (gi, gj),
+    grid = flow.phase_grid(target, params, plane, (a, b, c, d), args.grid,
                            base, args.step, args.steps)
     if args.per_trajectory and args.out:
         stem, dot, ext = args.out.rpartition(".")
@@ -220,7 +243,7 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--x0", required=True)
     sp.add_argument("--step", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_step_count, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_flow)
 
@@ -228,10 +251,11 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--plane", required=True, help="two coordinates, e.g. x1,x2")
     sp.add_argument("--range", required=True, help="lo1,hi1,lo2,hi2")
-    sp.add_argument("--grid", required=True, help="counts, e.g. 11x11")
+    sp.add_argument("--grid", type=_grid_counts, required=True,
+                    help="counts, e.g. 11x11")
     sp.add_argument("--fix", help="fixed values for other coordinates, name=v,...")
     sp.add_argument("--step", type=float, required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_step_count, required=True)
     sp.add_argument("--per-trajectory", action="store_true",
                     help="one CSV file per trajectory instead of a traj_id column")
     sp.add_argument("--out")

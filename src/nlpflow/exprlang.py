@@ -2,8 +2,17 @@
 
 Expressions are polynomial-style formulas over named variables:
 literals, identifiers, ``+ - * /``, unary minus, integer powers via
-``^`` and parentheses.  Gradients are computed with dual numbers, one
-sweep per variable.
+``^`` and parentheses.
+
+Every :class:`Expr` is lowered once, when it is built, to a flat
+:class:`Tape`: a straight-line list of operations over numbered slots
+(Griewank & Walther, *Evaluating Derivatives*, ch. 3).  Subtrees shared
+by identity, such as the elimination map that ``substitute`` splices into
+every occurrence of an eliminated variable, are lowered once.  Two loops
+run over the tape: one for values only (``evaluate``) and one carrying a
+value and one tangent, a directional derivative.  ``jvp`` runs the
+tangent loop once, seeded with the direction; ``grad`` runs it once per
+variable, seeded with each unit vector.
 
 Grammar (EBNF)::
 
@@ -14,14 +23,19 @@ Grammar (EBNF)::
     atom     = number | identifier | "(" expr ")" ;
 
 ``^`` binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``.
-Exponents must be non-negative integer literals.
+Exponents must be non-negative integer literals.  Parentheses and unary
+minus may nest at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+# Deepest nesting of parentheses and unary minus that ``parse`` accepts.
+# Each level costs the recursive-descent parser up to five stack frames.
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -76,49 +90,88 @@ class Pow:
     exponent: int  # >= 0
 
 
+# ---------------------------------------------------------------------------
+# Tape.  Slots 0..n-1 hold the variables, the next len(consts) slots the
+# constants, and operation i writes slot n + len(consts) + i.
+
+_ADD, _SUB, _MUL, _DIV, _NEG, _POW = range(6)
+_BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
+
+
+@dataclass(frozen=True)
+class Tape:
+    """Straight-line code for one expression.
+
+    Each operation is ``(code, a, b)``: ``a`` and ``b`` are operand slots,
+    except that ``b`` is the integer exponent of a power and unused by a
+    negation.
+    """
+
+    consts: tuple  # floats
+    ops: tuple
+    out: int  # slot holding the result
+
+
+def _lower(root, n):
+    """Lower the tree at ``root`` to a Tape, left operand first.
+
+    Iterative post-order walk, memoised by node identity.
+    """
+    consts, ops = [], []
+    ref = {}  # id(node) -> ("var" | "const" | "op", index)
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in ref:
+            stack.pop()
+            continue
+        if isinstance(node, Var):
+            ref[id(node)] = ("var", node.index)
+        elif isinstance(node, Num):
+            ref[id(node)] = ("const", len(consts))
+            consts.append(float(node.value))
+        else:
+            if isinstance(node, BinOp):
+                kids = (node.left, node.right)
+            else:
+                kids = (node.arg,) if isinstance(node, Neg) else (node.base,)
+            pending = [k for k in kids if id(k) not in ref]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            if isinstance(node, BinOp):
+                ops.append((_BINARY[node.op], ref[id(node.left)], ref[id(node.right)]))
+            elif isinstance(node, Neg):
+                ops.append((_NEG, ref[id(node.arg)], 0))
+            else:
+                ops.append((_POW, ref[id(node.base)], node.exponent))
+            ref[id(node)] = ("op", len(ops) - 1)
+        stack.pop()
+
+    base = {"var": 0, "const": n, "op": n + len(consts)}
+
+    def slot(r):
+        return base[r[0]] + r[1]
+
+    tape_ops = tuple((code, slot(a), b if code in (_NEG, _POW) else slot(b))
+                     for code, a, b in ops)
+    return Tape(tuple(consts), tape_ops, slot(ref[id(root)]))
+
+
 @dataclass(frozen=True)
 class Expr:
     """A parsed expression together with its variable namespace."""
 
     root: object
     variables: tuple
+    tape: Tape = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tape", _lower(self.root, len(self.variables)))
 
 
-class _Dual:
-    """Dual number a + b*eps for one directional derivative."""
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val, dot):
-        self.val = val
-        self.dot = dot
-
-    def __add__(self, other):
-        return _Dual(self.val + other.val, self.dot + other.dot)
-
-    def __sub__(self, other):
-        return _Dual(self.val - other.val, self.dot - other.dot)
-
-    def __mul__(self, other):
-        return _Dual(self.val * other.val,
-                     self.val * other.dot + self.dot * other.val)
-
-    def __truediv__(self, other):
-        if other.val == 0.0:
-            raise EvalError("division by zero")
-        q = self.val / other.val
-        return _Dual(q, (self.dot - q * other.dot) / other.val)
-
-    def __neg__(self):
-        return _Dual(-self.val, -self.dot)
-
-    def powi(self, k):
-        # k is a non-negative integer; derivative k * b^(k-1) * b'.
-        if k == 0:
-            return _Dual(1.0, 0.0)
-        v = self.val ** k
-        return _Dual(v, k * self.val ** (k - 1) * self.dot)
-
+# ---------------------------------------------------------------------------
+# Parsing.
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
@@ -147,6 +200,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.var_index = var_index
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -155,6 +209,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nest(self, offset):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset)
 
     def expr(self):
         node = self.term()
@@ -172,8 +231,10 @@ class _Parser:
 
     def unary(self):
         if self.peek()[1] == "-":
-            self.take()
-            return Neg(self.unary())
+            self.nest(self.take()[2])
+            node = Neg(self.unary())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self):
@@ -184,6 +245,8 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a non-negative integer literal", off)
             value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"exponent {text} is out of range", off)
             if value != int(value):
                 raise ParseError(f"non-integer exponent {text}", off)
             self.take()
@@ -199,7 +262,9 @@ class _Parser:
                 raise UnknownVariableError(f"unknown identifier {text!r}", off)
             return Var(self.var_index[text], text)
         if text == "(":
+            self.nest(off)
             node = self.expr()
+            self.depth -= 1
             kind, text, off = self.take()
             if text != ")":
                 raise ParseError("expected ')'", off)
@@ -223,72 +288,125 @@ def parse(text, variables):
     return Expr(root, variables)
 
 
-def _eval_node(node, x):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x[node.index]
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, x)
-    if isinstance(node, Pow):
-        return _eval_node(node.base, x) ** node.exponent
-    left = _eval_node(node.left, x)
-    right = _eval_node(node.right, x)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right == 0.0:
-        raise EvalError("division by zero")
-    return left / right
+# ---------------------------------------------------------------------------
+# The two tape loops.
+
+def _values(tape, v):
+    """Run the tape on slot list ``v`` (variables then constants)."""
+    for code, a, b in tape.ops:
+        if code == _MUL:
+            v.append(v[a] * v[b])
+        elif code == _ADD:
+            v.append(v[a] + v[b])
+        elif code == _SUB:
+            v.append(v[a] - v[b])
+        elif code == _POW:
+            v.append(v[a] ** b)
+        elif code == _NEG:
+            v.append(-v[a])
+        else:
+            den = v[b]
+            if den == 0.0:
+                raise EvalError("division by zero")
+            v.append(v[a] / den)
+    return v[tape.out]
 
 
-def _eval_dual(node, duals):
-    if isinstance(node, Num):
-        return _Dual(node.value, 0.0)
-    if isinstance(node, Var):
-        return duals[node.index]
-    if isinstance(node, Neg):
-        return -_eval_dual(node.arg, duals)
-    if isinstance(node, Pow):
-        return _eval_dual(node.base, duals).powi(node.exponent)
-    left = _eval_dual(node.left, duals)
-    right = _eval_dual(node.right, duals)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return left / right
+def _tangent(tape, v, d):
+    """Run the tape on values ``v`` and tangents ``d``; return both results.
+
+    The rules are the dual-number ones: (a*b)' = a*b' + a'*b,
+    (a/b)' = (a' - q*b')/b with q = a/b, (a^k)' = k*a^(k-1)*a', and
+    a^0 = (1, 0).
+    """
+    for code, a, b in tape.ops:
+        if code == _MUL:
+            va, vb = v[a], v[b]
+            v.append(va * vb)
+            d.append(va * d[b] + d[a] * vb)
+        elif code == _ADD:
+            v.append(v[a] + v[b])
+            d.append(d[a] + d[b])
+        elif code == _SUB:
+            v.append(v[a] - v[b])
+            d.append(d[a] - d[b])
+        elif code == _POW:
+            if b == 0:
+                v.append(1.0)
+                d.append(0.0)
+            else:
+                va = v[a]
+                v.append(va ** b)
+                d.append(b * va ** (b - 1) * d[a])
+        elif code == _NEG:
+            v.append(-v[a])
+            d.append(-d[a])
+        else:
+            vb = v[b]
+            if vb == 0.0:
+                raise EvalError("division by zero")
+            q = v[a] / vb
+            v.append(q)
+            d.append((d[a] - q * d[b]) / vb)
+    return v[tape.out], d[tape.out]
+
+
+def _check_length(e, x):
+    if len(x) != len(e.variables):
+        raise ExprError(f"expected {len(e.variables)} coordinates, got {len(x)}")
 
 
 def evaluate(e, x):
     """Evaluate the expression at the point ``x`` (indexable of floats)."""
-    if len(x) != len(e.variables):
-        raise ExprError(f"expected {len(e.variables)} coordinates, got {len(x)}")
-    value = _eval_node(e.root, x)
+    _check_length(e, x)
+    try:
+        value = _values(e.tape, [*x, *e.tape.consts])
+    except OverflowError as exc:
+        raise EvalError(f"overflow: {exc.args[-1]}") from exc
     if not math.isfinite(value):
         raise EvalError(f"non-finite value {value!r}")
     return value
 
 
+def _sweep(tape, v, d):
+    """One tangent sweep, checked: the tangent of the result."""
+    try:
+        val, dot = _tangent(tape, v, d)
+    except OverflowError as exc:
+        raise EvalError(f"overflow: {exc.args[-1]}") from exc
+    if not (math.isfinite(val) and math.isfinite(dot)):
+        raise EvalError("non-finite value in derivative sweep")
+    return dot
+
+
 def grad(e, x):
-    """Gradient at ``x`` via dual numbers, one sweep per variable."""
-    n = len(e.variables)
-    if len(x) != n:
-        raise ExprError(f"expected {n} coordinates, got {len(x)}")
-    out = [0.0] * n
-    for i in range(n):
-        duals = [_Dual(float(x[j]), 1.0 if j == i else 0.0) for j in range(n)]
-        d = _eval_dual(e.root, duals)
-        if not (math.isfinite(d.val) and math.isfinite(d.dot)):
-            raise EvalError("non-finite value in derivative sweep")
-        out[i] = d.dot
+    """Gradient at ``x``: one tangent sweep per unit vector."""
+    _check_length(e, x)
+    tape = e.tape
+    v = [*map(float, x), *tape.consts]
+    out = []
+    for i in range(len(x)):
+        d = [0.0] * len(v)
+        d[i] = 1.0
+        out.append(_sweep(tape, v[:], d))
     return out
 
+
+def jvp(e, x, u):
+    """Directional derivative of the expression at ``x`` along ``u``.
+
+    One tangent sweep seeded with ``u``; equal to ``grad(e, x) @ u`` up to
+    rounding, at about the cost of one of grad's sweeps.
+    """
+    _check_length(e, x)
+    _check_length(e, u)
+    tape = e.tape
+    return _sweep(tape, [*map(float, x), *tape.consts],
+                  [*map(float, u), *[0.0] * len(tape.consts)])
+
+
+# ---------------------------------------------------------------------------
+# Printing and substitution.
 
 def to_string(e):
     """Canonical fully parenthesized printout; re-parses to the same tree."""
@@ -312,7 +430,9 @@ def substitute(e, replacements, variables):
 
     ``replacements`` maps a variable index of ``e`` to the root node of an
     expression already parsed over ``variables``; unmapped variables must
-    exist (same name, any index) in the new namespace.
+    exist (same name, any index) in the new namespace.  Every occurrence
+    shares the one replacement node, so the result's tape computes each
+    replacement once.
     """
     variables = tuple(variables)
     index = {name: i for i, name in enumerate(variables)}

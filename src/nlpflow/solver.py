@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprlang import evaluate, grad
+from .exprlang import evaluate, grad, jvp
 from .field import FieldError, field_eval
 from .kkt import kkt_residual, multipliers
 from .model import is_feasible
@@ -174,11 +174,13 @@ def curvature_estimates(p, fe, x, r, epsilon):
 def _curvature_scan(p, fe, x, span):
     """Curvature bounds for g_j and theta along F over [0, span].
 
-    Samples the exact directional derivative (AD gradient dotted with F)
-    at CURV_SEGMENTS+1 equally spaced points.  The largest forward
-    difference of these slopes bounds the second derivative on the
-    sampled interval, while the end-to-end chord gives its average; the
-    estimate is their mean.  The worst-case bound alone over-throttles
+    Samples the exact directional derivative along F at CURV_SEGMENTS+1
+    equally spaced points, each from one tangent sweep of the
+    expression's tape seeded with F (``jvp``) rather than a full gradient
+    dotted with F.  The largest forward difference of these slopes
+    bounds the second derivative on the sampled interval, while the
+    end-to-end chord gives its average; the estimate is their mean.
+    The worst-case bound alone over-throttles
     steps along strongly curved facets, and the average alone can
     underestimate badly enough to exhaust the rejection loop, so the
     blend trades a few rejections for steps of useful length.
@@ -199,8 +201,7 @@ def _curvature_scan(p, fe, x, span):
     ds = span / CURV_SEGMENTS
 
     def kest(expr):
-        slopes = [np.asarray(grad(expr, x + s * fe.F), dtype=float) @ fe.F
-                  for s in ss]
+        slopes = [jvp(expr, x + s * fe.F, fe.F) for s in ss]
         worst = float(np.max(np.diff(slopes))) / ds
         chord = (slopes[-1] - slopes[0]) / span
         return max(0.0, 0.5 * (worst + chord))

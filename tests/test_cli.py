@@ -68,6 +68,21 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "--problem", P41, "--x0", "0.5,0.5", "--step", "0.01",
+     "--steps", "-3"],
+    ["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0,1,0,1",
+     "--grid", "0x0", "--step", "0.01", "--steps", "10"],
+    ["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0,1,0,1",
+     "--grid", "3x0", "--step", "0.01", "--steps", "-1"],
+], ids=["negative-steps", "empty-grid", "empty-grid-column"])
+def test_bad_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_kkt_at_minimizer(capsys):
     rc = main(["kkt", "--problem", P42, "--x", "0,1,2,-1",
                "--sigma", "0.2"])
@@ -148,3 +163,21 @@ def test_console_script_and_log_env(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "# termination: critical" in proc.stdout
     assert "loaded" in proc.stderr and "terminated: critical" in proc.stderr
+
+
+@pytest.mark.parametrize("objective", [
+    "x1^1e400",
+    "(" * 400 + "x1" + ")" * 400,
+], ids=["infinite-exponent", "deep-nesting"])
+def test_unparsable_expression_is_an_error_not_a_traceback(objective, tmp_path):
+    problem = tmp_path / "bad.nlp"
+    problem.write_text(f"vars: x1\nobjective: {objective}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlpflow.cli", "solve", "--problem",
+         str(problem), "--x0", "1"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _child_pythonpath()},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nlpflow.exprlang import (EvalError, ExprError, ParseError,
-                              UnknownVariableError, evaluate, grad, parse,
-                              substitute, to_string)
+from nlpflow.exprlang import (MAX_NESTING, BinOp, EvalError, ExprError, Neg,
+                              Num, ParseError, UnknownVariableError, Var,
+                              evaluate, grad, jvp, parse, substitute,
+                              to_string)
 
 NAMES = ("x1", "x2", "x3")
 
@@ -108,3 +109,79 @@ def test_division_by_zero():
     e = parse("x1 / x2", NAMES)
     with pytest.raises(EvalError):
         evaluate(e, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("point", [[10.0], np.array([10.0])],
+                         ids=["list", "ndarray"])
+def test_overflow_is_eval_error(point):
+    e = parse("x^400", ("x",))
+    for call in (lambda: evaluate(e, point), lambda: grad(e, point),
+                 lambda: jvp(e, point, [1.0])):
+        with pytest.raises(EvalError):
+            with np.errstate(over="ignore"):
+                call()
+
+
+def test_infinite_exponent_is_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("x1^1e400", NAMES)
+    assert exc.value.offset == 3
+
+
+def test_deep_nesting_is_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("(" * 400 + "x1" + ")" * 400, NAMES)
+    assert exc.value.offset == MAX_NESTING
+    with pytest.raises(ParseError):
+        parse("-" * 400 + "x1", NAMES)
+    e = parse("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING, NAMES)
+    assert evaluate(e, [2.0, 0.0, 0.0]) == 2.0
+
+
+def test_long_sum_evaluates_and_differentiates():
+    e = parse(" + ".join(["x*y"] * 3000), ("x", "y"))
+    assert evaluate(e, [1.5, 2.0]) == 9000.0
+    assert grad(e, [1.5, 2.0]) == [6000.0, 4500.0]
+    assert jvp(e, [1.5, 2.0], [1.0, -1.0]) == 1500.0
+
+
+def test_substituted_subtree_is_taped_once(p42):
+    _, red = p42
+    for e in (red.objective, *red.inequalities):
+        assert len(e.tape.ops) < _operation_nodes(e.root)
+
+
+def _operation_nodes(node):
+    if isinstance(node, (Num, Var)):
+        return 0
+    if isinstance(node, BinOp):
+        return 1 + _operation_nodes(node.left) + _operation_nodes(node.right)
+    return 1 + _operation_nodes(node.arg if isinstance(node, Neg) else node.base)
+
+
+def test_jvp_matches_grad_dot_direction():
+    rng = np.random.default_rng(5)
+    e = parse("(x1 - x2^2)^3 / (x3^2 + 2) + x1*x2*x3", NAMES)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        x, u = rng.uniform(-2, 2, size=3), rng.uniform(-2, 2, size=3)
+        g = np.asarray(grad(e, x))
+        bound = 8 * eps * float(np.sum(np.abs(g * u)))
+        assert abs(jvp(e, x, u) - float(g @ u)) <= bound
+
+
+def test_jvp_matches_central_differences():
+    rng = np.random.default_rng(6)
+    e = parse("(x1 - x2^2)^3 / (x3^2 + 2) + x1*x2*x3", NAMES)
+    h = 1e-6
+    for _ in range(50):
+        x, u = rng.uniform(-2, 2, size=3), rng.uniform(-1, 1, size=3)
+        fd = (evaluate(e, x + h * u) - evaluate(e, x - h * u)) / (2 * h)
+        d = jvp(e, x, u)
+        assert abs(d - fd) <= 1e-6 * max(1.0, abs(d))
+
+
+def test_jvp_checks_lengths():
+    e = parse("x1 + x2", NAMES)
+    with pytest.raises(ExprError):
+        jvp(e, [1.0, 2.0, 3.0], [1.0, 0.0])
