@@ -101,10 +101,10 @@ def cmd_solve(args):
     params = FieldParams.default(target.n, target.k, sigma=args.sigma)
     cfg = SolveConfig(algorithm=args.algo, r=args.r, epsilon=args.eps,
                       armijo=args.armijo, max_iter=args.max_iter,
-                      stop_tol=args.tol, seed=args.seed)
+                      stop_tol=args.tol)
     report = solver.solve(target, params, cfg, x0)
     text = io.solve_report_csv(target, report)
-    if reduced is not None:
+    if reduced is not None and report.records:
         full = reduced.lift(report.final_x)
         text += "# x_full: " + ",".join(_fmt(v) for v in full) + "\n"
     _write(args.out, text)
@@ -235,7 +235,6 @@ def build_parser():
     sp.add_argument("--max-iter", type=int, default=200)
     sp.add_argument("--tol", type=float, default=1e-9,
                     help="stop when |F| falls below this")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="CSV output path (default stdout)")
     sp.set_defaults(func=cmd_solve)
 

@@ -112,42 +112,62 @@ class Tape:
     out: int  # slot holding the result
 
 
-def _lower(root, n):
-    """Lower the tree at ``root`` to a Tape, left operand first.
+def _children(node):
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
 
-    Iterative post-order walk, memoised by node identity.
+
+def _post_order(root, leaf, combine):
+    """Fold the tree at ``root`` bottom-up without recursion.
+
+    ``leaf(node)`` gives the result for a Num or Var, ``combine(node,
+    kids)`` the result for an operation from its children's results.
+    Results are memoised by node identity, so a shared subtree is folded
+    once.
     """
-    consts, ops = [], []
-    ref = {}  # id(node) -> ("var" | "const" | "op", index)
+    done = {}
     stack = [root]
     while stack:
         node = stack[-1]
-        if id(node) in ref:
+        if id(node) in done:
             stack.pop()
             continue
-        if isinstance(node, Var):
-            ref[id(node)] = ("var", node.index)
-        elif isinstance(node, Num):
-            ref[id(node)] = ("const", len(consts))
-            consts.append(float(node.value))
-        else:
-            if isinstance(node, BinOp):
-                kids = (node.left, node.right)
-            else:
-                kids = (node.arg,) if isinstance(node, Neg) else (node.base,)
-            pending = [k for k in kids if id(k) not in ref]
-            if pending:
-                stack.extend(reversed(pending))
-                continue
-            if isinstance(node, BinOp):
-                ops.append((_BINARY[node.op], ref[id(node.left)], ref[id(node.right)]))
-            elif isinstance(node, Neg):
-                ops.append((_NEG, ref[id(node.arg)], 0))
-            else:
-                ops.append((_POW, ref[id(node.base)], node.exponent))
-            ref[id(node)] = ("op", len(ops) - 1)
+        kids = _children(node)
+        pending = [k for k in kids if id(k) not in done]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
         stack.pop()
+        done[id(node)] = (combine(node, [done[id(k)] for k in kids]) if kids
+                          else leaf(node))
+    return done[id(root)]
 
+
+def _lower(root, n):
+    """Lower the tree at ``root`` to a Tape, left operand first."""
+    consts, ops = [], []
+
+    def leaf(node):
+        if isinstance(node, Var):
+            return ("var", node.index)
+        consts.append(float(node.value))
+        return ("const", len(consts) - 1)
+
+    def combine(node, kids):
+        if isinstance(node, BinOp):
+            ops.append((_BINARY[node.op], kids[0], kids[1]))
+        elif isinstance(node, Neg):
+            ops.append((_NEG, kids[0], 0))
+        else:
+            ops.append((_POW, kids[0], node.exponent))
+        return ("op", len(ops) - 1)
+
+    out = _post_order(root, leaf, combine)
     base = {"var": 0, "const": n, "op": n + len(consts)}
 
     def slot(r):
@@ -155,7 +175,7 @@ def _lower(root, n):
 
     tape_ops = tuple((code, slot(a), b if code in (_NEG, _POW) else slot(b))
                      for code, a, b in ops)
-    return Tape(tuple(consts), tape_ops, slot(ref[id(root)]))
+    return Tape(tuple(consts), tape_ops, slot(out))
 
 
 @dataclass(frozen=True)
@@ -409,20 +429,20 @@ def jvp(e, x, u):
 # Printing and substitution.
 
 def to_string(e):
-    """Canonical fully parenthesized printout; re-parses to the same tree."""
-    return _print_node(e.root)
+    """Canonical fully parenthesized printout; re-parses to the same tree
+    unless it nests deeper than MAX_NESTING."""
 
+    def leaf(node):
+        return repr(node.value) if isinstance(node, Num) else node.name
 
-def _print_node(node):
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_print_node(node.arg)})"
-    if isinstance(node, Pow):
-        return f"({_print_node(node.base)}^{node.exponent})"
-    return f"({_print_node(node.left)} {node.op} {_print_node(node.right)})"
+    def combine(node, kids):
+        if isinstance(node, Neg):
+            return f"(-{kids[0]})"
+        if isinstance(node, Pow):
+            return f"({kids[0]}^{node.exponent})"
+        return f"({kids[0]} {node.op} {kids[1]})"
+
+    return _post_order(e.root, leaf, combine)
 
 
 def substitute(e, replacements, variables):
@@ -437,17 +457,18 @@ def substitute(e, replacements, variables):
     variables = tuple(variables)
     index = {name: i for i, name in enumerate(variables)}
 
-    def walk(node):
+    def leaf(node):
         if isinstance(node, Var):
             if node.index in replacements:
                 return replacements[node.index]
             return Var(index[node.name], node.name)
-        if isinstance(node, Neg):
-            return Neg(walk(node.arg))
-        if isinstance(node, Pow):
-            return Pow(walk(node.base), node.exponent)
-        if isinstance(node, BinOp):
-            return BinOp(node.op, walk(node.left), walk(node.right))
         return node
 
-    return Expr(walk(e.root), variables)
+    def combine(node, kids):
+        if isinstance(node, Neg):
+            return Neg(kids[0])
+        if isinstance(node, Pow):
+            return Pow(kids[0], node.exponent)
+        return BinOp(node.op, kids[0], kids[1])
+
+    return Expr(_post_order(e.root, leaf, combine), variables)

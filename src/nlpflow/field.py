@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .exprlang import evaluate, grad
-from .model import jacobians, residuals
+from .model import FIELD_FEAS_TOL, jacobians, residuals
 
 
 class FieldError(RuntimeError):
@@ -130,15 +130,11 @@ def projector_h(A):
     return 0.5 * (H + H.T)
 
 
-def q_matrix(H, B, g):
-    """Q = B H B' - diag(g); must be positive definite on the feasible set."""
-    Q, _ = _q_factor(H, B, g)
-    return Q
-
-
 def _q_factor(H, B, g):
-    B = np.asarray(B, dtype=float)
-    g = np.asarray(g, dtype=float)
+    """Q = B H B' - diag(g) and its Cholesky factor (None when k = 0).
+
+    Q must be positive definite on the feasible set.
+    """
     k = B.shape[0]
     Q = B @ H @ B.T - np.diag(g)
     Q = 0.5 * (Q + Q.T)
@@ -154,7 +150,7 @@ def _q_factor(H, B, g):
     return Q, cho
 
 
-def field_eval(p, params, x, feas_tol=1e-8):
+def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
     """Evaluate the stabilizing field and all auxiliaries at ``x``.
 
     ``x`` must be feasible to ``feas_tol``; the field is only defined
@@ -179,24 +175,28 @@ def field_eval(p, params, x, feas_tol=1e-8):
         P = np.zeros((0, n))
         v = vplus = r3 = w = omega = np.zeros(0)
         M = H
-        F = -M @ (params.R1 @ (M @ gtheta))
     else:
         C = B @ H
         P = scipy.linalg.cho_solve(cho, C)
         v = P @ gtheta
         vplus = np.maximum(0.0, v)
-        r3 = params.b + params.c * vplus ** (2 * params.p)
         M = H - C.T @ P  # H - P'QP
-        mixed = params.R2 @ (g * v) - params.a * v  # (R2 diag(g) - diag(a)) v
-        F = (-M @ (params.R1 @ (M @ gtheta))
-             - P.T @ (g * mixed)
-             - P.T @ (r3 * vplus))
-        w = (C @ (params.R1 @ (M @ gtheta))
-             - (Q + np.diag(g)) @ mixed
-             - r3 * vplus)
+    xi = M @ gtheta
+    # Large gains can overflow F; that is reported below as a FieldError,
+    # so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        R1xi = params.R1 @ xi
+        F = -M @ R1xi
+        if k:
+            r3 = params.b + params.c * vplus ** (2 * params.p)
+            mixed = params.R2 @ (g * v) - params.a * v  # (R2 diag(g) - diag(a)) v
+            F = F - P.T @ (g * mixed) - P.T @ (r3 * vplus)
+    if not np.isfinite(F).all():
+        raise FieldError("the field F is not finite: its assembly overflowed")
+    if k:
+        w = C @ R1xi - (Q + np.diag(g)) @ mixed - r3 * vplus
         omega = scipy.linalg.cho_solve(cho, w)
 
-    xi = M @ gtheta
     dtheta_F = float(gtheta @ F)
     return FieldEval(x=x, theta=theta, grad_theta=gtheta, h=h, g=g, A=A, B=B,
                      H=H, Q=Q, P=P, v=v, vplus=vplus, r3=r3, F=F, w=w,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import FieldError, field_eval
-from .model import is_feasible
+from .model import FIELD_FEAS_TOL, is_feasible
 
 # Inequality drift beyond which integration stops and reports.
 DRIFT_ABORT = 0.01
@@ -40,7 +40,7 @@ class PhaseGrid:
     skipped: list = field(default_factory=list)
 
 
-def euler_flow(p, params, x0, step, steps, feas_tol=1e-8):
+def euler_flow(p, params, x0, step, steps):
     """Integrate x' = F(x) with constant step from a feasible start.
 
     Records (t, x, theta, |F|, max g, max |h|) at every visited point.
@@ -50,7 +50,7 @@ def euler_flow(p, params, x0, step, steps, feas_tol=1e-8):
     x = np.asarray(x0, dtype=float)
     if step <= 0:
         raise ValueError("step must be positive")
-    if not is_feasible(p, x, feas_tol):
+    if not is_feasible(p, x, FIELD_FEAS_TOL):
         raise ValueError("initial point is infeasible")
 
     rows_t, rows_x, rows_th, rows_nf, rows_g, rows_h = [], [], [], [], [], []
@@ -81,7 +81,7 @@ def euler_flow(p, params, x0, step, steps, feas_tol=1e-8):
                       status=status, diagnostic=diagnostic)
 
 
-def phase_grid(p, params, plane, ranges, counts, base, step, steps, feas_tol=1e-8):
+def phase_grid(p, params, plane, ranges, counts, base, step, steps):
     """One trajectory per feasible point of a rectangular grid.
 
     ``plane`` selects two coordinate indices varied over ``ranges`` =
@@ -98,12 +98,11 @@ def phase_grid(p, params, plane, ranges, counts, base, step, steps, feas_tol=1e-
         for uj in np.linspace(lo_j, hi_j, nj):
             x0 = base.copy()
             x0[i], x0[j] = ui, uj
-            if not is_feasible(p, x0, feas_tol):
+            if not is_feasible(p, x0, FIELD_FEAS_TOL):
                 result.skipped.append(x0)
                 continue
             result.starts.append(x0)
-            result.trajectories.append(euler_flow(p, params, x0, step, steps,
-                                                  feas_tol=feas_tol))
+            result.trajectories.append(euler_flow(p, params, x0, step, steps))
     return result
 
 

@@ -66,9 +66,3 @@ def report_at(p, x, params, tol=1e-6):
     fe = field_eval(p, params, x)
     lam, mu = multipliers(p, x, fe)
     return kkt_residual(p, x, lam, mu, tol=tol)
-
-
-def is_critical(p, params, x, tol=1e-6):
-    """Criticality decided by the norm of the stabilizing field."""
-    fe = field_eval(p, params, x)
-    return bool(np.linalg.norm(fe.F) <= tol)

@@ -15,6 +15,13 @@ import numpy as np
 from . import exprlang
 from .exprlang import Expr, evaluate, grad, substitute
 
+# Feasibility tolerances, as bounds on max |h_i| and max g_j.  Accepted
+# solver iterates satisfy FEAS_TOL.  The descent field is defined within
+# the wider FIELD_FEAS_TOL, which is also how close to feasible the start
+# of a solve or a flow must be.
+FEAS_TOL = 1e-10
+FIELD_FEAS_TOL = 1e-8
+
 
 class ModelError(ValueError):
     pass
@@ -50,7 +57,7 @@ class Problem:
 
 @dataclass(frozen=True)
 class ReducedProblem:
-    """Inequality-only problem in the leading ``n1`` variables.
+    """Inequality-only problem in the leading variables.
 
     Duck-types as a Problem with ``m = 0``: the composed objective and
     inequalities evaluate through the elimination map, so values agree
@@ -66,10 +73,6 @@ class ReducedProblem:
 
     @property
     def n(self):
-        return len(self.names)
-
-    @property
-    def n1(self):
         return len(self.names)
 
     @property
@@ -99,7 +102,7 @@ def residuals(p, x):
     return h, g
 
 
-def is_feasible(p, x, tol=1e-10):
+def is_feasible(p, x, tol=FEAS_TOL):
     h, g = residuals(p, x)
     ok_h = h.size == 0 or np.max(np.abs(h)) <= tol
     ok_g = g.size == 0 or np.max(g) <= tol

@@ -1,12 +1,19 @@
 """Discrete globally convergent solvers built on the descent field.
 
-Two variants, both for inequality-only problems (equality-constrained
-problems are reduced first):
+One outer loop, ``solve``, for inequality-only problems (equality-constrained
+problems are reduced first).  At each iterate it evaluates the field,
+records it and stops once |F| falls to ``stop_tol`` or after ``max_iter``
+steps; the KKT residuals of the last iterate go into the report.  How
+far to move along F is left to one of two step policies, selected by
+``SolveConfig.algorithm``:
 
-* ``solve_t31`` -- backtracking Euler steps with an inexact projection
-  onto the constraints at risk of activation along the step.
-* ``solve_r35`` -- curvature-estimating step selection; each rejection
+* ``t31`` -- backtracking Euler steps with an inexact projection onto
+  the constraints at risk of activation along the step.
+* ``r35`` -- curvature-estimating step selection; each rejection
   inflates the curvature estimates instead of halving the step.
+
+A policy returns the accepted point, or raises ``_Stop`` to end the
+solve with a termination and a diagnostic.
 """
 
 from __future__ import annotations
@@ -17,11 +24,9 @@ import numpy as np
 
 from .exprlang import evaluate, grad, jvp
 from .field import FieldError, field_eval
-from .kkt import kkt_residual, multipliers
-from .model import is_feasible
+from .kkt import report_at
+from .model import FEAS_TOL, FIELD_FEAS_TOL, is_feasible
 
-# Accepted iterates must satisfy max_j g_j <= this bound.
-FEAS_TOL = 1e-10
 # Backtracking floor (fraction of r) and curvature-increment cap; both
 # convert theoretical non-termination into diagnosable failures.
 STEP_FLOOR = 1e-14
@@ -31,14 +36,20 @@ K_INCREMENT_CAP = 10 ** 6
 # move along it; landings stay within FEAS_TOL of feasibility.
 BETA = 0.5 * FEAS_TOL
 # Candidates whose constraint values fall inside the snap band are pulled
-# back onto the exact facet (Newton on g_j = 0) before being tested.
+# back onto the exact facet (Newton on g_j = 0) before being tested, in
+# at most SNAP_SWEEPS passes over the constraints.
 SNAP_BAND = 2.0 * FEAS_TOL
+SNAP_SWEEPS = 3
 # Curvature-scan controls: number of segments per scan, refinement passes,
 # and the factor by which a scan span must cover the proposed step.
 CURV_SEGMENTS = 8
 CURV_REFINEMENTS = 4
 SPAN_COVER = 1.5
 SPAN_FLOOR = 1e-8
+# Points sampled along the Euler ray by ``active_index_set``, and the cap
+# on the linearized steps of ``project_inexact``.
+RAY_SAMPLES = 9
+PROJECTION_MAX_INNER = 100
 
 
 class SolveError(RuntimeError):
@@ -57,8 +68,6 @@ class SolveConfig:
     armijo: float = 0.1
     max_iter: int = 200
     stop_tol: float = 1e-9
-    projection_max_inner: int = 100
-    seed: int = 0
 
     def validate(self):
         if self.algorithm not in ("t31", "r35"):
@@ -96,79 +105,55 @@ class SolveReport:
 
     @property
     def iterations(self):
-        return len(self.records) - 1
+        return max(len(self.records) - 1, 0)
 
     @property
     def final_x(self):
         return self.records[-1].x
 
 
-def active_index_set(p, fe, x, epsilon, n_samples=9):
+def active_index_set(p, fe, x, epsilon):
     """Indices whose constraint may rise above -epsilon along the Euler ray.
 
     The continuous max over s in [0, epsilon] is over-approximated by
-    sampling g_j at ``n_samples`` equally spaced points and inflating by
+    sampling g_j at RAY_SAMPLES equally spaced points and inflating by
     half epsilon^2 times a second-difference curvature estimate.
     """
     F = fe.F
-    ss = np.linspace(0.0, epsilon, n_samples)
+    ss = np.linspace(0.0, epsilon, RAY_SAMPLES)
     ds = ss[1] - ss[0]
     out = []
     for j, gexpr in enumerate(p.inequalities):
         vals = np.array([evaluate(gexpr, x + s * F) for s in ss])
-        khat = float(np.max(np.maximum(0.0, np.diff(vals, 2) / ds ** 2))) if len(vals) > 2 else 0.0
+        khat = float(np.max(np.maximum(0.0, np.diff(vals, 2) / ds ** 2)))
         if np.max(vals) + 0.5 * epsilon ** 2 * khat > -epsilon:
             out.append(j)
     return tuple(out)
 
 
-def project_inexact(target, p, indices, max_inner=100, C=1.0):
+def project_inexact(target, p, indices):
     """Approximate nearest point with g_j <= 0 for the selected indices.
 
     Alternates first-order projections onto the most violated
-    constraint's linearization until max_j g_j <= FEAS_TOL.  Returns the
-    point and the achieved/lower-bound distance ratio (the inexactness
-    factor is reported, never enforced).
+    constraint's linearization until max_j g_j <= FEAS_TOL, in at most
+    PROJECTION_MAX_INNER steps.
     """
     if not indices:
         raise ValueError("projection needs a non-empty index set")
-    target = np.asarray(target, dtype=float)
     exprs = [p.inequalities[j] for j in indices]
-
-    gvals0 = np.array([evaluate(e, target) for e in exprs])
-    lower = 0.0
-    for e, gv in zip(exprs, gvals0):
-        if gv > 0:
-            gn = np.linalg.norm(grad(e, target))
-            if gn > 0:
-                lower = max(lower, gv / gn)
-
-    y = target.copy()
-    for _ in range(max_inner):
+    y = np.array(target, dtype=float)
+    for _ in range(PROJECTION_MAX_INNER):
         gvals = np.array([evaluate(e, y) for e in exprs])
         jm = int(np.argmax(gvals))
         if gvals[jm] <= FEAS_TOL:
-            dist = float(np.linalg.norm(y - target))
-            quality = dist / lower if lower > 0 else 1.0
-            return y, quality
+            return y
         gj = np.asarray(grad(exprs[jm], y), dtype=float)
         nrm2 = float(gj @ gj)
         if nrm2 == 0.0:
             raise ProjectionFailure("zero constraint gradient during projection")
         y = y - (gvals[jm] / nrm2) * gj
-    raise ProjectionFailure(f"projection did not reach feasibility in {max_inner} steps")
-
-
-def curvature_estimates(p, fe, x, r, epsilon):
-    """Initial curvature bounds from one extra evaluation at x + r F."""
-    xr = np.asarray(x, dtype=float) + r * fe.F
-    dgF = fe.B @ fe.F if p.k else np.zeros(0)
-    K = np.empty(p.k)
-    for j, gexpr in enumerate(p.inequalities):
-        K[j] = max(epsilon, 2.0 / r ** 2 * (evaluate(gexpr, xr) - fe.g[j] - r * dgF[j]))
-    K_theta = max(epsilon,
-                  2.0 / r ** 2 * (evaluate(p.objective, xr) - fe.theta - r * fe.dtheta_F))
-    return K, K_theta
+    raise ProjectionFailure(
+        f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps")
 
 
 def _curvature_scan(p, fe, x, span):
@@ -240,7 +225,7 @@ def _step_bound(fe, dgF, K, K_theta, r):
     return s
 
 
-def _snap_to_facets(p, y, band=SNAP_BAND, sweeps=3):
+def _snap_to_facets(p, y):
     """Pull constraints inside the band back onto their exact facets.
 
     One Newton step per near-active constraint per sweep; dissolves the
@@ -248,11 +233,11 @@ def _snap_to_facets(p, y, band=SNAP_BAND, sweeps=3):
     feasibility ceiling while riding an active facet.
     """
     moved_any = False
-    for _ in range(sweeps):
+    for _ in range(SNAP_SWEEPS):
         moved = False
         for gexpr in p.inequalities:
             gj = evaluate(gexpr, y)
-            if -band <= gj <= band and gj != 0.0:
+            if -SNAP_BAND <= gj <= SNAP_BAND and gj != 0.0:
                 gr = np.asarray(grad(gexpr, y), dtype=float)
                 nrm2 = float(gr @ gr)
                 if nrm2 > 0.0:
@@ -263,166 +248,128 @@ def _snap_to_facets(p, y, band=SNAP_BAND, sweeps=3):
     return y, moved_any
 
 
-def _check_inequality_only(p):
-    if p.m != 0:
-        raise SolveError("solver requires an inequality-only problem; "
-                         "reduce equality-constrained problems first")
-
-
 def _max_g(p, x):
     if p.k == 0:
         return 0.0
     return max(evaluate(e, x) for e in p.inequalities)
 
 
-def _start_report(p, params, cfg, x0):
-    cfg.validate()
-    _check_inequality_only(p)
-    x0 = np.asarray(x0, dtype=float)
-    if not is_feasible(p, x0, 1e-8):
-        raise SolveError("initial point is infeasible")
-    return x0
+class _Stop(Exception):
+    """Ends a solve from inside a step policy; args: (termination, diagnostic)."""
 
 
-def _finish(p, params, report):
-    x = report.final_x
-    try:
-        fe = field_eval(p, params, x)
-        lam, mu = multipliers(p, x, fe)
-        report.kkt = kkt_residual(p, x, lam, mu)
-    except FieldError:
-        pass
-    return report
+def _t31_step(p, cfg, fe, x, rec):
+    """Armijo halving from r; each candidate is projected onto the facets
+    the Euler ray may reach."""
+    active = active_index_set(p, fe, x, cfg.epsilon)
+    rec.active_set = active
+    s = cfg.r
+    backtracks = 0
+    while True:
+        y, used_proj = x + s * fe.F, False
+        if active:
+            try:
+                y, used_proj = project_inexact(y, p, active), True
+            except ProjectionFailure:
+                y = None
+        if y is not None and _max_g(p, y) <= FEAS_TOL:
+            theta_y = evaluate(p.objective, y)
+            if theta_y <= fe.theta + cfg.armijo * s * fe.dtheta_F:
+                rec.step, rec.backtracks, rec.proj_used = s, backtracks, used_proj
+                return y
+        s *= 0.5
+        backtracks += 1
+        if s < STEP_FLOOR * cfg.r:
+            raise _Stop("field_failure", "backtracking step fell below the floor")
 
 
-def solve_t31(p, params, cfg, x0):
-    """Backtracking Euler with projection onto the at-risk constraints."""
-    x = _start_report(p, params, cfg, x0)
-    report = SolveReport()
-    for _ in range(cfg.max_iter):
-        try:
-            fe = field_eval(p, params, x)
-        except FieldError as exc:
-            report.termination, report.diagnostic = "field_failure", str(exc)
-            return _finish(p, params, report)
-        rec = IterateRecord(x=x.copy(), theta=fe.theta,
-                            normF=float(np.linalg.norm(fe.F)), dtheta_F=fe.dtheta_F)
-        report.records.append(rec)
-        if rec.normF <= cfg.stop_tol:
-            report.termination = "critical"
-            return _finish(p, params, report)
-
-        active = active_index_set(p, fe, x, cfg.epsilon)
-        rec.active_set = active
-        s = cfg.r
-        backtracks = 0
-        while True:
-            candidate = x + s * fe.F
-            y, used_proj = candidate, False
-            if active:
-                try:
-                    y, _ = project_inexact(candidate, p, active,
-                                           max_inner=cfg.projection_max_inner)
-                    used_proj = True
-                except ProjectionFailure:
-                    y = None
-            if y is not None and _max_g(p, y) <= FEAS_TOL:
-                theta_y = evaluate(p.objective, y)
-                if theta_y <= fe.theta + cfg.armijo * s * fe.dtheta_F:
-                    rec.step, rec.backtracks, rec.proj_used = s, backtracks, used_proj
-                    x = y
-                    break
-            s *= 0.5
-            backtracks += 1
-            if s < STEP_FLOOR * cfg.r:
-                report.termination = "field_failure"
-                report.diagnostic = "backtracking step fell below the floor"
-                return _finish(p, params, report)
-    else:
-        report.termination = "max_iter"
-        try:
-            fe = field_eval(p, params, x)
-            report.records.append(IterateRecord(
-                x=x.copy(), theta=fe.theta,
-                normF=float(np.linalg.norm(fe.F)), dtheta_F=fe.dtheta_F))
-        except FieldError as exc:
-            report.diagnostic = str(exc)
-    return _finish(p, params, report)
-
-
-def solve_r35(p, params, cfg, x0):
-    """Curvature-estimated steps; rejections inflate the estimates."""
-    x = _start_report(p, params, cfg, x0)
-    report = SolveReport()
-    for _ in range(cfg.max_iter):
-        try:
-            fe = field_eval(p, params, x)
-        except FieldError as exc:
-            report.termination, report.diagnostic = "field_failure", str(exc)
-            return _finish(p, params, report)
-        rec = IterateRecord(x=x.copy(), theta=fe.theta,
-                            normF=float(np.linalg.norm(fe.F)), dtheta_F=fe.dtheta_F)
-        report.records.append(rec)
-        if rec.normF <= cfg.stop_tol:
-            report.termination = "critical"
-            return _finish(p, params, report)
-
-        dgF = _dgF_identity(fe) if p.k else np.zeros(0)
-        span = cfg.r
+def _r35_step(p, cfg, fe, x, rec):
+    """Curvature-bounded step; each rejection inflates the estimates."""
+    dgF = _dgF_identity(fe) if p.k else np.zeros(0)
+    span = cfg.r
+    K, K_theta = _curvature_scan(p, fe, x, span)
+    s = _step_bound(fe, dgF, K, K_theta, cfg.r)
+    # Refine the scan span toward the step actually proposed so the
+    # quadratic models are local; a whole-ray scan can overestimate
+    # curvature by orders of magnitude and stall the iteration.
+    for _ in range(CURV_REFINEMENTS):
+        new_span = min(cfg.r, max(SPAN_COVER * s, SPAN_FLOOR))
+        if new_span >= 0.9 * span:
+            break
+        span = new_span
         K, K_theta = _curvature_scan(p, fe, x, span)
         s = _step_bound(fe, dgF, K, K_theta, cfg.r)
-        # Refine the scan span toward the step actually proposed so the
-        # quadratic models are local; a whole-ray scan can overestimate
-        # curvature by orders of magnitude and stall the iteration.
-        for _ in range(CURV_REFINEMENTS):
-            new_span = min(cfg.r, max(SPAN_COVER * s, SPAN_FLOOR))
-            if new_span >= 0.9 * span:
-                break
-            span = new_span
-            K, K_theta = _curvature_scan(p, fe, x, span)
-            s = _step_bound(fe, dgF, K, K_theta, cfg.r)
-        # Never step beyond the interval the models were sampled on.
-        s = min(s, span)
+    # Never step beyond the interval the models were sampled on.
+    s = min(s, span)
 
-        # Near a minimizer the required decrease drops below one ulp of
-        # theta, where the sufficient-decrease test cannot be certified
-        # in double precision; allow rounding-level noise so the
-        # iteration can close the final |F| gap instead of stalling.
-        noise = 16.0 * np.finfo(float).eps * (1.0 + abs(fe.theta))
-        increments = 0
-        while True:
-            candidate, snapped = _snap_to_facets(p, x + s * fe.F)
-            if _max_g(p, candidate) <= FEAS_TOL:
-                theta_c = evaluate(p.objective, candidate)
-                if theta_c <= fe.theta + cfg.armijo * s * fe.dtheta_F + noise:
-                    rec.step, rec.backtracks, rec.proj_used = s, increments, snapped
-                    x = candidate
-                    break
-            K = K + cfg.epsilon
-            K_theta += cfg.epsilon
-            increments += 1
-            s = _step_bound(fe, dgF, K, K_theta, cfg.r)
-            if increments > K_INCREMENT_CAP:
-                worst = int(np.argmax([evaluate(e, candidate)
-                                       for e in p.inequalities])) if p.k else -1
-                report.termination = "inner_cap"
-                report.diagnostic = (f"curvature increments exhausted; most "
+    # Near a minimizer the required decrease drops below one ulp of
+    # theta, where the sufficient-decrease test cannot be certified
+    # in double precision; allow rounding-level noise so the
+    # iteration can close the final |F| gap instead of stalling.
+    noise = 16.0 * np.finfo(float).eps * (1.0 + abs(fe.theta))
+    increments = 0
+    while True:
+        candidate, snapped = _snap_to_facets(p, x + s * fe.F)
+        if _max_g(p, candidate) <= FEAS_TOL:
+            theta_c = evaluate(p.objective, candidate)
+            if theta_c <= fe.theta + cfg.armijo * s * fe.dtheta_F + noise:
+                rec.step, rec.backtracks, rec.proj_used = s, increments, snapped
+                return candidate
+        K = K + cfg.epsilon
+        K_theta += cfg.epsilon
+        increments += 1
+        s = _step_bound(fe, dgF, K, K_theta, cfg.r)
+        if increments > K_INCREMENT_CAP:
+            worst = int(np.argmax([evaluate(e, candidate)
+                                   for e in p.inequalities])) if p.k else -1
+            raise _Stop("inner_cap", f"curvature increments exhausted; most "
                                      f"violated constraint index {worst}")
-                return _finish(p, params, report)
-    else:
-        report.termination = "max_iter"
-        try:
-            fe = field_eval(p, params, x)
-            report.records.append(IterateRecord(
-                x=x.copy(), theta=fe.theta,
-                normF=float(np.linalg.norm(fe.F)), dtheta_F=fe.dtheta_F))
-        except FieldError as exc:
-            report.diagnostic = str(exc)
-    return _finish(p, params, report)
 
 
 def solve(p, params, cfg, x0):
-    """Dispatch on cfg.algorithm."""
-    if cfg.algorithm == "t31":
-        return solve_t31(p, params, cfg, x0)
-    return solve_r35(p, params, cfg, x0)
+    """Step from the feasible start ``x0`` along the field until |F| <= stop_tol.
+
+    Raises ValueError for an invalid configuration and SolveError for a
+    problem with equality constraints or an infeasible start.  Every other
+    outcome is a SolveReport whose ``termination`` names how it ended; it
+    has no records when the field fails at ``x0`` itself.
+    """
+    cfg.validate()
+    if p.m != 0:
+        raise SolveError("solver requires an inequality-only problem; "
+                         "reduce equality-constrained problems first")
+    x = np.asarray(x0, dtype=float)
+    if not is_feasible(p, x, FIELD_FEAS_TOL):
+        raise SolveError("initial point is infeasible")
+    policy = _t31_step if cfg.algorithm == "t31" else _r35_step
+
+    report = SolveReport(termination="max_iter")
+    # The last pass only records the iterate that max_iter steps reached.
+    for i in range(cfg.max_iter + 1):
+        try:
+            fe = field_eval(p, params, x)
+        except FieldError as exc:
+            if i < cfg.max_iter:
+                report.termination = "field_failure"
+            report.diagnostic = str(exc)
+            break
+        rec = IterateRecord(x=x.copy(), theta=fe.theta,
+                            normF=float(np.linalg.norm(fe.F)), dtheta_F=fe.dtheta_F)
+        report.records.append(rec)
+        if i == cfg.max_iter:
+            break
+        if rec.normF <= cfg.stop_tol:
+            report.termination = "critical"
+            break
+        try:
+            x = policy(p, cfg, fe, x, rec)
+        except _Stop as stop:
+            report.termination, report.diagnostic = stop.args
+            break
+
+    if report.records:
+        try:
+            report.kkt = report_at(p, report.final_x, params)
+        except FieldError:
+            pass
+    return report

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -181,3 +182,61 @@ def test_unparsable_expression_is_an_error_not_a_traceback(objective, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_long_objective_with_elimination_solves(tmp_path):
+    problem = tmp_path / "long.nlp"
+    problem.write_text("vars: x1 x2 x3\n"
+                       f"objective: {' + '.join(['x1*x2'] * 3000)} + x3^2\n"
+                       "eq: x1 + x2 + x3 - 1\n"
+                       "ineq: -x1\nineq: -x2\nineq: -x3\n"
+                       "eliminate: x3 = 1 - x1 - x2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlpflow.cli", "solve", "--problem",
+         str(problem), "--x0", "0.2,0.3"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _child_pythonpath()},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "# termination: critical" in proc.stdout
+
+
+@pytest.fixture
+def bowl(tmp_path):
+    """An unconstrained problem file."""
+    path = tmp_path / "bowl.nlp"
+    path.write_text("vars: x1 x2\nobjective: x1^2 + x2^2\n")
+    return str(path)
+
+
+def _run_without_warnings(argv):
+    # numpy reports an overflow as a RuntimeWarning; none may escape.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+@pytest.mark.parametrize("algo", ["r35", "t31"])
+@pytest.mark.parametrize("with_inequalities", [True, False],
+                         ids=["inequalities", "unconstrained"])
+def test_non_finite_field_is_field_failure(algo, with_inequalities, bowl, capsys):
+    problem, x0 = (P42, "-0.9,-1,2") if with_inequalities else (bowl, "3,4")
+    rc = _run_without_warnings(["solve", "--problem", problem, "--algo", algo,
+                                "--sigma", "1e308", f"--x0={x0}"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "# termination: field_failure" in out
+    assert "# diagnostic: the field F is not finite" in out
+
+
+@pytest.mark.parametrize("with_inequalities", [True, False],
+                         ids=["inequalities", "unconstrained"])
+def test_non_finite_field_aborts_flow(with_inequalities, bowl, capsys):
+    problem, x0 = (P42, "-0.9,-1,2") if with_inequalities else (bowl, "3,4")
+    rc = _run_without_warnings(["flow", "--problem", problem, "--sigma", "1e308",
+                                f"--x0={x0}", "--step", "0.01", "--steps", "5"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert ("# diagnostic: field evaluation failed at step 0: "
+            "the field F is not finite") in out

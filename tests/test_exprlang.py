@@ -145,6 +145,19 @@ def test_long_sum_evaluates_and_differentiates():
     assert jvp(e, [1.5, 2.0], [1.0, -1.0]) == 1500.0
 
 
+def test_long_sum_substitutes_and_prints():
+    # A 3000-term objective after the elimination x3 = 1 - x1 - x2.
+    e = parse(" + ".join(["x1*x2"] * 3000) + " + x3^2", NAMES)
+    phi = parse("1 - x1 - x2", ("x1", "x2"))
+    reduced = substitute(e, {2: phi.root}, ("x1", "x2"))
+    assert evaluate(reduced, [0.5, 0.25]) == 3000 * 0.125 + 0.0625
+    text = to_string(reduced)
+    assert text.count("x1") == 3001
+    # Fully parenthesized, the left-leaning sum nests 3000 levels deep.
+    with pytest.raises(ParseError):
+        parse(text, ("x1", "x2"))
+
+
 def test_substituted_subtree_is_taped_once(p42):
     _, red = p42
     for e in (red.objective, *red.inequalities):

@@ -4,7 +4,7 @@ import pytest
 from nlpflow.exprlang import evaluate, grad, parse
 from nlpflow.field import (ConstraintQualificationError, FieldParams,
                            InfeasiblePointError, dissipation, field_eval,
-                           projector_h, q_matrix)
+                           projector_h)
 from nlpflow.model import Problem
 
 
@@ -76,17 +76,14 @@ def test_projector_rank_deficient():
 
 def test_q_matrix_halfline():
     # H = I (no equalities), B = [-1], g(1) = -1: Q = 1 + 1 = 2
-    Q = q_matrix(np.eye(1), np.array([[-1.0]]), np.array([-1.0]))
-    assert Q[0, 0] == 2.0
+    fe = field_eval(_halfline(), FieldParams.default(1, 1), np.array([1.0]))
+    assert fe.Q[0, 0] == 2.0
 
 
 def test_q_matrix_reduced_41_origin(p41):
     _, red = p41
-    from nlpflow.model import jacobians, residuals
-    x = np.array([0.0, 0.0])
-    _, g = residuals(red, x)
-    _, B = jacobians(red, x)
-    Q = q_matrix(np.eye(2), B, g)
+    Q = field_eval(red, FieldParams.default(red.n, red.k),
+                   np.array([0.0, 0.0])).Q
     expected = np.array([[8.0, 1.0, -2.0, 1.0],
                          [1.0, 1.0, 0.0, -1.0],
                          [-2.0, 0.0, 1.0, -1.0],
