@@ -8,11 +8,14 @@ Every :class:`Expr` is lowered once, when it is built, to a flat
 :class:`Tape`: a straight-line list of operations over numbered slots
 (Griewank & Walther, *Evaluating Derivatives*, ch. 3).  Subtrees shared
 by identity, such as the elimination map that ``substitute`` splices into
-every occurrence of an eliminated variable, are lowered once.  Two loops
-run over the tape: one for values only (``evaluate``) and one carrying a
-value and one tangent, a directional derivative.  ``jvp`` runs the
-tangent loop once, seeded with the direction; ``grad`` runs it once per
-variable, seeded with each unit vector.
+every occurrence of an eliminated variable, are lowered once.  On first
+use the tape is compiled to straight-line Python, one statement per
+operation: a value kernel (``evaluate``) and a kernel carrying a value and
+one tangent lane, a directional derivative.  ``jvp`` runs the tangent
+kernel once, seeded with the direction; ``grad`` runs it once per
+variable, seeded with each unit vector.  Compiled kernels depend only on
+the tape's structure, not its constants, and are cached by structure, so
+re-parsing the same problem does not compile them again.
 
 Grammar (EBNF)::
 
@@ -29,6 +32,7 @@ minus may nest at most ``MAX_NESTING`` deep.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -96,20 +100,31 @@ class Pow:
 
 _ADD, _SUB, _MUL, _DIV, _NEG, _POW = range(6)
 _BINARY = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
+_SYMBOL = {code: op for op, code in _BINARY.items()}
 
 
 @dataclass(frozen=True)
 class Tape:
-    """Straight-line code for one expression.
+    """Straight-line code for one expression over ``n`` variables.
 
     Each operation is ``(code, a, b)``: ``a`` and ``b`` are operand slots,
     except that ``b`` is the integer exponent of a power and unused by a
-    negation.
+    negation.  The tape runs as two compiled kernels, built on first use:
+    one for the value and one for the value and a tangent.
     """
 
     consts: tuple  # floats
     ops: tuple
     out: int  # slot holding the result
+    n: int
+
+    @functools.cached_property
+    def value_kernel(self):
+        return _compile(self.ops, len(self.consts), self.out, self.n, 0)
+
+    @functools.cached_property
+    def tangent_kernel(self):
+        return _compile(self.ops, len(self.consts), self.out, self.n, 1)
 
 
 def _children(node):
@@ -175,19 +190,65 @@ def _lower(root, n):
 
     tape_ops = tuple((code, slot(a), b if code in (_NEG, _POW) else slot(b))
                      for code, a, b in ops)
-    return Tape(tuple(consts), tape_ops, slot(out))
+    return Tape(tuple(consts), tape_ops, slot(out), n)
 
 
-@dataclass(frozen=True)
+def _number_subtrees(root, table):
+    """Number each distinct subtree of ``root`` in ``table``, bottom-up.
+
+    Subtrees equal as node dataclasses get the same number, so two trees
+    numbered in one table are equal exactly when their roots are.  The
+    keys of ``table``, in order, describe the tree whatever it shares.
+    """
+
+    def number(key):
+        return table.setdefault(key, len(table))
+
+    def leaf(node):
+        if isinstance(node, Var):
+            return number((Var, node.index, node.name))
+        return number((Num, node.value))
+
+    def combine(node, kids):
+        if isinstance(node, BinOp):
+            return number((BinOp, node.op, *kids))
+        if isinstance(node, Pow):
+            return number((Pow, node.exponent, *kids))
+        return number((Neg, *kids))
+
+    return _post_order(root, leaf, combine)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Expr:
-    """A parsed expression together with its variable namespace."""
+    """A parsed expression together with its variable namespace.
+
+    Equality, hashing and ``repr`` walk the tree without recursion, so
+    they work on trees of any depth.
+    """
 
     root: object
     variables: tuple
-    tape: Tape = field(init=False, compare=False, repr=False)
+    tape: Tape = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tape", _lower(self.root, len(self.variables)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        table = {}
+        return (self.variables == other.variables
+                and _number_subtrees(self.root, table)
+                == _number_subtrees(other.root, table))
+
+    def __hash__(self):
+        table = {}
+        _number_subtrees(self.root, table)
+        return hash((self.variables, tuple(table)))
+
+    def __repr__(self):
+        return f"Expr({to_string(self)!r}, variables={self.variables!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -309,66 +370,69 @@ def parse(text, variables):
 
 
 # ---------------------------------------------------------------------------
-# The two tape loops.
+# Compiled kernels.
 
-def _values(tape, v):
-    """Run the tape on slot list ``v`` (variables then constants)."""
-    for code, a, b in tape.ops:
-        if code == _MUL:
-            v.append(v[a] * v[b])
-        elif code == _ADD:
-            v.append(v[a] + v[b])
-        elif code == _SUB:
-            v.append(v[a] - v[b])
-        elif code == _POW:
-            v.append(v[a] ** b)
-        elif code == _NEG:
-            v.append(-v[a])
-        else:
-            den = v[b]
-            if den == 0.0:
-                raise EvalError("division by zero")
-            v.append(v[a] / den)
-    return v[tape.out]
+# Cached by tape structure: every CLI run re-parses its problem file, so a
+# process that runs many of them would otherwise compile the same kernels
+# again each time.  The bound is the number of distinct structures kept.
+@functools.lru_cache(maxsize=256)
+def _compile(ops, nconst, out, n, lanes):
+    """Compile tape operations to one straight-line Python function.
 
-
-def _tangent(tape, v, d):
-    """Run the tape on values ``v`` and tangents ``d``; return both results.
-
-    The rules are the dual-number ones: (a*b)' = a*b' + a'*b,
-    (a/b)' = (a' - q*b')/b with q = a/b, (a^k)' = k*a^(k-1)*a', and
-    a^0 = (1, 0).
+    With ``lanes`` 0 the function is ``kernel(x, c)`` and returns the
+    value; with ``lanes`` 1 it is ``kernel(x, d, c)`` and returns the value
+    and one tangent, seeded with ``d``, by the dual-number rules:
+    (a*b)' = a*b' + a'*b, (a/b)' = (a' - q*b')/b with q = a/b,
+    (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).  ``x`` holds the ``n``
+    variables and ``c`` the ``nconst`` constants, which are passed in
+    rather than written into the source (``1e400`` has no literal).  Each
+    statement is one operation, in tape order, so the kernel does the
+    same arithmetic whatever the constants are.
     """
-    for code, a, b in tape.ops:
+    lines = []
+
+    def unpack(first, count, prefix, source):
+        if count:
+            names = "".join(f"{prefix}{i}, " for i in range(first, first + count))
+            lines.append(f"{names}= {source}")
+
+    unpack(0, n, "v", "x")
+    unpack(n, nconst, "v", "c")
+    if lanes:
+        unpack(0, n, "t", "d")
+        lines.extend(f"t{i} = 0.0" for i in range(n, n + nconst))
+    for s, (code, a, b) in enumerate(ops, start=n + nconst):
+        if code == _POW and lanes and b == 0:
+            lines += [f"v{s} = 1.0", f"t{s} = 0.0"]
+            continue
+        if code == _DIV:
+            lines.append(f"if v{b} == 0.0: raise EvalError('division by zero')")
+        lines.append(f"v{s} = " + (f"-v{a}" if code == _NEG else
+                                   f"v{a} ** {b}" if code == _POW else
+                                   f"v{a} {_SYMBOL[code]} v{b}"))
+        if not lanes:
+            continue
         if code == _MUL:
-            va, vb = v[a], v[b]
-            v.append(va * vb)
-            d.append(va * d[b] + d[a] * vb)
-        elif code == _ADD:
-            v.append(v[a] + v[b])
-            d.append(d[a] + d[b])
-        elif code == _SUB:
-            v.append(v[a] - v[b])
-            d.append(d[a] - d[b])
-        elif code == _POW:
-            if b == 0:
-                v.append(1.0)
-                d.append(0.0)
-            else:
-                va = v[a]
-                v.append(va ** b)
-                d.append(b * va ** (b - 1) * d[a])
+            lines.append(f"t{s} = v{a} * t{b} + t{a} * v{b}")
+        elif code == _DIV:
+            lines.append(f"t{s} = (t{a} - v{s} * t{b}) / v{b}")
         elif code == _NEG:
-            v.append(-v[a])
-            d.append(-d[a])
+            lines.append(f"t{s} = -t{a}")
+        elif code == _POW:
+            lines.append(f"t{s} = {b} * v{a} ** {b - 1} * t{a}")
         else:
-            vb = v[b]
-            if vb == 0.0:
-                raise EvalError("division by zero")
-            q = v[a] / vb
-            v.append(q)
-            d.append((d[a] - q * d[b]) / vb)
-    return v[tape.out], d[tape.out]
+            lines.append(f"t{s} = t{a} {_SYMBOL[code]} t{b}")
+    lines.append(f"return v{out}, t{out}" if lanes else f"return v{out}")
+    source = (f"def kernel({'x, d, c' if lanes else 'x, c'}):\n"
+              + "".join(f"    {line}\n" for line in lines))
+    namespace = {"EvalError": EvalError}
+    exec(compile(source, "<tape kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_vectors(n):
+    return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
 
 
 def _check_length(e, x):
@@ -379,8 +443,9 @@ def _check_length(e, x):
 def evaluate(e, x):
     """Evaluate the expression at the point ``x`` (indexable of floats)."""
     _check_length(e, x)
+    tape = e.tape
     try:
-        value = _values(e.tape, [*x, *e.tape.consts])
+        value = tape.value_kernel(x, tape.consts)
     except OverflowError as exc:
         raise EvalError(f"overflow: {exc.args[-1]}") from exc
     if not math.isfinite(value):
@@ -388,41 +453,37 @@ def evaluate(e, x):
     return value
 
 
-def _sweep(tape, v, d):
-    """One tangent sweep, checked: the tangent of the result."""
+def _directional(tape, x, seeds):
+    """The tangent of the result for each seed, one kernel run per seed."""
+    kernel, c = tape.tangent_kernel, tape.consts
+    x = [*map(float, x)]
+    out = []
     try:
-        val, dot = _tangent(tape, v, d)
+        for d in seeds:
+            val, dot = kernel(x, d, c)
+            if not (math.isfinite(val) and math.isfinite(dot)):
+                raise EvalError("non-finite value in derivative sweep")
+            out.append(dot)
     except OverflowError as exc:
         raise EvalError(f"overflow: {exc.args[-1]}") from exc
-    if not (math.isfinite(val) and math.isfinite(dot)):
-        raise EvalError("non-finite value in derivative sweep")
-    return dot
+    return out
 
 
 def grad(e, x):
-    """Gradient at ``x``: one tangent sweep per unit vector."""
+    """Gradient at ``x``: one tangent run per unit vector."""
     _check_length(e, x)
-    tape = e.tape
-    v = [*map(float, x), *tape.consts]
-    out = []
-    for i in range(len(x)):
-        d = [0.0] * len(v)
-        d[i] = 1.0
-        out.append(_sweep(tape, v[:], d))
-    return out
+    return _directional(e.tape, x, _unit_vectors(len(x)))
 
 
 def jvp(e, x, u):
     """Directional derivative of the expression at ``x`` along ``u``.
 
-    One tangent sweep seeded with ``u``; equal to ``grad(e, x) @ u`` up to
-    rounding, at about the cost of one of grad's sweeps.
+    One tangent run seeded with ``u``; equal to ``grad(e, x) @ u`` up to
+    rounding, at about the cost of one of grad's runs.
     """
     _check_length(e, x)
     _check_length(e, u)
-    tape = e.tape
-    return _sweep(tape, [*map(float, x), *tape.consts],
-                  [*map(float, u), *[0.0] * len(tape.consts)])
+    return _directional(e.tape, x, ([*map(float, u)],))[0]
 
 
 # ---------------------------------------------------------------------------

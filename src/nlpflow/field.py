@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .exprlang import evaluate, grad
 from .model import FIELD_FEAS_TOL, jacobians, residuals
@@ -29,6 +29,33 @@ class ConstraintQualificationError(FieldError):
 
 class InfeasiblePointError(FieldError):
     pass
+
+
+# LAPACK's Cholesky factorization and triangular solves for float64
+# (dpotrf, dpotrs), called without scipy.linalg's checking wrappers.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _cholesky(S, name, failure):
+    """Lower Cholesky factor of the symmetric matrix ``S``, called ``name``.
+
+    A non-finite ``S`` raises FieldError.  A factorization failure raises
+    ConstraintQualificationError with the message ``failure`` and the
+    smallest eigenvalue of ``S``.
+    """
+    if not np.isfinite(S).all():
+        raise FieldError(f"{name} is not finite: its assembly overflowed")
+    c, info = _potrf(S, lower=True, clean=False)
+    if info > 0:
+        pivot = float(np.linalg.eigvalsh(S).min())
+        raise ConstraintQualificationError(failure.format(pivot=pivot))
+    return c
+
+
+def _cho_solve(c, rhs):
+    """Solve S X = rhs from the lower Cholesky factor ``c`` of S."""
+    x, _ = _potrs(c, rhs, lower=True)  # info is non-zero only for a bad argument
+    return x
 
 
 class FieldParams:
@@ -118,36 +145,28 @@ def projector_h(A):
     m, n = A.shape
     if m == 0:
         return np.eye(n)
-    gram = A @ A.T
-    try:
-        cho = scipy.linalg.cho_factor(gram, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        pivot = float(np.linalg.eigvalsh(gram).min())
-        raise ConstraintQualificationError(
-            f"equality gradients are rank deficient (smallest pivot {pivot:.3e})"
-        ) from exc
-    H = np.eye(n) - A.T @ scipy.linalg.cho_solve(cho, A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = A @ A.T
+    c = _cholesky(gram, "the Gram matrix of the equality gradients",
+                  "equality gradients are rank deficient (smallest pivot {pivot:.3e})")
+    H = np.eye(n) - A.T @ _cho_solve(c, A)
     return 0.5 * (H + H.T)
 
 
-def _q_factor(H, B, g):
-    """Q = B H B' - diag(g) and its Cholesky factor (None when k = 0).
+def _q_factor(C, B, g):
+    """Q = B H B' - diag(g) from C = B H, and its Cholesky factor (None
+    when k = 0).
 
     Q must be positive definite on the feasible set.
     """
     k = B.shape[0]
-    Q = B @ H @ B.T - np.diag(g)
-    Q = 0.5 * (Q + Q.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = C @ B.T - np.diag(g)
+        Q = 0.5 * (Q + Q.T)
     if k == 0:
         return Q, None
-    try:
-        cho = scipy.linalg.cho_factor(Q, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        pivot = float(np.linalg.eigvalsh(Q).min())
-        raise ConstraintQualificationError(
-            f"Q is not positive definite (smallest pivot {pivot:.3e}): "
-            f"LICQ violated or point infeasible") from exc
-    return Q, cho
+    return Q, _cholesky(Q, "Q", "Q is not positive definite (smallest pivot {pivot:.3e}): "
+                                "LICQ violated or point infeasible")
 
 
 def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
@@ -170,20 +189,20 @@ def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
     H = projector_h(A)
     n, k = p.n, p.k
 
-    Q, cho = _q_factor(H, B, g)
+    C = B @ H
+    Q, cho = _q_factor(C, B, g)
     if k == 0:
         P = np.zeros((0, n))
         v = vplus = r3 = w = omega = np.zeros(0)
         M = H
     else:
-        C = B @ H
-        P = scipy.linalg.cho_solve(cho, C)
+        P = _cho_solve(cho, C)
         v = P @ gtheta
         vplus = np.maximum(0.0, v)
         M = H - C.T @ P  # H - P'QP
     xi = M @ gtheta
-    # Large gains can overflow F; that is reported below as a FieldError,
-    # so numpy's overflow warnings would only repeat it.
+    # Large gains can overflow F and w; that is reported below as a
+    # FieldError, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         R1xi = params.R1 @ xi
         F = -M @ R1xi
@@ -191,11 +210,13 @@ def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
             r3 = params.b + params.c * vplus ** (2 * params.p)
             mixed = params.R2 @ (g * v) - params.a * v  # (R2 diag(g) - diag(a)) v
             F = F - P.T @ (g * mixed) - P.T @ (r3 * vplus)
+            w = C @ R1xi - (Q + np.diag(g)) @ mixed - r3 * vplus
     if not np.isfinite(F).all():
         raise FieldError("the field F is not finite: its assembly overflowed")
     if k:
-        w = C @ R1xi - (Q + np.diag(g)) @ mixed - r3 * vplus
-        omega = scipy.linalg.cho_solve(cho, w)
+        if not np.isfinite(w).all():
+            raise FieldError("the vector w is not finite: its assembly overflowed")
+        omega = _cho_solve(cho, w)
 
     dtheta_F = float(gtheta @ F)
     return FieldEval(x=x, theta=theta, grad_theta=gtheta, h=h, g=g, A=A, B=B,

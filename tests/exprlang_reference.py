@@ -1,8 +1,9 @@
 """Reference tree-walking interpreters for the expression language.
 
 These are the recursive evaluators that ``nlpflow.exprlang`` used before
-it lowered expressions to a tape.  They are kept for tests only: the tape
-must reproduce their values and gradients bit for bit.  Only overflow is
+it lowered expressions to a tape.  They are kept for tests only: the
+compiled kernels must reproduce their values, gradients and directional
+derivatives bit for bit.  Only overflow is
 reported differently: these raise ``OverflowError`` where the tape raises
 ``EvalError``.
 """
@@ -113,3 +114,14 @@ def grad(e, x):
             raise EvalError("non-finite value in derivative sweep")
         out[i] = d.dot
     return out
+
+
+def jvp(e, x, u):
+    """The derivative at ``x`` along ``u`` by one dual-number tree walk."""
+    n = len(e.variables)
+    if len(x) != n or len(u) != n:
+        raise ExprError(f"expected {n} coordinates")
+    d = _eval_dual(e.root, [_Dual(float(x[j]), float(u[j])) for j in range(n)])
+    if not (math.isfinite(d.val) and math.isfinite(d.dot)):
+        raise EvalError("non-finite value in derivative sweep")
+    return d.dot

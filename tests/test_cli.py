@@ -240,3 +240,30 @@ def test_non_finite_field_aborts_flow(with_inequalities, bowl, capsys):
     assert rc == 1
     assert ("# diagnostic: field evaluation failed at step 0: "
             "the field F is not finite") in out
+
+
+@pytest.fixture
+def steep(tmp_path):
+    """An inequality so steep that Q = B H B' - diag(g) overflows."""
+    path = tmp_path / "steep.nlp"
+    path.write_text("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: 1e300*x1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("algo", ["r35", "t31"])
+def test_non_finite_q_is_field_failure(algo, steep, capsys):
+    rc = _run_without_warnings(["solve", "--problem", steep, "--algo", algo,
+                                "--x0=-1e-10,1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "# termination: field_failure" in out
+    assert "# diagnostic: Q is not finite" in out
+
+
+def test_non_finite_q_aborts_flow(steep, capsys):
+    rc = _run_without_warnings(["flow", "--problem", steep, "--x0=-1e-10,1",
+                                "--step", "0.01", "--steps", "5"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert ("# diagnostic: field evaluation failed at step 0: "
+            "Q is not finite") in out

@@ -145,6 +145,15 @@ def test_long_sum_evaluates_and_differentiates():
     assert jvp(e, [1.5, 2.0], [1.0, -1.0]) == 1500.0
 
 
+def test_long_sum_compares_hashes_and_prints():
+    text = " + ".join(["x*y"] * 3000)
+    a, b = parse(text, ("x", "y")), parse(text, ("x", "y"))
+    assert a == b and hash(a) == hash(b)
+    assert a != parse(text + " + 1", ("x", "y"))
+    assert a != parse(text, ("x", "y", "z"))
+    assert repr(a) == f"Expr({to_string(a)!r}, variables=('x', 'y'))"
+
+
 def test_long_sum_substitutes_and_prints():
     # A 3000-term objective after the elimination x3 = 1 - x1 - x2.
     e = parse(" + ".join(["x1*x2"] * 3000) + " + x3^2", NAMES)

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from nlpflow import field
 from nlpflow.exprlang import evaluate, grad, parse
-from nlpflow.field import (ConstraintQualificationError, FieldParams,
-                           InfeasiblePointError, dissipation, field_eval,
-                           projector_h)
+from nlpflow.field import (ConstraintQualificationError, FieldError,
+                           FieldParams, InfeasiblePointError, dissipation,
+                           field_eval, projector_h)
+from nlpflow.io import sample_feasible
 from nlpflow.model import Problem
 
 
@@ -72,6 +77,27 @@ def test_projector_rank_deficient():
     A = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ConstraintQualificationError):
         projector_h(A)
+
+
+def _steep_edge():
+    """At x = 0 of min x s.t. -2x <= 0, a = 1e308 overflows w but not F."""
+    p = Problem(names=("x",), objective=parse("x", ("x",)),
+                inequalities=(parse("-2*x", ("x",)),))
+    params = FieldParams(R1=[[1.0]], R2=[[0.0]], a=[1e308], b=[1.0],
+                         c=[0.0], p=[1])
+    return p, params, np.array([0.0])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: projector_h(np.array([[1e300, 0.0]])), "Gram matrix .* not finite"),
+    (lambda: field_eval(*_steep_edge()), "w is not finite"),
+], ids=["gram", "w"])
+def test_non_finite_matrix_is_field_error(call, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError, match=match) as exc:
+            call()
+    assert type(exc.value) is FieldError
 
 
 def test_q_matrix_halfline():
@@ -158,3 +184,29 @@ def test_dissipation_negative_off_critical(p42):
     fe = field_eval(red, params, np.array([-1.0, -1.0, -2.0]))
     assert dissipation(fe) < 0
     assert np.isclose(fe.dtheta_F, dissipation(fe), rtol=1e-9)
+
+
+# --- LAPACK against scipy.linalg's wrappers ---------------------------------
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("name", ["p41", "p42"])
+def test_cholesky_matches_scipy_bit_for_bit(name, request):
+    full, red = request.getfixturevalue(name)
+    for x in sample_feasible(red, 20, seed=11):
+        for p, point in ((red, x), (full, red.lift(x))):
+            fe = field_eval(p, FieldParams.default(p.n, p.k), point)
+            cho = scipy.linalg.cho_factor(fe.Q, lower=True)
+            factor, info = field._potrf(fe.Q, lower=True, clean=False)
+            assert info == 0 and _bits(factor) == _bits(cho[0])
+            assert _bits(fe.P) == _bits(scipy.linalg.cho_solve(cho, fe.B @ fe.H))
+            assert _bits(fe.omega) == _bits(scipy.linalg.cho_solve(cho, fe.w))
+            if p.m:
+                gram = fe.A @ fe.A.T
+                cho = scipy.linalg.cho_factor(gram, lower=True)
+                factor, info = field._potrf(gram, lower=True, clean=False)
+                assert info == 0 and _bits(factor) == _bits(cho[0])
+                H = np.eye(p.n) - fe.A.T @ scipy.linalg.cho_solve(cho, fe.A)
+                assert _bits(fe.H) == _bits(0.5 * (H + H.T))

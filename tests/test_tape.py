@@ -1,8 +1,8 @@
-"""Differential tests: the tape against the reference tree walkers.
+"""Differential tests: the compiled kernels against the reference tree walkers.
 
-``evaluate`` and ``grad`` must return the same bits, of the same type, as
-the recursive interpreters in ``exprlang_reference``, and fail with the
-same exception class (an overflow there is an ``EvalError`` here).
+``evaluate``, ``grad`` and ``jvp`` must return the same bits, of the same
+type, as the recursive interpreters in ``exprlang_reference``, and fail
+with the same exception class (an overflow there is an ``EvalError`` here).
 """
 
 import struct
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exprlang_reference as ref
-from nlpflow.exprlang import EvalError, evaluate, grad, parse
+from nlpflow.exprlang import EvalError, evaluate, grad, jvp, parse
 from nlpflow.io import sample_feasible
 from test_acceptance import _random_expression
 
@@ -24,11 +24,11 @@ def _bits(value):
     return type(value), struct.pack("<d", value)
 
 
-def _outcome(fn, e, x):
+def _outcome(fn, e, *args):
     """Bits of the result, or the class of the exception raised."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = fn(e, x)
+            out = fn(e, *args)
     except OverflowError:
         return EvalError
     except Exception as exc:  # noqa: BLE001 -- the class is the result
@@ -38,9 +38,15 @@ def _outcome(fn, e, x):
     return _bits(out)
 
 
+# Directions for jvp, truncated to the number of variables.
+DIRECTION = (0.7, -1.3, 2.9, -0.1)
+
+
 def assert_same(e, x):
+    u = DIRECTION[:len(x)]
     assert _outcome(evaluate, e, x) == _outcome(ref.evaluate, e, x)
     assert _outcome(grad, e, x) == _outcome(ref.grad, e, x)
+    assert _outcome(jvp, e, x, u) == _outcome(ref.jvp, e, x, u)
 
 
 def test_criterion_8_expressions_match_reference():
@@ -96,3 +102,18 @@ def test_random_trees_match_reference(text, point):
     e = parse(text, NAMES)
     assert_same(e, point)
     assert_same(e, np.array(point))
+
+
+def test_kernels_are_shared_by_structure():
+    # Same operations, different constants: one pair of compiled kernels.
+    a, b = parse("2*x1 + 1", NAMES), parse("3*x1 + 5", NAMES)
+    assert a.tape.value_kernel is b.tape.value_kernel
+    assert a.tape.tangent_kernel is b.tape.tangent_kernel
+    for x1 in (0.5, -2.0, 7.0):
+        x = [x1, 0.0, 0.0]
+        assert evaluate(a, x) == 2 * x1 + 1
+        assert evaluate(b, x) == 3 * x1 + 5
+        assert grad(a, x) == [2.0, 0.0, 0.0]
+        assert grad(b, x) == [3.0, 0.0, 0.0]
+        assert jvp(a, x, [1.0, 1.0, 1.0]) == 2.0
+        assert jvp(b, x, [1.0, 1.0, 1.0]) == 3.0
