@@ -17,6 +17,14 @@ variable, seeded with each unit vector.  Compiled kernels depend only on
 the tape's structure, not its constants, and are cached by structure, so
 re-parsing the same problem does not compile them again.
 
+A :class:`Stack` lowers several expressions over the same variables to
+one stacked tape with one output slot per expression; subtrees they
+share by identity are lowered once for all of them.  Its kernels return
+a tuple of values, or a tuple of values and a tuple of tangents, so
+``evaluate_stack`` and ``jvp_stack`` give every expression's value or
+directional derivative from one kernel run, with the same bits as
+``evaluate`` and ``jvp`` give them one by one.
+
 Grammar (EBNF)::
 
     expr     = term { ("+" | "-") term } ;
@@ -76,20 +84,41 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class _Operation:
+    """Value equality, hashing and ``repr`` for the operation nodes.
+
+    They walk the tree without recursion, so they work at any depth.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        table = {}
+        return _number_subtrees(self, table) == _number_subtrees(other, table)
+
+    def __hash__(self):
+        table = {}
+        _number_subtrees(self, table)
+        return hash(tuple(table))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({_format(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Operation):
     arg: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Operation):
     op: str  # one of + - * /
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pow(_Operation):
     base: object
     exponent: int  # >= 0
 
@@ -105,7 +134,7 @@ _SYMBOL = {code: op for op, code in _BINARY.items()}
 
 @dataclass(frozen=True)
 class Tape:
-    """Straight-line code for one expression over ``n`` variables.
+    """Straight-line code for one or several expressions over ``n`` variables.
 
     Each operation is ``(code, a, b)``: ``a`` and ``b`` are operand slots,
     except that ``b`` is the integer exponent of a power and unused by a
@@ -115,7 +144,7 @@ class Tape:
 
     consts: tuple  # floats
     ops: tuple
-    out: int  # slot holding the result
+    out: object  # slot holding the result; a tuple of slots when stacked
     n: int
 
     @functools.cached_property
@@ -137,15 +166,16 @@ def _children(node):
     return ()
 
 
-def _post_order(root, leaf, combine):
+def _post_order(root, leaf, combine, done=None):
     """Fold the tree at ``root`` bottom-up without recursion.
 
     ``leaf(node)`` gives the result for a Num or Var, ``combine(node,
     kids)`` the result for an operation from its children's results.
-    Results are memoised by node identity, so a shared subtree is folded
-    once.
+    Results are memoised by node identity in ``done``, so a shared subtree
+    is folded once; pass one ``done`` to several folds to share it across
+    trees.
     """
-    done = {}
+    done = {} if done is None else done
     stack = [root]
     while stack:
         node = stack[-1]
@@ -163,9 +193,14 @@ def _post_order(root, leaf, combine):
     return done[id(root)]
 
 
-def _lower(root, n):
-    """Lower the tree at ``root`` to a Tape, left operand first."""
-    consts, ops = [], []
+def _lower(roots, n):
+    """Lower the trees at ``roots`` to one tape, left operand first.
+
+    Returns ``(consts, ops, outs)`` with one output slot per root.  A
+    subtree shared by identity, within a tree or across trees, is lowered
+    once.
+    """
+    consts, ops, done = [], [], {}
 
     def leaf(node):
         if isinstance(node, Var):
@@ -182,7 +217,7 @@ def _lower(root, n):
             ops.append((_POW, kids[0], node.exponent))
         return ("op", len(ops) - 1)
 
-    out = _post_order(root, leaf, combine)
+    outs = [_post_order(root, leaf, combine, done) for root in roots]
     base = {"var": 0, "const": n, "op": n + len(consts)}
 
     def slot(r):
@@ -190,7 +225,7 @@ def _lower(root, n):
 
     tape_ops = tuple((code, slot(a), b if code in (_NEG, _POW) else slot(b))
                      for code, a, b in ops)
-    return Tape(tuple(consts), tape_ops, slot(out), n)
+    return tuple(consts), tape_ops, tuple(slot(r) for r in outs)
 
 
 def _number_subtrees(root, table):
@@ -232,7 +267,9 @@ class Expr:
     tape: Tape = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tape", _lower(self.root, len(self.variables)))
+        n = len(self.variables)
+        consts, ops, (out,) = _lower((self.root,), n)
+        object.__setattr__(self, "tape", Tape(consts, ops, out, n))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -249,6 +286,26 @@ class Expr:
 
     def __repr__(self):
         return f"Expr({to_string(self)!r}, variables={self.variables!r})"
+
+
+@dataclass(frozen=True, eq=False)
+class Stack:
+    """Several expressions over one namespace, lowered to one stacked tape.
+
+    Compared by identity: a stack is a compiled form, built once and kept
+    by its owner.
+    """
+
+    exprs: tuple
+    variables: tuple
+    tape: Tape = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if any(e.variables != self.variables for e in self.exprs):
+            raise ExprError(f"every stacked expression must be over {self.variables}")
+        n = len(self.variables)
+        consts, ops, outs = _lower(tuple(e.root for e in self.exprs), n)
+        object.__setattr__(self, "tape", Tape(consts, ops, outs, n))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +438,9 @@ def _compile(ops, nconst, out, n, lanes):
 
     With ``lanes`` 0 the function is ``kernel(x, c)`` and returns the
     value; with ``lanes`` 1 it is ``kernel(x, d, c)`` and returns the value
-    and one tangent, seeded with ``d``, by the dual-number rules:
+    and one tangent, seeded with ``d``.  When ``out`` is a tuple of slots
+    (a stacked tape) the value and the tangent are tuples, one entry per
+    slot.  Tangents follow the dual-number rules:
     (a*b)' = a*b' + a'*b, (a/b)' = (a' - q*b')/b with q = a/b,
     (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).  ``x`` holds the ``n``
     variables and ``c`` the ``nconst`` constants, which are passed in
@@ -422,7 +481,12 @@ def _compile(ops, nconst, out, n, lanes):
             lines.append(f"t{s} = {b} * v{a} ** {b - 1} * t{a}")
         else:
             lines.append(f"t{s} = t{a} {_SYMBOL[code]} t{b}")
-    lines.append(f"return v{out}, t{out}" if lanes else f"return v{out}")
+    if isinstance(out, tuple):
+        values = "(" + "".join(f"v{i}, " for i in out) + ")"
+        tangents = "(" + "".join(f"t{i}, " for i in out) + ")"
+    else:
+        values, tangents = f"v{out}", f"t{out}"
+    lines.append(f"return {values}, {tangents}" if lanes else f"return {values}")
     source = (f"def kernel({'x, d, c' if lanes else 'x, c'}):\n"
               + "".join(f"    {line}\n" for line in lines))
     namespace = {"EvalError": EvalError}
@@ -440,17 +504,35 @@ def _check_length(e, x):
         raise ExprError(f"expected {len(e.variables)} coordinates, got {len(x)}")
 
 
-def evaluate(e, x):
-    """Evaluate the expression at the point ``x`` (indexable of floats)."""
+def _run_values(e, x):
+    """The value kernel of ``e`` (an Expr or a Stack) at ``x``, as given."""
     _check_length(e, x)
     tape = e.tape
     try:
-        value = tape.value_kernel(x, tape.consts)
+        return tape.value_kernel(x, tape.consts)
     except OverflowError as exc:
         raise EvalError(f"overflow: {exc.args[-1]}") from exc
+
+
+def evaluate(e, x):
+    """Evaluate the expression at the point ``x`` (indexable of floats)."""
+    value = _run_values(e, x)
     if not math.isfinite(value):
         raise EvalError(f"non-finite value {value!r}")
     return value
+
+
+def evaluate_stack(s, x):
+    """Every expression of the Stack ``s`` at ``x``, from one kernel run.
+
+    A tuple equal, bit for bit, to ``evaluate`` of each expression at
+    ``x``; it raises EvalError if any of them would.
+    """
+    values = _run_values(s, x)
+    for value in values:
+        if not math.isfinite(value):
+            raise EvalError(f"non-finite value {value!r}")
+    return values
 
 
 def _directional(tape, x, seeds):
@@ -486,13 +568,36 @@ def jvp(e, x, u):
     return _directional(e.tape, x, ([*map(float, u)],))[0]
 
 
+def jvp_stack(s, x, u):
+    """Directional derivative of every expression of the Stack ``s``.
+
+    One run of the stacked tangent kernel seeded with ``u``: a tuple equal,
+    bit for bit, to ``jvp`` of each expression at ``x`` along ``u``; it
+    raises EvalError if any of them would.
+    """
+    _check_length(s, x)
+    _check_length(s, u)
+    tape = s.tape
+    try:
+        values, dots = tape.tangent_kernel([*map(float, x)], [*map(float, u)],
+                                           tape.consts)
+    except OverflowError as exc:
+        raise EvalError(f"overflow: {exc.args[-1]}") from exc
+    if not (all(map(math.isfinite, values)) and all(map(math.isfinite, dots))):
+        raise EvalError("non-finite value in derivative sweep")
+    return dots
+
+
 # ---------------------------------------------------------------------------
 # Printing and substitution.
 
 def to_string(e):
     """Canonical fully parenthesized printout; re-parses to the same tree
     unless it nests deeper than MAX_NESTING."""
+    return _format(e.root)
 
+
+def _format(root):
     def leaf(node):
         return repr(node.value) if isinstance(node, Num) else node.name
 
@@ -503,7 +608,7 @@ def to_string(e):
             return f"({kids[0]}^{node.exponent})"
         return f"({kids[0]} {node.op} {kids[1]})"
 
-    return _post_order(e.root, leaf, combine)
+    return _post_order(root, leaf, combine)
 
 
 def substitute(e, replacements, variables):

@@ -1,4 +1,4 @@
-"""Problem data: residuals, Jacobians, constraint qualification, reduction.
+"""Problem data: residuals, Jacobians, reduction.
 
 A :class:`Problem` is ``min theta(x)`` subject to ``h_i(x) = 0`` and
 ``g_j(x) <= 0``.  A :class:`ReducedProblem` eliminates the equality
@@ -8,12 +8,13 @@ variables, leaving an inequality-only problem in the leading variables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exprlang
-from .exprlang import Expr, evaluate, grad, substitute
+from .exprlang import Expr, Stack, evaluate, evaluate_stack, grad, substitute
 
 # Feasibility tolerances, as bounds on max |h_i| and max g_j.  Accepted
 # solver iterates satisfy FEAS_TOL.  The descent field is defined within
@@ -31,8 +32,23 @@ class ReductionError(ModelError):
     """The elimination map does not satisfy the equality constraints."""
 
 
+class _Stacks:
+    """A problem's expressions stacked into one tape per use, built on
+    first use and kept on the problem."""
+
+    @functools.cached_property
+    def constraint_stack(self):
+        """(h_1, ..., h_m, g_1, ..., g_k): every constraint at a point."""
+        return Stack((*self.equalities, *self.inequalities), self.names)
+
+    @functools.cached_property
+    def scan_stack(self):
+        """(theta, g_1, ..., g_k): the slopes the curvature scan takes."""
+        return Stack((self.objective, *self.inequalities), self.names)
+
+
 @dataclass(frozen=True)
-class Problem:
+class Problem(_Stacks):
     names: tuple
     objective: Expr
     equalities: tuple = ()
@@ -56,7 +72,7 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class ReducedProblem:
+class ReducedProblem(_Stacks):
     """Inequality-only problem in the leading variables.
 
     Duck-types as a Problem with ``m = 0``: the composed objective and
@@ -95,10 +111,11 @@ class ReducedProblem:
 
 
 def residuals(p, x):
-    """Equality and inequality constraint values at ``x``."""
-    x = np.asarray(x, dtype=float)
-    h = np.array([evaluate(e, x) for e in p.equalities], dtype=float)
-    g = np.array([evaluate(e, x) for e in p.inequalities], dtype=float)
+    """Equality and inequality constraint values at ``x``, from one run of
+    the problem's constraint stack."""
+    values = evaluate_stack(p.constraint_stack, np.asarray(x, dtype=float))
+    h = np.array(values[:p.m], dtype=float)
+    g = np.array(values[p.m:], dtype=float)
     return h, g
 
 
@@ -116,23 +133,6 @@ def jacobians(p, x):
     A = np.array([grad(e, x) for e in p.equalities], dtype=float).reshape(p.m, n)
     B = np.array([grad(e, x) for e in p.inequalities], dtype=float).reshape(p.k, n)
     return A, B
-
-
-def check_licq(p, x, activity_tol=1e-9):
-    """Linear independence of equality and active-inequality gradients.
-
-    Rank is decided from singular values with relative threshold 1e-8.
-    An empty gradient family is vacuously independent.
-    """
-    x = np.asarray(x, dtype=float)
-    A, B = jacobians(p, x)
-    _, g = residuals(p, x)
-    active = [B[j] for j in range(p.k) if g[j] >= -activity_tol]
-    rows = np.array(list(A) + active, dtype=float)
-    if rows.shape[0] == 0:
-        return True
-    s = np.linalg.svd(rows.reshape(rows.shape[0], p.n), compute_uv=False)
-    return bool(s[-1] > 1e-8 * s[0])
 
 
 def reduce(p, elimination, samples=100, seed=0, tol=1e-8):

@@ -10,7 +10,8 @@ far to move along F is left to one of two step policies, selected by
 * ``t31`` -- backtracking Euler steps with an inexact projection onto
   the constraints at risk of activation along the step.
 * ``r35`` -- curvature-estimating step selection; each rejection
-  inflates the curvature estimates instead of halving the step.
+  inflates the curvature estimates, by an increment that doubles from
+  one rejection to the next, instead of halving the step.
 
 A policy returns the accepted point, or raises ``_Stop`` to end the
 solve with a termination and a diagnostic.
@@ -22,15 +23,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprlang import evaluate, grad, jvp
+from .exprlang import evaluate, evaluate_stack, grad, jvp_stack
 from .field import FieldError, field_eval
 from .kkt import report_at
 from .model import FEAS_TOL, FIELD_FEAS_TOL, is_feasible
 
-# Backtracking floor (fraction of r) and curvature-increment cap; both
-# convert theoretical non-termination into diagnosable failures.
+# Backtracking floor (fraction of r) and the cap on r35's rejections,
+# whose curvature increments double each time (epsilon * 2^i on rejection
+# i); both convert theoretical non-termination into diagnosable failures.
+# Past 64 doublings the increment dwarfs any finite curvature.
 STEP_FLOOR = 1e-14
-K_INCREMENT_CAP = 10 ** 6
+MAX_DOUBLINGS = 64
 # Step-bound slack: the per-constraint quadratic model is solved to the
 # level BETA instead of 0 so an iterate sitting on a facet keeps room to
 # move along it; landings stay within FEAS_TOL of feasibility.
@@ -112,19 +115,33 @@ class SolveReport:
         return self.records[-1].x
 
 
+def _ray_points(x, F, ss):
+    """The points x + s*F for each s in ``ss``, as lists of Python floats.
+
+    Each coordinate is one IEEE product and one sum, the same bits as
+    NumPy's ``x + s * F``; the stacked kernels then run on Python floats,
+    several times faster than on NumPy scalars.
+    """
+    x, F = np.asarray(x, dtype=float).tolist(), F.tolist()
+    return [[a + s * f for a, f in zip(x, F)] for s in ss.tolist()]
+
+
 def active_index_set(p, fe, x, epsilon):
     """Indices whose constraint may rise above -epsilon along the Euler ray.
 
     The continuous max over s in [0, epsilon] is over-approximated by
     sampling g_j at RAY_SAMPLES equally spaced points and inflating by
-    half epsilon^2 times a second-difference curvature estimate.
+    half epsilon^2 times a second-difference curvature estimate.  Each
+    sample point is one run of the problem's constraint stack, which gives
+    every g_j there at once.
     """
-    F = fe.F
     ss = np.linspace(0.0, epsilon, RAY_SAMPLES)
     ds = ss[1] - ss[0]
+    rows = [evaluate_stack(p.constraint_stack, y)[p.m:]
+            for y in _ray_points(x, fe.F, ss)]
     out = []
-    for j, gexpr in enumerate(p.inequalities):
-        vals = np.array([evaluate(gexpr, x + s * F) for s in ss])
+    for j, column in enumerate(zip(*rows)):
+        vals = np.array(column)
         khat = float(np.max(np.maximum(0.0, np.diff(vals, 2) / ds ** 2)))
         if np.max(vals) + 0.5 * epsilon ** 2 * khat > -epsilon:
             out.append(j)
@@ -160,9 +177,11 @@ def _curvature_scan(p, fe, x, span):
     """Curvature bounds for g_j and theta along F over [0, span].
 
     Samples the exact directional derivative along F at CURV_SEGMENTS+1
-    equally spaced points, each from one tangent sweep of the
-    expression's tape seeded with F (``jvp``) rather than a full gradient
-    dotted with F.  The largest forward difference of these slopes
+    equally spaced points x + s*F, formed once each on Python floats.  At
+    each point one run of the problem's stacked tangent kernel, seeded
+    with F (``jvp_stack`` on the scan stack), gives the slopes of theta
+    and of every g_j together, with the elimination map they share
+    computed once.  The largest forward difference of these slopes
     bounds the second derivative on the sampled interval, while the
     end-to-end chord gives its average; the estimate is their mean.
     The worst-case bound alone over-throttles
@@ -181,19 +200,18 @@ def _curvature_scan(p, fe, x, span):
     iteration crawl, while inner-loop termination is already guaranteed
     by the rejection increments.
     """
-    x = np.asarray(x, dtype=float)
     ss = np.linspace(0.0, span, CURV_SEGMENTS + 1)
     ds = span / CURV_SEGMENTS
+    F = fe.F.tolist()
+    rows = [jvp_stack(p.scan_stack, y, F) for y in _ray_points(x, fe.F, ss)]
 
-    def kest(expr):
-        slopes = [jvp(expr, x + s * fe.F, fe.F) for s in ss]
-        worst = float(np.max(np.diff(slopes))) / ds
+    def kest(slopes):
+        worst = max(b - a for a, b in zip(slopes, slopes[1:])) / ds
         chord = (slopes[-1] - slopes[0]) / span
         return max(0.0, 0.5 * (worst + chord))
 
-    K_theta = kest(p.objective)
-    K = np.array([kest(e) for e in p.inequalities]) if p.k else np.zeros(0)
-    return K, K_theta
+    K_theta, *K = map(kest, zip(*rows))
+    return np.array(K, dtype=float), K_theta
 
 
 def _dgF_identity(fe):
@@ -251,7 +269,7 @@ def _snap_to_facets(p, y):
 def _max_g(p, x):
     if p.k == 0:
         return 0.0
-    return max(evaluate(e, x) for e in p.inequalities)
+    return max(evaluate_stack(p.constraint_stack, x.tolist())[p.m:])
 
 
 class _Stop(Exception):
@@ -315,11 +333,12 @@ def _r35_step(p, cfg, fe, x, rec):
             if theta_c <= fe.theta + cfg.armijo * s * fe.dtheta_F + noise:
                 rec.step, rec.backtracks, rec.proj_used = s, increments, snapped
                 return candidate
-        K = K + cfg.epsilon
-        K_theta += cfg.epsilon
+        bump = cfg.epsilon * 2.0 ** increments
+        K = K + bump
+        K_theta += bump
         increments += 1
         s = _step_bound(fe, dgF, K, K_theta, cfg.r)
-        if increments > K_INCREMENT_CAP:
+        if increments > MAX_DOUBLINGS:
             worst = int(np.argmax([evaluate(e, candidate)
                                    for e in p.inequalities])) if p.k else -1
             raise _Stop("inner_cap", f"curvature increments exhausted; most "

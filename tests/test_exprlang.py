@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,37 @@ def test_long_sum_compares_hashes_and_prints():
     assert a != parse(text + " + 1", ("x", "y"))
     assert a != parse(text, ("x", "y", "z"))
     assert repr(a) == f"Expr({to_string(a)!r}, variables=('x', 'y'))"
+
+
+def test_long_sum_nodes_compare_hash_and_print():
+    text = " + ".join(["x*y"] * 3000)
+    a, b = parse(text, ("x", "y")).root, parse(text, ("x", "y")).root
+    assert a == b and hash(a) == hash(b)
+    assert a != parse(text + " + 1", ("x", "y")).root
+    assert repr(a) == f"BinOp({to_string(parse(text, ('x', 'y')))!r})"
+
+
+def _dataclass_key(node):
+    """What the generated dataclass equality compared: the class and every
+    field, recursively."""
+    return (type(node), *(_dataclass_key(v) if dataclasses.is_dataclass(v) else v
+                          for v in vars(node).values()))
+
+
+def test_small_nodes_compare_as_dataclasses():
+    texts = ["x1", "x2", "2", "2.0", "-x1", "-(-x1)", "x1 + x2", "x2 + x1",
+             "x1 - x2", "x1*x2", "x1/x2", "x1^2", "x1^3", "(x1 + x2)^2",
+             "x1 + x2 * x3", "(x1 + x2) * x3", "-x1^2", "(-x1)^2", "0*x1",
+             "-0*x1", "1e400 * x1"]
+    roots = [parse(t, NAMES).root for t in texts]
+    again = [parse(t, NAMES).root for t in texts]
+    for a in roots:
+        for b in roots + again:
+            assert (a == b) == (_dataclass_key(a) == _dataclass_key(b)), (a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert repr(roots[7]) == "BinOp('(x2 + x1)')"
+    assert repr(roots[4]) == "Neg('(-x1)')" and repr(roots[11]) == "Pow('(x1^2)')"
 
 
 def test_long_sum_substitutes_and_prints():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nlpflow.exprlang import parse
-from nlpflow.model import (ModelError, Problem, ReductionError, check_licq,
-                           is_feasible, jacobians, reduce, residuals)
+from nlpflow.model import (ModelError, Problem, ReductionError, is_feasible,
+                           jacobians, reduce, residuals)
 
 N3 = ("x1", "x2", "x3")
 
@@ -51,19 +51,6 @@ def test_too_many_equalities_rejected():
             equalities=(parse("x1", ("x1", "x2")),
                         parse("x2", ("x1", "x2"))),
         )
-
-
-def test_check_licq():
-    p = _toy()
-    assert check_licq(p, [0.5, 0.5, 1.0])   # nothing active
-    assert check_licq(p, [0.0, 3.0, -1.0])  # both active, independent
-    bad = Problem(
-        names=("x1", "x2"),
-        objective=parse("x1", ("x1", "x2")),
-        inequalities=(parse("x1", ("x1", "x2")),
-                      parse("2*x1", ("x1", "x2"))),
-    )
-    assert not check_licq(bad, [0.0, 1.0])
 
 
 def test_reduce_toy():

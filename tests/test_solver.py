@@ -1,8 +1,13 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
+from nlpflow import solver
 from nlpflow.exprlang import parse
 from nlpflow.field import FieldParams, field_eval
+from nlpflow.io import sample_feasible
 from nlpflow.model import Problem, is_feasible
 from nlpflow.solver import (FEAS_TOL, ProjectionFailure, SolveConfig,
                             active_index_set, project_inexact, solve)
@@ -169,3 +174,31 @@ def test_field_failure_at_start_gives_empty_report():
     assert report.termination == "field_failure"
     assert "not positive definite" in report.diagnostic
     assert report.records == [] and report.kkt is None
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_r35_converges_from_drawn_starts(p42, seed):
+    # With a constant increment of epsilon per rejection, 10 of the 24
+    # seed-7 draws ran the rejection loop for minutes; doubling increments
+    # take at most a few dozen rejections per step.
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    for x0 in sample_feasible(red, 24, seed=seed):
+        t0 = time.perf_counter()
+        report = solve(red, params, SolveConfig(), x0)
+        elapsed = time.perf_counter() - t0
+        assert report.termination == "critical", x0
+        assert math.dist(red.lift(report.final_x), (0.0, 1.0, 2.0, -1.0)) <= 1e-5
+        assert elapsed < 1.0, (x0, elapsed)
+
+
+def test_r35_rejecting_every_candidate_ends_inner_cap(p42, monkeypatch):
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    monkeypatch.setattr(solver, "_max_g", lambda p, x: math.inf)
+    t0 = time.perf_counter()
+    report = solve(red, params, SolveConfig(), np.array([-0.9, -1.0, 2.0]))
+    assert time.perf_counter() - t0 < 1.0
+    assert report.termination == "inner_cap"
+    assert "curvature increments exhausted" in report.diagnostic
+    assert report.iterations == 0
