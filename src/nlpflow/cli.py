@@ -60,6 +60,37 @@ def _grid_counts(text):
     return counts
 
 
+def _plane(text):
+    """argparse type: two coordinates, by name or 1-based number."""
+    tokens = tuple(v.strip() for v in text.split(","))
+    if len(tokens) != 2 or not all(tokens):
+        raise argparse.ArgumentTypeError(f"expected two coordinates like x1,x2, got {text!r}")
+    return tokens
+
+
+def _bounds(text):
+    """argparse type: the four numbers lo1,hi1,lo2,hi2."""
+    try:
+        bounds = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        bounds = ()
+    if len(bounds) != 4:
+        raise argparse.ArgumentTypeError(f"expected four numbers lo1,hi1,lo2,hi2, got {text!r}")
+    return bounds
+
+
+def _fixed_values(text):
+    """argparse type: comma-separated name=value pairs."""
+    try:
+        pairs = [(name.strip(), float(value))
+                 for name, value in (item.split("=") for item in text.split(","))]
+    except ValueError:  # no "=", a second "=", or a value that is not a number
+        pairs = None
+    if not pairs or not all(name for name, _ in pairs):
+        raise argparse.ArgumentTypeError(f"expected name=value pairs like x3=1, got {text!r}")
+    return pairs
+
+
 def _load(path):
     problem, reduced = io.load_problem(path)
     log.info("loaded %s: n=%d m=%d k=%d reduced=%s", path, problem.n,
@@ -129,28 +160,39 @@ def cmd_flow(args):
     return 0 if traj.status == "completed" else 1
 
 
-def _plane_index(target, token):
-    token = token.strip()
+class UsageError(Exception):
+    """A malformed argument that shows only once the problem is loaded."""
+
+
+def _coordinate(target, token):
+    """Index of a ``--plane`` coordinate, given by name or 1-based number."""
     if token in target.names:
         return target.names.index(token)
-    idx = int(token)  # 1-based, matching x1..xn
+    try:
+        idx = int(token)
+    except ValueError:
+        idx = 0
     if not 1 <= idx <= target.n:
-        raise SolveError(f"plane coordinate {token} out of range")
+        raise UsageError(f"argument --plane: unknown coordinate {token!r}; expected one of "
+                         f"{', '.join(target.names)} or 1..{target.n}")
     return idx - 1
 
 
 def cmd_phase(args):
     problem, reduced = _load(args.problem)
     target = reduced if reduced is not None else problem
-    plane = tuple(_plane_index(target, tok) for tok in args.plane.split(","))
-    a, b, c, d = (float(v) for v in args.range.split(","))
+    plane = tuple(_coordinate(target, token) for token in args.plane)
+    if plane[0] == plane[1]:
+        raise UsageError(f"argument --plane: the two coordinates must differ, "
+                         f"got {','.join(args.plane)}")
     base = np.zeros(target.n)
-    if args.fix:
-        for item in args.fix.split(","):
-            name, value = (s.strip() for s in item.split("="))
-            base[target.names.index(name)] = float(value)
+    for name, value in args.fix or ():
+        if name not in target.names:
+            raise UsageError(f"argument --fix: unknown variable {name!r}; expected one of "
+                             f"{', '.join(target.names)}")
+        base[target.names.index(name)] = value
     params = FieldParams.default(target.n, target.k, sigma=args.sigma)
-    grid = flow.phase_grid(target, params, plane, (a, b, c, d), args.grid,
+    grid = flow.phase_grid(target, params, plane, args.range, args.grid,
                            base, args.step, args.steps)
     if args.per_trajectory and args.out:
         stem, dot, ext = args.out.rpartition(".")
@@ -221,6 +263,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
+        # The subcommand's parser reports usage errors found after parsing.
+        sp.set_defaults(subparser=sp)
         sp.add_argument("--problem", required=True, help="problem file path")
         sp.add_argument("--sigma", type=float, default=1.0,
                         help="scale of the identity gain matrix R1")
@@ -248,11 +292,13 @@ def build_parser():
 
     sp = sub.add_parser("phase", help="grid of Euler trajectories")
     add_common(sp)
-    sp.add_argument("--plane", required=True, help="two coordinates, e.g. x1,x2")
-    sp.add_argument("--range", required=True, help="lo1,hi1,lo2,hi2")
+    sp.add_argument("--plane", type=_plane, required=True,
+                    help="two coordinates, e.g. x1,x2")
+    sp.add_argument("--range", type=_bounds, required=True, help="lo1,hi1,lo2,hi2")
     sp.add_argument("--grid", type=_grid_counts, required=True,
                     help="counts, e.g. 11x11")
-    sp.add_argument("--fix", help="fixed values for other coordinates, name=v,...")
+    sp.add_argument("--fix", type=_fixed_values,
+                    help="fixed values for other coordinates, name=v,...")
     sp.add_argument("--step", type=float, required=True)
     sp.add_argument("--steps", type=_step_count, required=True)
     sp.add_argument("--per-trajectory", action="store_true",
@@ -280,6 +326,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        args.subparser.error(str(exc))
     except (FieldError, SolveError, ModelError, ProblemFormatError, ExprError,
             ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

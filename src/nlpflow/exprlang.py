@@ -10,10 +10,11 @@ Every :class:`Expr` is lowered once, when it is built, to a flat
 by identity, such as the elimination map that ``substitute`` splices into
 every occurrence of an eliminated variable, are lowered once.  On first
 use the tape is compiled to straight-line Python, one statement per
-operation: a value kernel (``evaluate``) and a kernel carrying a value and
-one tangent lane, a directional derivative.  ``jvp`` runs the tangent
-kernel once, seeded with the direction; ``grad`` runs it once per
-variable, seeded with each unit vector.  Compiled kernels depend only on
+operation: a value kernel (``evaluate``) and kernels carrying a value and
+tangent lanes, one directional derivative per lane.  ``jvp`` runs a
+one-lane kernel seeded with the direction; ``grad`` runs, once, a kernel
+with a lane per variable, seeded with the unit vectors, which computes
+the value once for all of them.  Compiled kernels depend only on
 the tape's structure, not its constants, and are cached by structure, so
 re-parsing the same problem does not compile them again.
 
@@ -138,8 +139,9 @@ class Tape:
 
     Each operation is ``(code, a, b)``: ``a`` and ``b`` are operand slots,
     except that ``b`` is the integer exponent of a power and unused by a
-    negation.  The tape runs as two compiled kernels, built on first use:
-    one for the value and one for the value and a tangent.
+    negation.  The tape runs as compiled kernels, built on first use: one
+    for the value, one for the value and a tangent, and one for the value
+    and a tangent per variable, which gives the gradient in one run.
     """
 
     consts: tuple  # floats
@@ -154,6 +156,10 @@ class Tape:
     @functools.cached_property
     def tangent_kernel(self):
         return _compile(self.ops, len(self.consts), self.out, self.n, 1)
+
+    @functools.cached_property
+    def gradient_kernel(self):
+        return _compile(self.ops, len(self.consts), self.out, self.n, self.n)
 
 
 def _children(node):
@@ -437,16 +443,18 @@ def _compile(ops, nconst, out, n, lanes):
     """Compile tape operations to one straight-line Python function.
 
     With ``lanes`` 0 the function is ``kernel(x, c)`` and returns the
-    value; with ``lanes`` 1 it is ``kernel(x, d, c)`` and returns the value
-    and one tangent, seeded with ``d``.  When ``out`` is a tuple of slots
-    (a stacked tape) the value and the tangent are tuples, one entry per
+    value.  Otherwise it is ``kernel(x, d, c)``, where ``d`` holds
+    ``lanes`` seed vectors, and it returns the value and a tuple of the
+    tangents seeded with each.  When ``out`` is a tuple of slots (a
+    stacked tape) the value and each tangent are tuples, one entry per
     slot.  Tangents follow the dual-number rules:
     (a*b)' = a*b' + a'*b, (a/b)' = (a' - q*b')/b with q = a/b,
     (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).  ``x`` holds the ``n``
     variables and ``c`` the ``nconst`` constants, which are passed in
     rather than written into the source (``1e400`` has no literal).  Each
     statement is one operation, in tape order, so the kernel does the
-    same arithmetic whatever the constants are.
+    same arithmetic whatever the constants are, and each lane does the
+    arithmetic of a one-lane kernel with its seed.
     """
     lines = []
 
@@ -455,38 +463,41 @@ def _compile(ops, nconst, out, n, lanes):
             names = "".join(f"{prefix}{i}, " for i in range(first, first + count))
             lines.append(f"{names}= {source}")
 
+    def result(prefix):
+        if isinstance(out, tuple):
+            return "(" + "".join(f"{prefix}{i}, " for i in out) + ")"
+        return f"{prefix}{out}"
+
     unpack(0, n, "v", "x")
     unpack(n, nconst, "v", "c")
-    if lanes:
-        unpack(0, n, "t", "d")
-        lines.extend(f"t{i} = 0.0" for i in range(n, n + nconst))
+    tangents = [f"t{lane}_" for lane in range(lanes)]  # name prefix of each lane
+    for lane, t in enumerate(tangents):
+        unpack(0, n, t, f"d[{lane}]")
+        lines.extend(f"{t}{i} = 0.0" for i in range(n, n + nconst))
     for s, (code, a, b) in enumerate(ops, start=n + nconst):
         if code == _POW and lanes and b == 0:
-            lines += [f"v{s} = 1.0", f"t{s} = 0.0"]
+            lines += [f"v{s} = 1.0", *(f"{t}{s} = 0.0" for t in tangents)]
             continue
         if code == _DIV:
             lines.append(f"if v{b} == 0.0: raise EvalError('division by zero')")
         lines.append(f"v{s} = " + (f"-v{a}" if code == _NEG else
                                    f"v{a} ** {b}" if code == _POW else
                                    f"v{a} {_SYMBOL[code]} v{b}"))
-        if not lanes:
-            continue
-        if code == _MUL:
-            lines.append(f"t{s} = v{a} * t{b} + t{a} * v{b}")
-        elif code == _DIV:
-            lines.append(f"t{s} = (t{a} - v{s} * t{b}) / v{b}")
-        elif code == _NEG:
-            lines.append(f"t{s} = -t{a}")
-        elif code == _POW:
-            lines.append(f"t{s} = {b} * v{a} ** {b - 1} * t{a}")
-        else:
-            lines.append(f"t{s} = t{a} {_SYMBOL[code]} t{b}")
-    if isinstance(out, tuple):
-        values = "(" + "".join(f"v{i}, " for i in out) + ")"
-        tangents = "(" + "".join(f"t{i}, " for i in out) + ")"
+        for t in tangents:
+            if code == _MUL:
+                lines.append(f"{t}{s} = v{a} * {t}{b} + {t}{a} * v{b}")
+            elif code == _DIV:
+                lines.append(f"{t}{s} = ({t}{a} - v{s} * {t}{b}) / v{b}")
+            elif code == _NEG:
+                lines.append(f"{t}{s} = -{t}{a}")
+            elif code == _POW:
+                lines.append(f"{t}{s} = {b} * v{a} ** {b - 1} * {t}{a}")
+            else:
+                lines.append(f"{t}{s} = {t}{a} {_SYMBOL[code]} {t}{b}")
+    if lanes:
+        lines.append(f"return {result('v')}, ({''.join(result(t) + ', ' for t in tangents)})")
     else:
-        values, tangents = f"v{out}", f"t{out}"
-    lines.append(f"return {values}, {tangents}" if lanes else f"return {values}")
+        lines.append(f"return {result('v')}")
     source = (f"def kernel({'x, d, c' if lanes else 'x, c'}):\n"
               + "".join(f"    {line}\n" for line in lines))
     namespace = {"EvalError": EvalError}
@@ -535,37 +546,36 @@ def evaluate_stack(s, x):
     return values
 
 
-def _directional(tape, x, seeds):
-    """The tangent of the result for each seed, one kernel run per seed."""
-    kernel, c = tape.tangent_kernel, tape.consts
-    x = [*map(float, x)]
-    out = []
+def _directional(tape, kernel, x, seeds):
+    """The tangent of the result for each seed, from one run of ``kernel``,
+    which has a tangent lane per seed."""
     try:
-        for d in seeds:
-            val, dot = kernel(x, d, c)
-            if not (math.isfinite(val) and math.isfinite(dot)):
-                raise EvalError("non-finite value in derivative sweep")
-            out.append(dot)
+        val, dots = kernel([*map(float, x)], seeds, tape.consts)
     except OverflowError as exc:
         raise EvalError(f"overflow: {exc.args[-1]}") from exc
-    return out
+    if not (math.isfinite(val) and all(map(math.isfinite, dots))):
+        raise EvalError("non-finite value in derivative sweep")
+    return list(dots)
 
 
 def grad(e, x):
-    """Gradient at ``x``: one tangent run per unit vector."""
+    """Gradient at ``x``: one run of the kernel with a tangent lane per
+    unit vector."""
     _check_length(e, x)
-    return _directional(e.tape, x, _unit_vectors(len(x)))
+    if not e.variables:
+        return []
+    return _directional(e.tape, e.tape.gradient_kernel, x, _unit_vectors(len(x)))
 
 
 def jvp(e, x, u):
     """Directional derivative of the expression at ``x`` along ``u``.
 
     One tangent run seeded with ``u``; equal to ``grad(e, x) @ u`` up to
-    rounding, at about the cost of one of grad's runs.
+    rounding, at less cost than grad's run.
     """
     _check_length(e, x)
     _check_length(e, u)
-    return _directional(e.tape, x, ([*map(float, u)],))[0]
+    return _directional(e.tape, e.tape.tangent_kernel, x, ([*map(float, u)],))[0]
 
 
 def jvp_stack(s, x, u):
@@ -579,8 +589,8 @@ def jvp_stack(s, x, u):
     _check_length(s, u)
     tape = s.tape
     try:
-        values, dots = tape.tangent_kernel([*map(float, x)], [*map(float, u)],
-                                           tape.consts)
+        values, (dots,) = tape.tangent_kernel([*map(float, x)], ([*map(float, u)],),
+                                              tape.consts)
     except OverflowError as exc:
         raise EvalError(f"overflow: {exc.args[-1]}") from exc
     if not (all(map(math.isfinite, values)) and all(map(math.isfinite, dots))):

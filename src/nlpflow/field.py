@@ -6,17 +6,26 @@ matrix Q = B H B' - diag(g), the auxiliaries P, v and the diagonal gain
 R3, and combines them into a descent field F whose equilibria are
 exactly the KKT points.  The dissipation identity gives the decrease
 rate of the objective along the field in closed form.
+
+The construction is assembled for a block of N points at once
+(``field_block``), so the Euler flow advances all its trajectories with
+one assembly per step.  The expression kernels run point by point on
+Python floats.  The linear algebra runs on stacked (N, ., .) arrays, where
+each slice makes the BLAS call that a single point makes and LAPACK runs
+once per slice, so a point gets the same bits whatever N is.
+``field_eval`` is the N = 1 case.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .exprlang import evaluate, grad
-from .model import FIELD_FEAS_TOL, jacobians, residuals
+from .exprlang import ExprError, evaluate, evaluate_stack, grad
+from .model import FIELD_FEAS_TOL
 
 
 class FieldError(RuntimeError):
@@ -34,28 +43,6 @@ class InfeasiblePointError(FieldError):
 # LAPACK's Cholesky factorization and triangular solves for float64
 # (dpotrf, dpotrs), called without scipy.linalg's checking wrappers.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-
-def _cholesky(S, name, failure):
-    """Lower Cholesky factor of the symmetric matrix ``S``, called ``name``.
-
-    A non-finite ``S`` raises FieldError.  A factorization failure raises
-    ConstraintQualificationError with the message ``failure`` and the
-    smallest eigenvalue of ``S``.
-    """
-    if not np.isfinite(S).all():
-        raise FieldError(f"{name} is not finite: its assembly overflowed")
-    c, info = _potrf(S, lower=True, clean=False)
-    if info > 0:
-        pivot = float(np.linalg.eigvalsh(S).min())
-        raise ConstraintQualificationError(failure.format(pivot=pivot))
-    return c
-
-
-def _cho_solve(c, rhs):
-    """Solve S X = rhs from the lower Cholesky factor ``c`` of S."""
-    x, _ = _potrs(c, rhs, lower=True)  # info is non-zero only for a bad argument
-    return x
 
 
 class FieldParams:
@@ -112,7 +99,11 @@ class FieldParams:
 
 @dataclass(frozen=True)
 class FieldEval:
-    """Every quantity of the field construction at one point."""
+    """Every quantity of the field construction at one point.
+
+    ``field_block`` returns the arrays and theta stacked over a block of
+    points, under the same names.
+    """
 
     x: np.ndarray
     theta: float
@@ -135,93 +126,199 @@ class FieldEval:
     params: FieldParams
 
 
+# FieldEval's arrays and theta, in its field order, stacked over a block of
+# points: what ``field_block`` returns.
+FieldBlock = namedtuple("FieldBlock", "x theta grad_theta h g A B H Q P v vplus r3 F w omega xi")
+
+
+def _diag(d, N, k):
+    """N stacked k x k diagonal matrices, with the rows of ``d`` (or the
+    scalar ``d``) on their diagonals."""
+    out = np.zeros((N, k, k))
+    out.reshape(N, k * k)[:, ::k + 1] = d
+    return out
+
+
+def _mv(M, v):
+    """Stacked matrix-vector products M_j @ v_j.
+
+    Each slice makes the gemv call that ``M_j @ v_j`` makes on its own.
+    """
+    return (M @ v[..., None])[..., 0]
+
+
+def _factors(S, name, failure, failed):
+    """Lower Cholesky factors of the symmetric slices of the stack ``S``,
+    called ``name``, by one LAPACK call per slice.
+
+    A slice fails with a FieldError if it is not finite, and with a
+    ConstraintQualificationError, carrying the message ``failure`` and its
+    smallest eigenvalue, if LAPACK cannot factor it.  ``failed`` maps each
+    failed slice to its first error; such a slice gets an identity factor,
+    so the stacked arithmetic can go on.
+    """
+    all_finite = np.isfinite(S).all()
+    out = []
+    for j in range(len(S)):  # indexing, not iterating: iterating a stack costs more
+        s = S[j]
+        if j not in failed:
+            if not (all_finite or np.isfinite(s).all()):
+                failed[j] = FieldError(f"{name} is not finite: its assembly overflowed")
+            else:
+                c, info = _potrf(s, lower=True, clean=False)
+                if info == 0:
+                    out.append(c)
+                    continue
+                pivot = float(np.linalg.eigvalsh(s).min())
+                failed[j] = ConstraintQualificationError(failure.format(pivot=pivot))
+        out.append(np.eye(len(s)))
+    return out
+
+
+def _solves(factors, R):
+    """The solutions X_j of S_j X_j = R_j, stacked, from the factors of S_j.
+
+    potrs returns each X_j in Fortran order.  The slices keep that layout,
+    because OpenBLAS picks its gemv kernel by layout, and the two kernels
+    round differently.
+    """
+    N, k, n = R.shape
+    Xt = np.empty((N, n, k))
+    for j in range(N):
+        x, _ = _potrs(factors[j], R[j], lower=True)  # info is non-zero only for a bad argument
+        Xt[j] = x.T
+    return Xt.transpose(0, 2, 1)
+
+
+def _projectors(A, failed):
+    """Null-space projectors of the slices of the (N, m, n) stack ``A``."""
+    N, m, n = A.shape
+    if m == 0:
+        return _diag(1.0, N, n)
+    gram = A @ A.transpose(0, 2, 1)
+    factors = _factors(gram, "the Gram matrix of the equality gradients",
+                       "equality gradients are rank deficient (smallest pivot {pivot:.3e})",
+                       failed)
+    H = np.eye(n) - A.transpose(0, 2, 1) @ _solves(factors, A)
+    return 0.5 * (H + H.transpose(0, 2, 1))
+
+
 def projector_h(A):
     """Orthogonal projector onto the null space of the stacked rows of A.
 
     Solves the m x m symmetric system by Cholesky; a factorization
     failure signals rank deficiency of A (an LICQ violation).
     """
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    if m == 0:
-        return np.eye(n)
+    failed = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = A @ A.T
-    c = _cholesky(gram, "the Gram matrix of the equality gradients",
-                  "equality gradients are rank deficient (smallest pivot {pivot:.3e})")
-    H = np.eye(n) - A.T @ _cho_solve(c, A)
-    return 0.5 * (H + H.T)
+        H = _projectors(np.asarray(A, dtype=float)[None], failed)
+    if failed:
+        raise failed[0]
+    return H[0]
 
 
-def _q_factor(C, B, g):
-    """Q = B H B' - diag(g) from C = B H, and its Cholesky factor (None
-    when k = 0).
+def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
+    """The field construction at every row of the (N, n) block ``X``.
 
-    Q must be positive definite on the feasible set.
+    Returns ``(block, errors)``.  ``errors[r]`` is the FieldError or
+    ExprError that ``field_eval`` raises at row r, or None.  ``block`` is
+    a FieldBlock: theta and each FieldEval array at the rows without an
+    error, stacked along a leading axis in row order.
+
+    The expression kernels run row by row, on Python floats.  A row whose
+    kernels fail, or whose constraint violation exceeds ``feas_tol``,
+    leaves the block there.  The linear algebra is stacked: each slice
+    makes the BLAS call that one point's 2-D arithmetic makes, and LAPACK
+    runs once per slice, so a row has the same bits whatever N is.
     """
-    k = B.shape[0]
+    X = np.asarray(X, dtype=float)
+    n, m, k = p.n, p.m, p.k
+    errors = [None] * len(X)
+    kept, values, thetas, grads = [], [], [], []
+    for r, x in enumerate(X.tolist()):
+        try:
+            vals = evaluate_stack(p.constraint_stack, x)
+            worst = max(max(map(abs, vals[:m]), default=0.0), max(vals[m:], default=0.0))
+            if worst > feas_tol:
+                raise InfeasiblePointError(
+                    f"point infeasible: max constraint violation {worst:.3e} > {feas_tol:.1e}")
+            theta = evaluate(p.objective, x)
+            rows = [grad(e, x) for e in (p.objective, *p.equalities, *p.inequalities)]
+        except (FieldError, ExprError) as exc:
+            errors[r] = exc
+            continue
+        kept.append(r)
+        values.append(vals)
+        thetas.append(theta)
+        grads.append(rows)
+
+    N = len(kept)
+    vals = np.array(values, dtype=float).reshape(N, m + k)
+    h, g = vals[:, :m], vals[:, m:]
+    G = np.array(grads, dtype=float).reshape(N, 1 + m + k, n)
+    gtheta, A, B = G[:, 0], G[:, 1:1 + m], G[:, 1 + m:]
+    failed = {}  # slice -> the first FieldError of its linear algebra
+    # A failed slice goes on with an identity factor, so its arithmetic can
+    # overflow; large gains can overflow F and w.  The finiteness checks and
+    # ``failed`` report both, so numpy's warnings would only repeat them.
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = C @ B.T - np.diag(g)
-        Q = 0.5 * (Q + Q.T)
-    if k == 0:
-        return Q, None
-    return Q, _cholesky(Q, "Q", "Q is not positive definite (smallest pivot {pivot:.3e}): "
-                                "LICQ violated or point infeasible")
+        H = _projectors(A, failed)
+        C = B @ H
+        D = _diag(g, N, k)
+        Q = C @ B.transpose(0, 2, 1) - D
+        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
+        if k == 0:
+            P = np.zeros((N, 0, n))
+            v = vplus = r3 = w = omega = np.zeros((N, 0))
+            M = H
+        else:
+            cho = _factors(Q, "Q", "Q is not positive definite (smallest pivot {pivot:.3e}): "
+                                   "LICQ violated or point infeasible", failed)
+            P = _solves(cho, C)
+            v = _mv(P, gtheta)
+            vplus = np.maximum(0.0, v)
+            M = H - C.transpose(0, 2, 1) @ P  # H - P'QP
+        xi = _mv(M, gtheta)
+        R1xi = _mv(params.R1, xi)
+        F = _mv(-M, R1xi)
+        if k:
+            # Row-shaped gains: a (1, k) row broadcasts over the stack at
+            # less cost than a (k,) vector.
+            a, b, c = params.a[None], params.b[None], params.c[None]
+            r3 = b + c * vplus ** (2 * params.p)
+            mixed = _mv(params.R2, g * v) - a * v  # (R2 diag(g) - diag(a)) v
+            r3v = r3 * vplus
+            Pt = P.transpose(0, 2, 1)
+            F = F - _mv(Pt, g * mixed) - _mv(Pt, r3v)
+            w = _mv(C, R1xi) - _mv(Q + D, mixed) - r3v
+            omega = np.array([_potrs(cho[j], w[j], lower=True)[0] for j in range(N)]).reshape(N, k)
+    if not (np.isfinite(F).all() and np.isfinite(w).all()):
+        for name, value in (("the field F", F), ("the vector w", w)):
+            for j in np.flatnonzero(~np.isfinite(value).all(axis=1)):
+                failed.setdefault(j, FieldError(f"{name} is not finite: its assembly overflowed"))
+
+    block = FieldBlock(X if N == len(X) else X[kept], np.array(thetas, dtype=float), gtheta,
+                       h, g, A, B, H, Q, P, v, vplus, r3, F, w, omega, xi)
+    if failed:
+        for j, exc in failed.items():
+            errors[kept[j]] = exc
+        ok = [j for j in range(N) if j not in failed]
+        block = FieldBlock(*(value[ok] for value in block))
+    return block, errors
 
 
 def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
-    """Evaluate the stabilizing field and all auxiliaries at ``x``.
+    """Evaluate the stabilizing field and all auxiliaries at ``x``: the
+    N = 1 case of ``field_block``.
 
     ``x`` must be feasible to ``feas_tol``; the field is only defined
     near the feasible set.
     """
-    x = np.asarray(x, dtype=float)
-    h, g = residuals(p, x)
-    worst = max(np.max(np.abs(h)) if h.size else 0.0,
-                np.max(g) if g.size else 0.0)
-    if worst > feas_tol:
-        raise InfeasiblePointError(
-            f"point infeasible: max constraint violation {worst:.3e} > {feas_tol:.1e}")
-
-    theta = evaluate(p.objective, x)
-    gtheta = np.asarray(grad(p.objective, x), dtype=float)
-    A, B = jacobians(p, x)
-    H = projector_h(A)
-    n, k = p.n, p.k
-
-    C = B @ H
-    Q, cho = _q_factor(C, B, g)
-    if k == 0:
-        P = np.zeros((0, n))
-        v = vplus = r3 = w = omega = np.zeros(0)
-        M = H
-    else:
-        P = _cho_solve(cho, C)
-        v = P @ gtheta
-        vplus = np.maximum(0.0, v)
-        M = H - C.T @ P  # H - P'QP
-    xi = M @ gtheta
-    # Large gains can overflow F and w; that is reported below as a
-    # FieldError, so numpy's overflow warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        R1xi = params.R1 @ xi
-        F = -M @ R1xi
-        if k:
-            r3 = params.b + params.c * vplus ** (2 * params.p)
-            mixed = params.R2 @ (g * v) - params.a * v  # (R2 diag(g) - diag(a)) v
-            F = F - P.T @ (g * mixed) - P.T @ (r3 * vplus)
-            w = C @ R1xi - (Q + np.diag(g)) @ mixed - r3 * vplus
-    if not np.isfinite(F).all():
-        raise FieldError("the field F is not finite: its assembly overflowed")
-    if k:
-        if not np.isfinite(w).all():
-            raise FieldError("the vector w is not finite: its assembly overflowed")
-        omega = _cho_solve(cho, w)
-
-    dtheta_F = float(gtheta @ F)
-    return FieldEval(x=x, theta=theta, grad_theta=gtheta, h=h, g=g, A=A, B=B,
-                     H=H, Q=Q, P=P, v=v, vplus=vplus, r3=r3, F=F, w=w,
-                     omega=omega, xi=xi, dtheta_F=dtheta_F, params=params)
+    block, (error,) = field_block(p, params, np.asarray(x, dtype=float)[None], feas_tol)
+    if error is not None:
+        raise error
+    dtheta_F = float(block.grad_theta[0].dot(block.F[0]))
+    return FieldEval(*[value[0] for value in block], dtheta_F, params)
 
 
 def dissipation(fe):

@@ -1,8 +1,12 @@
 """Fixed-step explicit Euler integration of the descent field.
 
 The flow is a diagnostic tool (phase portraits, monotonicity checks),
-not the solver: Euler can leave the feasible set, so integration aborts
-with a diagnostic once the inequality drift exceeds a threshold.
+not the solver.  Trajectories advance in lockstep: each Euler step makes
+one stacked field assembly (``field_block``) for every trajectory still
+running, and ``euler_flow`` is the one-trajectory case.  Euler can leave
+the feasible set, so the field is evaluated with the drift tolerance
+DRIFT_ABORT.  A trajectory whose inequality drift exceeds it, or whose
+field assembly fails, stops there with a diagnostic; the others go on.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import FieldError, field_eval
+from .field import FieldError, field_block
 from .model import FIELD_FEAS_TOL, is_feasible
 
 # Inequality drift beyond which integration stops and reports.
@@ -40,49 +44,89 @@ class PhaseGrid:
     skipped: list = field(default_factory=list)
 
 
-def euler_flow(p, params, x0, step, steps):
-    """Integrate x' = F(x) with constant step from a feasible start.
+def _advance(p, params, starts, step, steps):
+    """Integrate x' = F(x) with constant step from each feasible start.
 
-    Records (t, x, theta, |F|, max g, max |h|) at every visited point.
-    Stops early with a diagnostic if max g exceeds DRIFT_ABORT or the
-    field evaluation fails mid-flow.
+    All trajectories advance together, one ``field_block`` call per step;
+    each row has the same bits as integrating its trajectory alone.
+    Records (t, x, theta, |F|, max g, max |h|) at every visited point.  A
+    trajectory whose field evaluation fails stops with a diagnostic that
+    names the step and the cause.  An ExprError stops its trajectory too,
+    and once the others have finished, the first one, in start order, is
+    raised: the error that integrating one trajectory after another would
+    raise.
     """
-    x = np.asarray(x0, dtype=float)
     if step <= 0:
         raise ValueError("step must be positive")
-    if not is_feasible(p, x, FIELD_FEAS_TOL):
+    X = np.array(starts, dtype=float)
+    if not all(is_feasible(p, x, FIELD_FEAS_TOL) for x in X):
         raise ValueError("initial point is infeasible")
-
-    rows_t, rows_x, rows_th, rows_nf, rows_g, rows_h = [], [], [], [], [], []
-    status, diagnostic = "completed", ""
+    N, n = X.shape
+    status, diagnostic, raised = ["completed"] * N, [""] * N, {}
+    live = np.arange(N)
+    # The live set only shrinks.  Each run of steps with the same live set
+    # keeps (x, theta, F, g, h) of its trajectories, one tuple per step.
+    runs = [(live, [])]
     for i in range(steps + 1):
-        try:
-            fe = field_eval(p, params, x, feas_tol=DRIFT_ABORT)
-        except FieldError as exc:
-            status, diagnostic = "aborted", f"field evaluation failed at step {i}: {exc}"
-            break
-        max_g = float(np.max(fe.g)) if fe.g.size else 0.0
-        max_h = float(np.max(np.abs(fe.h))) if fe.h.size else 0.0
-        rows_t.append(i * step)
-        rows_x.append(x.copy())
-        rows_th.append(fe.theta)
-        rows_nf.append(float(np.linalg.norm(fe.F)))
-        rows_g.append(max_g)
-        rows_h.append(max_h)
-        if max_g > DRIFT_ABORT:
-            status, diagnostic = "aborted", f"feasibility drift max_g={max_g:.3e} at step {i}"
-            break
+        block, errors = field_block(p, params, X, DRIFT_ABORT)
+        if any(errors):
+            for r, exc in zip(live.tolist(), errors):
+                if isinstance(exc, FieldError):
+                    status[r] = "aborted"
+                    diagnostic[r] = f"field evaluation failed at step {i}: {exc}"
+                elif exc is not None:
+                    raised[r] = exc
+            keep = [exc is None for exc in errors]
+            live, X = live[keep], X[keep]
+            if not live.size:
+                break
+            runs.append((live, []))
+        runs[-1][1].append((X, block.theta, block.F, block.g, block.h))
         if i < steps:
-            x = x + step * fe.F
+            X = X + step * block.F
+    if raised:
+        raise raised[min(raised)]
 
-    return Trajectory(t=np.array(rows_t), x=np.array(rows_x).reshape(len(rows_t), p.n),
-                      theta=np.array(rows_th), normF=np.array(rows_nf),
-                      max_g=np.array(rows_g), max_abs_h=np.array(rows_h),
-                      status=status, diagnostic=diagnostic)
+    parts = [[] for _ in range(N)]
+    for live, rows in runs:
+        if not rows:
+            continue
+        x, theta, F, g, h = (np.array(a) for a in zip(*rows))  # steps x trajectories x ...
+        S, L = theta.shape
+        # np.linalg.norm of a vector is the square root of its dot product
+        # with itself, and vecdot takes that dot product row by row;
+        # norm(F, axis=...) sums in another order.
+        zeros = np.zeros((S, L, 1))  # max g and max |h| without constraints
+        rec = np.concatenate([x, theta[..., None], np.sqrt(np.vecdot(F, F))[..., None],
+                              g.max(axis=2, keepdims=True) if p.k else zeros,
+                              np.abs(h).max(axis=2, keepdims=True) if p.m else zeros], axis=2)
+        for q, r in enumerate(live.tolist()):
+            parts[r].append(rec[:, q])
+
+    trajectories = []
+    for r in range(N):
+        rec = np.concatenate(parts[r]) if parts[r] else np.zeros((0, n + 4))
+        theta, normF, max_g, max_h = rec[:, n:].T.copy()
+        trajectories.append(Trajectory(
+            t=np.arange(len(rec)) * step, x=rec[:, :n].copy(), theta=theta, normF=normF,
+            max_g=max_g, max_abs_h=max_h, status=status[r], diagnostic=diagnostic[r]))
+    return trajectories
+
+
+def euler_flow(p, params, x0, step, steps):
+    """Integrate x' = F(x) with constant step from a feasible start: the
+    one-trajectory case of ``phase_grid``'s lockstep integration.
+
+    Records (t, x, theta, |F|, max g, max |h|) at every visited point.
+    Stops early with a diagnostic if the field evaluation fails, which it
+    does once max g exceeds DRIFT_ABORT.
+    """
+    return _advance(p, params, [np.asarray(x0, dtype=float)], step, steps)[0]
 
 
 def phase_grid(p, params, plane, ranges, counts, base, step, steps):
-    """One trajectory per feasible point of a rectangular grid.
+    """One trajectory per feasible point of a rectangular grid, all
+    integrated together.
 
     ``plane`` selects two coordinate indices varied over ``ranges`` =
     (lo_i, hi_i, lo_j, hi_j) with ``counts`` = (ni, nj); the remaining
@@ -102,7 +146,8 @@ def phase_grid(p, params, plane, ranges, counts, base, step, steps):
                 result.skipped.append(x0)
                 continue
             result.starts.append(x0)
-            result.trajectories.append(euler_flow(p, params, x0, step, steps))
+    if result.starts:
+        result.trajectories = _advance(p, params, result.starts, step, steps)
     return result
 
 

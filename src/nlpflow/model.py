@@ -112,8 +112,8 @@ class ReducedProblem(_Stacks):
 
 def residuals(p, x):
     """Equality and inequality constraint values at ``x``, from one run of
-    the problem's constraint stack."""
-    values = evaluate_stack(p.constraint_stack, np.asarray(x, dtype=float))
+    the problem's constraint stack on Python floats."""
+    values = evaluate_stack(p.constraint_stack, np.asarray(x, dtype=float).tolist())
     h = np.array(values[:p.m], dtype=float)
     g = np.array(values[p.m:], dtype=float)
     return h, g

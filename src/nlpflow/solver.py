@@ -115,6 +115,13 @@ class SolveReport:
         return self.records[-1].x
 
 
+def _offsets(span, segments):
+    """``np.linspace(0.0, span, segments + 1)`` as Python floats, with its
+    bits: i * (span / segments), and ``span`` itself last."""
+    ds = span / segments
+    return [i * ds for i in range(segments)] + [span]
+
+
 def _ray_points(x, F, ss):
     """The points x + s*F for each s in ``ss``, as lists of Python floats.
 
@@ -123,7 +130,7 @@ def _ray_points(x, F, ss):
     several times faster than on NumPy scalars.
     """
     x, F = np.asarray(x, dtype=float).tolist(), F.tolist()
-    return [[a + s * f for a, f in zip(x, F)] for s in ss.tolist()]
+    return [[a + s * f for a, f in zip(x, F)] for s in ss]
 
 
 def active_index_set(p, fe, x, epsilon):
@@ -135,8 +142,8 @@ def active_index_set(p, fe, x, epsilon):
     sample point is one run of the problem's constraint stack, which gives
     every g_j there at once.
     """
-    ss = np.linspace(0.0, epsilon, RAY_SAMPLES)
-    ds = ss[1] - ss[0]
+    ss = _offsets(epsilon, RAY_SAMPLES - 1)
+    ds = ss[1]
     rows = [evaluate_stack(p.constraint_stack, y)[p.m:]
             for y in _ray_points(x, fe.F, ss)]
     out = []
@@ -200,8 +207,8 @@ def _curvature_scan(p, fe, x, span):
     iteration crawl, while inner-loop termination is already guaranteed
     by the rejection increments.
     """
-    ss = np.linspace(0.0, span, CURV_SEGMENTS + 1)
-    ds = span / CURV_SEGMENTS
+    ss = _offsets(span, CURV_SEGMENTS)
+    ds = ss[1]
     F = fe.F.tolist()
     rows = [jvp_stack(p.scan_stack, y, F) for y in _ray_points(x, fe.F, ss)]
 

@@ -76,7 +76,16 @@ def test_usage_error_exits_2():
      "--grid", "0x0", "--step", "0.01", "--steps", "10"],
     ["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0,1,0,1",
      "--grid", "3x0", "--step", "0.01", "--steps", "-1"],
-], ids=["negative-steps", "empty-grid", "empty-grid-column"])
+    *(["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0,1,0,1",
+       "--grid", "2x2", "--step", "0.01", "--steps", "3", *bad] for bad in (
+        ["--plane", "x1"], ["--plane", "x1,x1"], ["--plane", "x1,1"],
+        ["--plane", "x9,x1"], ["--plane", "3,1"], ["--range=0,1,0"],
+        ["--range=0,1,a,1"], ["--fix", "x1"], ["--fix", "x1=1,"],
+        ["--fix", "x9=1"])),
+], ids=["negative-steps", "empty-grid", "empty-grid-column", "plane-one",
+        "plane-repeated", "plane-repeated-by-number", "plane-unknown",
+        "plane-out-of-range", "range-three", "range-not-a-number",
+        "fix-no-value", "fix-empty-pair", "fix-unknown"])
 def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -240,6 +249,15 @@ def test_non_finite_field_aborts_flow(with_inequalities, bowl, capsys):
     assert rc == 1
     assert ("# diagnostic: field evaluation failed at step 0: "
             "the field F is not finite") in out
+
+
+def test_overflowing_constraint_is_an_error(tmp_path, capsys):
+    path = tmp_path / "tall.nlp"
+    path.write_text("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x1^400 - 1\n")
+    rc = _run_without_warnings(["solve", "--problem", str(path), "--x0=10,0"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: overflow")
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlpflow.exprlang import parse
+from nlpflow.exprlang import EvalError, parse
 from nlpflow.model import (ModelError, Problem, ReductionError, is_feasible,
                            jacobians, reduce, residuals)
 
@@ -27,6 +27,18 @@ def test_residuals():
     h, g = residuals(_toy(), [1.0, 2.0, 3.0])
     assert np.array_equal(h, [4.0])
     assert np.array_equal(g, [-1.0, -1.0])
+
+
+@pytest.mark.parametrize("ineq, x, message", [
+    ("x1^400 - 1", 10.0, "overflow"),             # a power overflows
+    ("1e300*x1*x1 - 1", 1e10, "non-finite value"),  # a product overflows
+])
+def test_residuals_overflow_is_an_eval_error(ineq, x, message):
+    # pytest turns a RuntimeWarning into a failure.
+    p = Problem(names=("x1",), objective=parse("x1", ("x1",)),
+                inequalities=(parse(ineq, ("x1",)),))
+    with pytest.raises(EvalError, match=message):
+        residuals(p, np.array([x]))
 
 
 def test_jacobians_shapes_and_values():

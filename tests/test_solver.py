@@ -20,6 +20,15 @@ def _disk():
                    inequalities=(parse("x1^2 + x2^2 - 1", names),))
 
 
+def test_sample_offsets_are_linspace_bit_for_bit():
+    # The scan and the ray sample at these offsets; np.linspace gave them.
+    rng = np.random.default_rng(2024)
+    for span in (10.0 ** rng.uniform(-17, math.log10(200), 10_000)).tolist():
+        for segments in {solver.CURV_SEGMENTS, solver.RAY_SAMPLES - 1}:
+            got = np.array(solver._offsets(span, segments))
+            assert got.tobytes() == np.linspace(0.0, span, segments + 1).tobytes()
+
+
 # --- configuration ----------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [
