@@ -1,92 +1,125 @@
 """Structural identity suite for the field construction.
 
-Each check mirrors a guaranteed identity of the construction; the suite
-is run at randomly sampled feasible points by the ``check`` CLI command
-and by the test suite.
+Each check mirrors a guaranteed identity of the construction.  The suite
+runs on a FieldBlock, the field assembled at a block of points, as
+stacked NumPy operations over its rows: the ``check`` CLI command runs it
+on all its sampled points at once.  Each row gets the bits and the
+verdict that the same check gives at its point alone.
+``identity_violations`` and ``criticality_agreement`` are the one-point
+cases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import dissipation, field_eval
+from .field import _mv, dissipation_rates, norms, point_block
 from .kkt import kkt_residual, multipliers
 
+# Random vectors per point for the projector's quadratic-form check.
+FORM_DRAWS = 5
 
-def identity_violations(p, params, x, rng, fact2_draws=5):
-    """Run every identity check at one feasible point.
+
+def _worst(a):
+    """The largest |entry| of each slice of the stack ``a``."""
+    return np.abs(a).max(axis=tuple(range(1, a.ndim)))
+
+
+def identity_block(params, block, draws):
+    """Run every identity check at each row of a FieldBlock.
+
+    ``draws`` holds each row's quadratic-form vectors, shape
+    (rows, FORM_DRAWS, n).  Returns, per row, a list of human-readable
+    violation messages (empty = clean).
+    """
+    H, A, B, F, gtheta = block.H, block.A, block.B, block.F, block.grad_theta
+    normF = norms(F)
+    found = []  # (row flags, message) in the order the messages print
+
+    # Projector is idempotent and annihilates the equality gradients.
+    found.append((_worst(H @ H - H) > 1e-10, "projector not idempotent"))
+    if A.shape[1]:
+        found.append((_worst(A @ H) > 1e-10, "A H != 0"))
+        found.append((_worst(H @ A.transpose(0, 2, 1)) > 1e-10, "H A' != 0"))
+
+    # Quadratic form of the projector equals the squared projected norm.
+    # xi @ H and H @ xi run as one gemv per vector, as for a lone vector;
+    # the square is Python's, libm's pow, as for a lone NumPy float.
+    lhs = np.vecdot((draws[:, :, None] @ H[:, None])[:, :, 0], draws)
+    Hxi = _mv(H[:, None], draws)
+    rhs = np.array([v ** 2 for v in norms(Hxi).ravel().tolist()]).reshape(lhs.shape)
+    found.append(((np.abs(lhs - rhs) > 1e-10 * (1.0 + np.abs(rhs))).any(axis=1),
+                  "xi' H xi != |H xi|^2"))
+
+    # The field is tangent to the equality manifold.
+    if A.shape[1]:
+        found.append((_worst(_mv(A, F)) > 1e-9 * (1.0 + normF), "A F != 0"))
+
+    # Strict descent away from critical points.
+    rate = dissipation_rates(params, block.xi, block.g, block.v, block.vplus)
+    found.append(((normF > 1e-6) & ~(rate < 0), None))
+
+    # Direct dot product agrees with the assembled dissipation rate.
+    scale = 1e-9 * (1.0 + norms(gtheta) * normF)
+    found.append((np.abs(np.vecdot(gtheta, F) - rate) > scale,
+                  "grad(theta).F disagrees with the dissipation identity"))
+
+    if B.shape[1]:
+        g, r3, vplus = block.g, block.r3, block.vplus
+        BF = _mv(B, F)
+        # Boundary-rate identity for B F, with a fresh solve for Q^{-1} w.
+        qinv_w = np.linalg.solve(block.Q, block.w[..., None])[..., 0]
+        resid = BF - (g * qinv_w - r3 * vplus)
+        found.append((_worst(resid) > 1e-9 * (1.0 + normF), "B F identity violated"))
+
+        # Per-row rate identity through omega.
+        model_rows = g * block.omega - r3 * vplus
+        denom = 1.0 + np.abs(model_rows)
+        found.append(((np.abs(BF - model_rows) / denom).max(axis=1) > 1e-9,
+                      "per-row grad(g_j).F identity violated"))
+
+    out = [[] for _ in range(len(F))]
+    for flags, msg in found:
+        for j in np.flatnonzero(flags).tolist():
+            out[j].append(msg or f"dissipation {rate[j]:.3e} not negative at |F|={normF[j]:.3e}")
+    return out
+
+
+def criticality_block(p, params, block, field_tol=1e-6, kkt_tol=1e-4,
+                      gray_low=1e-8, gray_high=1e-4):
+    """Compare |F|-based criticality with the KKT-residual notion at each
+    row of a FieldBlock.
+
+    Returns, per row, "agree", "gray" (|F| inside the declared ambiguity
+    band, disagreement permitted) or "disagree".
+    """
+    verdicts = []
+    for j, normF in enumerate(norms(block.F).tolist()):
+        x = block.x[j]
+        lam, mu = multipliers(p, x, block.row(j, params))
+        rep = kkt_residual(p, x, lam, mu)
+        worst = max(rep.stationarity_residual, rep.complementarity_residual,
+                    rep.mu_negativity)
+        if (normF <= field_tol) == (worst <= kkt_tol):
+            verdicts.append("agree")
+        elif gray_low < normF < gray_high:
+            verdicts.append("gray")
+        else:
+            verdicts.append("disagree")
+    return verdicts
+
+
+def identity_violations(p, params, x, rng):
+    """Run every identity check at one feasible point, with FORM_DRAWS
+    quadratic-form vectors from ``rng``.
 
     Returns a list of human-readable violation messages (empty = clean).
     """
-    fe = field_eval(p, params, x)
-    bad = []
-    normF = float(np.linalg.norm(fe.F))
-
-    # Projector is idempotent and annihilates the equality gradients.
-    if np.max(np.abs(fe.H @ fe.H - fe.H)) > 1e-10:
-        bad.append("projector not idempotent")
-    if fe.A.size and np.max(np.abs(fe.A @ fe.H)) > 1e-10:
-        bad.append("A H != 0")
-    if fe.A.size and np.max(np.abs(fe.H @ fe.A.T)) > 1e-10:
-        bad.append("H A' != 0")
-
-    # Quadratic form of the projector equals the squared projected norm.
-    for _ in range(fact2_draws):
-        xi = rng.standard_normal(p.n)
-        lhs = float(xi @ fe.H @ xi)
-        rhs = float(np.linalg.norm(fe.H @ xi) ** 2)
-        if abs(lhs - rhs) > 1e-10 * (1.0 + abs(rhs)):
-            bad.append("xi' H xi != |H xi|^2")
-            break
-
-    # The field is tangent to the equality manifold.
-    if fe.A.size and np.max(np.abs(fe.A @ fe.F)) > 1e-9 * (1.0 + normF):
-        bad.append("A F != 0")
-
-    # Strict descent away from critical points.
-    rate = dissipation(fe)
-    if normF > 1e-6 and not rate < 0:
-        bad.append(f"dissipation {rate:.3e} not negative at |F|={normF:.3e}")
-
-    # Direct dot product agrees with the assembled dissipation rate.
-    scale = 1e-9 * (1.0 + np.linalg.norm(fe.grad_theta) * normF)
-    if abs(fe.dtheta_F - rate) > scale:
-        bad.append("grad(theta).F disagrees with the dissipation identity")
-
-    if p.k:
-        # Boundary-rate identity for B F, with a fresh solve for Q^{-1} w.
-        qinv_w = np.linalg.solve(fe.Q, fe.w)
-        resid = fe.B @ fe.F - (fe.g * qinv_w - fe.r3 * fe.vplus)
-        if np.max(np.abs(resid)) > 1e-9 * (1.0 + normF):
-            bad.append("B F identity violated")
-
-        # Per-row rate identity through omega.
-        rows = fe.B @ fe.F
-        model_rows = fe.g * fe.omega - fe.r3 * fe.vplus
-        denom = 1.0 + np.abs(model_rows)
-        if np.max(np.abs(rows - model_rows) / denom) > 1e-9:
-            bad.append("per-row grad(g_j).F identity violated")
-
-    return bad
+    block = point_block(p, params, x)  # a point whose field fails takes no draws
+    return identity_block(params, block, rng.standard_normal((1, FORM_DRAWS, p.n)))[0]
 
 
-def criticality_agreement(p, params, x, field_tol=1e-6, kkt_tol=1e-4,
-                          gray_low=1e-8, gray_high=1e-4):
-    """Compare |F|-based criticality with the KKT-residual notion.
-
-    Returns "agree", "gray" (|F| inside the declared ambiguity band,
-    disagreement permitted) or "disagree".
-    """
-    fe = field_eval(p, params, x)
-    normF = float(np.linalg.norm(fe.F))
-    by_field = normF <= field_tol
-    lam, mu = multipliers(p, x, fe)
-    rep = kkt_residual(p, x, lam, mu)
-    worst = max(rep.stationarity_residual, rep.complementarity_residual,
-                rep.mu_negativity)
-    by_kkt = worst <= kkt_tol
-    if by_field == by_kkt:
-        return "agree"
-    if gray_low < normF < gray_high:
-        return "gray"
-    return "disagree"
+def criticality_agreement(p, params, x, **tolerances):
+    """Compare |F|-based criticality with the KKT-residual notion at one
+    point; ``criticality_block`` describes the verdicts and tolerances."""
+    return criticality_block(p, params, point_block(p, params, x), **tolerances)[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import checks, flow, io, kkt, solver
 from .exprlang import ExprError
-from .field import FieldError, FieldParams, field_eval
+from .field import FieldError, FieldParams, field_block, field_eval, norms
 from .io import ProblemFormatError, _fmt
 from .model import ModelError
 from .solver import SolveConfig, SolveError
@@ -45,6 +46,17 @@ def _step_count(text):
     if steps < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {steps}")
     return steps
+
+
+def _step_size(text):
+    """argparse type: a positive, finite Euler step."""
+    try:
+        step = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < step < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return step
 
 
 def _grid_counts(text):
@@ -219,8 +231,22 @@ def cmd_kkt(args):
     lam, mu = kkt.multipliers(problem, x, fe)
     report = kkt.kkt_residual(problem, x, lam, mu)
     sys.stdout.write(io.kkt_block(report) + "\n")
-    sys.stdout.write(f"normF: {_fmt(np.linalg.norm(fe.F))}\n")
+    sys.stdout.write(f"normF: {_fmt(norms(fe.F))}\n")
     return 0
+
+
+def _spread(errors, results):
+    """Per row: its error, or else the next of ``results``, which holds one
+    result per row without an error."""
+    results = iter(results)
+    return [error if error is not None else next(results) for error in errors]
+
+
+def _checked(item):
+    """A result of ``_spread``; raises it if it is an error."""
+    if isinstance(item, Exception):
+        raise item
+    return item
 
 
 def cmd_check(args):
@@ -228,27 +254,46 @@ def cmd_check(args):
     target = _solve_target(problem, reduced)
     params = FieldParams.default(target.n, target.k, sigma=args.sigma)
     points = io.sample_feasible(target, args.samples, args.seed)
-    rng = np.random.default_rng(args.seed + 1)
+    n, N = target.n, len(points)
+    # The quadratic-form vectors, in the order of checking one point after
+    # another: per point, the reduced space's, then the full space's.
+    width = checks.FORM_DRAWS * (n + (problem.n if reduced is not None else 0))
+    draws = np.random.default_rng(args.seed + 1).standard_normal((N, width))
+    split = checks.FORM_DRAWS * n
+
+    # Everything is computed first, block by block; the loop below reports
+    # it point by point, and raises a point's first error where checking
+    # one point after another would have raised it.
+    block, errors = field_block(target, params, points)
+    ok = [error is None for error in errors]
+    found = _spread(errors, zip(
+        checks.identity_block(params, block, draws[ok, :split].reshape(-1, checks.FORM_DRAWS, n)),
+        checks.criticality_block(target, params, block)))
+    if reduced is not None:
+        # Also exercise the full-space construction (projector included)
+        # at the lifted points.
+        full_params = FieldParams.default(problem.n, problem.k, sigma=args.sigma)
+        lifted, lift_errors = reduced.lift_block(points)
+        full, full_errors = field_block(problem, full_params, lifted)
+        full_errors = _spread(lift_errors, full_errors)
+        full_ok = [error is None for error in full_errors]
+        full_draws = draws[full_ok, split:].reshape(-1, checks.FORM_DRAWS, problem.n)
+        found_full = _spread(full_errors, checks.identity_block(full_params, full, full_draws))
 
     violations = 0
     gray = 0
-    full_params = (FieldParams.default(problem.n, problem.k, sigma=args.sigma)
-                   if reduced is not None else None)
-    for x in points:
-        for msg in checks.identity_violations(target, params, x, rng):
+    for i, x in enumerate(points):
+        messages, verdict = _checked(found[i])
+        for msg in messages:
             violations += 1
             print(f"violation at {x}: {msg}")
-        verdict = checks.criticality_agreement(target, params, x)
         if verdict == "disagree":
             violations += 1
             print(f"criticality disagreement at {x}")
         elif verdict == "gray":
             gray += 1
         if reduced is not None:
-            # Also exercise the full-space construction (projector included)
-            # at the lifted point.
-            for msg in checks.identity_violations(problem, full_params,
-                                                  reduced.lift(x), rng):
+            for msg in _checked(found_full[i]):
                 violations += 1
                 print(f"violation at lifted {x}: {msg}")
     print(f"checked {len(points)} feasible points: "
@@ -285,7 +330,7 @@ def build_parser():
     sp = sub.add_parser("flow", help="explicit Euler trajectory")
     add_common(sp)
     sp.add_argument("--x0", required=True)
-    sp.add_argument("--step", type=float, required=True)
+    sp.add_argument("--step", type=_step_size, required=True)
     sp.add_argument("--steps", type=_step_count, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_flow)
@@ -299,7 +344,7 @@ def build_parser():
                     help="counts, e.g. 11x11")
     sp.add_argument("--fix", type=_fixed_values,
                     help="fixed values for other coordinates, name=v,...")
-    sp.add_argument("--step", type=float, required=True)
+    sp.add_argument("--step", type=_step_size, required=True)
     sp.add_argument("--steps", type=_step_count, required=True)
     sp.add_argument("--per-trajectory", action="store_true",
                     help="one CSV file per trajectory instead of a traj_id column")

@@ -126,9 +126,16 @@ class FieldEval:
     params: FieldParams
 
 
-# FieldEval's arrays and theta, in its field order, stacked over a block of
-# points: what ``field_block`` returns.
-FieldBlock = namedtuple("FieldBlock", "x theta grad_theta h g A B H Q P v vplus r3 F w omega xi")
+class FieldBlock(namedtuple("FieldBlock", "x theta grad_theta h g A B H Q P v vplus r3 F w omega xi")):
+    """FieldEval's arrays and theta, in its field order, stacked over a
+    block of points: what ``field_block`` returns."""
+
+    __slots__ = ()
+
+    def row(self, j, params):
+        """The FieldEval of row ``j``."""
+        dtheta_F = float(self.grad_theta[j].dot(self.F[j]))
+        return FieldEval(*[value[j] for value in self], dtheta_F, params)
 
 
 def _diag(d, N, k):
@@ -307,32 +314,63 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
     return block, errors
 
 
+def point_block(p, params, x, feas_tol=FIELD_FEAS_TOL):
+    """The one-row FieldBlock of the point ``x``: the N = 1 case of
+    ``field_block``, which raises the row's error if it has one."""
+    block, (error,) = field_block(p, params, np.asarray(x, dtype=float)[None], feas_tol)
+    if error is not None:
+        raise error
+    return block
+
+
 def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
-    """Evaluate the stabilizing field and all auxiliaries at ``x``: the
-    N = 1 case of ``field_block``.
+    """Evaluate the stabilizing field and all auxiliaries at ``x``.
 
     ``x`` must be feasible to ``feas_tol``; the field is only defined
     near the feasible set.
     """
-    block, (error,) = field_block(p, params, np.asarray(x, dtype=float)[None], feas_tol)
-    if error is not None:
-        raise error
-    dtheta_F = float(block.grad_theta[0].dot(block.F[0]))
-    return FieldEval(*[value[0] for value in block], dtheta_F, params)
+    return point_block(p, params, x, feas_tol).row(0, params)
+
+
+def dissipation_rates(params, xi, g, v, vplus):
+    """Objective decrease rate along the field, assembled term by term, at
+    each row of the stacked FieldEval arrays xi, g, v and v+.
+
+    Always non-positive on the feasible set; equals the direct dot
+    product grad(theta) . F there.  A row has the bits of the same sum
+    taken at its point alone.
+    """
+    rate = -np.vecdot(xi, _mv(params.R1, xi))
+    if g.shape[1]:
+        gv = g * v
+        rate -= np.vecdot(gv, _mv(params.R2, gv))
+        rate -= np.sum(params.a * np.abs(g) * v ** 2, axis=1)
+        rate -= np.sum(params.b * vplus ** 2, axis=1)
+        rate -= np.sum(params.c * vplus ** (2 * params.p + 2), axis=1)
+    return rate
 
 
 def dissipation(fe):
-    """Objective decrease rate along the field, assembled term by term.
+    """Objective decrease rate along the field at one point: the one-row
+    case of ``dissipation_rates``."""
+    return float(dissipation_rates(fe.params, fe.xi[None], fe.g[None], fe.v[None],
+                                   fe.vplus[None])[0])
 
-    Always non-positive on the feasible set; equals the direct dot
-    product grad(theta) . F there.
+
+def norms(F):
+    """|F| of each vector along the last axis of ``F``, which must be finite.
+
+    Where the dot product F.F is finite this is its square root: the bits
+    of ``np.linalg.norm`` of the vector.  A vector whose dot product
+    overflows is divided by its largest |F_i| first, so its norm is finite
+    unless it exceeds the largest float.
     """
-    pr = fe.params
-    rate = -float(fe.xi @ (pr.R1 @ fe.xi))
-    if fe.g.size:
-        gv = fe.g * fe.v
-        rate -= float(gv @ (pr.R2 @ gv))
-        rate -= float(np.sum(pr.a * np.abs(fe.g) * fe.v ** 2))
-        rate -= float(np.sum(pr.b * fe.vplus ** 2))
-        rate -= float(np.sum(pr.c * fe.vplus ** (2 * pr.p + 2)))
-    return rate
+    F = np.asarray(F, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.array(np.sqrt(np.vecdot(F, F)))
+        big = np.isinf(out)
+        if big.any():
+            scale = np.abs(F[big]).max(axis=-1)
+            unit = F[big] / scale[..., None]
+            out[big] = scale * np.sqrt(np.vecdot(unit, unit))
+    return out

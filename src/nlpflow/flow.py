@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import FieldError, field_block
+from .field import FieldError, field_block, norms
 from .model import FIELD_FEAS_TOL, is_feasible
 
 # Inequality drift beyond which integration stops and reports.
@@ -56,8 +56,6 @@ def _advance(p, params, starts, step, steps):
     raised: the error that integrating one trajectory after another would
     raise.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     X = np.array(starts, dtype=float)
     if not all(is_feasible(p, x, FIELD_FEAS_TOL) for x in X):
         raise ValueError("initial point is infeasible")
@@ -93,11 +91,8 @@ def _advance(p, params, starts, step, steps):
             continue
         x, theta, F, g, h = (np.array(a) for a in zip(*rows))  # steps x trajectories x ...
         S, L = theta.shape
-        # np.linalg.norm of a vector is the square root of its dot product
-        # with itself, and vecdot takes that dot product row by row;
-        # norm(F, axis=...) sums in another order.
         zeros = np.zeros((S, L, 1))  # max g and max |h| without constraints
-        rec = np.concatenate([x, theta[..., None], np.sqrt(np.vecdot(F, F))[..., None],
+        rec = np.concatenate([x, theta[..., None], norms(F)[..., None],
                               g.max(axis=2, keepdims=True) if p.k else zeros,
                               np.abs(h).max(axis=2, keepdims=True) if p.m else zeros], axis=2)
         for q, r in enumerate(live.tolist()):
@@ -121,6 +116,8 @@ def euler_flow(p, params, x0, step, steps):
     Stops early with a diagnostic if the field evaluation fails, which it
     does once max g exceeds DRIFT_ABORT.
     """
+    if not step > 0:
+        raise ValueError("step must be positive")
     return _advance(p, params, [np.asarray(x0, dtype=float)], step, steps)[0]
 
 
@@ -133,6 +130,8 @@ def phase_grid(p, params, plane, ranges, counts, base, step, steps):
     coordinates are held at ``base``.  Infeasible grid points are
     recorded as skipped, not errors.
     """
+    if not step > 0:
+        raise ValueError("step must be positive")
     i, j = plane
     lo_i, hi_i, lo_j, hi_j = ranges
     ni, nj = counts

@@ -24,6 +24,10 @@ class ProblemFormatError(ValueError):
     pass
 
 
+# Draws per block of ``sample_feasible``.
+_SAMPLE_BLOCK = 256
+
+
 def _fmt(x):
     """17 significant digits: round-trips IEEE doubles exactly."""
     return format(float(x), ".17g")
@@ -98,18 +102,20 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
     """Seeded rejection sampling of feasible points in [-box, box]^n.
 
     For equality-constrained problems pass the reduced problem: the
-    box lives in the reduced coordinates.
+    box lives in the reduced coordinates.  The draws are taken in blocks,
+    which gives the points that one draw per try gives, in the same order;
+    ``max_tries`` counts draws.
     """
     if p.m != 0:
         raise ValueError("sampling needs an inequality-only (or reduced) problem")
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(max_tries):
-        x = rng.uniform(-box, box, size=p.n)
-        if model.is_feasible(p, x, 1e-12):
-            out.append(x)
-            if len(out) == n_samples:
-                return np.array(out)
+    for start in range(0, max_tries, _SAMPLE_BLOCK):
+        for x in rng.uniform(-box, box, size=(min(_SAMPLE_BLOCK, max_tries - start), p.n)):
+            if model.is_feasible(p, x, 1e-12):
+                out.append(x)
+                if len(out) == n_samples:
+                    return np.array(out)
     raise RuntimeError(f"could not draw {n_samples} feasible samples in "
                        f"{max_tries} tries; expand the box")
 

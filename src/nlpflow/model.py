@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprlang
-from .exprlang import Expr, Stack, evaluate, evaluate_stack, grad, substitute
+from .exprlang import Expr, Stack, evaluate_stack, grad, substitute
 
 # Feasibility tolerances, as bounds on max |h_i| and max g_j.  Accepted
 # solver iterates satisfy FEAS_TOL.  The descent field is defined within
@@ -103,27 +103,47 @@ class ReducedProblem(_Stacks):
     def k(self):
         return len(self.inequalities)
 
+    @functools.cached_property
+    def phi_stack(self):
+        """(phi_1, ..., phi_n2): the elimination map at a point."""
+        return Stack(self.phi, self.names)
+
     def lift(self, xi):
         """Map reduced coordinates to a full-space point on the manifold."""
-        xi = np.asarray(xi, dtype=float)
-        tail = [evaluate(f, xi) for f in self.phi]
-        return np.concatenate([xi, tail])
+        xi = np.asarray(xi, dtype=float).tolist()
+        return np.array(xi + list(evaluate_stack(self.phi_stack, xi)))
+
+    def lift_block(self, points):
+        """``lift`` at each row of ``points``.  Returns ``(lifted, errors)``:
+        ``errors[r]`` is the ExprError that ``lift`` raises at row r, or
+        None, and ``lifted`` stacks the lifted rows without an error."""
+        lifted, errors = [], []
+        for xi in points:
+            try:
+                lifted.append(self.lift(xi))
+                errors.append(None)
+            except exprlang.ExprError as exc:
+                errors.append(exc)
+        return np.reshape(lifted, (-1, self.parent.n)), errors
+
+
+def constraint_values(p, x):
+    """Equality and inequality constraint values at ``x`` as two lists of
+    Python floats, from one run of the problem's constraint stack."""
+    values = evaluate_stack(p.constraint_stack, np.asarray(x, dtype=float).tolist())
+    return values[:p.m], values[p.m:]
 
 
 def residuals(p, x):
-    """Equality and inequality constraint values at ``x``, from one run of
-    the problem's constraint stack on Python floats."""
-    values = evaluate_stack(p.constraint_stack, np.asarray(x, dtype=float).tolist())
-    h = np.array(values[:p.m], dtype=float)
-    g = np.array(values[p.m:], dtype=float)
-    return h, g
+    """Equality and inequality constraint values at ``x``, as arrays."""
+    h, g = constraint_values(p, x)
+    return np.array(h, dtype=float), np.array(g, dtype=float)
 
 
 def is_feasible(p, x, tol=FEAS_TOL):
-    h, g = residuals(p, x)
-    ok_h = h.size == 0 or np.max(np.abs(h)) <= tol
-    ok_g = g.size == 0 or np.max(g) <= tol
-    return bool(ok_h and ok_g)
+    """Whether max |h_i| and max g_j are at most ``tol`` at ``x``."""
+    h, g = constraint_values(p, x)
+    return (not h or max(map(abs, h)) <= tol) and (not g or max(g) <= tol)
 
 
 def jacobians(p, x):
@@ -169,11 +189,11 @@ def reduce(p, elimination, samples=100, seed=0, tol=1e-8):
     inequalities = tuple(substitute(e, replacements, kept) for e in p.inequalities)
     reduced = ReducedProblem(p, phi, objective, inequalities, tuple(kept))
 
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        xi = rng.uniform(-5.0, 5.0, size=n1)
-        h, _ = residuals(p, reduced.lift(xi))
-        worst = float(np.max(np.abs(h))) if h.size else 0.0
+    # One draw of every sample gives the points that one draw per sample
+    # gives, in the same order.
+    for xi in np.random.default_rng(seed).uniform(-5.0, 5.0, size=(samples, n1)):
+        h, _ = constraint_values(p, reduced.lift(xi))
+        worst = max(map(abs, h), default=0.0)
         if worst > tol:
             raise ReductionError(
                 f"elimination violates an equality constraint by {worst:.3e} "

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprlang import evaluate, evaluate_stack, grad, jvp_stack
-from .field import FieldError, field_eval
+from .field import FieldError, field_eval, norms
 from .kkt import report_at
 from .model import FEAS_TOL, FIELD_FEAS_TOL, is_feasible
 
@@ -380,7 +380,7 @@ def solve(p, params, cfg, x0):
             report.diagnostic = str(exc)
             break
         rec = IterateRecord(x=x.copy(), theta=fe.theta,
-                            normF=float(np.linalg.norm(fe.F)), dtheta_F=fe.dtheta_F)
+                            normF=float(norms(fe.F)), dtheta_F=fe.dtheta_F)
         report.records.append(rec)
         if i == cfg.max_iter:
             break

@@ -82,10 +82,17 @@ def test_usage_error_exits_2():
         ["--plane", "x9,x1"], ["--plane", "3,1"], ["--range=0,1,0"],
         ["--range=0,1,a,1"], ["--fix", "x1"], ["--fix", "x1=1,"],
         ["--fix", "x9=1"])),
+    *(["flow", "--problem", P41, "--x0", "0.5,0.5", "--step", step, "--steps", "3"]
+      for step in ("0", "-0.01", "nan", "inf", "a")),
+    # Over a grid with no feasible point the step was never looked at.
+    *(["phase", "--problem", P41, "--plane", "x1,x2", f"--range={rng}", "--grid", "2x2",
+       "--step", "0", "--steps", "3"] for rng in ("5,6,5,6", "0,1,0,1")),
 ], ids=["negative-steps", "empty-grid", "empty-grid-column", "plane-one",
         "plane-repeated", "plane-repeated-by-number", "plane-unknown",
         "plane-out-of-range", "range-three", "range-not-a-number",
-        "fix-no-value", "fix-empty-pair", "fix-unknown"])
+        "fix-no-value", "fix-empty-pair", "fix-unknown", "flow-zero-step",
+        "flow-negative-step", "flow-nan-step", "flow-infinite-step", "flow-step-not-a-number",
+        "phase-zero-step-infeasible-grid", "phase-zero-step"])
 def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -285,3 +292,14 @@ def test_non_finite_q_aborts_flow(steep, capsys):
     assert rc == 1
     assert ("# diagnostic: field evaluation failed at step 0: "
             "Q is not finite") in out
+
+
+def test_flow_norm_of_a_field_whose_square_overflows(tmp_path, capsys):
+    """|F| of a finite F stays finite past F.F = inf, without a warning."""
+    path = tmp_path / "ridge.nlp"
+    path.write_text("vars: x1 x2\nobjective: x1^2 + x2^2\nineq: x1 - 5\n")
+    rc = main(["flow", "--problem", str(path), "--sigma", "1e308", "--x0=1e-310,0",
+               "--step", "0.1", "--steps", "3"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1 and len(out) == 4
+    assert out[2].split(",")[4] == "1.9291909207300239e+305"

@@ -210,3 +210,21 @@ def test_cholesky_matches_scipy_bit_for_bit(name, request):
                 assert info == 0 and _bits(factor) == _bits(cho[0])
                 H = np.eye(p.n) - fe.A.T @ scipy.linalg.cho_solve(cho, fe.A)
                 assert _bits(fe.H) == _bits(0.5 * (H + H.T))
+
+
+def test_norms_are_linalg_norm_where_the_square_is_finite():
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        F = rng.standard_normal((2000, n)) * 10.0 ** rng.uniform(-150, 150, (2000, 1))
+        want = np.array([np.linalg.norm(row) for row in F])
+        assert field.norms(F).tobytes() == want.tobytes()
+        assert field.norms(F[:7].reshape(7, 1, n))[:, 0].tobytes() == want[:7].tobytes()
+    assert isinstance(float(field.norms(F[0])), float)
+
+
+def test_norms_rescale_rows_whose_square_overflows():
+    F = np.array([[3e200, 4e200], [-2e154, 2e154], [1.5e308, 1.5e308], [1e-310, 0.0], [3.0, 4.0]])
+    got = field.norms(F)  # pytest fails on a RuntimeWarning
+    assert got[:2] == pytest.approx([5e200, 2 ** 1.5 * 1e154], rel=1e-15)
+    assert got[2] == np.inf  # the norm itself is past the largest float
+    assert got[3:].tolist() == [np.linalg.norm(F[3]), 5.0]  # the square is finite

@@ -73,6 +73,15 @@ def test_theta_monotone_detects_increase():
     assert not check_theta_monotone(traj)
 
 
+def test_phase_grid_checks_the_step_before_the_grid(p41):
+    _, red = p41
+    params = FieldParams.default(red.n, red.k)
+    for step in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="step must be positive"):
+            phase_grid(red, params, plane=(0, 1), ranges=(5.0, 6.0, 5.0, 6.0),
+                       counts=(2, 2), base=np.zeros(2), step=step, steps=3)
+
+
 def test_phase_grid_skips_infeasible(p41):
     _, red = p41
     params = FieldParams.default(red.n, red.k, sigma=2.0)

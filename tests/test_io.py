@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import checks_reference
 from nlpflow.exprlang import evaluate
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.io import (ProblemFormatError, kkt_block, load_problem,
@@ -65,6 +66,42 @@ def test_sample_feasible_is_seeded_and_feasible(p41):
     for x in pts:
         assert is_feasible(red, x, tol=1e-12)
     assert np.array_equal(pts, sample_feasible(red, 50, seed=3))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_draw_is_the_single_draws(seed):
+    block = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(300, 3))
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(block, [rng.uniform(-3.0, 3.0, size=3) for _ in range(300)])
+
+
+def test_sample_feasible_matches_per_draw_reference(p41, p42):
+    for _, red in (p41, p42):
+        for seed in range(50):
+            want = checks_reference.sample_feasible(red, 20, seed)
+            assert np.array_equal(sample_feasible(red, 20, seed), want)
+
+
+def test_sample_feasible_counts_draws(p42):
+    """``max_tries`` bounds the draws, across block edges, as one draw per
+    try does: the n-th feasible point on the last allowed draw is found,
+    one draw fewer is an error."""
+    _, red = p42
+    rng = np.random.default_rng(9)
+    tries = []  # the draw at which each feasible point comes
+    for i in range(1, 3000):
+        if is_feasible(red, rng.uniform(-3.0, 3.0, size=3), 1e-12):
+            tries.append(i)
+    for count in (1, 13, len(tries)):  # inside the first block, and past it
+        last = tries[count - 1]
+        assert np.array_equal(sample_feasible(red, count, 9, max_tries=last),
+                              checks_reference.sample_feasible(red, count, 9, max_tries=last))
+        message = f"could not draw {count} feasible samples in {last - 1} tries; expand the box"
+        for sampler in (sample_feasible, checks_reference.sample_feasible):
+            with pytest.raises(RuntimeError) as exc:
+                sampler(red, count, 9, max_tries=last - 1)
+            assert str(exc.value) == message
+    assert tries[12] < 256 < tries[-1]
 
 
 def test_sample_feasible_rejects_equalities(p41):

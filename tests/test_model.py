@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nlpflow.exprlang import EvalError, parse
-from nlpflow.model import (ModelError, Problem, ReductionError, is_feasible,
-                           jacobians, reduce, residuals)
+from nlpflow.exprlang import EvalError, evaluate, parse
+from nlpflow.model import (ModelError, Problem, ReducedProblem, ReductionError,
+                           is_feasible, jacobians, reduce, residuals)
 
 N3 = ("x1", "x2", "x3")
 
@@ -88,6 +88,36 @@ def test_reduce_rejects_non_trailing():
 def test_reduce_rejects_wrong_map():
     with pytest.raises(ReductionError):
         reduce(_toy(), [("x3", "1 - x1 - x2")])
+
+
+def _lift_per_expression(red, xi):
+    """The elimination map one expression at a time, on NumPy floats."""
+    return np.concatenate([xi, [evaluate(f, xi) for f in red.phi]])
+
+
+def test_lift_is_the_per_expression_map(p41, p42):
+    for _, red in (p41, p42):
+        for xi in np.random.default_rng(2).uniform(-5.0, 5.0, size=(300, red.n)):
+            got = red.lift(xi)
+            assert got.dtype == float and got.tobytes() == _lift_per_expression(red, xi).tobytes()
+
+
+@pytest.mark.parametrize("eliminate", ["2 - x1 - x2 + 1e-7*x1^2", "2 - x1 - x2 + 1e-24*(x1*x2)^12"])
+def test_reduce_reports_the_first_failing_sample(eliminate):
+    """The block check raises at the sample that one draw per sample
+    reaches first, with its violation."""
+    p = _toy()
+    with pytest.raises(ReductionError) as exc:
+        reduce(p, [("x3", eliminate)])
+    red = ReducedProblem(p, (parse(eliminate, N3[:2]),), p.objective, (), N3[:2])
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        h, _ = residuals(p, _lift_per_expression(red, rng.uniform(-5.0, 5.0, size=2)))
+        worst = float(np.max(np.abs(h)))
+        if worst > 1e-8:
+            break
+    assert str(exc.value) == (f"elimination violates an equality constraint by {worst:.3e} "
+                              f"at a sampled point")
 
 
 def test_reduce_rejects_empty():

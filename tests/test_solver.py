@@ -153,6 +153,16 @@ def test_max_iter_termination(p42):
     assert report.iterations == 3
 
 
+def test_record_norm_of_a_field_whose_square_overflows():
+    names = ("x1", "x2")
+    p = Problem(names=names, objective=parse("x1 + x2", names),
+                inequalities=(parse("-x1 - 5", names),))
+    params = FieldParams.default(2, 1, sigma=1e308)
+    report = solve(p, params, SolveConfig(algorithm="t31", max_iter=1), np.zeros(2))
+    assert report.records[0].normF == math.hypot(*field_eval(p, params, np.zeros(2)).F)
+    assert 1e154 < report.records[0].normF < math.inf
+
+
 @pytest.mark.parametrize("algo, r, x0, expected", [
     ("r35", 1.0, (-0.9, -1.0, 2.0), ("critical", 66, 0)),
     ("r35", 1.0, (-1.0, -1.0, -2.0), ("critical", 87, 0)),
