@@ -19,7 +19,7 @@ import numpy as np
 from . import checks, flow, io, kkt, solver
 from .exprlang import ExprError
 from .field import FieldError, FieldParams, field_block, field_eval, norms
-from .io import ProblemFormatError, _fmt
+from .io import ProblemFormatError, SamplingError, _fmt
 from .model import ModelError
 from .solver import SolveConfig, SolveError
 
@@ -37,15 +37,17 @@ def _parse_vector(text):
     return np.array([float(v) for v in text.split(",")], dtype=float)
 
 
-def _step_count(text):
-    """argparse type: a non-negative number of Euler steps."""
-    try:
-        steps = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if steps < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {steps}")
-    return steps
+def _count(least):
+    """argparse type: an integer of at least ``least``."""
+    def count(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return count
 
 
 def _step_size(text):
@@ -331,7 +333,7 @@ def build_parser():
     add_common(sp)
     sp.add_argument("--x0", required=True)
     sp.add_argument("--step", type=_step_size, required=True)
-    sp.add_argument("--steps", type=_step_count, required=True)
+    sp.add_argument("--steps", type=_count(0), required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_flow)
 
@@ -345,7 +347,7 @@ def build_parser():
     sp.add_argument("--fix", type=_fixed_values,
                     help="fixed values for other coordinates, name=v,...")
     sp.add_argument("--step", type=_step_size, required=True)
-    sp.add_argument("--steps", type=_step_count, required=True)
+    sp.add_argument("--steps", type=_count(0), required=True)
     sp.add_argument("--per-trajectory", action="store_true",
                     help="one CSV file per trajectory instead of a traj_id column")
     sp.add_argument("--out")
@@ -358,7 +360,7 @@ def build_parser():
 
     sp = sub.add_parser("check", help="identity suite at random feasible points")
     add_common(sp)
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--samples", type=_count(1), default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_check)
 
@@ -374,7 +376,7 @@ def main(argv=None):
     except UsageError as exc:
         args.subparser.error(str(exc))
     except (FieldError, SolveError, ModelError, ProblemFormatError, ExprError,
-            ValueError, OSError, np.linalg.LinAlgError) as exc:
+            SamplingError, ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

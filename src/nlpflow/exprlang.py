@@ -6,25 +6,26 @@ literals, identifiers, ``+ - * /``, unary minus, integer powers via
 
 Every :class:`Expr` is lowered once, when it is built, to a flat
 :class:`Tape`: a straight-line list of operations over numbered slots
-(Griewank & Walther, *Evaluating Derivatives*, ch. 3).  Subtrees shared
-by identity, such as the elimination map that ``substitute`` splices into
+(Griewank & Walther, *Evaluating Derivatives*, ch. 3), with one output
+slot.  A :class:`Stack` lowers several expressions over the same
+variables to one tape with an output slot each.  Subtrees shared by
+identity, such as the elimination map that ``substitute`` splices into
 every occurrence of an eliminated variable, are lowered once.  On first
-use the tape is compiled to straight-line Python, one statement per
-operation: a value kernel (``evaluate``) and kernels carrying a value and
-tangent lanes, one directional derivative per lane.  ``jvp`` runs a
-one-lane kernel seeded with the direction; ``grad`` runs, once, a kernel
-with a lane per variable, seeded with the unit vectors, which computes
-the value once for all of them.  Compiled kernels depend only on
-the tape's structure, not its constants, and are cached by structure, so
-re-parsing the same problem does not compile them again.
+use a tape is compiled to straight-line Python kernels, one statement per
+operation, which give every output's value and, in each tangent lane, its
+directional derivative along the lane's seed.  Kernels are cached by the
+tape's structure, not its constants, so re-parsing a problem compiles
+nothing.
 
-A :class:`Stack` lowers several expressions over the same variables to
-one stacked tape with one output slot per expression; subtrees they
-share by identity are lowered once for all of them.  Its kernels return
-a tuple of values, or a tuple of values and a tuple of tangents, so
-``evaluate_stack`` and ``jvp_stack`` give every expression's value or
-directional derivative from one kernel run, with the same bits as
-``evaluate`` and ``jvp`` give them one by one.
+One runner runs every kernel, on Python floats whatever the point's
+container (an ndarray is converted with ``tolist``, any other sequence
+with ``float`` per entry), so every result is a Python float; it raises
+EvalError for an overflow or for a value or tangent that is not finite.
+``evaluate_stack`` and ``jvp_stack`` run the value kernel and the
+one-lane kernel seeded with the direction; ``evaluate`` and ``jvp`` are
+their one-output cases, so a stack gives each expression the bits it gets
+alone.  ``grad`` runs the kernel with a lane per variable, seeded with
+the unit vectors, which computes the value once for all of them.
 
 Grammar (EBNF)::
 
@@ -42,9 +43,11 @@ minus may nest at most ``MAX_NESTING`` deep.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass, field
+from math import isfinite
+
+import numpy as np
 
 # Deepest nesting of parentheses and unary minus that ``parse`` accepts.
 # Each level costs the recursive-descent parser up to five stack frames.
@@ -139,27 +142,28 @@ class Tape:
 
     Each operation is ``(code, a, b)``: ``a`` and ``b`` are operand slots,
     except that ``b`` is the integer exponent of a power and unused by a
-    negation.  The tape runs as compiled kernels, built on first use: one
-    for the value, one for the value and a tangent, and one for the value
-    and a tangent per variable, which gives the gradient in one run.
+    negation.  ``outs`` holds one output slot per expression.  The tape
+    runs as compiled kernels, built on first use: one for the values, one
+    for the values and a tangent, and one for the values and a tangent
+    per variable, which gives the gradient in one run.
     """
 
     consts: tuple  # floats
     ops: tuple
-    out: object  # slot holding the result; a tuple of slots when stacked
+    outs: tuple
     n: int
 
     @functools.cached_property
     def value_kernel(self):
-        return _compile(self.ops, len(self.consts), self.out, self.n, 0)
+        return _compile(self.ops, len(self.consts), self.outs, self.n, 0)
 
     @functools.cached_property
     def tangent_kernel(self):
-        return _compile(self.ops, len(self.consts), self.out, self.n, 1)
+        return _compile(self.ops, len(self.consts), self.outs, self.n, 1)
 
     @functools.cached_property
     def gradient_kernel(self):
-        return _compile(self.ops, len(self.consts), self.out, self.n, self.n)
+        return _compile(self.ops, len(self.consts), self.outs, self.n, self.n)
 
 
 def _children(node):
@@ -200,11 +204,11 @@ def _post_order(root, leaf, combine, done=None):
 
 
 def _lower(roots, n):
-    """Lower the trees at ``roots`` to one tape, left operand first.
+    """Lower the trees at ``roots``, over ``n`` variables, to one Tape,
+    left operand first, with one output slot per root.
 
-    Returns ``(consts, ops, outs)`` with one output slot per root.  A
-    subtree shared by identity, within a tree or across trees, is lowered
-    once.
+    A subtree shared by identity, within a tree or across trees, is
+    lowered once.
     """
     consts, ops, done = [], [], {}
 
@@ -231,7 +235,7 @@ def _lower(roots, n):
 
     tape_ops = tuple((code, slot(a), b if code in (_NEG, _POW) else slot(b))
                      for code, a, b in ops)
-    return tuple(consts), tape_ops, tuple(slot(r) for r in outs)
+    return Tape(tuple(consts), tape_ops, tuple(slot(r) for r in outs), n)
 
 
 def _number_subtrees(root, table):
@@ -273,9 +277,7 @@ class Expr:
     tape: Tape = field(init=False)
 
     def __post_init__(self):
-        n = len(self.variables)
-        consts, ops, (out,) = _lower((self.root,), n)
-        object.__setattr__(self, "tape", Tape(consts, ops, out, n))
+        object.__setattr__(self, "tape", _lower((self.root,), len(self.variables)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -309,9 +311,8 @@ class Stack:
     def __post_init__(self):
         if any(e.variables != self.variables for e in self.exprs):
             raise ExprError(f"every stacked expression must be over {self.variables}")
-        n = len(self.variables)
-        consts, ops, outs = _lower(tuple(e.root for e in self.exprs), n)
-        object.__setattr__(self, "tape", Tape(consts, ops, outs, n))
+        roots = tuple(e.root for e in self.exprs)
+        object.__setattr__(self, "tape", _lower(roots, len(self.variables)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +390,7 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a non-negative integer literal", off)
             value = float(text)
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise ParseError(f"exponent {text} is out of range", off)
             if value != int(value):
                 raise ParseError(f"non-integer exponent {text}", off)
@@ -433,28 +434,26 @@ def parse(text, variables):
 
 
 # ---------------------------------------------------------------------------
-# Compiled kernels.
+# Compiled kernels and the one runner.
 
 # Cached by tape structure: every CLI run re-parses its problem file, so a
 # process that runs many of them would otherwise compile the same kernels
 # again each time.  The bound is the number of distinct structures kept.
 @functools.lru_cache(maxsize=256)
-def _compile(ops, nconst, out, n, lanes):
+def _compile(ops, nconst, outs, n, lanes):
     """Compile tape operations to one straight-line Python function.
 
-    With ``lanes`` 0 the function is ``kernel(x, c)`` and returns the
-    value.  Otherwise it is ``kernel(x, d, c)``, where ``d`` holds
-    ``lanes`` seed vectors, and it returns the value and a tuple of the
-    tangents seeded with each.  When ``out`` is a tuple of slots (a
-    stacked tape) the value and each tangent are tuples, one entry per
-    slot.  Tangents follow the dual-number rules:
-    (a*b)' = a*b' + a'*b, (a/b)' = (a' - q*b')/b with q = a/b,
-    (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).  ``x`` holds the ``n``
-    variables and ``c`` the ``nconst`` constants, which are passed in
-    rather than written into the source (``1e400`` has no literal).  Each
-    statement is one operation, in tape order, so the kernel does the
-    same arithmetic whatever the constants are, and each lane does the
-    arithmetic of a one-lane kernel with its seed.
+    The function is ``kernel(x, d, c)``: ``x`` holds the ``n`` variables,
+    ``d`` holds ``lanes`` seed vectors and ``c`` the ``nconst``
+    constants, which are passed in rather than written into the source
+    (``1e400`` has no literal).  It returns ``(values, tangents)``: the
+    value of each slot of ``outs``, and in one flat tuple, lane by lane,
+    the tangent of each slot seeded with that lane's vector.  Tangents
+    follow the dual-number rules: (a*b)' = a*b' + a'*b,
+    (a/b)' = (a' - q*b')/b with q = a/b, (a^k)' = k*a^(k-1)*a', and
+    a^0 = (1, 0).  Each statement is one operation, in tape order, so the
+    kernel does the same arithmetic whatever the constants are, and each
+    lane does the arithmetic of a one-lane kernel with its seed.
     """
     lines = []
 
@@ -462,11 +461,6 @@ def _compile(ops, nconst, out, n, lanes):
         if count:
             names = "".join(f"{prefix}{i}, " for i in range(first, first + count))
             lines.append(f"{names}= {source}")
-
-    def result(prefix):
-        if isinstance(out, tuple):
-            return "(" + "".join(f"{prefix}{i}, " for i in out) + ")"
-        return f"{prefix}{out}"
 
     unpack(0, n, "v", "x")
     unpack(n, nconst, "v", "c")
@@ -494,12 +488,12 @@ def _compile(ops, nconst, out, n, lanes):
                 lines.append(f"{t}{s} = {b} * v{a} ** {b - 1} * {t}{a}")
             else:
                 lines.append(f"{t}{s} = {t}{a} {_SYMBOL[code]} {t}{b}")
-    if lanes:
-        lines.append(f"return {result('v')}, ({''.join(result(t) + ', ' for t in tangents)})")
-    else:
-        lines.append(f"return {result('v')}")
-    source = (f"def kernel({'x, d, c' if lanes else 'x, c'}):\n"
-              + "".join(f"    {line}\n" for line in lines))
+
+    def row(prefixes):
+        return "(" + "".join(f"{p}{i}, " for p in prefixes for i in outs) + ")"
+
+    lines.append(f"return {row(['v'])}, {row(tangents)}")
+    source = "def kernel(x, d, c):\n" + "".join(f"    {line}\n" for line in lines)
     namespace = {"EvalError": EvalError}
     exec(compile(source, "<tape kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -510,27 +504,39 @@ def _unit_vectors(n):
     return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
 
 
-def _check_length(e, x):
+def _point(e, x):
+    """``x`` as a list of Python floats, so no kernel runs on NumPy scalars
+    or ints: an ndarray by ``tolist``, much cheaper than ``float`` per
+    entry, and any other sequence by ``float`` per entry."""
     if len(x) != len(e.variables):
         raise ExprError(f"expected {len(e.variables)} coordinates, got {len(x)}")
+    if isinstance(x, np.ndarray):
+        return x.astype(float, copy=False).tolist()
+    return [*map(float, x)]
 
 
-def _run_values(e, x):
-    """The value kernel of ``e`` (an Expr or a Stack) at ``x``, as given."""
-    _check_length(e, x)
-    tape = e.tape
+def _run(e, kernel, x, seeds=()):
+    """``(values, tangents)`` from one run of ``kernel``, a kernel of the
+    tape of ``e`` (an Expr or a Stack), at ``x`` with the tangent ``seeds``.
+
+    Every public runner is a case of this one: an overflow, or a value or
+    tangent that is not finite, raises EvalError.
+    """
     try:
-        return tape.value_kernel(x, tape.consts)
+        values, tangents = kernel(_point(e, x), seeds, e.tape.consts)
     except OverflowError as exc:
         raise EvalError(f"overflow: {exc.args[-1]}") from exc
+    for value in values + tangents:
+        if not isfinite(value):
+            raise EvalError("non-finite value in derivative sweep" if seeds else
+                            f"non-finite value {value!r}")
+    return values, tangents
 
 
 def evaluate(e, x):
-    """Evaluate the expression at the point ``x`` (indexable of floats)."""
-    value = _run_values(e, x)
-    if not math.isfinite(value):
-        raise EvalError(f"non-finite value {value!r}")
-    return value
+    """The value of the expression at the point ``x`` (a sequence of
+    floats), as a Python float."""
+    return _run(e, e.tape.value_kernel, x)[0][0]
 
 
 def evaluate_stack(s, x):
@@ -539,32 +545,16 @@ def evaluate_stack(s, x):
     A tuple equal, bit for bit, to ``evaluate`` of each expression at
     ``x``; it raises EvalError if any of them would.
     """
-    values = _run_values(s, x)
-    for value in values:
-        if not math.isfinite(value):
-            raise EvalError(f"non-finite value {value!r}")
-    return values
-
-
-def _directional(tape, kernel, x, seeds):
-    """The tangent of the result for each seed, from one run of ``kernel``,
-    which has a tangent lane per seed."""
-    try:
-        val, dots = kernel([*map(float, x)], seeds, tape.consts)
-    except OverflowError as exc:
-        raise EvalError(f"overflow: {exc.args[-1]}") from exc
-    if not (math.isfinite(val) and all(map(math.isfinite, dots))):
-        raise EvalError("non-finite value in derivative sweep")
-    return list(dots)
+    return _run(s, s.tape.value_kernel, x)[0]
 
 
 def grad(e, x):
     """Gradient at ``x``: one run of the kernel with a tangent lane per
     unit vector."""
-    _check_length(e, x)
-    if not e.variables:
-        return []
-    return _directional(e.tape, e.tape.gradient_kernel, x, _unit_vectors(len(x)))
+    n = len(e.variables)
+    if not n:  # no lane to run: check the length and return no entries
+        return _point(e, x)
+    return list(_run(e, e.tape.gradient_kernel, x, _unit_vectors(n))[1])
 
 
 def jvp(e, x, u):
@@ -573,9 +563,7 @@ def jvp(e, x, u):
     One tangent run seeded with ``u``; equal to ``grad(e, x) @ u`` up to
     rounding, at less cost than grad's run.
     """
-    _check_length(e, x)
-    _check_length(e, u)
-    return _directional(e.tape, e.tape.tangent_kernel, x, ([*map(float, u)],))[0]
+    return _run(e, e.tape.tangent_kernel, x, (_point(e, u),))[1][0]
 
 
 def jvp_stack(s, x, u):
@@ -585,17 +573,7 @@ def jvp_stack(s, x, u):
     bit for bit, to ``jvp`` of each expression at ``x`` along ``u``; it
     raises EvalError if any of them would.
     """
-    _check_length(s, x)
-    _check_length(s, u)
-    tape = s.tape
-    try:
-        values, (dots,) = tape.tangent_kernel([*map(float, x)], ([*map(float, u)],),
-                                              tape.consts)
-    except OverflowError as exc:
-        raise EvalError(f"overflow: {exc.args[-1]}") from exc
-    if not (all(map(math.isfinite, values)) and all(map(math.isfinite, dots))):
-        raise EvalError("non-finite value in derivative sweep")
-    return dots
+    return _run(s, s.tape.tangent_kernel, x, (_point(s, u),))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,16 @@ def _mv(M, v):
     return (M @ v[..., None])[..., 0]
 
 
+def _gain_terms(params, vplus, extra):
+    """c_i * v+_i^(2 p_i + extra) at each row of the stack v+, and 0 where
+    c_i = 0, the default: there the power may overflow, and 0 * inf is NaN."""
+    out = np.zeros(vplus.shape)
+    on = params.c > 0
+    if on.any():
+        out[:, on] = params.c[on] * vplus[:, on] ** (2 * params.p[on] + extra)
+    return out
+
+
 def _factors(S, name, failure, failed):
     """Lower Cholesky factors of the symmetric slices of the stack ``S``,
     called ``name``, by one LAPACK call per slice.
@@ -291,8 +301,8 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
         if k:
             # Row-shaped gains: a (1, k) row broadcasts over the stack at
             # less cost than a (k,) vector.
-            a, b, c = params.a[None], params.b[None], params.c[None]
-            r3 = b + c * vplus ** (2 * params.p)
+            a, b = params.a[None], params.b[None]
+            r3 = b + _gain_terms(params, vplus, 0)
             mixed = _mv(params.R2, g * v) - a * v  # (R2 diag(g) - diag(a)) v
             r3v = r3 * vplus
             Pt = P.transpose(0, 2, 1)
@@ -346,7 +356,7 @@ def dissipation_rates(params, xi, g, v, vplus):
         rate -= np.vecdot(gv, _mv(params.R2, gv))
         rate -= np.sum(params.a * np.abs(g) * v ** 2, axis=1)
         rate -= np.sum(params.b * vplus ** 2, axis=1)
-        rate -= np.sum(params.c * vplus ** (2 * params.p + 2), axis=1)
+        rate -= np.sum(_gain_terms(params, vplus, 2), axis=1)
     return rate
 
 

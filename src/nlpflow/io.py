@@ -24,6 +24,10 @@ class ProblemFormatError(ValueError):
     pass
 
 
+class SamplingError(RuntimeError):
+    """Rejection sampling ran out of tries before it held enough points."""
+
+
 # Draws per block of ``sample_feasible``.
 _SAMPLE_BLOCK = 256
 
@@ -104,10 +108,12 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
     For equality-constrained problems pass the reduced problem: the
     box lives in the reduced coordinates.  The draws are taken in blocks,
     which gives the points that one draw per try gives, in the same order;
-    ``max_tries`` counts draws.
+    ``max_tries`` counts draws; running out of them raises SamplingError.
     """
     if p.m != 0:
         raise ValueError("sampling needs an inequality-only (or reduced) problem")
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     out = []
     for start in range(0, max_tries, _SAMPLE_BLOCK):
@@ -116,8 +122,8 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
                 out.append(x)
                 if len(out) == n_samples:
                     return np.array(out)
-    raise RuntimeError(f"could not draw {n_samples} feasible samples in "
-                       f"{max_tries} tries; expand the box")
+    raise SamplingError(f"could not draw {n_samples} feasible samples in "
+                        f"{max_tries} tries; expand the box")
 
 
 def trajectory_csv_rows(p, traj, traj_id=None):

@@ -128,9 +128,9 @@ class ReducedProblem(_Stacks):
 
 
 def constraint_values(p, x):
-    """Equality and inequality constraint values at ``x`` as two lists of
+    """Equality and inequality constraint values at ``x`` as two tuples of
     Python floats, from one run of the problem's constraint stack."""
-    values = evaluate_stack(p.constraint_stack, np.asarray(x, dtype=float).tolist())
+    values = evaluate_stack(p.constraint_stack, x)
     return values[:p.m], values[p.m:]
 
 

@@ -13,8 +13,10 @@ far to move along F is left to one of two step policies, selected by
   inflates the curvature estimates, by an increment that doubles from
   one rejection to the next, instead of halving the step.
 
-A policy returns the accepted point, or raises ``_Stop`` to end the
-solve with a termination and a diagnostic.
+Both accept a candidate by one test, feasibility and then sufficient
+decrease of theta (``_accepts``).  A policy returns the accepted point,
+or raises ``_Stop`` to end the solve with a termination and a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -126,8 +128,7 @@ def _ray_points(x, F, ss):
     """The points x + s*F for each s in ``ss``, as lists of Python floats.
 
     Each coordinate is one IEEE product and one sum, the same bits as
-    NumPy's ``x + s * F``; the stacked kernels then run on Python floats,
-    several times faster than on NumPy scalars.
+    NumPy's ``x + s * F``, without an array per point.
     """
     x, F = np.asarray(x, dtype=float).tolist(), F.tolist()
     return [[a + s * f for a, f in zip(x, F)] for s in ss]
@@ -273,10 +274,13 @@ def _snap_to_facets(p, y):
     return y, moved_any
 
 
-def _max_g(p, x):
-    if p.k == 0:
-        return 0.0
-    return max(evaluate_stack(p.constraint_stack, x.tolist())[p.m:])
+def _accepts(p, cfg, fe, s, y, slack):
+    """The acceptance test of both step policies: whether the candidate
+    ``y`` for the step ``s`` is feasible to FEAS_TOL and passes the Armijo
+    test theta(y) <= theta + armijo * s * dtheta_F + ``slack``."""
+    if p.k and max(evaluate_stack(p.constraint_stack, y)[p.m:]) > FEAS_TOL:
+        return False
+    return evaluate(p.objective, y) <= fe.theta + cfg.armijo * s * fe.dtheta_F + slack
 
 
 class _Stop(Exception):
@@ -297,11 +301,9 @@ def _t31_step(p, cfg, fe, x, rec):
                 y, used_proj = project_inexact(y, p, active), True
             except ProjectionFailure:
                 y = None
-        if y is not None and _max_g(p, y) <= FEAS_TOL:
-            theta_y = evaluate(p.objective, y)
-            if theta_y <= fe.theta + cfg.armijo * s * fe.dtheta_F:
-                rec.step, rec.backtracks, rec.proj_used = s, backtracks, used_proj
-                return y
+        if y is not None and _accepts(p, cfg, fe, s, y, 0.0):
+            rec.step, rec.backtracks, rec.proj_used = s, backtracks, used_proj
+            return y
         s *= 0.5
         backtracks += 1
         if s < STEP_FLOOR * cfg.r:
@@ -335,19 +337,17 @@ def _r35_step(p, cfg, fe, x, rec):
     increments = 0
     while True:
         candidate, snapped = _snap_to_facets(p, x + s * fe.F)
-        if _max_g(p, candidate) <= FEAS_TOL:
-            theta_c = evaluate(p.objective, candidate)
-            if theta_c <= fe.theta + cfg.armijo * s * fe.dtheta_F + noise:
-                rec.step, rec.backtracks, rec.proj_used = s, increments, snapped
-                return candidate
+        if _accepts(p, cfg, fe, s, candidate, noise):
+            rec.step, rec.backtracks, rec.proj_used = s, increments, snapped
+            return candidate
         bump = cfg.epsilon * 2.0 ** increments
         K = K + bump
         K_theta += bump
         increments += 1
         s = _step_bound(fe, dgF, K, K_theta, cfg.r)
         if increments > MAX_DOUBLINGS:
-            worst = int(np.argmax([evaluate(e, candidate)
-                                   for e in p.inequalities])) if p.k else -1
+            worst = (int(np.argmax(evaluate_stack(p.constraint_stack, candidate)[p.m:]))
+                     if p.k else -1)
             raise _Stop("inner_cap", f"curvature increments exhausted; most "
                                      f"violated constraint index {worst}")
 

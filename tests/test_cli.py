@@ -1,3 +1,4 @@
+import functools
 import os
 import pathlib
 import subprocess
@@ -7,6 +8,7 @@ import warnings
 import pytest
 
 import nlpflow
+from nlpflow import io
 from nlpflow.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -87,12 +89,14 @@ def test_usage_error_exits_2():
     # Over a grid with no feasible point the step was never looked at.
     *(["phase", "--problem", P41, "--plane", "x1,x2", f"--range={rng}", "--grid", "2x2",
        "--step", "0", "--steps", "3"] for rng in ("5,6,5,6", "0,1,0,1")),
+    *(["check", "--problem", P42, "--samples", count] for count in ("0", "-1", "a")),
 ], ids=["negative-steps", "empty-grid", "empty-grid-column", "plane-one",
         "plane-repeated", "plane-repeated-by-number", "plane-unknown",
         "plane-out-of-range", "range-three", "range-not-a-number",
         "fix-no-value", "fix-empty-pair", "fix-unknown", "flow-zero-step",
         "flow-negative-step", "flow-nan-step", "flow-infinite-step", "flow-step-not-a-number",
-        "phase-zero-step-infeasible-grid", "phase-zero-step"])
+        "phase-zero-step-infeasible-grid", "phase-zero-step", "check-zero-samples",
+        "check-negative-samples", "check-samples-not-a-number"])
 def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -151,6 +155,15 @@ def test_check_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "0 violations" in out
+
+
+def test_exhausted_sampler_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(io, "sample_feasible",
+                        functools.partial(io.sample_feasible, max_tries=10))
+    rc = main(["check", "--problem", P42, "--samples", "50"])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: could not draw 50 feasible samples in "
+                                       "10 tries; expand the box\n")
 
 
 def _child_pythonpath():

@@ -113,15 +113,31 @@ def test_division_by_zero():
         evaluate(e, [1.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("point", [[10.0], np.array([10.0])],
-                         ids=["list", "ndarray"])
+@pytest.mark.parametrize("point", [[1e10], np.array([1e10]), [np.float64(1e10)],
+                                   [10_000_000_000]],
+                         ids=["list", "ndarray", "numpy-list", "int-list"])
 def test_overflow_is_eval_error(point):
-    e = parse("x^400", ("x",))
-    for call in (lambda: evaluate(e, point), lambda: grad(e, point),
-                 lambda: jvp(e, point, [1.0])):
-        with pytest.raises(EvalError):
-            with np.errstate(over="ignore"):
+    # The kernels run on Python floats whatever the container, so a power
+    # that overflows raises, even behind ^0, and a product that overflows
+    # gives inf, which the finiteness check catches; pytest turns a NumPy
+    # RuntimeWarning into a failure.
+    for text in ("x^400", "(x^400)^0 + x", "1e300*x*x"):
+        e = parse(text, ("x",))
+        for call in (lambda: evaluate(e, point), lambda: grad(e, point),
+                     lambda: jvp(e, point, [1.0])):
+            with pytest.raises(EvalError):
                 call()
+
+
+@pytest.mark.parametrize("point", [(3.0, -2.0), [3, -2], [np.float64(3.0), np.float64(-2.0)],
+                                   np.array([3, -2]), np.array([3.0, -2.0])],
+                         ids=["tuple", "int-list", "numpy-list", "int-ndarray", "ndarray"])
+def test_every_container_runs_on_python_floats(point):
+    e = parse("x1^3 / x2 + x2", ("x1", "x2"))
+    floats = [3.0, -2.0]
+    got = [evaluate(e, point), *grad(e, point), jvp(e, point, point)]
+    assert [type(v) for v in got] == [float] * 4
+    assert got == [evaluate(e, floats), *grad(e, floats), jvp(e, floats, floats)]
 
 
 def test_infinite_exponent_is_parse_error():

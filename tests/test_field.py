@@ -186,6 +186,21 @@ def test_dissipation_negative_off_critical(p42):
     assert np.isclose(fe.dtheta_F, dissipation(fe), rtol=1e-9)
 
 
+
+def test_zero_gains_leave_out_their_power_terms():
+    # v+ passes 1e77 here, so v+^(2p+2) overflows.  The default gains
+    # c = 0 leave the term out instead of adding 0 * inf = NaN; pytest
+    # fails on a RuntimeWarning.
+    names = ("x1", "x2")
+    p = Problem(names=names, objective=parse("x1^2 + 1e80*x2", names),
+                inequalities=(parse("x2 - 2", names), parse("-x2 - 2", names)))
+    params = FieldParams.default(2, 2)
+    fe = field_eval(p, params, np.array([0.8, 1.4]))
+    assert fe.vplus.max() > 1e77
+    assert np.array_equal(fe.r3, params.b)
+    assert dissipation(fe) < 0
+
+
 # --- LAPACK against scipy.linalg's wrappers ---------------------------------
 
 def _bits(a):

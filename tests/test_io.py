@@ -4,7 +4,7 @@ import pytest
 import checks_reference
 from nlpflow.exprlang import evaluate
 from nlpflow.field import FieldParams, field_eval
-from nlpflow.io import (ProblemFormatError, kkt_block, load_problem,
+from nlpflow.io import (ProblemFormatError, SamplingError, kkt_block, load_problem,
                         sample_feasible, solve_report_csv, trajectory_csv_rows,
                         trajectory_header)
 from nlpflow.model import is_feasible
@@ -97,11 +97,19 @@ def test_sample_feasible_counts_draws(p42):
         assert np.array_equal(sample_feasible(red, count, 9, max_tries=last),
                               checks_reference.sample_feasible(red, count, 9, max_tries=last))
         message = f"could not draw {count} feasible samples in {last - 1} tries; expand the box"
-        for sampler in (sample_feasible, checks_reference.sample_feasible):
-            with pytest.raises(RuntimeError) as exc:
+        for sampler, error in ((sample_feasible, SamplingError),
+                               (checks_reference.sample_feasible, RuntimeError)):
+            with pytest.raises(error) as exc:
                 sampler(red, count, 9, max_tries=last - 1)
             assert str(exc.value) == message
     assert tries[12] < 256 < tries[-1]
+
+
+def test_sample_feasible_needs_a_positive_count(p42):
+    _, red = p42
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least one sample"):
+            sample_feasible(red, count, seed=0, max_tries=10)
 
 
 def test_sample_feasible_rejects_equalities(p41):

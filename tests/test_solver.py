@@ -214,7 +214,7 @@ def test_r35_converges_from_drawn_starts(p42, seed):
 def test_r35_rejecting_every_candidate_ends_inner_cap(p42, monkeypatch):
     _, red = p42
     params = FieldParams.default(red.n, red.k, sigma=0.2)
-    monkeypatch.setattr(solver, "_max_g", lambda p, x: math.inf)
+    monkeypatch.setattr(solver, "_accepts", lambda *args: False)
     t0 = time.perf_counter()
     report = solve(red, params, SolveConfig(), np.array([-0.9, -1.0, 2.0]))
     assert time.perf_counter() - t0 < 1.0
