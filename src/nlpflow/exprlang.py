@@ -20,7 +20,8 @@ nothing.
 One runner runs every kernel, on Python floats whatever the point's
 container (an ndarray is converted with ``tolist``, any other sequence
 with ``float`` per entry), so every result is a Python float; it raises
-EvalError for an overflow or for a value or tangent that is not finite.
+EvalError for an overflow, for a value or tangent that is not finite, and
+for a ``^0`` whose base is not finite.
 ``evaluate_stack`` and ``jvp_stack`` run the value kernel and the
 one-lane kernel seeded with the direction; ``evaluate`` and ``jvp`` are
 their one-output cases, so a stack gives each expression the bits it gets
@@ -451,9 +452,11 @@ def _compile(ops, nconst, outs, n, lanes):
     the tangent of each slot seeded with that lane's vector.  Tangents
     follow the dual-number rules: (a*b)' = a*b' + a'*b,
     (a/b)' = (a' - q*b')/b with q = a/b, (a^k)' = k*a^(k-1)*a', and
-    a^0 = (1, 0).  Each statement is one operation, in tape order, so the
-    kernel does the same arithmetic whatever the constants are, and each
-    lane does the arithmetic of a one-lane kernel with its seed.
+    a^0 = (1, 0), which raises EvalError if a is not finite, so that an
+    overflow cannot hide behind it.  Each statement is one operation, in
+    tape order, so the kernel does the same arithmetic whatever the
+    constants are, and each lane does the arithmetic of a one-lane kernel
+    with its seed.
     """
     lines = []
 
@@ -469,8 +472,9 @@ def _compile(ops, nconst, outs, n, lanes):
         unpack(0, n, t, f"d[{lane}]")
         lines.extend(f"{t}{i} = 0.0" for i in range(n, n + nconst))
     for s, (code, a, b) in enumerate(ops, start=n + nconst):
-        if code == _POW and lanes and b == 0:
-            lines += [f"v{s} = 1.0", *(f"{t}{s} = 0.0" for t in tangents)]
+        if code == _POW and b == 0:
+            lines += [f"if not isfinite(v{a}): raise EvalError('non-finite base of ^0')",
+                      f"v{s} = 1.0", *(f"{t}{s} = 0.0" for t in tangents)]
             continue
         if code == _DIV:
             lines.append(f"if v{b} == 0.0: raise EvalError('division by zero')")
@@ -494,7 +498,7 @@ def _compile(ops, nconst, outs, n, lanes):
 
     lines.append(f"return {row(['v'])}, {row(tangents)}")
     source = "def kernel(x, d, c):\n" + "".join(f"    {line}\n" for line in lines)
-    namespace = {"EvalError": EvalError}
+    namespace = {"EvalError": EvalError, "isfinite": isfinite}
     exec(compile(source, "<tape kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -551,10 +555,7 @@ def evaluate_stack(s, x):
 def grad(e, x):
     """Gradient at ``x``: one run of the kernel with a tangent lane per
     unit vector."""
-    n = len(e.variables)
-    if not n:  # no lane to run: check the length and return no entries
-        return _point(e, x)
-    return list(_run(e, e.tape.gradient_kernel, x, _unit_vectors(n))[1])
+    return list(_run(e, e.tape.gradient_kernel, x, _unit_vectors(len(e.variables)))[1])
 
 
 def jvp(e, x, u):

@@ -18,11 +18,15 @@ once per slice, so a point gets the same bits whatever N is.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy
 
 from .exprlang import ExprError, evaluate, evaluate_stack, grad
 from .model import FIELD_FEAS_TOL
@@ -40,9 +44,37 @@ class InfeasiblePointError(FieldError):
     pass
 
 
+def _load_flapack():
+    """SciPy's compiled LAPACK extension, loaded without its package.
+
+    ``import scipy.linalg`` runs all of ``scipy/linalg/__init__.py``: 0.27 to
+    0.34 s and 27 MB of peak memory in a fresh interpreter that has already
+    imported NumPy and SciPy (2-core x86-64 host, SciPy 1.17), about 60% of
+    every command's start-up.  The extension alone is found and created
+    from SciPy's ``linalg`` directory; ``import scipy`` above does SciPy's
+    platform set-up first.  The module is entered in ``sys.modules`` under
+    its own name, so a later ``import scipy.linalg`` reuses it.  If SciPy
+    ships no such module, this raises ImportError naming it; there is no
+    other way to load LAPACK.
+    """
+    name = "scipy.linalg._flapack"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"nlpflow needs SciPy's compiled LAPACK module {name}, "
+                          "which this SciPy does not have", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 # LAPACK's Cholesky factorization and triangular solves for float64
-# (dpotrf, dpotrs), called without scipy.linalg's checking wrappers.
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# (dpotrf, dpotrs), called without scipy.linalg's checking wrappers: the
+# objects that ``get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)``
+# returns.
+_flapack = _load_flapack()
+_potrf, _potrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 class FieldParams:

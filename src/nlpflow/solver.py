@@ -21,6 +21,7 @@ diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,13 +240,13 @@ def _step_bound(fe, dgF, K, K_theta, r):
     Per constraint this is the positive root of K/2 s^2 + a s + (g-BETA),
     evaluated in the cancellation-free form -2(g-BETA)/(a + sqrt(...));
     a non-positive denominator means the model never reaches the level
-    and the bound is r.
+    and the bound is r.  The arithmetic is on Python floats, so a square
+    that overflows gives inf, as NumPy's does, but without a warning.
     """
     s = r if K_theta <= 0.0 else min(r, abs(fe.dtheta_F) / K_theta)
-    for j in range(len(K)):
-        a = dgF[j]
-        g = fe.g[j] - BETA
-        den = a + np.sqrt(max(a * a - 2.0 * K[j] * g, 0.0))
+    for a, g, k in zip(map(float, dgF), fe.g.tolist(), map(float, K)):
+        g -= BETA
+        den = a + math.sqrt(max(a * a - 2.0 * k * g, 0.0))
         if den > 0.0:
             s = min(s, max(0.0, -2.0 * g / den))
     return s

@@ -5,7 +5,8 @@ it lowered expressions to a tape.  They are kept for tests only: the
 compiled kernels must reproduce their values, gradients and directional
 derivatives bit for bit.  Only overflow is
 reported differently: these raise ``OverflowError`` where the tape raises
-``EvalError``.
+``EvalError``.  Like the tape, they raise ``EvalError`` for a ``^0`` whose
+base is not finite.
 """
 
 import math
@@ -44,9 +45,16 @@ class _Dual:
     def powi(self, k):
         # k is a non-negative integer; derivative k * b^(k-1) * b'.
         if k == 0:
+            _check_zeroth_power_base(self.val)
             return _Dual(1.0, 0.0)
         v = self.val ** k
         return _Dual(v, k * self.val ** (k - 1) * self.dot)
+
+
+def _check_zeroth_power_base(value):
+    # b^0 is 1 only for a finite b, so an overflow cannot hide behind it.
+    if not math.isfinite(value):
+        raise EvalError("non-finite base of ^0")
 
 
 def _eval_node(node, x):
@@ -57,7 +65,10 @@ def _eval_node(node, x):
     if isinstance(node, Neg):
         return -_eval_node(node.arg, x)
     if isinstance(node, Pow):
-        return _eval_node(node.base, x) ** node.exponent
+        base = _eval_node(node.base, x)
+        if node.exponent == 0:
+            _check_zeroth_power_base(base)
+        return base ** node.exponent
     left = _eval_node(node.left, x)
     right = _eval_node(node.right, x)
     if node.op == "+":

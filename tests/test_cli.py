@@ -195,6 +195,35 @@ def test_console_script_and_log_env(tmp_path):
     assert "loaded" in proc.stderr and "terminated: critical" in proc.stderr
 
 
+def test_commands_do_not_import_scipy_linalg(tmp_path):
+    """Run four commands in one fresh, isolated interpreter (``python -I``).
+
+    nlpflow loads only SciPy's LAPACK extension: importing the package
+    ``scipy.linalg`` took over half of every command's start-up.
+    """
+    src = str(pathlib.Path(nlpflow.__file__).resolve().parents[1])
+    commands = [
+        ["solve", "--problem", P42, "--x0=-0.9,-1,2,0.82", "--sigma", "0.2"],
+        ["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0,1.5,0,1.5",
+         "--grid", "2x2", "--sigma", "2", "--step", "0.01", "--steps", "20"],
+        ["check", "--problem", P42, "--samples", "5"],
+        ["kkt", "--problem", P42, "--x", "0,1,2,-1", "--sigma", "0.2"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from nlpflow.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "'scipy.linalg'" not in proc.stdout, proc.stdout
+
+
 @pytest.mark.parametrize("objective", [
     "x1^1e400",
     "(" * 400 + "x1" + ")" * 400,

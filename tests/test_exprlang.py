@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nlpflow.exprlang import (MAX_NESTING, BinOp, EvalError, ExprError, Neg,
-                              Num, ParseError, UnknownVariableError, Var,
-                              evaluate, grad, jvp, parse, substitute,
-                              to_string)
+                              Num, ParseError, Stack, UnknownVariableError,
+                              Var, evaluate, evaluate_stack, grad, jvp,
+                              jvp_stack, parse, substitute, to_string)
 
 NAMES = ("x1", "x2", "x3")
 
@@ -127,6 +127,32 @@ def test_overflow_is_eval_error(point):
                      lambda: jvp(e, point, [1.0])):
             with pytest.raises(EvalError):
                 call()
+
+
+@pytest.mark.parametrize("point", [[1e10], np.array([1e10])], ids=["list", "ndarray"])
+@pytest.mark.parametrize("text", ["(1e300*x*x)^0 + x", "(1e300*x*x - 1e300*x*x)^0",
+                                  "x + (x/1e-300)^0"])
+def test_non_finite_base_of_zeroth_power_is_eval_error(text, point):
+    # b^0 is 1 only for a finite b: a sum, product or quotient that
+    # overflows to inf (or gives nan) cannot hide behind ^0.
+    e = parse(text, ("x",))
+    s = Stack((parse("x", ("x",)), e), ("x",))
+    for call in (lambda: evaluate(e, point), lambda: grad(e, point),
+                 lambda: jvp(e, point, [1.0]), lambda: evaluate_stack(s, point),
+                 lambda: jvp_stack(s, point, [1.0])):
+        with pytest.raises(EvalError, match=r"\^0"):
+            call()
+
+
+def test_grad_without_variables_runs_its_kernel():
+    # Like jvp, grad runs the expression's kernel even with no lane to seed.
+    e = parse("1/(1-1)", ())
+    for call in (lambda: grad(e, []), lambda: jvp(e, [], [])):
+        with pytest.raises(EvalError, match="division by zero"):
+            call()
+    assert grad(parse("2", ()), []) == []
+    with pytest.raises(ExprError):
+        grad(parse("2", ()), [1.0])
 
 
 @pytest.mark.parametrize("point", [(3.0, -2.0), [3, -2], [np.float64(3.0), np.float64(-2.0)],

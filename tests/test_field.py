@@ -227,6 +227,20 @@ def test_cholesky_matches_scipy_bit_for_bit(name, request):
                 assert _bits(fe.H) == _bits(0.5 * (H + H.T))
 
 
+def test_potrf_and_potrs_are_scipy_linalg_functions():
+    # field loads SciPy's LAPACK extension without the scipy.linalg package;
+    # once that package is imported, its lookup gives the very same objects.
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+    assert field._potrf is potrf and field._potrs is potrs
+
+
+def test_missing_lapack_module_is_an_import_error_naming_it(monkeypatch):
+    monkeypatch.setattr(field.importlib.machinery.PathFinder, "find_spec",
+                        lambda *args: None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        field._load_flapack()
+
+
 def test_norms_are_linalg_norm_where_the_square_is_finite():
     rng = np.random.default_rng(3)
     for n in range(1, 7):

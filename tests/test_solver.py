@@ -153,14 +153,38 @@ def test_max_iter_termination(p42):
     assert report.iterations == 3
 
 
-def test_record_norm_of_a_field_whose_square_overflows():
+def _huge_gain():
+    """min x1 + x2 s.t. -x1 - 5 <= 0 with sigma = 1e308: |F| is near 1e308."""
     names = ("x1", "x2")
     p = Problem(names=names, objective=parse("x1 + x2", names),
                 inequalities=(parse("-x1 - 5", names),))
-    params = FieldParams.default(2, 1, sigma=1e308)
+    return p, FieldParams.default(2, 1, sigma=1e308)
+
+
+def test_record_norm_of_a_field_whose_square_overflows():
+    p, params = _huge_gain()
     report = solve(p, params, SolveConfig(algorithm="t31", max_iter=1), np.zeros(2))
     assert report.records[0].normF == math.hypot(*field_eval(p, params, np.zeros(2)).F)
     assert 1e154 < report.records[0].normF < math.inf
+
+
+def test_step_bound_whose_square_overflows_is_silent():
+    # The r35 step bound squares the rate of g along F, here about 7e307.  On
+    # Python floats the square is inf without a NumPy RuntimeWarning, which
+    # pytest turns into a failure; the bound, and so the report, is the one
+    # NumPy's inf gave.
+    p, params = _huge_gain()
+    report = solve(p, params, SolveConfig(algorithm="r35", max_iter=1), np.zeros(2))
+    assert (report.termination, report.diagnostic) == ("max_iter", "")
+    for rec in report.records:
+        assert rec.x.tolist() == [0.0, 0.0] and rec.theta == 0.0
+        assert (rec.normF, rec.dtheta_F) == (1.217478166711729e+308, -1.6944444444444442e+308)
+        assert (rec.step, rec.backtracks, rec.proj_used) == (0.0, 0, False)
+    kkt = report.kkt
+    assert (kkt.lam.tolist(), kkt.mu.tolist()) == ([], [0.1666666666666667])
+    assert (kkt.stationarity_residual, kkt.complementarity_residual,
+            kkt.mu_negativity, kkt.is_critical) == (1.3017082793177757, 0.8333333333333336,
+                                                    0.0, False)
 
 
 @pytest.mark.parametrize("algo, r, x0, expected", [

@@ -115,6 +115,8 @@ def test_problem_expressions_match_reference(name, request):
     ("(x1^400)^0 + x2", [10.0, 1.0, 0.0]),
     ("x1^0 * x2^1 - -x3", [0.0, -0.0, 3.0]),
     ("x1 * 1e308 * 10", [1.0, 0.0, 0.0]),
+    ("(1e300*x1*x1)^0 + x1", [1e10, 0.0, 0.0]),
+    ("(x1/x2)^0 + x3", [1.0, 1e-320, 2.0]),
 ])
 def test_edge_cases_match_reference(text, point):
     e = parse(text, NAMES)
@@ -194,6 +196,7 @@ def test_problem_stacks_match_one_by_one(name, request):
     (("x1^400", "x2"), [10.0, 1.0, 0.0]),
     (("x2 * 1e308 * 10", "x1 * 1e308 * 10"), [1.0, 0.0, 0.0]),
     (("(1 / x1)^0", "x2^0", "-x3"), [0.0, 1.0, 1.0]),
+    (("x2", "(1e300*x1*x1)^0 + x1"), [1e10, 1.0, 0.0]),
 ])
 def test_stack_edge_cases_match_one_by_one(texts, point):
     exprs = [parse(t, NAMES) for t in texts]
