@@ -155,7 +155,7 @@ def cmd_solve(args):
     _write(args.out, text)
     log.info("terminated: %s after %d iterations", report.termination,
              report.iterations)
-    if report.termination in ("field_failure", "inner_cap"):
+    if report.termination in ("field_failure", "inner_cap", "stalled"):
         return 1
     return 0
 

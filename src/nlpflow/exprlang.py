@@ -8,25 +8,32 @@ Every :class:`Expr` is lowered once, when it is built, to a flat
 :class:`Tape`: a straight-line list of operations over numbered slots
 (Griewank & Walther, *Evaluating Derivatives*, ch. 3), with one output
 slot.  A :class:`Stack` lowers several expressions over the same
-variables to one tape with an output slot each.  Subtrees shared by
+variables to one tape with an output slot each.  The lowering is
+value-numbered, the common-subexpression step of tape-based AD: each
+distinct constant (by its bits) and each distinct operation on the same
+operand slots is written once, whether the repeat is a subtree shared by
 identity, such as the elimination map that ``substitute`` splices into
-every occurrence of an eliminated variable, are lowered once.  On first
-use a tape is compiled to straight-line Python kernels, one statement per
-operation, which give every output's value and, in each tangent lane, its
-directional derivative along the lane's seed.  Kernels are cached by the
-tape's structure, not its constants, so re-parsing a problem compiles
-nothing.
+every occurrence of an eliminated variable, or an equal one, such as the
+``x1^2`` that an objective and each constraint spell out for themselves.
+On first use a tape is compiled to straight-line Python kernels, one
+statement per operation, which give every output's value and, in each
+tangent lane, its directional derivative along the lane's seed.  Kernels
+are cached by the tape's structure, not its constants, so re-parsing a
+problem compiles nothing.
 
-One runner runs every kernel, on Python floats whatever the point's
-container (an ndarray is converted with ``tolist``, any other sequence
-with ``float`` per entry), so every result is a Python float; it raises
-EvalError for an overflow, for a value or tangent that is not finite, and
-for a ``^0`` whose base is not finite.
+One runner, ``_run``, runs every kernel, over a block of points, on
+Python floats whatever each point's container (an ndarray is converted
+with ``tolist``, any other sequence with ``float`` per entry), so every
+result is a Python float; it raises EvalError for an overflow, for a
+value or tangent that is not finite, and for a ``^0`` whose base is not
+finite, at the first point where a loop of one-point runs would.
 ``evaluate_stack`` and ``jvp_stack`` run the value kernel and the
-one-lane kernel seeded with the direction; ``evaluate`` and ``jvp`` are
-their one-output cases, so a stack gives each expression the bits it gets
-alone.  ``grad`` runs the kernel with a lane per variable, seeded with
-the unit vectors, which computes the value once for all of them.
+one-lane kernel seeded with the direction at one point, and
+``evaluate_block`` and ``jvp_block`` at each point of a block, in one
+runner call; ``evaluate`` and ``jvp`` are their one-output cases, so a
+stack gives each expression the bits it gets alone.  ``grad`` runs the
+kernel with a lane per variable, seeded with the unit vectors, which
+computes the value once for all of them.
 
 Grammar (EBNF)::
 
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import re
+import struct
 from dataclasses import dataclass, field
 from math import isfinite
 
@@ -208,25 +216,31 @@ def _lower(roots, n):
     """Lower the trees at ``roots``, over ``n`` variables, to one Tape,
     left operand first, with one output slot per root.
 
-    A subtree shared by identity, within a tree or across trees, is
-    lowered once.
+    The lowering is value-numbered: each distinct constant, keyed by its
+    bits (so 0.0 and -0.0 keep separate slots), and each distinct
+    operation ``(code, operand slots, exponent)`` is written once, where
+    it first occurs, and every later occurrence reads that slot.  A
+    repeated operation would be the same IEEE operation on the same
+    operands, so each value, tangent and error is the one the repeat
+    would give, and the first operation that fails is still the first
+    one in tape order.  A subtree shared by identity is looked up once.
     """
-    consts, ops, done = [], [], {}
+    # consts and ops map each key to its index, in order of first occurrence.
+    consts, ops, done = {}, {}, {}
 
     def leaf(node):
         if isinstance(node, Var):
             return ("var", node.index)
-        consts.append(float(node.value))
-        return ("const", len(consts) - 1)
+        return ("const", consts.setdefault(struct.pack("<d", node.value), len(consts)))
 
     def combine(node, kids):
         if isinstance(node, BinOp):
-            ops.append((_BINARY[node.op], kids[0], kids[1]))
+            op = (_BINARY[node.op], kids[0], kids[1])
         elif isinstance(node, Neg):
-            ops.append((_NEG, kids[0], 0))
+            op = (_NEG, kids[0], 0)
         else:
-            ops.append((_POW, kids[0], node.exponent))
-        return ("op", len(ops) - 1)
+            op = (_POW, kids[0], node.exponent)
+        return ("op", ops.setdefault(op, len(ops)))
 
     outs = [_post_order(root, leaf, combine, done) for root in roots]
     base = {"var": 0, "const": n, "op": n + len(consts)}
@@ -236,7 +250,8 @@ def _lower(roots, n):
 
     tape_ops = tuple((code, slot(a), b if code in (_NEG, _POW) else slot(b))
                      for code, a, b in ops)
-    return Tape(tuple(consts), tape_ops, tuple(slot(r) for r in outs), n)
+    return Tape(tuple(struct.unpack("<d", bits)[0] for bits in consts), tape_ops,
+                tuple(slot(r) for r in outs), n)
 
 
 def _number_subtrees(root, table):
@@ -519,28 +534,37 @@ def _point(e, x):
     return [*map(float, x)]
 
 
-def _run(e, kernel, x, seeds=()):
-    """``(values, tangents)`` from one run of ``kernel``, a kernel of the
-    tape of ``e`` (an Expr or a Stack), at ``x`` with the tangent ``seeds``.
+def _run(e, kernel, points, seeds=()):
+    """``(values, tangents)`` at each of ``points`` from runs of ``kernel``,
+    a kernel of the tape of ``e`` (an Expr or a Stack), with the tangent
+    ``seeds``.
 
-    Every public runner is a case of this one: an overflow, or a value or
-    tangent that is not finite, raises EvalError.
+    Every public runner is a case of this one, the one-point runners with
+    a block of one point: an overflow, or a value or tangent that is not
+    finite, raises EvalError.  The points run in order and each is checked
+    before the next one runs, so a block raises the error that a loop of
+    one-point runs raises, at the same first failing point.
     """
-    try:
-        values, tangents = kernel(_point(e, x), seeds, e.tape.consts)
-    except OverflowError as exc:
-        raise EvalError(f"overflow: {exc.args[-1]}") from exc
-    for value in values + tangents:
-        if not isfinite(value):
-            raise EvalError("non-finite value in derivative sweep" if seeds else
-                            f"non-finite value {value!r}")
-    return values, tangents
+    consts = e.tape.consts
+    rows = []
+    for x in points:
+        try:
+            values, tangents = kernel(_point(e, x), seeds, consts)
+        except OverflowError as exc:
+            raise EvalError(f"overflow: {exc.args[-1]}") from exc
+        for value in values + tangents:
+            if not isfinite(value):
+                raise EvalError("non-finite value in derivative sweep" if seeds else
+                                f"non-finite value {value!r}")
+        rows.append((values, tangents))
+    return rows
 
 
 def evaluate(e, x):
     """The value of the expression at the point ``x`` (a sequence of
     floats), as a Python float."""
-    return _run(e, e.tape.value_kernel, x)[0][0]
+    [(values, _)] = _run(e, e.tape.value_kernel, (x,))
+    return values[0]
 
 
 def evaluate_stack(s, x):
@@ -549,13 +573,23 @@ def evaluate_stack(s, x):
     A tuple equal, bit for bit, to ``evaluate`` of each expression at
     ``x``; it raises EvalError if any of them would.
     """
-    return _run(s, s.tape.value_kernel, x)[0]
+    [(values, _)] = _run(s, s.tape.value_kernel, (x,))
+    return values
+
+
+def evaluate_block(s, points):
+    """``evaluate_stack`` of the Stack ``s`` at each of ``points``, from one
+    runner call; it raises the first error that the loop of
+    ``evaluate_stack`` calls would."""
+    return [values for values, _ in _run(s, s.tape.value_kernel, points)]
 
 
 def grad(e, x):
     """Gradient at ``x``: one run of the kernel with a tangent lane per
     unit vector."""
-    return list(_run(e, e.tape.gradient_kernel, x, _unit_vectors(len(e.variables)))[1])
+    [(_, tangents)] = _run(e, e.tape.gradient_kernel, (x,),
+                           _unit_vectors(len(e.variables)))
+    return list(tangents)
 
 
 def jvp(e, x, u):
@@ -564,7 +598,7 @@ def jvp(e, x, u):
     One tangent run seeded with ``u``; equal to ``grad(e, x) @ u`` up to
     rounding, at less cost than grad's run.
     """
-    return _run(e, e.tape.tangent_kernel, x, (_point(e, u),))[1][0]
+    return jvp_stack(e, x, u)[0]
 
 
 def jvp_stack(s, x, u):
@@ -574,7 +608,16 @@ def jvp_stack(s, x, u):
     bit for bit, to ``jvp`` of each expression at ``x`` along ``u``; it
     raises EvalError if any of them would.
     """
-    return _run(s, s.tape.tangent_kernel, x, (_point(s, u),))[1]
+    [(_, tangents)] = _run(s, s.tape.tangent_kernel, (x,), (_point(s, u),))
+    return tangents
+
+
+def jvp_block(s, points, u):
+    """``jvp_stack`` of the Stack ``s`` along ``u`` at each of ``points``,
+    from one runner call, with ``u`` converted once; it raises the first
+    error that the loop of ``jvp_stack`` calls would."""
+    return [tangents for _, tangents
+            in _run(s, s.tape.tangent_kernel, points, (_point(s, u),))]
 
 
 # ---------------------------------------------------------------------------

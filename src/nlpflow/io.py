@@ -126,15 +126,22 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
                         f"{max_tries} tries; expand the box")
 
 
+def _row_format(count):
+    """A %-format for ``count`` comma-separated cells of 17 significant
+    digits: on Python floats, one application gives the bytes that
+    ``_fmt`` gives cell by cell, at about half the cost."""
+    return ",".join(["%.17g"] * count)
+
+
 def trajectory_csv_rows(p, traj, traj_id=None):
-    """Yield CSV lines for one trajectory (header excluded)."""
-    for i in range(len(traj)):
-        cells = [] if traj_id is None else [str(traj_id)]
-        cells.append(_fmt(traj.t[i]))
-        cells.extend(_fmt(v) for v in traj.x[i])
-        cells.extend([_fmt(traj.theta[i]), _fmt(traj.normF[i]),
-                      _fmt(traj.max_g[i]), _fmt(traj.max_abs_h[i])])
-        yield ",".join(cells)
+    """Yield CSV lines for one trajectory (header excluded), each one
+    format of the row's ``tolist()`` values."""
+    prefix = "" if traj_id is None else f"{traj_id},"
+    fmt = _row_format(p.n + 5)
+    for t, x, theta, normF, max_g, max_abs_h in zip(
+            traj.t.tolist(), traj.x.tolist(), traj.theta.tolist(),
+            traj.normF.tolist(), traj.max_g.tolist(), traj.max_abs_h.tolist()):
+        yield prefix + fmt % (t, *x, theta, normF, max_g, max_abs_h)
 
 
 def trajectory_header(p, with_id=False):
@@ -160,12 +167,10 @@ def solve_report_csv(p, report):
     """CSV iterate history plus a '#'-prefixed trailing key:value block."""
     lines = [",".join(["iter"] + list(p.names) +
                       ["theta", "normF", "step", "backtracks", "proj_used"])]
+    fmt = f"%d,{_row_format(p.n + 3)},%d,%d"
     for i, rec in enumerate(report.records):
-        cells = [str(i)]
-        cells.extend(_fmt(v) for v in rec.x)
-        cells.extend([_fmt(rec.theta), _fmt(rec.normF), _fmt(rec.step),
-                      str(rec.backtracks), str(int(rec.proj_used))])
-        lines.append(",".join(cells))
+        lines.append(fmt % (i, *rec.x.tolist(), rec.theta, rec.normF, rec.step,
+                            rec.backtracks, rec.proj_used))
     lines.append(f"# termination: {report.termination}")
     if report.diagnostic:
         lines.append(f"# diagnostic: {report.diagnostic}")

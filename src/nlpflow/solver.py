@@ -2,8 +2,10 @@
 
 One outer loop, ``solve``, for inequality-only problems (equality-constrained
 problems are reduced first).  At each iterate it evaluates the field,
-records it and stops once |F| falls to ``stop_tol`` or after ``max_iter``
-steps; the KKT residuals of the last iterate go into the report.  How
+records it and stops once |F| falls to ``stop_tol``, after ``max_iter``
+steps, or when an accepted step leaves x bitwise unchanged (``stalled``:
+every later iteration would repeat it); the KKT residuals of the last
+iterate go into the report.  How
 far to move along F is left to one of two step policies, selected by
 ``SolveConfig.algorithm``:
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprlang import evaluate, evaluate_stack, grad, jvp_stack
+from .exprlang import EvalError, evaluate, evaluate_block, evaluate_stack, grad, jvp_block
 from .field import FieldError, field_eval, norms
 from .kkt import report_at
 from .model import FEAS_TOL, FIELD_FEAS_TOL, is_feasible
@@ -105,7 +107,10 @@ class IterateRecord:
 @dataclass
 class SolveReport:
     records: list = field(default_factory=list)
-    termination: str = ""  # critical | max_iter | field_failure | inner_cap
+    # critical | max_iter | field_failure | inner_cap | stalled: an
+    # accepted step that left x bitwise unchanged, which every later
+    # iteration would repeat.
+    termination: str = ""
     diagnostic: str = ""
     kkt: object = None
 
@@ -140,16 +145,15 @@ def active_index_set(p, fe, x, epsilon):
 
     The continuous max over s in [0, epsilon] is over-approximated by
     sampling g_j at RAY_SAMPLES equally spaced points and inflating by
-    half epsilon^2 times a second-difference curvature estimate.  Each
-    sample point is one run of the problem's constraint stack, which gives
-    every g_j there at once.
+    half epsilon^2 times a second-difference curvature estimate.  One
+    runner call (``evaluate_block``) runs the problem's constraint stack
+    at every sample point, which gives every g_j there at once.
     """
     ss = _offsets(epsilon, RAY_SAMPLES - 1)
     ds = ss[1]
-    rows = [evaluate_stack(p.constraint_stack, y)[p.m:]
-            for y in _ray_points(x, fe.F, ss)]
+    rows = evaluate_block(p.constraint_stack, _ray_points(x, fe.F, ss))
     out = []
-    for j, column in enumerate(zip(*rows)):
+    for j, column in enumerate(zip(*(row[p.m:] for row in rows))):
         vals = np.array(column)
         khat = float(np.max(np.maximum(0.0, np.diff(vals, 2) / ds ** 2)))
         if np.max(vals) + 0.5 * epsilon ** 2 * khat > -epsilon:
@@ -186,11 +190,12 @@ def _curvature_scan(p, fe, x, span):
     """Curvature bounds for g_j and theta along F over [0, span].
 
     Samples the exact directional derivative along F at CURV_SEGMENTS+1
-    equally spaced points x + s*F, formed once each on Python floats.  At
-    each point one run of the problem's stacked tangent kernel, seeded
-    with F (``jvp_stack`` on the scan stack), gives the slopes of theta
-    and of every g_j together, with the elimination map they share
-    computed once.  The largest forward difference of these slopes
+    equally spaced points x + s*F, formed once each on Python floats.  One
+    runner call (``jvp_block`` on the scan stack) runs the problem's
+    stacked tangent kernel, seeded with F, at every point, which gives
+    the slopes of theta and of every g_j together, with the elimination
+    map they share, and every operation they repeat, computed once.  The
+    largest forward difference of these slopes
     bounds the second derivative on the sampled interval, while the
     end-to-end chord gives its average; the estimate is their mean.
     The worst-case bound alone over-throttles
@@ -211,8 +216,7 @@ def _curvature_scan(p, fe, x, span):
     """
     ss = _offsets(span, CURV_SEGMENTS)
     ds = ss[1]
-    F = fe.F.tolist()
-    rows = [jvp_stack(p.scan_stack, y, F) for y in _ray_points(x, fe.F, ss)]
+    rows = jvp_block(p.scan_stack, _ray_points(x, fe.F, ss), fe.F.tolist())
 
     def kest(slopes):
         worst = max(b - a for a, b in zip(slopes, slopes[1:])) / ds
@@ -290,21 +294,26 @@ class _Stop(Exception):
 
 def _t31_step(p, cfg, fe, x, rec):
     """Armijo halving from r; each candidate is projected onto the facets
-    the Euler ray may reach."""
+    the Euler ray may reach.
+
+    The candidate x + s*F is formed on Python floats, as ``_ray_points``
+    forms it, so a coordinate that overflows is an inf without a warning.
+    A candidate that the projection cannot repair, or at which a kernel
+    raises EvalError, is rejected like an infeasible one.
+    """
     active = active_index_set(p, fe, x, cfg.epsilon)
     rec.active_set = active
     s = cfg.r
     backtracks = 0
     while True:
-        y, used_proj = x + s * fe.F, False
-        if active:
-            try:
-                y, used_proj = project_inexact(y, p, active), True
-            except ProjectionFailure:
-                y = None
-        if y is not None and _accepts(p, cfg, fe, s, y, 0.0):
-            rec.step, rec.backtracks, rec.proj_used = s, backtracks, used_proj
-            return y
+        [y] = _ray_points(x, fe.F, (s,))
+        try:
+            y = project_inexact(y, p, active) if active else np.array(y)
+            if _accepts(p, cfg, fe, s, y, 0.0):
+                rec.step, rec.backtracks, rec.proj_used = s, backtracks, bool(active)
+                return y
+        except (ProjectionFailure, EvalError):
+            pass
         s *= 0.5
         backtracks += 1
         if s < STEP_FLOOR * cfg.r:
@@ -389,10 +398,16 @@ def solve(p, params, cfg, x0):
             report.termination = "critical"
             break
         try:
-            x = policy(p, cfg, fe, x, rec)
+            y = policy(p, cfg, fe, x, rec)
         except _Stop as stop:
             report.termination, report.diagnostic = stop.args
             break
+        if y.tobytes() == x.tobytes():
+            report.termination = "stalled"
+            report.diagnostic = (f"accepted step {rec.step:.3e} left x unchanged "
+                                 f"at |F| = {rec.normF:.3e}")
+            break
+        x = y
 
     if report.records:
         try:

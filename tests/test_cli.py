@@ -309,6 +309,17 @@ def test_overflowing_constraint_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: overflow")
 
 
+def test_stalled_solve_is_an_error(tmp_path, capsys):
+    path = tmp_path / "slope.nlp"
+    path.write_text("vars: x1 x2\nobjective: x1 + x2\nineq: -x1 - 5\n")
+    rc = _run_without_warnings(["solve", "--problem", str(path), "--sigma", "1e308",
+                                "--x0=0,0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "# termination: stalled" in out
+    assert "# diagnostic: accepted step 0.000e+00 left x unchanged" in out
+
+
 @pytest.fixture
 def steep(tmp_path):
     """An inequality so steep that Q = B H B' - diag(g) overflows."""

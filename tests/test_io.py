@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 import checks_reference
-from nlpflow.exprlang import evaluate
+from nlpflow.exprlang import evaluate, parse
 from nlpflow.field import FieldParams, field_eval
+from nlpflow.flow import Trajectory
 from nlpflow.io import (ProblemFormatError, SamplingError, kkt_block, load_problem,
                         sample_feasible, solve_report_csv, trajectory_csv_rows,
                         trajectory_header)
-from nlpflow.model import is_feasible
-from nlpflow.solver import SolveConfig, solve
+from nlpflow.model import Problem, is_feasible
+from nlpflow.solver import IterateRecord, SolveConfig, SolveReport, solve
 
 
 def test_load_problem_41(p41):
@@ -153,6 +156,38 @@ def test_solve_report_csv_round_trip(p42):
         assert abs(fe.theta - float(cells[4])) <= 1e-12 * (1 + abs(fe.theta))
         assert abs(np.linalg.norm(fe.F) - float(cells[5])) <= 1e-12
     assert any(ln.startswith("# termination: ") for ln in lines)
+
+
+# Edge values for the row formats: signed zeros, subnormals, infinities and
+# the extremes of the finite doubles.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                1.7976931348623157e308, math.inf, -math.inf, 0.1, -1.0, 1e16, 123456789.0]
+
+
+def _cells(values):
+    return [format(v, ".17g") for v in values]
+
+
+def test_row_formats_give_the_bytes_of_one_format_per_cell():
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2 ** 64, size=(40, 6), dtype=np.uint64)
+    values = np.vstack([np.resize(_EDGE_VALUES, (8, 6)), bits.view(np.float64)])
+    p = Problem(names=("x1", "x2"), objective=parse("x1", ("x1", "x2")))
+    traj = Trajectory(t=values[:, 0], x=values[:, 1:3], theta=values[:, 3],
+                      normF=values[:, 4], max_g=values[:, 5], max_abs_h=values[:, 0])
+    for traj_id in (None, 7):
+        prefix = [] if traj_id is None else ["7"]
+        assert list(trajectory_csv_rows(p, traj, traj_id)) == [
+            ",".join(prefix + _cells(row[[0, 1, 2, 3, 4, 5, 0]].tolist()))
+            for row in values]
+    report = SolveReport(records=[IterateRecord(x=row[:2].copy(), theta=row[2],
+                                                normF=float(row[3]), dtheta_F=0.0,
+                                                step=float(row[4]), backtracks=i,
+                                                proj_used=bool(i % 2))
+                                  for i, row in enumerate(values)], termination="max_iter")
+    lines = solve_report_csv(p, report).splitlines()[1:-1]
+    assert lines == [",".join([str(i), *_cells(row[:5].tolist()), str(i), str(i % 2)])
+                     for i, row in enumerate(values)]
 
 
 def test_kkt_block_format(p42):

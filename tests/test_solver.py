@@ -173,9 +173,11 @@ def test_step_bound_whose_square_overflows_is_silent():
     # Python floats the square is inf without a NumPy RuntimeWarning, which
     # pytest turns into a failure; the bound, and so the report, is the one
     # NumPy's inf gave.
+    # The bound is 0, so the one step taken leaves x where it was and the
+    # solve ends stalled (see test_step_that_leaves_x_unchanged_ends_stalled).
     p, params = _huge_gain()
     report = solve(p, params, SolveConfig(algorithm="r35", max_iter=1), np.zeros(2))
-    assert (report.termination, report.diagnostic) == ("max_iter", "")
+    assert report.termination == "stalled"
     for rec in report.records:
         assert rec.x.tolist() == [0.0, 0.0] and rec.theta == 0.0
         assert (rec.normF, rec.dtheta_F) == (1.217478166711729e+308, -1.6944444444444442e+308)
@@ -185,6 +187,31 @@ def test_step_bound_whose_square_overflows_is_silent():
     assert (kkt.stationarity_residual, kkt.complementarity_residual,
             kkt.mu_negativity, kkt.is_critical) == (1.3017082793177757, 0.8333333333333336,
                                                     0.0, False)
+
+
+def test_step_that_leaves_x_unchanged_ends_stalled():
+    # The r35 step bound is 0 here, so every iteration would accept the
+    # same step of 0 from the same x; the first one ends the solve.
+    p, params = _huge_gain()
+    report = solve(p, params, SolveConfig(algorithm="r35", max_iter=150), np.zeros(2))
+    assert report.termination == "stalled"
+    assert report.diagnostic == ("accepted step 0.000e+00 left x unchanged "
+                                 "at |F| = 1.217e+308")
+    assert report.iterations == 0 and report.records[0].step == 0.0
+    assert report.kkt is not None
+
+
+def test_t31_candidate_that_overflows_is_rejected():
+    # The first step lands at x2 = -1e308; the next full step's x2 overflows
+    # to -inf, where theta is not finite.  That candidate is rejected, as an
+    # infeasible one is, and the halved step is accepted.
+    p, params = _huge_gain()
+    report = solve(p, params, SolveConfig(algorithm="t31", max_iter=2), np.zeros(2))
+    assert report.termination == "max_iter"
+    assert [rec.x.tolist() for rec in report.records] == [
+        [0.0, 0.0], [0.0, -1e308], [0.0, -1.5e308]]
+    assert [(rec.step, rec.backtracks) for rec in report.records[:2]] == [
+        (1.0, 0), (0.5, 1)]
 
 
 @pytest.mark.parametrize("algo, r, x0, expected", [

@@ -267,3 +267,185 @@ def test_stacked_scan_and_ray_match_per_expression(name, sigma, request):
         for epsilon in (1.0, 0.1, 1e-3, 1e-6):
             assert (solver.active_index_set(red, fe, x, epsilon)
                     == solver_reference.active_index_set(red, fe, x, epsilon))
+
+
+# --- value numbering ---------------------------------------------------------
+
+def _failure(fn, *args):
+    """The class and message of the error ``fn`` raises, an overflow with
+    the tape's message for it, or None."""
+    try:
+        fn(*args)
+    except OverflowError as exc:
+        return EvalError, f"overflow: {exc.args[-1]}"
+    except exprlang.ExprError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def assert_same_with_messages(e, x):
+    """``assert_same``, and every error with the reference's message."""
+    assert_same(e, x)
+    u, floats = DIRECTION[:len(x)], [float(v) for v in x]
+    assert _failure(evaluate, e, x) == _failure(ref.evaluate, e, floats)
+    assert _failure(grad, e, x) == _failure(ref.grad, e, floats)
+    assert _failure(jvp, e, x, u) == _failure(ref.jvp, e, floats, u)
+
+
+def _copy(root):
+    """A tree equal to ``root`` that shares no operation node with it, so
+    only value numbering can lower its operations once."""
+    return substitute(exprlang.Expr(root, NAMES), {}, NAMES).root
+
+
+# Leaves built afresh for every draw: equal constants are distinct objects,
+# and 0.0 and -0.0 are equal but differ in their bits.
+_LEAF = st.one_of(
+    st.sampled_from(range(3)).map(lambda i: exprlang.Var(i, NAMES[i])),
+    st.builds(exprlang.Num, st.sampled_from([0.0, -0.0, 2.0, 0.5, 1e300, 1e200])))
+
+
+def _extend(inner):
+    return st.one_of(
+        st.builds(exprlang.BinOp, st.sampled_from("+-*/"), inner, inner),
+        st.builds(exprlang.Pow, inner, st.integers(0, 3)),
+        st.builds(exprlang.Neg, inner))
+
+
+_TREES = st.recursive(_LEAF, _extend, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, _TREES, st.sampled_from("+-*/"),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 3.0, 1e200]),
+                min_size=3, max_size=3))
+def test_value_numbered_trees_match_reference(a, b, op, point):
+    # Each tree holds its operand twice, once as an equal copy: repeated
+    # monomials, constants, divisions by zero and powers, each lowered once.
+    for root in (exprlang.BinOp(op, a, _copy(a)),
+                 exprlang.BinOp("+", exprlang.BinOp(op, a, b),
+                                exprlang.BinOp(op, _copy(a), _copy(b))),
+                 exprlang.BinOp("*", exprlang.Pow(a, 0), exprlang.Pow(_copy(a), 0))):
+        e = exprlang.Expr(root, NAMES)
+        assert_same_with_messages(e, point)
+        assert_same_with_messages(e, np.array(point))
+        assert_stack_same([e, exprlang.Expr(a, NAMES), exprlang.Expr(_copy(a), NAMES)],
+                          point)
+    # The copy adds one operation, the one that combines the two.
+    lone = exprlang.Expr(a, NAMES).tape
+    pair = exprlang.Expr(exprlang.BinOp(op, a, _copy(a)), NAMES).tape
+    assert (len(pair.ops), pair.consts) == (len(lone.ops) + 1, lone.consts)
+
+
+@pytest.mark.parametrize("text, point", [
+    # Duplicate monomials and constants.
+    ("x1^2 + 2*x1^2 + x1^2*x2 + 2*x2^2 + x1^2", [1.5, -0.5, 0.0]),
+    # The same division by zero twice, and after it another.
+    ("x1/(x2-x2) + x1/(x2-x2) + x3/(x2-x2)", [1.0, 2.0, 3.0]),
+    ("(x1/(x2-x2))^0 * (x1/(x2-x2))^0", [1.0, 2.0, 3.0]),
+    # A duplicated ^0 of a non-finite base.
+    ("(1e300*x1*x1)^0 + x2 + (1e300*x1*x1)^0", [1e10, 1.0, 0.0]),
+    ("(x1^400)^0 - (x1^400)^0", [10.0, 1.0, 0.0]),
+])
+def test_repeated_operations_match_reference(text, point):
+    e = parse(text, NAMES)
+    assert_same_with_messages(e, point)
+    assert_same_with_messages(e, np.array(point))
+
+
+def test_signed_zero_constants_keep_separate_slots():
+    zero, neg_zero = exprlang.Num(0.0), exprlang.Num(-0.0)
+    x1 = exprlang.Var(0, "x1")
+    # x1*(-0.0) + x1*0.0 is +0.0 at x1 = 1; x1*(-0.0) + x1*(-0.0) would be -0.0.
+    e = exprlang.Expr(exprlang.BinOp("+", exprlang.BinOp("*", x1, neg_zero),
+                                     exprlang.BinOp("*", x1, zero)), NAMES)
+    assert len(e.tape.consts) == 2 and len(e.tape.ops) == 3
+    assert _bits(evaluate(e, [1.0, 0.0, 0.0])) == _bits(0.0)
+    assert_same_with_messages(e, [1.0, 0.0, 0.0])
+    twice = exprlang.Expr(exprlang.BinOp("+", exprlang.BinOp("*", x1, neg_zero),
+                                         exprlang.BinOp("*", x1, exprlang.Num(-0.0))), NAMES)
+    assert len(twice.tape.consts) == 1 and len(twice.tape.ops) == 2
+    assert _bits(evaluate(twice, [1.0, 0.0, 0.0])) == _bits(-0.0)
+
+
+@pytest.mark.parametrize("name, counts", [
+    # (ops, constants) of the scan stack, the constraint stack, theta and each g_j.
+    ("p41", {"scan": (19, 4), "constraints": (8, 2), "theta": (14, 3),
+             "g": [(4, 2), (1, 0), (1, 0), (3, 1)]}),
+    ("p42", {"scan": (38, 6), "constraints": (27, 4), "theta": (23, 4),
+             "g": [(19, 3), (19, 3)]}),
+])
+def test_reduced_tapes_are_value_numbered(name, counts, request):
+    _, red = request.getfixturevalue(name)
+
+    def size(tape):
+        return len(tape.ops), len(tape.consts)
+
+    assert size(red.scan_stack.tape) == counts["scan"]
+    assert size(red.constraint_stack.tape) == counts["constraints"]
+    assert size(red.objective.tape) == counts["theta"]
+    assert [size(g.tape) for g in red.inequalities] == counts["g"]
+
+
+# --- block runs --------------------------------------------------------------
+
+def _loop_outcome(fn, s, points, *args):
+    """What a block run must give: the loop of one-point runs' results, or
+    the class and message of its first error."""
+    try:
+        return [fn(s, x, *args) for x in points]
+    except exprlang.ExprError as exc:
+        return type(exc), str(exc)
+
+
+def _block_outcome(fn, s, points, *args):
+    try:
+        return fn(s, points, *args)
+    except exprlang.ExprError as exc:
+        return type(exc), str(exc)
+
+
+def assert_block_same(s, points):
+    u = DIRECTION[:len(s.variables)]
+    got = _block_outcome(exprlang.evaluate_block, s, points)
+    want = _loop_outcome(evaluate_stack, s, points)
+    assert got == want and type(got) is type(want)
+    if isinstance(want, list):
+        assert [[_bits(v) for v in row] for row in got] == \
+            [[_bits(v) for v in row] for row in want]
+    got = _block_outcome(exprlang.jvp_block, s, points, u)
+    want = _loop_outcome(jvp_stack, s, points, u)
+    assert got == want and type(got) is type(want)
+    if isinstance(want, list):
+        assert [[_bits(v) for v in row] for row in got] == \
+            [[_bits(v) for v in row] for row in want]
+
+
+_COORDINATE = st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 1e10, 1e200])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_expressions(NAMES, _HUGE), min_size=1, max_size=4),
+       st.lists(st.lists(_COORDINATE, min_size=3, max_size=3), max_size=6))
+def test_block_runs_fail_where_the_loop_fails(texts, points):
+    s = Stack(tuple(parse(t, NAMES) for t in texts), NAMES)
+    assert_block_same(s, points)
+    assert_block_same(s, [np.array(x) for x in points])
+
+
+@pytest.mark.parametrize("points", [
+    # Division by zero at the second point, a non-finite value at the third.
+    [[1.0, 1.0, 2.0], [1.0, 2.0, 2.0], [1e200, 1.0, 2.0]],
+    # A non-finite value first, then a division by zero.
+    [[1e200, 1.0, 2.0], [1.0, 2.0, 2.0]],
+    # A non-finite value first, then a point of the wrong length.
+    [[1e200, 1.0, 2.0], [1.0, 1.0]],
+    # A point of the wrong length after a good one, before a failing one.
+    [[1.0, 1.0, 2.0], [1.0, 1.0], [1.0, 2.0, 2.0]],
+    [[1.0, 1.0, 2.0], [0.5, -1.0, 3.0]],
+    [],
+])
+def test_block_run_raises_the_first_error_of_the_loop(points):
+    s = Stack((parse("x1 / (x2 - x3)", NAMES), parse("x1 * x1 * x1 * 1e200", NAMES)),
+              NAMES)
+    assert_block_same(s, points)
