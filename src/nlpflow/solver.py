@@ -16,14 +16,15 @@ far to move along F is left to one of two step policies, selected by
   one rejection to the next, instead of halving the step.
 
 Both accept a candidate by one test, feasibility and then sufficient
-decrease of theta (``_accepts``).  A policy returns the accepted point,
-or raises ``_Stop`` to end the solve with a termination and a
-diagnostic.
+decrease of theta up to one rounding allowance (``_accepts``).  A policy
+returns the accepted point, or raises ``_Stop`` to end the solve with a
+termination and a diagnostic.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,11 @@ from .model import FEAS_TOL, FIELD_FEAS_TOL, is_feasible
 # Past 64 doublings the increment dwarfs any finite curvature.
 STEP_FLOOR = 1e-14
 MAX_DOUBLINGS = 64
+# Rounding allowance of the Armijo test, in units of eps * (1 + |theta|):
+# near a minimizer the required decrease falls below one ulp of theta,
+# where sufficient decrease cannot be certified in double precision (cf.
+# IPOPT's relaxation of its Armijo test, Waechter & Biegler 2006).
+ARMIJO_ROUNDING = 16.0
 # Step-bound slack: the per-constraint quadratic model is solved to the
 # level BETA instead of 0 so an iterate sitting on a facet keeps room to
 # move along it; landings stay within FEAS_TOL of feasibility.
@@ -140,6 +146,20 @@ def _ray_points(x, F, ss):
     return [[a + s * f for a, f in zip(x, F)] for s in ss]
 
 
+def _peak_curvature(vals, dsq):
+    """``np.max(np.maximum(0.0, np.diff(vals, 2) / dsq))`` on Python floats.
+
+    The same IEEE operations on the same operands, so the same value up to
+    the sign of a zero, which cannot change a comparison.  A quotient that
+    is NaN makes the result NaN, as NumPy's max propagates it (Python's
+    ``max`` would skip it), and ``dsq == 0`` divides as NumPy does, where
+    Python raises ZeroDivisionError.
+    """
+    d2 = [(c - b) - (b - a) for a, b, c in zip(vals, vals[1:], vals[2:])]
+    q = [d / dsq for d in d2] if dsq else [d * math.inf if d else math.nan for d in d2]
+    return math.nan if any(map(math.isnan, q)) else max(0.0, *q)
+
+
 def active_index_set(p, fe, x, epsilon):
     """Indices whose constraint may rise above -epsilon along the Euler ray.
 
@@ -147,18 +167,15 @@ def active_index_set(p, fe, x, epsilon):
     sampling g_j at RAY_SAMPLES equally spaced points and inflating by
     half epsilon^2 times a second-difference curvature estimate.  One
     runner call (``evaluate_block``) runs the problem's constraint stack
-    at every sample point, which gives every g_j there at once.
+    at every sample point, which gives every g_j there at once; the test
+    itself runs on Python floats.
     """
     ss = _offsets(epsilon, RAY_SAMPLES - 1)
-    ds = ss[1]
+    dsq = ss[1] ** 2
+    lift = 0.5 * epsilon ** 2
     rows = evaluate_block(p.constraint_stack, _ray_points(x, fe.F, ss))
-    out = []
-    for j, column in enumerate(zip(*(row[p.m:] for row in rows))):
-        vals = np.array(column)
-        khat = float(np.max(np.maximum(0.0, np.diff(vals, 2) / ds ** 2)))
-        if np.max(vals) + 0.5 * epsilon ** 2 * khat > -epsilon:
-            out.append(j)
-    return tuple(out)
+    return tuple(j for j, vals in enumerate(zip(*(row[p.m:] for row in rows)))
+                 if max(vals) + lift * _peak_curvature(vals, dsq) > -epsilon)
 
 
 def project_inexact(target, p, indices):
@@ -166,22 +183,24 @@ def project_inexact(target, p, indices):
 
     Alternates first-order projections onto the most violated
     constraint's linearization until max_j g_j <= FEAS_TOL, in at most
-    PROJECTION_MAX_INNER steps.
+    PROJECTION_MAX_INNER steps.  Each step takes every g_j from one run of
+    the problem's constraint stack, so a constraint outside ``indices``
+    that cannot be evaluated at y raises EvalError too.
     """
     if not indices:
         raise ValueError("projection needs a non-empty index set")
-    exprs = [p.inequalities[j] for j in indices]
     y = np.array(target, dtype=float)
     for _ in range(PROJECTION_MAX_INNER):
-        gvals = np.array([evaluate(e, y) for e in exprs])
-        jm = int(np.argmax(gvals))
-        if gvals[jm] <= FEAS_TOL:
+        g = evaluate_stack(p.constraint_stack, y)[p.m:]
+        jm = max(indices, key=g.__getitem__)
+        gm = g[jm]
+        if gm <= FEAS_TOL:
             return y
-        gj = np.asarray(grad(exprs[jm], y), dtype=float)
+        gj = np.asarray(grad(p.inequalities[jm], y), dtype=float)
         nrm2 = float(gj @ gj)
         if nrm2 == 0.0:
             raise ProjectionFailure("zero constraint gradient during projection")
-        y = y - (gvals[jm] / nrm2) * gj
+        y = y - (gm / nrm2) * gj
     raise ProjectionFailure(
         f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps")
 
@@ -279,13 +298,16 @@ def _snap_to_facets(p, y):
     return y, moved_any
 
 
-def _accepts(p, cfg, fe, s, y, slack):
+def _accepts(p, cfg, fe, s, y):
     """The acceptance test of both step policies: whether the candidate
     ``y`` for the step ``s`` is feasible to FEAS_TOL and passes the Armijo
-    test theta(y) <= theta + armijo * s * dtheta_F + ``slack``."""
+    test theta(y) <= theta + armijo * s * dtheta_F + allowance, where the
+    allowance, ARMIJO_ROUNDING * eps * (1 + |theta|), covers the rounding
+    of theta near a minimizer."""
     if p.k and max(evaluate_stack(p.constraint_stack, y)[p.m:]) > FEAS_TOL:
         return False
-    return evaluate(p.objective, y) <= fe.theta + cfg.armijo * s * fe.dtheta_F + slack
+    allowance = ARMIJO_ROUNDING * sys.float_info.epsilon * (1.0 + abs(fe.theta))
+    return evaluate(p.objective, y) <= fe.theta + cfg.armijo * s * fe.dtheta_F + allowance
 
 
 class _Stop(Exception):
@@ -309,7 +331,7 @@ def _t31_step(p, cfg, fe, x, rec):
         [y] = _ray_points(x, fe.F, (s,))
         try:
             y = project_inexact(y, p, active) if active else np.array(y)
-            if _accepts(p, cfg, fe, s, y, 0.0):
+            if _accepts(p, cfg, fe, s, y):
                 rec.step, rec.backtracks, rec.proj_used = s, backtracks, bool(active)
                 return y
         except (ProjectionFailure, EvalError):
@@ -339,15 +361,10 @@ def _r35_step(p, cfg, fe, x, rec):
     # Never step beyond the interval the models were sampled on.
     s = min(s, span)
 
-    # Near a minimizer the required decrease drops below one ulp of
-    # theta, where the sufficient-decrease test cannot be certified
-    # in double precision; allow rounding-level noise so the
-    # iteration can close the final |F| gap instead of stalling.
-    noise = 16.0 * np.finfo(float).eps * (1.0 + abs(fe.theta))
     increments = 0
     while True:
         candidate, snapped = _snap_to_facets(p, x + s * fe.F)
-        if _accepts(p, cfg, fe, s, candidate, noise):
+        if _accepts(p, cfg, fe, s, candidate):
             rec.step, rec.backtracks, rec.proj_used = s, increments, snapped
             return candidate
         bump = cfg.epsilon * 2.0 ** increments

@@ -1,16 +1,18 @@
-"""Reference per-expression forms of the solver's curvature scan and ray
-sampler.
+"""Reference per-expression forms of the solver's curvature scan, ray
+sampler and inexact projection.
 
-These are ``_curvature_scan`` and ``active_index_set`` as they were before
-the problem's expressions were stacked into one kernel: one ``jvp`` or
-``evaluate`` call per expression per sample point.  They are kept for
-tests only: the stacked versions must return the same bits.
+These are ``_curvature_scan``, ``active_index_set`` and ``project_inexact``
+as they were before the problem's expressions were stacked into one
+kernel: one ``jvp`` or ``evaluate`` call per expression per point, and the
+ray sampler's test on NumPy arrays.  They are kept for tests only: the
+stacked versions must return the same bits.
 """
 
 import numpy as np
 
-from nlpflow.exprlang import evaluate, jvp
-from nlpflow.solver import CURV_SEGMENTS, RAY_SAMPLES
+from nlpflow.exprlang import evaluate, grad, jvp
+from nlpflow.solver import (CURV_SEGMENTS, FEAS_TOL, PROJECTION_MAX_INNER, RAY_SAMPLES,
+                            ProjectionFailure)
 
 
 def active_index_set(p, fe, x, epsilon):
@@ -40,3 +42,20 @@ def curvature_scan(p, fe, x, span):
     K_theta = kest(p.objective)
     K = np.array([kest(e) for e in p.inequalities]) if p.k else np.zeros(0)
     return K, K_theta
+
+
+def project_inexact(target, p, indices):
+    exprs = [p.inequalities[j] for j in indices]
+    y = np.array(target, dtype=float)
+    for _ in range(PROJECTION_MAX_INNER):
+        gvals = np.array([evaluate(e, y) for e in exprs])
+        jm = int(np.argmax(gvals))
+        if gvals[jm] <= FEAS_TOL:
+            return y
+        gj = np.asarray(grad(exprs[jm], y), dtype=float)
+        nrm2 = float(gj @ gj)
+        if nrm2 == 0.0:
+            raise ProjectionFailure("zero constraint gradient during projection")
+        y = y - (gvals[jm] / nrm2) * gj
+    raise ProjectionFailure(
+        f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps")

@@ -7,12 +7,14 @@ At an ndarray point, or at a list of NumPy scalars, they return Python
 floats, with the bits that the interpreters give on the NumPy scalars.
 The stacked kernels, ``evaluate_stack`` and ``jvp_stack``, must return what
 ``evaluate`` and ``jvp`` return one expression at a time, and the solver's
-stacked curvature scan and ray sampler what their per-expression forms in
-``solver_reference`` return.
+stacked curvature scan, ray sampler and projection what their
+per-expression forms in ``solver_reference`` return.
 """
 
+import math
 import pathlib
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from nlpflow.exprlang import (EvalError, Stack, evaluate, evaluate_stack, grad,
                               jvp, jvp_stack, parse, substitute)
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.io import load_problem, sample_feasible
-from nlpflow.model import residuals
+from nlpflow.model import Problem, residuals
 from test_acceptance import _random_expression
 
 NAMES = ("x1", "x2", "x3")
@@ -267,6 +269,83 @@ def test_stacked_scan_and_ray_match_per_expression(name, sigma, request):
         for epsilon in (1.0, 0.1, 1e-3, 1e-6):
             assert (solver.active_index_set(red, fe, x, epsilon)
                     == solver_reference.active_index_set(red, fe, x, epsilon))
+
+
+def _projection(fn, target, p, indices):
+    """The bits of the point ``fn`` returns, or its error's class and message."""
+    try:
+        return fn(target, p, indices).tobytes()
+    except solver.SolveError as exc:
+        return type(exc), str(exc)
+
+
+def test_stacked_projection_matches_per_expression(p42):
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    moved = 0
+    for x in sample_feasible(red, 20, seed=5):
+        fe = field_eval(red, params, x)
+        for s in (1.0, 0.5):
+            target = x + s * fe.F
+            for indices in ((0, 1), (1, 0), (0,), (1,)):
+                got = _projection(solver.project_inexact, target, red, indices)
+                assert got == _projection(solver_reference.project_inexact,
+                                          target, red, indices)
+                moved += isinstance(got, bytes) and got != target.tobytes()
+    assert moved > 0
+    # A tie for the most violated constraint goes to the first in index
+    # order; from (2, 2) that gives (1, 2) or (1, 1.5).
+    names = ("x1", "x2")
+    tie = Problem(names=names, objective=parse("x1", names),
+                  inequalities=(parse("x1 - 1", names), parse("x1 + x2 - 3", names)))
+    for indices, want in (((0, 1), [1.0, 2.0]), ((1, 0), [1.0, 1.5])):
+        got = solver.project_inexact(np.array([2.0, 2.0]), tie, indices)
+        assert got.tolist() == want
+        assert got.tobytes() == solver_reference.project_inexact(
+            np.array([2.0, 2.0]), tie, indices).tobytes()
+
+
+def _wall_problem(scale):
+    """g_0 = scale * T_8(x1), the Chebyshev polynomial, and g_1 = x1.
+
+    At x1 in {-1, -0.75, ..., 1} T_8 swings between -0.5 and 1, so at scale
+    1.7e308 the samples are finite and some of their differences overflow.
+    """
+    names = ("x1",)
+    return Problem(names=names, objective=parse("x1", names), inequalities=(
+        parse(f"{scale} * (128*x1^8 - 256*x1^6 + 160*x1^4 - 32*x1^2 + 1)", names),
+        parse("x1", names)))
+
+
+@pytest.mark.parametrize("scale", ["1.7e308", "-1.7e308", "1"])
+@pytest.mark.parametrize("x0, epsilon", [
+    (-1.0, 2.0), (-1.0, 0.5), (-0.75, 1.5),
+    # The squared sample spacing underflows to 0, so a second difference of
+    # 0 gives a NaN curvature, which NumPy's max keeps, and the constraint
+    # is left out although g_1 >= 0 at every sample.
+    (0.0, 1e-170), (0.0, 5e-324)])
+def test_ray_sampler_edges_match_numpy(scale, x0, epsilon):
+    p = _wall_problem(scale)
+    fe = SimpleNamespace(F=np.array([1.0]))
+    x = np.array([x0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        want = solver_reference.active_index_set(p, fe, x, epsilon)
+    assert solver.active_index_set(p, fe, x, epsilon) == want
+    if epsilon < 1e-160:
+        assert want == ()
+
+
+def test_peak_curvature_is_the_numpy_formula():
+    big = 1.7e308
+    columns = [(big, -big, big, -big, 0.0, 0.0, 0.0, 1.0, -1.0),
+               (0.0,) * 9, (-0.0, 0.0) * 4 + (1e-300,),
+               (-big, big, -1.0, 2.0, big, big, -big, 0.0, 5.0)]
+    for column in columns:
+        for dsq in (1.0, 1e-300, 5e-324, 0.0):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                want = float(np.max(np.maximum(0.0, np.diff(np.array(column), 2) / dsq)))
+            got = solver._peak_curvature(column, dsq)
+            assert got == want or math.isnan(got) and math.isnan(want), (column, dsq)
 
 
 # --- value numbering ---------------------------------------------------------
