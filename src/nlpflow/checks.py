@@ -3,8 +3,9 @@
 Each check mirrors a guaranteed identity of the construction.  The suite
 runs on a FieldBlock, the field assembled at a block of points, as
 stacked NumPy operations over its rows: the ``check`` CLI command runs it
-on all its sampled points at once.  Each row gets the bits and the
-verdict that the same check gives at its point alone.
+on all its sampled points at once.  The criticality check takes the KKT
+residuals of every row from one ``kkt_residuals`` call.  Each row gets
+the bits and the verdict that the same check gives at its point alone.
 ``identity_violations`` and ``criticality_agreement`` are the one-point
 cases.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import _mv, dissipation_rates, norms, point_block
-from .kkt import kkt_residual, multipliers
+from .kkt import equality_multipliers, kkt_residuals
 
 # Random vectors per point for the projector's quadratic-form check.
 FORM_DRAWS = 5
@@ -85,22 +86,26 @@ def identity_block(params, block, draws):
     return out
 
 
-def criticality_block(p, params, block, field_tol=1e-6, kkt_tol=1e-4,
-                      gray_low=1e-8, gray_high=1e-4):
+def criticality_block(p, block, field_tol=1e-6, kkt_tol=1e-4, gray_low=1e-8,
+                      gray_high=1e-4):
     """Compare |F|-based criticality with the KKT-residual notion at each
     row of a FieldBlock.
+
+    The multipliers are those of ``multipliers``: mu = max(0, -v) for
+    every row at once, and lam from one least-squares solve per row when
+    there are equality constraints.  One ``kkt_residuals`` call takes the
+    residuals at every row.
 
     Returns, per row, "agree", "gray" (|F| inside the declared ambiguity
     band, disagreement permitted) or "disagree".
     """
+    mu = np.maximum(0.0, -block.v)
+    lam = [equality_multipliers(p, block.grad_theta[j], block.A[j], block.B[j], mu[j])
+           for j in range(len(mu))]
+    residuals = kkt_residuals(p, block.x, np.reshape(lam, (len(mu), p.m)), mu)
     verdicts = []
-    for j, normF in enumerate(norms(block.F).tolist()):
-        x = block.x[j]
-        lam, mu = multipliers(p, x, block.row(j, params))
-        rep = kkt_residual(p, x, lam, mu)
-        worst = max(rep.stationarity_residual, rep.complementarity_residual,
-                    rep.mu_negativity)
-        if (normF <= field_tol) == (worst <= kkt_tol):
+    for normF, *rep in zip(norms(block.F).tolist(), *(r.tolist() for r in residuals)):
+        if (normF <= field_tol) == (max(rep) <= kkt_tol):
             verdicts.append("agree")
         elif gray_low < normF < gray_high:
             verdicts.append("gray")
@@ -122,4 +127,4 @@ def identity_violations(p, params, x, rng):
 def criticality_agreement(p, params, x, **tolerances):
     """Compare |F|-based criticality with the KKT-residual notion at one
     point; ``criticality_block`` describes the verdicts and tolerances."""
-    return criticality_block(p, params, point_block(p, params, x), **tolerances)[0]
+    return criticality_block(p, point_block(p, params, x), **tolerances)[0]

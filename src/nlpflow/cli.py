@@ -270,7 +270,7 @@ def cmd_check(args):
     ok = [error is None for error in errors]
     found = _spread(errors, zip(
         checks.identity_block(params, block, draws[ok, :split].reshape(-1, checks.FORM_DRAWS, n)),
-        checks.criticality_block(target, params, block)))
+        checks.criticality_block(target, block)))
     if reduced is not None:
         # Also exercise the full-space construction (projector included)
         # at the lifted points.

@@ -175,40 +175,40 @@ class Tape:
         return _compile(self.ops, len(self.consts), self.outs, self.n, self.n)
 
 
-def _children(node):
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Neg):
-        return (node.arg,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    return ()
-
-
 def _post_order(root, leaf, combine, done=None):
     """Fold the tree at ``root`` bottom-up without recursion.
 
     ``leaf(node)`` gives the result for a Num or Var, ``combine(node,
     kids)`` the result for an operation from its children's results.
-    Results are memoised by node identity in ``done``, so a shared subtree
-    is folded once; pass one ``done`` to several folds to share it across
-    trees.
+    Operations are visited left operand first.  Results are memoised by
+    node identity in ``done``, so a shared subtree is folded once; pass
+    one ``done`` to several folds to share it across trees.
     """
     done = {} if done is None else done
-    stack = [root]
+    stack = [(root, False)]
+    push, pop = stack.append, stack.pop
     while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
+        node, expanded = pop()
+        key = id(node)
+        if key in done:
             continue
-        kids = _children(node)
-        pending = [k for k in kids if id(k) not in done]
-        if pending:
-            stack.extend(reversed(pending))
+        cls = node.__class__
+        if cls is BinOp:
+            kids = (node.left, node.right)
+        elif cls is Neg:
+            kids = (node.arg,)
+        elif cls is Pow:
+            kids = (node.base,)
+        else:
+            done[key] = leaf(node)
             continue
-        stack.pop()
-        done[id(node)] = (combine(node, [done[id(k)] for k in kids]) if kids
-                          else leaf(node))
+        if expanded:
+            done[key] = combine(node, [done[id(kid)] for kid in kids])
+        else:
+            push((node, True))
+            for kid in reversed(kids):
+                if id(kid) not in done:
+                    push((kid, False))
     return done[id(root)]
 
 

@@ -107,8 +107,13 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
 
     For equality-constrained problems pass the reduced problem: the
     box lives in the reduced coordinates.  The draws are taken in blocks,
-    which gives the points that one draw per try gives, in the same order;
-    ``max_tries`` counts draws; running out of them raises SamplingError.
+    and one runner call (``evaluate_block`` of the constraint stack) tests
+    a whole block.  If that call raises, the block is tested again one
+    draw at a time (``is_feasible``), up to the draw that completes the
+    sample, so only an error at a draw that one test per try reaches is
+    raised, with its message.  This gives the points that one draw and
+    one test per try give, in the same order; ``max_tries`` counts draws;
+    running out of them raises SamplingError.
     """
     if p.m != 0:
         raise ValueError("sampling needs an inequality-only (or reduced) problem")
@@ -117,8 +122,15 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
     rng = np.random.default_rng(seed)
     out = []
     for start in range(0, max_tries, _SAMPLE_BLOCK):
-        for x in rng.uniform(-box, box, size=(min(_SAMPLE_BLOCK, max_tries - start), p.n)):
-            if model.is_feasible(p, x, 1e-12):
+        draws = rng.uniform(-box, box, size=(min(_SAMPLE_BLOCK, max_tries - start), p.n))
+        try:
+            # With m = 0 a row of the constraint stack is (g_1, ..., g_k).
+            feasible = [not g or max(g) <= 1e-12
+                        for g in exprlang.evaluate_block(p.constraint_stack, draws)]
+        except exprlang.ExprError:
+            feasible = (model.is_feasible(p, x, 1e-12) for x in draws)
+        for x, ok in zip(draws, feasible):
+            if ok:
                 out.append(x)
                 if len(out) == n_samples:
                     return np.array(out)

@@ -108,6 +108,22 @@ class ReducedProblem(_Stacks):
         """(phi_1, ..., phi_n2): the elimination map at a point."""
         return Stack(self.phi, self.names)
 
+    @functools.cached_property
+    def elimination_stack(self):
+        """(phi_1, ..., phi_n2, h_1, ..., h_m) over the kept variables, each
+        h_i composed with the map: one run gives the lift's trailing
+        coordinates and every equality at the lifted point, with the bits of
+        ``lift`` followed by the parent's constraint stack there.
+
+        The map's operations come first in the tape, so where the map fails
+        it raises first, with its own error.  Only where the map gives a
+        value that is not finite can an equality's operations raise on it
+        before the map's outputs are checked.
+        """
+        replacements = {self.n + j: f.root for j, f in enumerate(self.phi)}
+        composed = (substitute(e, replacements, self.names) for e in self.parent.equalities)
+        return Stack((*self.phi, *composed), self.names)
+
     def lift(self, xi):
         """Map reduced coordinates to a full-space point on the manifold."""
         xi = np.asarray(xi, dtype=float).tolist()
@@ -160,8 +176,11 @@ def reduce(p, elimination, samples=100, seed=0, tol=1e-8):
 
     The eliminated names must be exactly the trailing variables of ``p``
     and their defining expressions may only use the leading variables.
-    The equality constraints are verified at ``samples`` random points;
-    any violation beyond ``tol`` raises :class:`ReductionError`.
+    The equality constraints are verified at ``samples`` random points
+    of [-5, 5]^n1, in order, each by one run of the reduced problem's
+    ``elimination_stack``; any violation beyond ``tol`` raises
+    :class:`ReductionError`.  The inequalities are not evaluated there:
+    they need not be finite outside the region a solve visits.
     """
     n2 = len(elimination)
     if n2 == 0:
@@ -192,7 +211,11 @@ def reduce(p, elimination, samples=100, seed=0, tol=1e-8):
     # One draw of every sample gives the points that one draw per sample
     # gives, in the same order.
     for xi in np.random.default_rng(seed).uniform(-5.0, 5.0, size=(samples, n1)):
-        h, _ = constraint_values(p, reduced.lift(xi))
+        try:
+            h = evaluate_stack(reduced.elimination_stack, xi)[n2:]
+        except exprlang.EvalError:
+            reduced.lift(xi)  # the map's own error, if it has one
+            raise
         worst = max(map(abs, h), default=0.0)
         if worst > tol:
             raise ReductionError(

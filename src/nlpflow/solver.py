@@ -93,6 +93,10 @@ class SolveConfig:
                 raise ValueError("t31 requires epsilon < r")
             if not 0 < self.armijo < 1:
                 raise ValueError("t31 requires armijo in (0, 1)")
+            try:
+                float(self.epsilon) ** 2  # active_index_set squares epsilon
+            except OverflowError:
+                raise ValueError("t31 requires epsilon ** 2 to be finite") from None
         else:
             if not 0 < self.armijo <= 0.5:
                 raise ValueError("r35 requires armijo in (0, 1/2]")

@@ -356,3 +356,18 @@ def test_flow_norm_of_a_field_whose_square_overflows(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 1 and len(out) == 4
     assert out[2].split(",")[4] == "1.9291909207300239e+305"
+
+
+@pytest.mark.parametrize("eliminated", [True, False], ids=["eliminated", "inequality-only"])
+def test_overflowing_inequality_does_not_block_loading(eliminated, tmp_path, capsys):
+    # x1^500 overflows in much of [-5, 5]^2, where the elimination map is
+    # checked; the solve from (0.1, 0.1) never goes there.
+    path = tmp_path / "steep.nlp"
+    path.write_text("vars: x1 x2 x3\nobjective: x1^2 + x2^2\nineq: x1^500 - 1\n"
+                    + ("eq: x1 + x2 + x3 - 2\neliminate: x3 = 2 - x1 - x2\n" if eliminated
+                       else ""))
+    x0 = "0.1,0.1" if eliminated else "0.1,0.1,0.1"
+    rc = main(["solve", "--problem", str(path), f"--x0={x0}", "--max-iter", "3"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert "# termination: " in out

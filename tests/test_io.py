@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import checks_reference
-from nlpflow.exprlang import evaluate, parse
+from nlpflow.exprlang import EvalError, evaluate, parse
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.flow import Trajectory
 from nlpflow.io import (ProblemFormatError, SamplingError, kkt_block, load_problem,
@@ -106,6 +106,40 @@ def test_sample_feasible_counts_draws(p42):
                 sampler(red, count, 9, max_tries=last - 1)
             assert str(exc.value) == message
     assert tries[12] < 256 < tries[-1]
+
+
+def _raising_at(draw):
+    """g = x1 on (x1, x2), as a formula that divides by zero only at the
+    point ``draw``."""
+    names = ("x1", "x2")
+    g = parse(f"x1 + 0*(1/(x1 - {float(draw[0])!r}))", names)
+    return Problem(names=names, objective=parse("x1^2 + x2^2", names), inequalities=(g,))
+
+
+def test_sample_feasible_ignores_an_error_past_its_last_draw():
+    """A block whose runner call raises is tested again one draw at a time:
+    an error at a draw after the last one needed is not raised, and an
+    error at a needed draw is the per-draw test's, with its message."""
+    draws = np.random.default_rng(5).uniform(-3.0, 3.0, size=(256, 2))
+    r = 40
+    p = _raising_at(draws[r])
+    before = int((draws[:r, 0] <= 1e-12).sum())
+    assert before >= 1
+    for count in (1, before):
+        got = sample_feasible(p, count, seed=5)
+        assert np.array_equal(got, checks_reference.sample_feasible(p, count, 5))
+        assert np.array_equal(got, draws[:r][draws[:r, 0] <= 1e-12][:count])
+    for sampler in (sample_feasible, checks_reference.sample_feasible):
+        with pytest.raises(EvalError, match="^division by zero$"):
+            sampler(p, before + 1, 5)
+
+
+def test_sample_feasible_without_constraints_takes_every_draw():
+    names = ("x1", "x2")
+    p = Problem(names=names, objective=parse("x1^2 + x2^2", names))
+    want = np.random.default_rng(3).uniform(-3.0, 3.0, size=(300, 2))
+    assert np.array_equal(sample_feasible(p, 300, seed=3), want)
+    assert np.array_equal(checks_reference.sample_feasible(p, 300, 3), want)
 
 
 def test_sample_feasible_needs_a_positive_count(p42):

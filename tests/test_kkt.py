@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import kkt_reference as ref
 from nlpflow.exprlang import parse
 from nlpflow.field import FieldParams, field_eval
-from nlpflow.kkt import kkt_residual, multipliers, report_at
+from nlpflow.io import sample_feasible
+from nlpflow.kkt import kkt_residual, kkt_residuals, multipliers, report_at
 from nlpflow.model import Problem
 
 
@@ -79,3 +81,50 @@ def test_rank_deficient_equalities_raise():
     params = FieldParams.default(3, 0)
     with pytest.raises((np.linalg.LinAlgError, ConstraintQualificationError)):
         report_at(p, x, params)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _multiplier_rows(p, points, params):
+    """Each point's multipliers, then the same rows with mu edited: NaN,
+    -0.0 and negative entries, and one so large that the square of the
+    stationarity vector overflows."""
+    lam, mu = zip(*(multipliers(p, x, field_eval(p, params, x)) for x in points))
+    lam, mu = np.array(lam).reshape(len(points), p.m), np.array(mu)
+    edited = mu.copy()
+    edited[0::5, 0] = np.nan
+    edited[1::5] = -0.0
+    edited[2::5, -1] = -3.5
+    edited[3::5, 0] = 1e200
+    edited[4::5, 0] = -1e155
+    return [(lam, mu), (lam, edited)]
+
+
+@pytest.mark.parametrize("space", ["reduced", "full"])
+@pytest.mark.parametrize("name", ["p41", "p42"])
+def test_kkt_residuals_match_one_point_reference(name, space, p41, p42):
+    """Every row of the stacked residuals, and the one-row ``kkt_residual``,
+    has the bits of the one-point formula at that point alone."""
+    full, red = {"p41": p41, "p42": p42}[name]
+    points = sample_feasible(red, 50, seed=12)
+    p = red
+    if space == "full":
+        p, points = full, np.array([red.lift(x) for x in points])
+    params = FieldParams.default(p.n, p.k, sigma=0.7)
+    for edited, (lam, mu) in enumerate(_multiplier_rows(p, points, params)):
+        block = kkt_residuals(p, points, lam, mu)
+        for j, x in enumerate(points):
+            with np.errstate(over="ignore"):  # the reference's norm warns as it overflows
+                want = ref.kkt_residuals(p, x, lam[j], mu[j])
+            assert _bits([r[j] for r in block]) == _bits(want)
+            rep = kkt_residual(p, x, lam[j], mu[j])
+            assert _bits([rep.stationarity_residual, rep.complementarity_residual,
+                          rep.mu_negativity]) == _bits(want)
+            assert rep.is_critical == (max(want) <= 1e-6 and not np.isnan(want).any())
+        # The edits reach every case: a NaN complementarity, an overflowing
+        # stationarity and a negative multiplier.
+        if edited:
+            assert np.isinf(block[0]).any() and np.isnan(block[1]).any()
+            assert (block[2] == 3.5).any() and (block[2][0::5] == 0.0).all()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nlpflow.exprlang import EvalError, evaluate, parse
+from nlpflow.exprlang import EvalError, evaluate, evaluate_stack, parse
 from nlpflow.model import (ModelError, Problem, ReducedProblem, ReductionError,
-                           is_feasible, jacobians, reduce, residuals)
+                           constraint_values, is_feasible, jacobians, reduce, residuals)
 
 N3 = ("x1", "x2", "x3")
 
@@ -118,6 +118,43 @@ def test_reduce_reports_the_first_failing_sample(eliminate):
             break
     assert str(exc.value) == (f"elimination violates an equality constraint by {worst:.3e} "
                               f"at a sampled point")
+
+
+def test_elimination_stack_is_the_lift_then_the_constraint_stack(p41, p42):
+    """One run gives the map and each equality at the lifted point, with
+    the bits of ``lift`` followed by the parent's constraint stack."""
+    for full, red in (p41, p42):
+        for xi in np.random.default_rng(4).uniform(-5.0, 5.0, size=(300, red.n)):
+            values = evaluate_stack(red.elimination_stack, xi)
+            lifted = red.lift(xi)
+            h, _ = constraint_values(full, lifted)
+            want = (*lifted[red.n:].tolist(), *h)
+            assert np.array(values).tobytes() == np.array(want).tobytes()
+
+
+def test_reduce_reports_the_maps_own_error():
+    """Where the map is not finite and an equality's operations raise on
+    it, the error is the one ``lift`` raises, as lifting first gives."""
+    p = Problem(names=("x1", "x2"), objective=parse("x1^2", ("x1", "x2")),
+                equalities=(parse("x2^0 - 1", ("x1", "x2")),))
+    eliminate = "x1*1e308*1e308"
+    first = np.random.default_rng(0).uniform(-5.0, 5.0, size=(100, 1))[0]
+    with pytest.raises(EvalError) as want:
+        evaluate(parse(eliminate, ("x1",)), first)
+    with pytest.raises(EvalError) as got:
+        reduce(p, [("x2", eliminate)])
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("non-finite value")
+
+
+def test_reduce_does_not_evaluate_the_inequalities():
+    """An inequality that overflows at the check's samples does not block
+    the reduction: only the map and the equalities are evaluated there."""
+    p = Problem(names=N3, objective=parse("x1^2 + x2^2", N3),
+                equalities=(parse("x1 + x2 + x3 - 2", N3),),
+                inequalities=(parse("x1^500 - 1", N3),))
+    red = reduce(p, [("x3", "2 - x1 - x2")])
+    assert residuals(red, [0.1, 0.1])[1].tolist() == [0.1 ** 500 - 1]
 
 
 def test_reduce_rejects_empty():

@@ -45,6 +45,19 @@ def test_config_validation(bad):
         SolveConfig(**bad).validate()
 
 
+def test_t31_epsilon_whose_square_overflows_is_a_config_error(p42):
+    # active_index_set squares epsilon; past about 1.3e154 the square
+    # overflows, which is a bad configuration, not a raw OverflowError.
+    cfg = SolveConfig(algorithm="t31", r=1e200, epsilon=1e160)
+    with pytest.raises(ValueError, match="epsilon"):
+        cfg.validate()
+    _, red = p42
+    with pytest.raises(ValueError, match="epsilon"):
+        solve(red, FieldParams.default(red.n, red.k), cfg, [-0.9, -1, 2])
+    SolveConfig(algorithm="t31", r=1e200, epsilon=1e150).validate()
+    SolveConfig(algorithm="r35", r=1e200, epsilon=1e160).validate()
+
+
 def test_config_defaults_valid():
     SolveConfig().validate()
 
