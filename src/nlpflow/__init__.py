@@ -1,7 +1,7 @@
 """Feasible-set descent-field methods for nonlinear programming."""
 
 from .exprlang import Expr, evaluate, grad, parse, to_string
-from .field import FieldEval, FieldParams, dissipation, field_eval, projector_h
+from .field import FieldBlock, FieldParams, dissipation, field_eval, projector_h
 from .flow import Trajectory, euler_flow, phase_grid
 from .kkt import KktReport, kkt_residual, multipliers
 from .model import (Problem, ReducedProblem, is_feasible, jacobians, reduce,
@@ -13,7 +13,7 @@ __all__ = [
     "Expr", "parse", "evaluate", "grad", "to_string",
     "Problem", "ReducedProblem", "residuals", "is_feasible", "jacobians",
     "reduce",
-    "FieldParams", "FieldEval", "projector_h", "field_eval",
+    "FieldParams", "FieldBlock", "projector_h", "field_eval",
     "dissipation",
     "KktReport", "multipliers", "kkt_residual",
     "Trajectory", "euler_flow", "phase_grid",

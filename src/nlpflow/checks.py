@@ -19,6 +19,10 @@ from .kkt import equality_multipliers, kkt_residuals
 
 # Random vectors per point for the projector's quadratic-form check.
 FORM_DRAWS = 5
+# A point is critical by the field when |F| <= FIELD_TOL, and by KKT when its
+# largest residual is <= KKT_TOL; GRAY_LOW < |F| < GRAY_HIGH is the band where
+# the two may disagree.
+FIELD_TOL, KKT_TOL, GRAY_LOW, GRAY_HIGH = 1e-6, 1e-4, 1e-8, 1e-4
 
 
 def _worst(a):
@@ -86,8 +90,7 @@ def identity_block(params, block, draws):
     return out
 
 
-def criticality_block(p, block, field_tol=1e-6, kkt_tol=1e-4, gray_low=1e-8,
-                      gray_high=1e-4):
+def criticality_block(p, block):
     """Compare |F|-based criticality with the KKT-residual notion at each
     row of a FieldBlock.
 
@@ -96,8 +99,8 @@ def criticality_block(p, block, field_tol=1e-6, kkt_tol=1e-4, gray_low=1e-8,
     there are equality constraints.  One ``kkt_residuals`` call takes the
     residuals at every row.
 
-    Returns, per row, "agree", "gray" (|F| inside the declared ambiguity
-    band, disagreement permitted) or "disagree".
+    Returns, per row, "agree", "gray" (|F| inside the ambiguity band,
+    disagreement permitted) or "disagree".
     """
     mu = np.maximum(0.0, -block.v)
     lam = [equality_multipliers(p, block.grad_theta[j], block.A[j], block.B[j], mu[j])
@@ -105,9 +108,9 @@ def criticality_block(p, block, field_tol=1e-6, kkt_tol=1e-4, gray_low=1e-8,
     residuals = kkt_residuals(p, block.x, np.reshape(lam, (len(mu), p.m)), mu)
     verdicts = []
     for normF, *rep in zip(norms(block.F).tolist(), *(r.tolist() for r in residuals)):
-        if (normF <= field_tol) == (max(rep) <= kkt_tol):
+        if (normF <= FIELD_TOL) == (max(rep) <= KKT_TOL):
             verdicts.append("agree")
-        elif gray_low < normF < gray_high:
+        elif GRAY_LOW < normF < GRAY_HIGH:
             verdicts.append("gray")
         else:
             verdicts.append("disagree")
@@ -124,7 +127,7 @@ def identity_violations(p, params, x, rng):
     return identity_block(params, block, rng.standard_normal((1, FORM_DRAWS, p.n)))[0]
 
 
-def criticality_agreement(p, params, x, **tolerances):
+def criticality_agreement(p, params, x):
     """Compare |F|-based criticality with the KKT-residual notion at one
-    point; ``criticality_block`` describes the verdicts and tolerances."""
-    return criticality_block(p, point_block(p, params, x), **tolerances)[0]
+    point; ``criticality_block`` describes the verdicts."""
+    return criticality_block(p, point_block(p, params, x))[0]

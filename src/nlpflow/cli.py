@@ -9,6 +9,7 @@ diagnostic verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -34,7 +35,12 @@ def _configure_logging():
 
 
 def _parse_vector(text):
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+    """argparse type: a point, as comma-separated numbers."""
+    try:
+        return np.array([float(v) for v in text.split(",")], dtype=float)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _count(least):
@@ -142,11 +148,9 @@ def _write(out, text):
 def cmd_solve(args):
     problem, reduced = _load(args.problem)
     target = _solve_target(problem, reduced)
-    x0 = _to_target_coords(target, problem, _parse_vector(args.x0))
+    x0 = _to_target_coords(target, problem, args.x0)
     params = FieldParams.default(target.n, target.k, sigma=args.sigma)
-    cfg = SolveConfig(algorithm=args.algo, r=args.r, epsilon=args.eps,
-                      armijo=args.armijo, max_iter=args.max_iter,
-                      stop_tol=args.tol)
+    cfg = SolveConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolveConfig)})
     report = solver.solve(target, params, cfg, x0)
     text = io.solve_report_csv(target, report)
     if reduced is not None and report.records:
@@ -163,7 +167,7 @@ def cmd_solve(args):
 def cmd_flow(args):
     problem, reduced = _load(args.problem)
     target = reduced if reduced is not None else problem
-    x0 = _to_target_coords(target, problem, _parse_vector(args.x0))
+    x0 = _to_target_coords(target, problem, args.x0)
     params = FieldParams.default(target.n, target.k, sigma=args.sigma)
     traj = flow.euler_flow(target, params, x0, args.step, args.steps)
     lines = [io.trajectory_header(target)]
@@ -227,7 +231,7 @@ def cmd_phase(args):
 
 def cmd_kkt(args):
     problem, _ = _load(args.problem)
-    x = _parse_vector(args.x)
+    x = args.x
     params = FieldParams.default(problem.n, problem.k, sigma=args.sigma)
     fe = field_eval(problem, params, x)
     lam, mu = kkt.multipliers(problem, x, fe)
@@ -318,20 +322,22 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="run a discrete solve")
     add_common(sp)
-    sp.add_argument("--algo", choices=("t31", "r35"), default="r35")
-    sp.add_argument("--x0", required=True, help="comma-separated start point")
-    sp.add_argument("--r", type=float, default=1.0, help="maximum step")
-    sp.add_argument("--armijo", type=float, default=0.1)
-    sp.add_argument("--eps", type=float, default=1e-6)
-    sp.add_argument("--max-iter", type=int, default=200)
-    sp.add_argument("--tol", type=float, default=1e-9,
+    # Each solver option is stored, and defaults, as its SolveConfig field.
+    sp.add_argument("--algo", dest="algorithm", choices=("t31", "r35"))
+    sp.add_argument("--x0", type=_parse_vector, required=True,
+                    help="comma-separated start point")
+    sp.add_argument("--r", type=float, help="maximum step")
+    sp.add_argument("--armijo", type=float)
+    sp.add_argument("--eps", dest="epsilon", type=float)
+    sp.add_argument("--max-iter", type=int)
+    sp.add_argument("--tol", dest="stop_tol", type=float,
                     help="stop when |F| falls below this")
     sp.add_argument("--out", help="CSV output path (default stdout)")
-    sp.set_defaults(func=cmd_solve)
+    sp.set_defaults(func=cmd_solve, **dataclasses.asdict(SolveConfig()))
 
     sp = sub.add_parser("flow", help="explicit Euler trajectory")
     add_common(sp)
-    sp.add_argument("--x0", required=True)
+    sp.add_argument("--x0", type=_parse_vector, required=True)
     sp.add_argument("--step", type=_step_size, required=True)
     sp.add_argument("--steps", type=_count(0), required=True)
     sp.add_argument("--out")
@@ -355,13 +361,13 @@ def build_parser():
 
     sp = sub.add_parser("kkt", help="multiplier recovery and KKT residuals")
     add_common(sp)
-    sp.add_argument("--x", required=True, help="comma-separated point")
+    sp.add_argument("--x", type=_parse_vector, required=True, help="comma-separated point")
     sp.set_defaults(func=cmd_kkt)
 
     sp = sub.add_parser("check", help="identity suite at random feasible points")
     add_common(sp)
     sp.add_argument("--samples", type=_count(1), default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_count(0), default=0)
     sp.set_defaults(func=cmd_check)
 
     return parser

@@ -13,17 +13,17 @@ one assembly per step.  The expression kernels run point by point on
 Python floats.  The linear algebra runs on stacked (N, ., .) arrays, where
 each slice makes the BLAS call that a single point makes and LAPACK runs
 once per slice, so a point gets the same bits whatever N is.
-``field_eval`` is the N = 1 case.
+``field_eval`` is the N = 1 case: a point's field is one row of the block.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -82,8 +82,8 @@ class FieldParams:
 
     R1 must be symmetric positive definite, R2 symmetric positive
     semidefinite, a/b/c non-negative with b_i + c_i > 0, p_i >= 1
-    integers, and at least one of R2 or diag(a) positive definite.
-    Arrays are copied and frozen.
+    integers, and at least one of R2 or diag(a) positive definite; every
+    gain is finite.  Arrays are copied and frozen.
     """
 
     def __init__(self, R1, R2, a, b, c, p):
@@ -100,8 +100,8 @@ class FieldParams:
     @classmethod
     def default(cls, n, k, sigma=1.0):
         """R1 = sigma*I, R2 = 0, a = b = 1, c = 0, p = 1."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         return cls(sigma * np.eye(n), np.zeros((k, k)),
                    np.ones(k), np.ones(k), np.zeros(k), np.ones(k, dtype=int))
 
@@ -109,6 +109,8 @@ class FieldParams:
         k = self.a.shape[0]
         if self.R2.shape != (k, k) or any(v.shape != (k,) for v in (self.b, self.c, self.p)):
             raise ValueError("inconsistent parameter dimensions")
+        if not all(np.isfinite(v).all() for v in (self.R1, self.R2, self.a, self.b, self.c)):
+            raise ValueError("gains must be finite")
         if not np.allclose(self.R1, self.R1.T):
             raise ValueError("R1 must be symmetric")
         if np.linalg.eigvalsh(self.R1).min() <= 0:
@@ -129,45 +131,17 @@ class FieldParams:
                 raise ValueError("either R2 positive definite or all a_i > 0")
 
 
-@dataclass(frozen=True)
-class FieldEval:
-    """Every quantity of the field construction at one point.
-
-    ``field_block`` returns the arrays and theta stacked over a block of
-    points, under the same names.
-    """
-
-    x: np.ndarray
-    theta: float
-    grad_theta: np.ndarray
-    h: np.ndarray
-    g: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    H: np.ndarray
-    Q: np.ndarray
-    P: np.ndarray
-    v: np.ndarray
-    vplus: np.ndarray
-    r3: np.ndarray  # diagonal of R3
-    F: np.ndarray
-    w: np.ndarray
-    omega: np.ndarray
-    xi: np.ndarray  # grad_theta projected through H - P'QP
-    dtheta_F: float  # direct dot product grad_theta . F
-    params: FieldParams
-
-
 class FieldBlock(namedtuple("FieldBlock", "x theta grad_theta h g A B H Q P v vplus r3 F w omega xi")):
-    """FieldEval's arrays and theta, in its field order, stacked over a
-    block of points: what ``field_block`` returns."""
+    """Every quantity of the field construction, stacked along a leading
+    axis over a block of points, as ``field_block`` returns it; r3 is the
+    diagonal of R3 and xi is grad(theta) projected through H - P'QP.
+    ``row(j)`` is the field at the j-th point, under the same names."""
 
     __slots__ = ()
 
-    def row(self, j, params):
-        """The FieldEval of row ``j``."""
-        dtheta_F = float(self.grad_theta[j].dot(self.F[j]))
-        return FieldEval(*[value[j] for value in self], dtheta_F, params)
+    def row(self, j):
+        """The field at row ``j``: each quantity's j-th entry."""
+        return FieldBlock(*(v[j] for v in self))
 
 
 def _diag(d, N, k):
@@ -271,8 +245,8 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
 
     Returns ``(block, errors)``.  ``errors[r]`` is the FieldError or
     ExprError that ``field_eval`` raises at row r, or None.  ``block`` is
-    a FieldBlock: theta and each FieldEval array at the rows without an
-    error, stacked along a leading axis in row order.
+    a FieldBlock of the rows without an error, in row order: row j of the
+    block is the field that ``field_eval`` returns at its point.
 
     The expression kernels run row by row, on Python floats.  A row whose
     kernels fail, or whose constraint violation exceeds ``feas_tol``,
@@ -356,27 +330,25 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
     return block, errors
 
 
-def point_block(p, params, x, feas_tol=FIELD_FEAS_TOL):
+def point_block(p, params, x):
     """The one-row FieldBlock of the point ``x``: the N = 1 case of
     ``field_block``, which raises the row's error if it has one."""
-    block, (error,) = field_block(p, params, np.asarray(x, dtype=float)[None], feas_tol)
+    block, (error,) = field_block(p, params, np.asarray(x, dtype=float)[None])
     if error is not None:
         raise error
     return block
 
 
-def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
-    """Evaluate the stabilizing field and all auxiliaries at ``x``.
-
-    ``x`` must be feasible to ``feas_tol``; the field is only defined
-    near the feasible set.
-    """
-    return point_block(p, params, x, feas_tol).row(0, params)
+def field_eval(p, params, x):
+    """The stabilizing field and all auxiliaries at ``x``: row 0 of its
+    one-row FieldBlock.  ``x`` must be feasible to FIELD_FEAS_TOL; the
+    field is only defined near the feasible set."""
+    return point_block(p, params, x).row(0)
 
 
 def dissipation_rates(params, xi, g, v, vplus):
     """Objective decrease rate along the field, assembled term by term, at
-    each row of the stacked FieldEval arrays xi, g, v and v+.
+    each row of the FieldBlock columns xi, g, v and v+.
 
     Always non-positive on the feasible set; equals the direct dot
     product grad(theta) . F there.  A row has the bits of the same sum
@@ -392,10 +364,10 @@ def dissipation_rates(params, xi, g, v, vplus):
     return rate
 
 
-def dissipation(fe):
-    """Objective decrease rate along the field at one point: the one-row
-    case of ``dissipation_rates``."""
-    return float(dissipation_rates(fe.params, fe.xi[None], fe.g[None], fe.v[None],
+def dissipation(params, fe):
+    """Objective decrease rate along the field ``fe`` of the gains
+    ``params`` at one point: the one-row case of ``dissipation_rates``."""
+    return float(dissipation_rates(params, fe.xi[None], fe.g[None], fe.v[None],
                                    fe.vplus[None])[0])
 
 

@@ -28,7 +28,9 @@ class SamplingError(RuntimeError):
     """Rejection sampling ran out of tries before it held enough points."""
 
 
-# Draws per block of ``sample_feasible``.
+# ``sample_feasible`` draws from the box [-SAMPLE_BOX, SAMPLE_BOX]^n, in
+# blocks of _SAMPLE_BLOCK draws.
+SAMPLE_BOX = 3.0
 _SAMPLE_BLOCK = 256
 
 
@@ -102,8 +104,9 @@ def load_problem(path):
     return problem, reduced
 
 
-def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
-    """Seeded rejection sampling of feasible points in [-box, box]^n.
+def sample_feasible(p, n_samples, seed, max_tries=2_000_000):
+    """Seeded rejection sampling of feasible points in the box
+    [-SAMPLE_BOX, SAMPLE_BOX]^n.
 
     For equality-constrained problems pass the reduced problem: the
     box lives in the reduced coordinates.  The draws are taken in blocks,
@@ -122,7 +125,8 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
     rng = np.random.default_rng(seed)
     out = []
     for start in range(0, max_tries, _SAMPLE_BLOCK):
-        draws = rng.uniform(-box, box, size=(min(_SAMPLE_BLOCK, max_tries - start), p.n))
+        draws = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX,
+                            size=(min(_SAMPLE_BLOCK, max_tries - start), p.n))
         try:
             # With m = 0 a row of the constraint stack is (g_1, ..., g_k).
             feasible = [not g or max(g) <= 1e-12
@@ -134,8 +138,8 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
                 out.append(x)
                 if len(out) == n_samples:
                     return np.array(out)
-    raise SamplingError(f"could not draw {n_samples} feasible samples in "
-                        f"{max_tries} tries; expand the box")
+    raise SamplingError(f"could not draw {n_samples} feasible samples in {max_tries} "
+                        f"tries from the box [-{SAMPLE_BOX:g}, {SAMPLE_BOX:g}]^{p.n}")
 
 
 def _row_format(count):

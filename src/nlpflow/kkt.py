@@ -18,6 +18,9 @@ from .exprlang import evaluate_block, grad
 from .field import _mv, field_eval
 from .model import jacobians
 
+# A KKT report is critical when all three residuals are at most this.
+CRITICAL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class KktReport:
@@ -87,22 +90,22 @@ def kkt_residuals(p, X, lam, mu):
     return stationarity, np.abs(np.vecdot(mu, g)), np.where(least < 0.0, -least, 0.0)
 
 
-def kkt_residual(p, x, lam, mu, tol=1e-6):
+def kkt_residual(p, x, lam, mu):
     """KKT residual report at ``x`` for the supplied multipliers: the
-    one-row case of ``kkt_residuals``."""
+    one-row case of ``kkt_residuals``, critical to CRITICAL_TOL."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     stationarity, complementarity, mu_neg = (float(r[0]) for r in kkt_residuals(
         p, x[None], lam[None], mu[None]))
-    critical = (stationarity <= tol and complementarity <= tol and mu_neg <= tol)
+    critical = all(r <= CRITICAL_TOL for r in (stationarity, complementarity, mu_neg))
     return KktReport(lam=lam, mu=mu, stationarity_residual=stationarity,
                      complementarity_residual=complementarity,
                      mu_negativity=mu_neg, is_critical=bool(critical))
 
 
-def report_at(p, x, params, tol=1e-6):
+def report_at(p, x, params):
     """Convenience: field evaluation, multipliers and residuals in one call."""
     fe = field_eval(p, params, x)
     lam, mu = multipliers(p, x, fe)
-    return kkt_residual(p, x, lam, mu, tol=tol)
+    return kkt_residual(p, x, lam, mu)

@@ -22,6 +22,9 @@ from .exprlang import Expr, Stack, evaluate_stack, grad, substitute
 # of a solve or a flow must be.
 FEAS_TOL = 1e-10
 FIELD_FEAS_TOL = 1e-8
+# ``reduce`` checks an elimination map at REDUCE_SAMPLES points of
+# [-5, 5]^n1 drawn with the seed REDUCE_SEED, to REDUCE_TOL in max |h_i|.
+REDUCE_SAMPLES, REDUCE_SEED, REDUCE_TOL = 100, 0, 1e-8
 
 
 class ModelError(ValueError):
@@ -171,14 +174,14 @@ def jacobians(p, x):
     return A, B
 
 
-def reduce(p, elimination, samples=100, seed=0, tol=1e-8):
+def reduce(p, elimination):
     """Build a ReducedProblem from ``elimination``: ordered (name, Expr) pairs.
 
     The eliminated names must be exactly the trailing variables of ``p``
     and their defining expressions may only use the leading variables.
-    The equality constraints are verified at ``samples`` random points
+    The equality constraints are verified at REDUCE_SAMPLES random points
     of [-5, 5]^n1, in order, each by one run of the reduced problem's
-    ``elimination_stack``; any violation beyond ``tol`` raises
+    ``elimination_stack``; any violation beyond REDUCE_TOL raises
     :class:`ReductionError`.  The inequalities are not evaluated there:
     they need not be finite outside the region a solve visits.
     """
@@ -210,14 +213,15 @@ def reduce(p, elimination, samples=100, seed=0, tol=1e-8):
 
     # One draw of every sample gives the points that one draw per sample
     # gives, in the same order.
-    for xi in np.random.default_rng(seed).uniform(-5.0, 5.0, size=(samples, n1)):
+    rng = np.random.default_rng(REDUCE_SEED)
+    for xi in rng.uniform(-5.0, 5.0, size=(REDUCE_SAMPLES, n1)):
         try:
             h = evaluate_stack(reduced.elimination_stack, xi)[n2:]
         except exprlang.EvalError:
             reduced.lift(xi)  # the map's own error, if it has one
             raise
         worst = max(map(abs, h), default=0.0)
-        if worst > tol:
+        if worst > REDUCE_TOL:
             raise ReductionError(
                 f"elimination violates an equality constraint by {worst:.3e} "
                 f"at a sampled point")

@@ -86,8 +86,10 @@ class SolveConfig:
     def validate(self):
         if self.algorithm not in ("t31", "r35"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.r <= 0 or self.epsilon <= 0 or self.max_iter < 1:
-            raise ValueError("require r > 0, epsilon > 0, max_iter >= 1")
+        if not (0 < self.r < math.inf and 0 < self.epsilon < math.inf) or self.max_iter < 1:
+            raise ValueError("require finite r > 0, finite epsilon > 0, max_iter >= 1")
+        if math.isnan(self.stop_tol):
+            raise ValueError("stop_tol must not be NaN")
         if self.algorithm == "t31":
             if not self.epsilon < self.r:
                 raise ValueError("t31 requires epsilon < r")
@@ -107,7 +109,7 @@ class IterateRecord:
     x: np.ndarray
     theta: float
     normF: float
-    dtheta_F: float
+    dtheta_F: float  # grad(theta) . F at x, the Armijo test's slope
     step: float = 0.0  # accepted step taken *from* this iterate
     backtracks: int = 0
     proj_used: bool = False
@@ -261,7 +263,7 @@ def _dgF_identity(fe):
     return fe.g * fe.omega - fe.r3 * fe.vplus
 
 
-def _step_bound(fe, dgF, K, K_theta, r):
+def _step_bound(fe, rec, dgF, K, K_theta, r):
     """Largest step the quadratic models allow, with BETA facet slack.
 
     Per constraint this is the positive root of K/2 s^2 + a s + (g-BETA),
@@ -270,7 +272,7 @@ def _step_bound(fe, dgF, K, K_theta, r):
     and the bound is r.  The arithmetic is on Python floats, so a square
     that overflows gives inf, as NumPy's does, but without a warning.
     """
-    s = r if K_theta <= 0.0 else min(r, abs(fe.dtheta_F) / K_theta)
+    s = r if K_theta <= 0.0 else min(r, abs(rec.dtheta_F) / K_theta)
     for a, g, k in zip(map(float, dgF), fe.g.tolist(), map(float, K)):
         g -= BETA
         den = a + math.sqrt(max(a * a - 2.0 * k * g, 0.0))
@@ -302,16 +304,17 @@ def _snap_to_facets(p, y):
     return y, moved_any
 
 
-def _accepts(p, cfg, fe, s, y):
+def _accepts(p, cfg, rec, s, y):
     """The acceptance test of both step policies: whether the candidate
-    ``y`` for the step ``s`` is feasible to FEAS_TOL and passes the Armijo
-    test theta(y) <= theta + armijo * s * dtheta_F + allowance, where the
+    ``y`` for the step ``s`` from the iterate ``rec`` is feasible to
+    FEAS_TOL and passes the Armijo test
+    theta(y) <= theta + armijo * s * dtheta_F + allowance, where the
     allowance, ARMIJO_ROUNDING * eps * (1 + |theta|), covers the rounding
     of theta near a minimizer."""
     if p.k and max(evaluate_stack(p.constraint_stack, y)[p.m:]) > FEAS_TOL:
         return False
-    allowance = ARMIJO_ROUNDING * sys.float_info.epsilon * (1.0 + abs(fe.theta))
-    return evaluate(p.objective, y) <= fe.theta + cfg.armijo * s * fe.dtheta_F + allowance
+    allowance = ARMIJO_ROUNDING * sys.float_info.epsilon * (1.0 + abs(rec.theta))
+    return evaluate(p.objective, y) <= rec.theta + cfg.armijo * s * rec.dtheta_F + allowance
 
 
 class _Stop(Exception):
@@ -335,7 +338,7 @@ def _t31_step(p, cfg, fe, x, rec):
         [y] = _ray_points(x, fe.F, (s,))
         try:
             y = project_inexact(y, p, active) if active else np.array(y)
-            if _accepts(p, cfg, fe, s, y):
+            if _accepts(p, cfg, rec, s, y):
                 rec.step, rec.backtracks, rec.proj_used = s, backtracks, bool(active)
                 return y
         except (ProjectionFailure, EvalError):
@@ -351,7 +354,7 @@ def _r35_step(p, cfg, fe, x, rec):
     dgF = _dgF_identity(fe) if p.k else np.zeros(0)
     span = cfg.r
     K, K_theta = _curvature_scan(p, fe, x, span)
-    s = _step_bound(fe, dgF, K, K_theta, cfg.r)
+    s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Refine the scan span toward the step actually proposed so the
     # quadratic models are local; a whole-ray scan can overestimate
     # curvature by orders of magnitude and stall the iteration.
@@ -361,21 +364,21 @@ def _r35_step(p, cfg, fe, x, rec):
             break
         span = new_span
         K, K_theta = _curvature_scan(p, fe, x, span)
-        s = _step_bound(fe, dgF, K, K_theta, cfg.r)
+        s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Never step beyond the interval the models were sampled on.
     s = min(s, span)
 
     increments = 0
     while True:
         candidate, snapped = _snap_to_facets(p, x + s * fe.F)
-        if _accepts(p, cfg, fe, s, candidate):
+        if _accepts(p, cfg, rec, s, candidate):
             rec.step, rec.backtracks, rec.proj_used = s, increments, snapped
             return candidate
         bump = cfg.epsilon * 2.0 ** increments
         K = K + bump
         K_theta += bump
         increments += 1
-        s = _step_bound(fe, dgF, K, K_theta, cfg.r)
+        s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
         if increments > MAX_DOUBLINGS:
             worst = (int(np.argmax(evaluate_stack(p.constraint_stack, candidate)[p.m:]))
                      if p.k else -1)
@@ -410,8 +413,8 @@ def solve(p, params, cfg, x0):
                 report.termination = "field_failure"
             report.diagnostic = str(exc)
             break
-        rec = IterateRecord(x=x.copy(), theta=fe.theta,
-                            normF=float(norms(fe.F)), dtheta_F=fe.dtheta_F)
+        rec = IterateRecord(x=x.copy(), theta=fe.theta, normF=float(norms(fe.F)),
+                            dtheta_F=float(fe.grad_theta.dot(fe.F)))
         report.records.append(rec)
         if i == cfg.max_iter:
             break

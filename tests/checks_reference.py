@@ -35,12 +35,11 @@ def sample_feasible(p, n_samples, seed, box=3.0, max_tries=2_000_000):
             out.append(x)
             if len(out) == n_samples:
                 return np.array(out)
-    raise RuntimeError(f"could not draw {n_samples} feasible samples in "
-                       f"{max_tries} tries; expand the box")
+    raise RuntimeError(f"could not draw {n_samples} feasible samples in {max_tries} "
+                       f"tries from the box [-{box:g}, {box:g}]^{p.n}")
 
 
-def dissipation(fe):
-    pr = fe.params
+def dissipation(pr, fe):
     rate = -float(fe.xi @ (pr.R1 @ fe.xi))
     if fe.g.size:
         gv = fe.g * fe.v
@@ -73,12 +72,12 @@ def identity_violations(p, params, x, rng):
     if fe.A.size and np.max(np.abs(fe.A @ fe.F)) > 1e-9 * (1.0 + normF):
         bad.append("A F != 0")
 
-    rate = dissipation(fe)
+    rate = dissipation(params, fe)
     if normF > 1e-6 and not rate < 0:
         bad.append(f"dissipation {rate:.3e} not negative at |F|={normF:.3e}")
 
     scale = 1e-9 * (1.0 + np.linalg.norm(fe.grad_theta) * normF)
-    if abs(fe.dtheta_F - rate) > scale:
+    if abs(float(fe.grad_theta @ fe.F) - rate) > scale:
         bad.append("grad(theta).F disagrees with the dissipation identity")
 
     if p.k:

@@ -6,13 +6,14 @@ trajectory together.  This is the earlier per-point code: the expression
 kernels run on the NumPy point itself, the linear algebra is 2-D, and
 each trajectory is integrated to its end before the next one starts.
 The stacked code must give every quantity, every trajectory row and
-every diagnostic with the same bits.
+every diagnostic with the same bits.  ``field_eval`` returns its point's
+field as a one-point FieldBlock row, the type of ``field.field_eval``.
 """
 
 import numpy as np
 
 from nlpflow.exprlang import evaluate, evaluate_stack, grad
-from nlpflow.field import (ConstraintQualificationError, FieldError, FieldEval,
+from nlpflow.field import (ConstraintQualificationError, FieldBlock, FieldError,
                            InfeasiblePointError, _potrf, _potrs)
 from nlpflow.flow import DRIFT_ABORT, PhaseGrid, Trajectory
 from nlpflow.model import FIELD_FEAS_TOL, is_feasible
@@ -93,10 +94,9 @@ def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
             raise FieldError("the vector w is not finite: its assembly overflowed")
         omega = _cho_solve(cho, w)
 
-    dtheta_F = float(gtheta @ F)
-    return FieldEval(x=x, theta=theta, grad_theta=gtheta, h=h, g=g, A=A, B=B,
-                     H=H, Q=Q, P=P, v=v, vplus=vplus, r3=r3, F=F, w=w,
-                     omega=omega, xi=xi, dtheta_F=dtheta_F, params=params)
+    return FieldBlock(x=x, theta=theta, grad_theta=gtheta, h=h, g=g, A=A, B=B,
+                      H=H, Q=Q, P=P, v=v, vplus=vplus, r3=r3, F=F, w=w,
+                      omega=omega, xi=xi)
 
 
 def euler_flow(p, params, x0, step, steps):

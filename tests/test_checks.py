@@ -149,7 +149,8 @@ def test_one_point_checks_match_reference(name, space, p41, p42):
             assert checks.criticality_agreement(p, params, x) == ref.criticality_agreement(
                 p, params, x)
             fe = field_eval(p, params, x)
-            assert np.float64(dissipation(fe)).tobytes() == np.float64(ref.dissipation(fe)).tobytes()
+            assert (np.float64(dissipation(params, fe)).tobytes()
+                    == np.float64(ref.dissipation(params, fe)).tobytes())
         # A point whose field fails raises before it takes any draw.
         bad = next(x for x in np.random.default_rng(2).uniform(-9, 9, (100, p.n))
                    if not is_feasible(p, x, FIELD_FEAS_TOL))

@@ -8,8 +8,9 @@ import warnings
 import pytest
 
 import nlpflow
-from nlpflow import io
+from nlpflow import io, solver
 from nlpflow.cli import main
+from nlpflow.solver import SolveConfig, SolveError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 P41 = str(ROOT / "problems" / "p41.nlp")
@@ -90,18 +91,49 @@ def test_usage_error_exits_2():
     *(["phase", "--problem", P41, "--plane", "x1,x2", f"--range={rng}", "--grid", "2x2",
        "--step", "0", "--steps", "3"] for rng in ("5,6,5,6", "0,1,0,1")),
     *(["check", "--problem", P42, "--samples", count] for count in ("0", "-1", "a")),
+    ["check", "--problem", P42, "--seed", "-1"],
+    ["kkt", "--problem", P42, "--x", "0,1,2,x"],
+    ["solve", "--problem", P41, "--x0", "0.5,"],
+    ["flow", "--problem", P41, "--x0", "a,0.5", "--step", "0.01", "--steps", "3"],
 ], ids=["negative-steps", "empty-grid", "empty-grid-column", "plane-one",
         "plane-repeated", "plane-repeated-by-number", "plane-unknown",
         "plane-out-of-range", "range-three", "range-not-a-number",
         "fix-no-value", "fix-empty-pair", "fix-unknown", "flow-zero-step",
         "flow-negative-step", "flow-nan-step", "flow-infinite-step", "flow-step-not-a-number",
         "phase-zero-step-infeasible-grid", "phase-zero-step", "check-zero-samples",
-        "check-negative-samples", "check-samples-not-a-number"])
+        "check-negative-samples", "check-samples-not-a-number", "check-negative-seed",
+        "kkt-x-not-a-number", "solve-x0-empty-coordinate", "flow-x0-not-a-number"])
 def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_solve_options_fill_a_solve_config(monkeypatch):
+    seen = []
+
+    def record(p, params, cfg, x0):
+        seen.append(cfg)
+        raise SolveError("recorded")
+    monkeypatch.setattr(solver, "solve", record)
+    assert main(["solve", "--problem", P41, "--x0", "0.5,0.5"]) == 1
+    assert main(["solve", "--problem", P41, "--x0", "0.5,0.5", "--algo", "t31", "--r", "0.5",
+                 "--armijo", "0.2", "--eps", "1e-3", "--max-iter", "7", "--tol", "1e-5"]) == 1
+    assert seen == [SolveConfig(), SolveConfig("t31", 0.5, 1e-3, 0.2, 7, 1e-5)]
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--r", "inf"], "finite r"), (["--r", "nan"], "finite r"),
+    (["--eps", "nan"], "finite epsilon"), (["--tol", "nan"], "stop_tol"),
+    (["--sigma", "nan"], "sigma must be positive and finite"),
+    (["--sigma", "inf"], "sigma must be positive and finite"),
+])
+def test_non_finite_solve_option_is_a_config_error(option, message, capsys):
+    # The default r35: t31 with an unchecked r = inf would never return.
+    assert main(["solve", "--problem", P41, "--x0", "0.5,0.5", *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_kkt_at_minimizer(capsys):
@@ -163,7 +195,7 @@ def test_exhausted_sampler_is_an_error(monkeypatch, capsys):
     rc = main(["check", "--problem", P42, "--samples", "50"])
     assert rc == 1
     assert capsys.readouterr().err == ("error: could not draw 50 feasible samples in "
-                                       "10 tries; expand the box\n")
+                                       "10 tries from the box [-3, 3]^3\n")
 
 
 def _child_pythonpath():

@@ -45,6 +45,12 @@ def test_params_arrays_are_frozen():
     (dict(b=[0.0], c=[0.0]), "positive for every"),
     (dict(p=[0]), ">= 1"),
     (dict(a=[0.0]), "either R2"),
+    (dict(R1=np.diag([1.0, np.inf])), "gains must be finite"),
+    (dict(R1=np.diag([np.nan, 1.0])), "gains must be finite"),
+    (dict(R2=np.full((1, 1), np.inf)), "gains must be finite"),
+    (dict(a=[np.nan]), "gains must be finite"),
+    (dict(b=[np.inf]), "gains must be finite"),
+    (dict(c=[np.nan]), "gains must be finite"),
 ])
 def test_params_validation(mutate, message):
     base = dict(R1=np.eye(2), R2=np.zeros((1, 1)),
@@ -57,6 +63,13 @@ def test_params_validation(mutate, message):
 def test_default_rejects_nonpositive_sigma():
     with pytest.raises(ValueError):
         FieldParams.default(2, 1, sigma=0.0)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_default_rejects_non_finite_sigma(sigma):
+    # Checked before sigma * I is formed: inf * 0 is NaN, with a RuntimeWarning.
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        FieldParams.default(2, 1, sigma=sigma)
 
 
 # --- projector and Q --------------------------------------------------------
@@ -127,9 +140,9 @@ def test_halfline_interior_point():
     assert np.isclose(fe.v[0], -0.5)
     assert fe.vplus[0] == 0.0
     assert np.isclose(fe.F[0], -0.5)
-    assert np.isclose(fe.dtheta_F, -0.5)
+    assert np.isclose(fe.grad_theta @ fe.F, -0.5)
     assert np.isclose(fe.w[0], -1.0)
-    assert np.isclose(dissipation(fe), -0.5)
+    assert np.isclose(dissipation(params, fe), -0.5)
 
 
 def test_halfline_midpoint():
@@ -182,8 +195,8 @@ def test_dissipation_negative_off_critical(p42):
     _, red = p42
     params = FieldParams.default(red.n, red.k)
     fe = field_eval(red, params, np.array([-1.0, -1.0, -2.0]))
-    assert dissipation(fe) < 0
-    assert np.isclose(fe.dtheta_F, dissipation(fe), rtol=1e-9)
+    assert dissipation(params, fe) < 0
+    assert np.isclose(fe.grad_theta @ fe.F, dissipation(params, fe), rtol=1e-9)
 
 
 
@@ -198,7 +211,7 @@ def test_zero_gains_leave_out_their_power_terms():
     fe = field_eval(p, params, np.array([0.8, 1.4]))
     assert fe.vplus.max() > 1e77
     assert np.array_equal(fe.r3, params.b)
-    assert dissipation(fe) < 0
+    assert dissipation(params, fe) < 0
 
 
 # --- LAPACK against scipy.linalg's wrappers ---------------------------------

@@ -99,7 +99,8 @@ def test_sample_feasible_counts_draws(p42):
         last = tries[count - 1]
         assert np.array_equal(sample_feasible(red, count, 9, max_tries=last),
                               checks_reference.sample_feasible(red, count, 9, max_tries=last))
-        message = f"could not draw {count} feasible samples in {last - 1} tries; expand the box"
+        message = (f"could not draw {count} feasible samples in {last - 1} tries "
+                   "from the box [-3, 3]^3")
         for sampler, error in ((sample_feasible, SamplingError),
                                (checks_reference.sample_feasible, RuntimeError)):
             with pytest.raises(error) as exc:

@@ -39,6 +39,14 @@ def test_sample_offsets_are_linspace_bit_for_bit():
     dict(armijo=1.0),
     dict(max_iter=0),
     dict(algorithm="t31", epsilon=2.0, r=1.0),
+    # Non-finite values.  t31 with r = inf would halve its step forever:
+    # inf * 0.5 never falls below the floor STEP_FLOOR * inf.
+    dict(algorithm="t31", r=math.inf),
+    dict(r=math.inf),
+    dict(r=math.nan),
+    dict(epsilon=math.inf),
+    dict(epsilon=math.nan),
+    dict(stop_tol=math.nan),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
