@@ -4,8 +4,9 @@ Each check mirrors a guaranteed identity of the construction.  The suite
 runs on a FieldBlock, the field assembled at a block of points, as
 stacked NumPy operations over its rows: the ``check`` CLI command runs it
 on all its sampled points at once.  The criticality check takes the KKT
-residuals of every row from one ``kkt_residuals`` call.  Each row gets
-the bits and the verdict that the same check gives at its point alone.
+residuals of every row from the block's columns, with no kernel run.
+Each row gets the bits and the verdict that the same check gives at its
+point alone.
 ``identity_violations`` and ``criticality_agreement`` are the one-point
 cases.
 """
@@ -97,15 +98,15 @@ def criticality_block(p, block):
     The multipliers are those of ``multipliers``: mu = max(0, -v) for
     every row at once, and lam from one least-squares solve per row when
     there are equality constraints.  One ``kkt_residuals`` call takes the
-    residuals at every row.
+    residuals at every row from the block's grad(theta), A, B and g.
 
     Returns, per row, "agree", "gray" (|F| inside the ambiguity band,
     disagreement permitted) or "disagree".
     """
     mu = np.maximum(0.0, -block.v)
-    lam = [equality_multipliers(p, block.grad_theta[j], block.A[j], block.B[j], mu[j])
-           for j in range(len(mu))]
-    residuals = kkt_residuals(p, block.x, np.reshape(lam, (len(mu), p.m)), mu)
+    lam = np.reshape([equality_multipliers(p, block.grad_theta[j], block.A[j], block.B[j], mu[j])
+                      for j in range(len(mu))], (len(mu), p.m))
+    residuals = kkt_residuals(block.grad_theta, block.A, block.B, block.g, lam, mu)
     verdicts = []
     for normF, *rep in zip(norms(block.F).tolist(), *(r.tolist() for r in residuals)):
         if (normF <= FIELD_TOL) == (max(rep) <= KKT_TOL):

@@ -234,7 +234,7 @@ def cmd_kkt(args):
     x = args.x
     params = FieldParams.default(problem.n, problem.k, sigma=args.sigma)
     fe = field_eval(problem, params, x)
-    lam, mu = kkt.multipliers(problem, x, fe)
+    lam, mu = kkt.multipliers(problem, fe)
     report = kkt.kkt_residual(problem, x, lam, mu)
     sys.stdout.write(io.kkt_block(report) + "\n")
     sys.stdout.write(f"normF: {_fmt(norms(fe.F))}\n")

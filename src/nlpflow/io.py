@@ -29,8 +29,9 @@ class SamplingError(RuntimeError):
 
 
 # ``sample_feasible`` draws from the box [-SAMPLE_BOX, SAMPLE_BOX]^n, in
-# blocks of _SAMPLE_BLOCK draws.
+# blocks of _SAMPLE_BLOCK draws, and keeps a draw whose max g_j <= SAMPLE_TOL.
 SAMPLE_BOX = 3.0
+SAMPLE_TOL = 1e-12
 _SAMPLE_BLOCK = 256
 
 
@@ -129,10 +130,10 @@ def sample_feasible(p, n_samples, seed, max_tries=2_000_000):
                             size=(min(_SAMPLE_BLOCK, max_tries - start), p.n))
         try:
             # With m = 0 a row of the constraint stack is (g_1, ..., g_k).
-            feasible = [not g or max(g) <= 1e-12
+            feasible = [not g or max(g) <= SAMPLE_TOL
                         for g in exprlang.evaluate_block(p.constraint_stack, draws)]
         except exprlang.ExprError:
-            feasible = (model.is_feasible(p, x, 1e-12) for x in draws)
+            feasible = (model.is_feasible(p, x, SAMPLE_TOL) for x in draws)
         for x, ok in zip(draws, feasible):
             if ok:
                 out.append(x)

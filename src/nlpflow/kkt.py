@@ -1,11 +1,10 @@
 """Lagrange multiplier recovery and KKT residuals.
 
-``kkt_residuals`` takes the residuals at a block of points: the
-expression kernels run point by point on Python floats, and the
-residual arithmetic runs on stacked arrays, where each row makes the
+``kkt_residuals`` is arithmetic on the columns of a field block, which
+hold every input, so it runs no expression kernel.  Each row makes the
 BLAS calls that one point's 2-D arithmetic makes, so a row gets the bits
-it gets alone.  ``kkt_residual`` is its one-row case, as ``field_eval``
-is of ``field_block``.
+it gets alone.  ``kkt_residual`` is its one-row case at a point, which
+gathers that point's values itself.
 """
 
 from __future__ import annotations
@@ -14,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import evaluate_block, grad
-from .field import _mv, field_eval
-from .model import jacobians
+from .exprlang import grad
+# Unused: test_tracing_wraps_every_import_site_and_restores_them traces kkt.field_eval.
+from .field import _mv, field_eval  # noqa: F401
+from .model import jacobians, residuals
 
 # A KKT report is critical when all three residuals are at most this.
 CRITICAL_TOL = 1e-6
@@ -44,8 +44,8 @@ def equality_multipliers(p, grad_theta, A, B, mu):
     return lam
 
 
-def multipliers(p, x, fe):
-    """Dual estimates at ``x`` from a field evaluation.
+def multipliers(p, fe):
+    """Dual estimates from the field ``fe`` at a point.
 
     mu is the inequality multiplier (-v) clipped at zero; at critical
     points v <= 0 so the clip is inactive and mu = -v exactly.  lam
@@ -55,57 +55,46 @@ def multipliers(p, x, fe):
     return equality_multipliers(p, fe.grad_theta, fe.A, fe.B, mu), mu
 
 
-def kkt_residuals(p, X, lam, mu):
+def kkt_residuals(grad_theta, A, B, g, lam, mu):
     """Stationarity, complementarity and mu-negativity residuals at each
-    row of the (N, n) block ``X``, for the multiplier rows of ``lam``
-    (N, m) and ``mu`` (N, k): three arrays of N floats.
+    row of a block: three arrays of N floats.
 
-    Each row takes grad(theta) and the constraint Jacobians from its own
-    kernel runs, and every constraint value from one runner call over
-    the block.  The stationarity residual is |grad(theta) + A' lam + B' mu|
-    as ``np.linalg.norm`` takes it, inf where the square overflows;
-    complementarity is |mu . g|, and mu-negativity |min(0, min mu)|,
-    where a NaN mu counts as 0, as Python's ``min`` takes it.
+    The inputs are FieldBlock columns: grad(theta) (N, n), the constraint
+    Jacobians A (N, m, n) and B (N, k, n) and the inequality values g
+    (N, k), with the multiplier rows ``lam`` (N, m) and ``mu`` (N, k).
+    None of them is written.  The stationarity residual is
+    |grad(theta) + A' lam + B' mu| as ``np.linalg.norm`` takes it, inf
+    where the square overflows; complementarity is |mu . g|, and
+    mu-negativity |min(0, min mu)|, where a NaN mu counts as 0, as
+    Python's ``min`` takes it.
     """
-    X = np.asarray(X, dtype=float)
-    N, n, m, k = len(X), p.n, p.m, p.k
-    G, A, B = [], [], []
-    for x in X:
-        G.append(grad(p.objective, x))
-        a, b = jacobians(p, x)
-        A.append(a)
-        B.append(b)
-    stat = np.array(G, dtype=float).reshape(N, n)
+    N, m, k = len(grad_theta), A.shape[1], B.shape[1]
+    stat = np.array(grad_theta, dtype=float)  # a copy: the sums below update it
     if m:
-        stat += _mv(np.reshape(A, (N, m, n)).transpose(0, 2, 1), np.reshape(lam, (N, m)))
+        stat += _mv(A.transpose(0, 2, 1), np.reshape(lam, (N, m)))
     if k:
         mu = np.reshape(mu, (N, k))
-        stat += _mv(np.reshape(B, (N, k, n)).transpose(0, 2, 1), mu)
+        stat += _mv(B.transpose(0, 2, 1), mu)
     with np.errstate(over="ignore"):
         stationarity = np.sqrt(np.vecdot(stat, stat))
     if not k:
         return stationarity, np.zeros(N), np.zeros(N)
-    g = np.array(evaluate_block(p.constraint_stack, X), dtype=float).reshape(N, m + k)[:, m:]
     least = mu.min(axis=1)
     return stationarity, np.abs(np.vecdot(mu, g)), np.where(least < 0.0, -least, 0.0)
 
 
 def kkt_residual(p, x, lam, mu):
-    """KKT residual report at ``x`` for the supplied multipliers: the
-    one-row case of ``kkt_residuals``, critical to CRITICAL_TOL."""
-    x = np.asarray(x, dtype=float)
+    """KKT residual report at ``x`` for the supplied multipliers, critical
+    to CRITICAL_TOL: the one-row case of ``kkt_residuals``, on the
+    point's grad(theta), Jacobians and constraint values, in that order."""
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    grad_theta = np.array(grad(p.objective, x), dtype=float)
+    A, B = jacobians(p, x)
+    _, g = residuals(p, x)
     stationarity, complementarity, mu_neg = (float(r[0]) for r in kkt_residuals(
-        p, x[None], lam[None], mu[None]))
+        grad_theta[None], A[None], B[None], g[None], lam[None], mu[None]))
     critical = all(r <= CRITICAL_TOL for r in (stationarity, complementarity, mu_neg))
     return KktReport(lam=lam, mu=mu, stationarity_residual=stationarity,
                      complementarity_residual=complementarity,
                      mu_negativity=mu_neg, is_critical=bool(critical))
-
-
-def report_at(p, x, params):
-    """Convenience: field evaluation, multipliers and residuals in one call."""
-    fe = field_eval(p, params, x)
-    lam, mu = multipliers(p, x, fe)
-    return kkt_residual(p, x, lam, mu)

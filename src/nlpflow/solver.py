@@ -4,8 +4,8 @@ One outer loop, ``solve``, for inequality-only problems (equality-constrained
 problems are reduced first).  At each iterate it evaluates the field,
 records it and stops once |F| falls to ``stop_tol``, after ``max_iter``
 steps, or when an accepted step leaves x bitwise unchanged (``stalled``:
-every later iteration would repeat it); the KKT residuals of the last
-iterate go into the report.  How
+every later iteration would repeat it); the KKT report of the last
+iterate takes its multipliers from the field held there.  How
 far to move along F is left to one of two step policies, selected by
 ``SolveConfig.algorithm``:
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .exprlang import EvalError, evaluate, evaluate_block, evaluate_stack, grad, jvp_block
 from .field import FieldError, field_eval, norms
-from .kkt import report_at
+from .kkt import kkt_residual, multipliers
 from .model import FEAS_TOL, FIELD_FEAS_TOL, is_feasible
 
 # Backtracking floor (fraction of r) and the cap on r35's rejections,
@@ -238,10 +238,22 @@ def _curvature_scan(p, fe, x, span):
     for a tangentially approached facet collapse like sqrt(|g_j|) and the
     iteration crawl, while inner-loop termination is already guaranteed
     by the rejection increments.
+
+    Returns ``(K, K_theta, span)``.  A span whose kernels raise EvalError
+    (an overflow at a large span) is halved until they run; below
+    SPAN_FLOOR the solve ends ``field_failure``.
     """
-    ss = _offsets(span, CURV_SEGMENTS)
+    while True:
+        ss = _offsets(span, CURV_SEGMENTS)
+        try:
+            rows = jvp_block(p.scan_stack, _ray_points(x, fe.F, ss), fe.F.tolist())
+            break
+        except EvalError as exc:
+            span *= 0.5
+            if span < SPAN_FLOOR:
+                raise _Stop("field_failure", f"curvature scan failed at every span "
+                                             f"down to {SPAN_FLOOR:g}: {exc}") from None
     ds = ss[1]
-    rows = jvp_block(p.scan_stack, _ray_points(x, fe.F, ss), fe.F.tolist())
 
     def kest(slopes):
         worst = max(b - a for a, b in zip(slopes, slopes[1:])) / ds
@@ -249,7 +261,7 @@ def _curvature_scan(p, fe, x, span):
         return max(0.0, 0.5 * (worst + chord))
 
     K_theta, *K = map(kest, zip(*rows))
-    return np.array(K, dtype=float), K_theta
+    return np.array(K, dtype=float), K_theta, span
 
 
 def _dgF_identity(fe):
@@ -352,8 +364,7 @@ def _t31_step(p, cfg, fe, x, rec):
 def _r35_step(p, cfg, fe, x, rec):
     """Curvature-bounded step; each rejection inflates the estimates."""
     dgF = _dgF_identity(fe) if p.k else np.zeros(0)
-    span = cfg.r
-    K, K_theta = _curvature_scan(p, fe, x, span)
+    K, K_theta, span = _curvature_scan(p, fe, x, cfg.r)
     s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Refine the scan span toward the step actually proposed so the
     # quadratic models are local; a whole-ray scan can overestimate
@@ -362,8 +373,7 @@ def _r35_step(p, cfg, fe, x, rec):
         new_span = min(cfg.r, max(SPAN_COVER * s, SPAN_FLOOR))
         if new_span >= 0.9 * span:
             break
-        span = new_span
-        K, K_theta = _curvature_scan(p, fe, x, span)
+        K, K_theta, span = _curvature_scan(p, fe, x, new_span)
         s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Never step beyond the interval the models were sampled on.
     s = min(s, span)
@@ -434,8 +444,6 @@ def solve(p, params, cfg, x0):
         x = y
 
     if report.records:
-        try:
-            report.kkt = report_at(p, report.final_x, params)
-        except FieldError:
-            pass
+        # fe is the field of the last record: a failed assembly leaves it as it was.
+        report.kkt = kkt_residual(p, report.final_x, *multipliers(p, fe))
     return report

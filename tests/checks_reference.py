@@ -100,7 +100,7 @@ def criticality_agreement(p, params, x, field_tol=1e-6, kkt_tol=1e-4,
     fe = field_eval(p, params, x)
     normF = float(np.linalg.norm(fe.F))
     by_field = normF <= field_tol
-    lam, mu = multipliers(p, x, fe)
+    lam, mu = multipliers(p, fe)
     rep = kkt_residual(p, x, lam, mu)
     worst = max(rep.stationarity_residual, rep.complementarity_residual,
                 rep.mu_negativity)

@@ -1,4 +1,6 @@
+import collections
 import pathlib
+import sys
 
 import pytest
 
@@ -18,3 +20,24 @@ def p41():
 def p42():
     """Full and reduced forms of the Rosen-Suzuki problem."""
     return load_problem(PROBLEMS / "p42.nlp")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(*functions)`` wraps each function at every nlpflow
+    module that binds it, and returns the Counter of their calls by
+    function name, which later calls of the wrapped names update."""
+    counts = collections.Counter()
+
+    def watch(*functions):
+        for fn in functions:
+            def counted(*args, _fn=fn, **kwargs):
+                counts[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+            for name, module in list(sys.modules.items()):
+                if name == "nlpflow" or name.startswith("nlpflow."):
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, counted)
+        return counts
+    return watch

@@ -160,3 +160,19 @@ def test_one_point_checks_match_reference(name, space, p41, p42):
             ref.identity_violations(p, params, bad, rng_ref)
         assert str(got.value) == str(want.value)
         assert rng.random() == rng_ref.random()
+
+
+def test_criticality_block_runs_no_kernel(p42, count_calls):
+    # The block holds every input of the KKT residuals (grad(theta), B and
+    # g), so the check runs no gradient and no other kernel.
+    from nlpflow import exprlang
+    from nlpflow.field import field_block
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    points = sample_feasible(red, 50, seed=3)
+    block, errors = field_block(red, params, points)
+    assert errors == [None] * 50
+    want = [ref.criticality_agreement(red, params, x) for x in points]
+    counts = count_calls(exprlang.grad, exprlang._run)
+    assert checks.criticality_block(red, block) == want
+    assert counts == {}

@@ -226,11 +226,11 @@ def test_row_formats_give_the_bytes_of_one_format_per_cell():
 
 
 def test_kkt_block_format(p42):
-    from nlpflow.kkt import report_at
+    from nlpflow.kkt import kkt_residual, multipliers
     full, red = p42
     params = FieldParams.default(full.n, full.k, sigma=0.2)
     x = red.lift(np.array([0.0, 1.0, 2.0]))
-    block = kkt_block(report_at(full, x, params))
+    block = kkt_block(kkt_residual(full, x, *multipliers(full, field_eval(full, params, x))))
     lines = block.splitlines()
     assert lines[0].startswith("lambda: ")
     assert float(lines[0].split()[1]) == pytest.approx(2.0, abs=1e-12)

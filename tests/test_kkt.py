@@ -3,10 +3,15 @@ import pytest
 
 import kkt_reference as ref
 from nlpflow.exprlang import parse
-from nlpflow.field import FieldParams, field_eval
+from nlpflow.field import FieldParams, field_block, field_eval
 from nlpflow.io import sample_feasible
-from nlpflow.kkt import kkt_residual, kkt_residuals, multipliers, report_at
+from nlpflow.kkt import kkt_residual, kkt_residuals, multipliers
 from nlpflow.model import Problem
+
+
+def _report_at(p, x, params):
+    """The KKT report at ``x`` with the multipliers of the field there."""
+    return kkt_residual(p, x, *multipliers(p, field_eval(p, params, x)))
 
 
 def test_rosen_suzuki_multipliers(p42):
@@ -14,7 +19,7 @@ def test_rosen_suzuki_multipliers(p42):
     params = FieldParams.default(red.n, red.k, sigma=0.2)
     x = np.array([0.0, 1.0, 2.0])
     fe = field_eval(red, params, x)
-    lam, mu = multipliers(red, x, fe)
+    lam, mu = multipliers(red, fe)
     assert lam.size == 0
     assert np.allclose(mu, [1.0, 0.0], rtol=0, atol=1e-12)
 
@@ -30,7 +35,7 @@ def test_rosen_suzuki_full_space_multipliers(p42):
     full, red = p42
     params = FieldParams.default(full.n, full.k, sigma=0.2)
     x = red.lift(np.array([0.0, 1.0, 2.0]))
-    report = report_at(full, x, params)
+    report = _report_at(full, x, params)
     assert np.allclose(report.lam, [2.0], rtol=0, atol=1e-12)
     assert np.allclose(report.mu, [1.0, 0.0], rtol=0, atol=1e-12)
     assert report.is_critical
@@ -66,7 +71,7 @@ def test_interior_minimizer_has_zero_mu():
                 inequalities=(parse("x1 - 5", names),))
     params = FieldParams.default(2, 1)
     x = np.array([1.0, 0.0])
-    report = report_at(p, x, params)
+    report = _report_at(p, x, params)
     assert report.is_critical
     assert np.allclose(report.mu, [0.0], atol=1e-12)
 
@@ -80,7 +85,7 @@ def test_rank_deficient_equalities_raise():
     from nlpflow.field import ConstraintQualificationError
     params = FieldParams.default(3, 0)
     with pytest.raises((np.linalg.LinAlgError, ConstraintQualificationError)):
-        report_at(p, x, params)
+        _report_at(p, x, params)
 
 
 def _bits(values):
@@ -91,7 +96,7 @@ def _multiplier_rows(p, points, params):
     """Each point's multipliers, then the same rows with mu edited: NaN,
     -0.0 and negative entries, and one so large that the square of the
     stationarity vector overflows."""
-    lam, mu = zip(*(multipliers(p, x, field_eval(p, params, x)) for x in points))
+    lam, mu = zip(*(multipliers(p, field_eval(p, params, x)) for x in points))
     lam, mu = np.array(lam).reshape(len(points), p.m), np.array(mu)
     edited = mu.copy()
     edited[0::5, 0] = np.nan
@@ -105,16 +110,22 @@ def _multiplier_rows(p, points, params):
 @pytest.mark.parametrize("space", ["reduced", "full"])
 @pytest.mark.parametrize("name", ["p41", "p42"])
 def test_kkt_residuals_match_one_point_reference(name, space, p41, p42):
-    """Every row of the stacked residuals, and the one-row ``kkt_residual``,
-    has the bits of the one-point formula at that point alone."""
+    """Every row of the residuals on a field block's columns, and the
+    one-row ``kkt_residual``, has the bits of the one-point formula at
+    that point alone; the columns are not written."""
     full, red = {"p41": p41, "p42": p42}[name]
     points = sample_feasible(red, 50, seed=12)
     p = red
     if space == "full":
         p, points = full, np.array([red.lift(x) for x in points])
     params = FieldParams.default(p.n, p.k, sigma=0.7)
+    fields, errors = field_block(p, params, points)
+    assert errors == [None] * len(points)
+    columns = (fields.grad_theta, fields.A, fields.B, fields.g)
+    before = [c.tobytes() for c in columns]
     for edited, (lam, mu) in enumerate(_multiplier_rows(p, points, params)):
-        block = kkt_residuals(p, points, lam, mu)
+        block = kkt_residuals(*columns, lam, mu)
+        assert [c.tobytes() for c in columns] == before
         for j, x in enumerate(points):
             with np.errstate(over="ignore"):  # the reference's norm warns as it overflows
                 want = ref.kkt_residuals(p, x, lam[j], mu[j])

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from nlpflow import solver
-from nlpflow.exprlang import parse
-from nlpflow.field import FieldParams, field_eval
+from nlpflow.exprlang import EvalError, parse
+from nlpflow.field import FieldError, FieldParams, field_eval
 from nlpflow.io import sample_feasible
+from nlpflow.kkt import kkt_residual, multipliers
 from nlpflow.model import Problem, is_feasible
 from nlpflow.solver import (FEAS_TOL, ProjectionFailure, SolveConfig,
                             active_index_set, project_inexact, solve)
@@ -305,3 +306,66 @@ def test_r35_rejecting_every_candidate_ends_inner_cap(p42, monkeypatch):
     assert report.termination == "inner_cap"
     assert "curvature increments exhausted" in report.diagnostic
     assert report.iterations == 0
+
+
+def _bits_of_kkt(rep):
+    return (rep.lam.tobytes(), rep.mu.tobytes(),
+            np.array([rep.stationarity_residual, rep.complementarity_residual,
+                      rep.mu_negativity]).tobytes(), rep.is_critical)
+
+
+@pytest.mark.parametrize("algo, max_iter, fail_at, termination", [
+    ("r35", 150, None, "critical"),
+    ("t31", 5, None, "max_iter"),
+    ("r35", 150, 4, "field_failure"),
+])
+def test_solve_reports_from_the_field_of_its_last_record(p42, count_calls, monkeypatch,
+                                                        algo, max_iter, fail_at, termination):
+    # One field assembly per record, and one more only where the last one
+    # failed; the KKT report takes its multipliers from the last record's.
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    counts = count_calls(field_eval)
+    if fail_at is not None:
+        counted = solver.field_eval
+
+        def failing(*args):
+            fe = counted(*args)
+            if counts["field_eval"] == fail_at:
+                raise FieldError("injected assembly failure")
+            return fe
+        monkeypatch.setattr(solver, "field_eval", failing)
+    report = solve(red, params, SolveConfig(algorithm=algo, max_iter=max_iter),
+                   np.array([-0.9, -1.0, 2.0]))
+    assert report.termination == termination
+    assert counts["field_eval"] == len(report.records) + (fail_at is not None)
+    x = report.final_x
+    want = kkt_residual(red, x, *multipliers(red, field_eval(red, params, x)))
+    assert _bits_of_kkt(report.kkt) == _bits_of_kkt(want)
+
+
+@pytest.mark.parametrize("r", [1e100, 1e200, 1e300])
+def test_r35_scan_halves_a_span_whose_kernels_overflow(p42, r):
+    # The first scan over [0, r] overflows; it is halved until it runs.
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    report = solve(red, params, SolveConfig(r=r, max_iter=2), np.array([-0.9, -1.0, 2.0]))
+    assert report.termination == "max_iter" and report.iterations == 2
+    assert report.kkt is not None
+
+
+def test_scan_that_fails_at_every_span_ends_field_failure(p42, monkeypatch):
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    scans = []
+
+    def overflowing(stack, points, u):
+        scans.append(len(points))
+        raise EvalError("overflow: Numerical result out of range")
+    monkeypatch.setattr(solver, "jvp_block", overflowing)
+    report = solve(red, params, SolveConfig(), np.array([-0.9, -1.0, 2.0]))
+    assert report.termination == "field_failure" and report.iterations == 0
+    assert report.diagnostic == ("curvature scan failed at every span down to 1e-08: "
+                                 "overflow: Numerical result out of range")
+    # Spans 1, 1/2, ..., 2^-26: the next halving falls below SPAN_FLOOR.
+    assert len(scans) == 27 and report.kkt is not None

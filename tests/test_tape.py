@@ -262,7 +262,8 @@ def test_stacked_scan_and_ray_match_per_expression(name, sigma, request):
     for x in sample_feasible(red, 20, seed=5):
         fe = field_eval(red, params, x)
         for span in (1.0, 0.05, 1e-4, 1e-8):
-            K, K_theta = solver._curvature_scan(red, fe, x, span)
+            K, K_theta, scanned = solver._curvature_scan(red, fe, x, span)
+            assert scanned == span
             K_ref, K_theta_ref = solver_reference.curvature_scan(red, fe, x, span)
             assert K.dtype == K_ref.dtype and K.tobytes() == K_ref.tobytes()
             assert _bits(K_theta) == _bits(K_theta_ref)
