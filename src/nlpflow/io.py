@@ -110,32 +110,27 @@ def sample_feasible(p, n_samples, seed, max_tries=2_000_000):
     [-SAMPLE_BOX, SAMPLE_BOX]^n.
 
     For equality-constrained problems pass the reduced problem: the
-    box lives in the reduced coordinates.  The draws are taken in blocks,
-    and one runner call (``evaluate_block`` of the constraint stack) tests
-    a whole block.  If that call raises, the block is tested again one
-    draw at a time (``is_feasible``), up to the draw that completes the
-    sample, so only an error at a draw that one test per try reaches is
-    raised, with its message.  This gives the points that one draw and
-    one test per try give, in the same order; ``max_tries`` counts draws;
-    running out of them raises SamplingError.
+    box lives in the reduced coordinates.  The draws are taken in blocks
+    of _SAMPLE_BLOCK, which gives the stream of one draw per try, and each
+    draw is tested by one run of the constraint stack, in order, up to the
+    draw that completes the sample.  So the points are those of one draw
+    and one test per try, and an error is raised only at a draw that the
+    sample needs.  ``max_tries`` counts draws; running out of them raises
+    SamplingError.
     """
     if p.m != 0:
         raise ValueError("sampling needs an inequality-only (or reduced) problem")
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
+    stack = p.constraint_stack  # with m = 0 its values are (g_1, ..., g_k)
     out = []
     for start in range(0, max_tries, _SAMPLE_BLOCK):
         draws = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX,
                             size=(min(_SAMPLE_BLOCK, max_tries - start), p.n))
-        try:
-            # With m = 0 a row of the constraint stack is (g_1, ..., g_k).
-            feasible = [not g or max(g) <= SAMPLE_TOL
-                        for g in exprlang.evaluate_block(p.constraint_stack, draws)]
-        except exprlang.ExprError:
-            feasible = (model.is_feasible(p, x, SAMPLE_TOL) for x in draws)
-        for x, ok in zip(draws, feasible):
-            if ok:
+        for x in draws.tolist():
+            g = exprlang.evaluate_stack(stack, x)
+            if not g or max(g) <= SAMPLE_TOL:
                 out.append(x)
                 if len(out) == n_samples:
                     return np.array(out)

@@ -1,9 +1,10 @@
 """Problem data: residuals, Jacobians, reduction.
 
 A :class:`Problem` is ``min theta(x)`` subject to ``h_i(x) = 0`` and
-``g_j(x) <= 0``.  A :class:`ReducedProblem` eliminates the equality
-constraints through a user-supplied closed-form map for the trailing
-variables, leaving an inequality-only problem in the leading variables.
+``g_j(x) <= 0``.  A :class:`ReducedProblem` is the inequality-only
+Problem in the leading variables that eliminating the equality
+constraints leaves, through a user-supplied closed-form map for the
+trailing variables.
 """
 
 from __future__ import annotations
@@ -35,23 +36,8 @@ class ReductionError(ModelError):
     """The elimination map does not satisfy the equality constraints."""
 
 
-class _Stacks:
-    """A problem's expressions stacked into one tape per use, built on
-    first use and kept on the problem."""
-
-    @functools.cached_property
-    def constraint_stack(self):
-        """(h_1, ..., h_m, g_1, ..., g_k): every constraint at a point."""
-        return Stack((*self.equalities, *self.inequalities), self.names)
-
-    @functools.cached_property
-    def scan_stack(self):
-        """(theta, g_1, ..., g_k): the slopes the curvature scan takes."""
-        return Stack((self.objective, *self.inequalities), self.names)
-
-
 @dataclass(frozen=True)
-class Problem(_Stacks):
+class Problem:
     names: tuple
     objective: Expr
     equalities: tuple = ()
@@ -73,38 +59,31 @@ class Problem(_Stacks):
     def k(self):
         return len(self.inequalities)
 
+    # The expressions stacked into one tape per use, built on first use.
+    @functools.cached_property
+    def constraint_stack(self):
+        """(h_1, ..., h_m, g_1, ..., g_k): every constraint at a point."""
+        return Stack((*self.equalities, *self.inequalities), self.names)
+
+    @functools.cached_property
+    def scan_stack(self):
+        """(theta, g_1, ..., g_k): the slopes the curvature scan takes."""
+        return Stack((self.objective, *self.inequalities), self.names)
+
 
 @dataclass(frozen=True)
-class ReducedProblem(_Stacks):
-    """Inequality-only problem in the leading variables.
+class ReducedProblem(Problem):
+    """The inequality-only problem in the leading variables that an
+    elimination leaves: a Problem with no equalities.
 
-    Duck-types as a Problem with ``m = 0``: the composed objective and
-    inequalities evaluate through the elimination map, so values agree
-    bit-for-bit with the parent evaluated at the lifted point.
+    The composed objective and inequalities evaluate through the
+    elimination map, so values agree bit-for-bit with the parent evaluated
+    at the lifted point.
     """
 
-    parent: Problem
-    phi: tuple  # n2 expressions over the leading n1 variables
-    objective: Expr
-    inequalities: tuple
-    names: tuple
     equalities: tuple = field(default=(), init=False)
-
-    @property
-    def n(self):
-        return len(self.names)
-
-    @property
-    def n2(self):
-        return len(self.phi)
-
-    @property
-    def m(self):
-        return 0
-
-    @property
-    def k(self):
-        return len(self.inequalities)
+    parent: Problem = field(kw_only=True)
+    phi: tuple = field(kw_only=True)  # n2 expressions over the leading n1 variables
 
     @functools.cached_property
     def phi_stack(self):
@@ -209,7 +188,7 @@ def reduce(p, elimination):
     replacements = {n1 + j: phi[j].root for j in range(n2)}
     objective = substitute(p.objective, replacements, kept)
     inequalities = tuple(substitute(e, replacements, kept) for e in p.inequalities)
-    reduced = ReducedProblem(p, phi, objective, inequalities, tuple(kept))
+    reduced = ReducedProblem(tuple(kept), objective, inequalities, parent=p, phi=phi)
 
     # One draw of every sample gives the points that one draw per sample
     # gives, in the same order.

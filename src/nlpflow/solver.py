@@ -340,9 +340,15 @@ def _t31_step(p, cfg, fe, x, rec):
     The candidate x + s*F is formed on Python floats, as ``_ray_points``
     forms it, so a coordinate that overflows is an inf without a warning.
     A candidate that the projection cannot repair, or at which a kernel
-    raises EvalError, is rejected like an infeasible one.
+    raises EvalError, is rejected like an infeasible one.  Where the
+    constraints cannot be evaluated along the Euler ray (they overflow at
+    a large epsilon), the solve ends ``field_failure``.
     """
-    active = active_index_set(p, fe, x, cfg.epsilon)
+    try:
+        active = active_index_set(p, fe, x, cfg.epsilon)
+    except EvalError as exc:
+        raise _Stop("field_failure", f"Euler-ray sampling failed at epsilon = "
+                                     f"{cfg.epsilon:g}: {exc}") from None
     rec.active_set = active
     s = cfg.r
     backtracks = 0

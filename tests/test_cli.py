@@ -189,6 +189,24 @@ def test_check_passes(capsys):
     assert "0 violations" in out
 
 
+def test_check_reports_violations_in_both_spaces(monkeypatch, capsys):
+    """Each violation prints one line, in the reduced space and then at the
+    lifted point, and any violation makes the exit code 1."""
+    def violated(params, block, draws):
+        return [[f"forced in {block.F.shape[1]} coordinates"] for _ in block.F]
+    monkeypatch.setattr(nlpflow.checks, "identity_block", violated)
+    rc = main(["check", "--problem", P42, "--samples", "3", "--seed", "1"])
+    out = capsys.readouterr().out
+    _, red = io.load_problem(P42)
+    want = []
+    for x in io.sample_feasible(red, 3, 1):
+        want += [f"violation at {x}: forced in 3 coordinates",
+                 f"violation at lifted {x}: forced in 4 coordinates"]
+    assert rc == 1
+    assert out.splitlines() == want + ["checked 3 feasible points: 6 violations, "
+                                       "0 gray-band points"]
+
+
 def test_exhausted_sampler_is_an_error(monkeypatch, capsys):
     monkeypatch.setattr(io, "sample_feasible",
                         functools.partial(io.sample_feasible, max_tries=10))
@@ -350,6 +368,19 @@ def test_stalled_solve_is_an_error(tmp_path, capsys):
     assert rc == 1
     assert "# termination: stalled" in out
     assert "# diagnostic: accepted step 0.000e+00 left x unchanged" in out
+
+
+def test_t31_ray_sampling_overflow_is_field_failure(capsys):
+    rc = _run_without_warnings(["solve", "--problem", P42, "--algo", "t31", "--r", "1e200",
+                                "--eps", "1e150", "--x0=-0.9,-1,2", "--max-iter", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("iter,x1,x2,x3,") and lines[1].startswith("0,")
+    assert lines[2:4] == ["# termination: field_failure",
+                          "# diagnostic: Euler-ray sampling failed at epsilon = 1e+150: "
+                          "overflow: Numerical result out of range"]
+    assert "# is_critical: false" in lines
 
 
 @pytest.fixture

@@ -109,6 +109,25 @@ def test_sample_feasible_counts_draws(p42):
     assert tries[12] < 256 < tries[-1]
 
 
+@pytest.mark.parametrize("seed, consumed", [(0, 629), (1, 519)])
+def test_sample_feasible_runs_the_stack_once_per_draw_it_takes(p42, monkeypatch, seed,
+                                                               consumed):
+    """One kernel run tests each draw, up to the draw that completes the
+    sample, not to the end of its block."""
+    _, red = p42
+    tape = red.constraint_stack.tape
+    kernel, runs = tape.value_kernel, []
+
+    def counted(*args):
+        runs.append(1)
+        return kernel(*args)
+    monkeypatch.setitem(tape.__dict__, "value_kernel", counted)
+    points = sample_feasible(red, 50, seed)
+    draws = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(consumed, 3))
+    assert np.array_equal(points[-1], draws[-1])
+    assert len(runs) == consumed
+
+
 def _raising_at(draw):
     """g = x1 on (x1, x2), as a formula that divides by zero only at the
     point ``draw``."""
@@ -118,8 +137,7 @@ def _raising_at(draw):
 
 
 def test_sample_feasible_ignores_an_error_past_its_last_draw():
-    """A block whose runner call raises is tested again one draw at a time:
-    an error at a draw after the last one needed is not raised, and an
+    """An error at a draw after the last one needed is not raised, and an
     error at a needed draw is the per-draw test's, with its message."""
     draws = np.random.default_rng(5).uniform(-3.0, 3.0, size=(256, 2))
     r = 40

@@ -139,3 +139,25 @@ def test_kkt_residuals_match_one_point_reference(name, space, p41, p42):
         if edited:
             assert np.isinf(block[0]).any() and np.isnan(block[1]).any()
             assert (block[2] == 3.5).any() and (block[2][0::5] == 0.0).all()
+
+
+def test_kkt_residuals_without_inequalities():
+    """With k = 0 complementarity and mu-negativity are 0, and stationarity
+    has the one-point formula's bits, on the field block's columns."""
+    names = ("x1", "x2", "x3")
+    p = Problem(names=names, objective=parse("x1^2 + 2*x2^2 + x3^2 - x1*x3", names),
+                equalities=(parse("x1 + x2 + x3 - 3", names),))
+    rng = np.random.default_rng(4)
+    points = [[a, b, 3.0 - a - b] for a, b in rng.uniform(-2.0, 2.0, size=(20, 2)).tolist()]
+    fields, errors = field_block(p, FieldParams.default(3, 0), points)
+    assert errors == [None] * len(points)
+    lam, mu = rng.standard_normal((20, 1)), np.zeros((20, 0))
+    stationarity, complementarity, mu_neg = kkt_residuals(
+        fields.grad_theta, fields.A, fields.B, fields.g, lam, mu)
+    assert complementarity.tolist() == mu_neg.tolist() == [0.0] * 20
+    for j, x in enumerate(points):
+        want = ref.kkt_residuals(p, x, lam[j], mu[j])
+        assert _bits([stationarity[j], complementarity[j], mu_neg[j]]) == _bits(want)
+        rep = kkt_residual(p, x, lam[j], mu[j])
+        assert _bits([rep.stationarity_residual, rep.complementarity_residual,
+                      rep.mu_negativity]) == _bits(want)

@@ -69,6 +69,10 @@ def test_reduce_toy():
     p = _toy()
     red = reduce(p, [("x3", "2 - x1 - x2")])
     assert (red.n, red.m, red.k) == (2, 0, 2)
+    # A Problem whose equalities are fixed at (): it takes none.
+    assert isinstance(red, Problem) and red.equalities == ()
+    with pytest.raises(TypeError, match="equalities"):
+        ReducedProblem(red.names, red.objective, equalities=p.equalities, parent=p, phi=red.phi)
     xi = np.array([0.3, 0.7])
     full = red.lift(xi)
     assert np.array_equal(full, [0.3, 0.7, 1.0])
@@ -109,7 +113,7 @@ def test_reduce_reports_the_first_failing_sample(eliminate):
     p = _toy()
     with pytest.raises(ReductionError) as exc:
         reduce(p, [("x3", eliminate)])
-    red = ReducedProblem(p, (parse(eliminate, N3[:2]),), p.objective, (), N3[:2])
+    red = ReducedProblem(N3[:2], p.objective, parent=p, phi=(parse(eliminate, N3[:2]),))
     rng = np.random.default_rng(0)
     for _ in range(100):
         h, _ = residuals(p, _lift_per_expression(red, rng.uniform(-5.0, 5.0, size=2)))

@@ -105,6 +105,25 @@ def test_project_inexact_requires_indices():
         project_inexact(np.array([2.0, 0.0]), _disk(), ())
 
 
+def test_project_inexact_fails_at_a_zero_gradient():
+    # g = 1 - x1^2 - x2^2 is violated at the origin, where its gradient is 0.
+    names = ("x1", "x2")
+    p = Problem(names=names, objective=parse("x1", names),
+                inequalities=(parse("1 - x1^2 - x2^2", names),))
+    with pytest.raises(ProjectionFailure, match="^zero constraint gradient during projection$"):
+        project_inexact(np.zeros(2), p, (0,))
+
+
+def test_project_inexact_fails_where_no_step_reaches_feasibility():
+    # g = x1^2 + 1 is positive everywhere: the linearized steps never land.
+    names = ("x1", "x2")
+    p = Problem(names=names, objective=parse("x1", names),
+                inequalities=(parse("x1^2 + 1", names),))
+    with pytest.raises(ProjectionFailure,
+                       match="^projection did not reach feasibility in 100 steps$"):
+        project_inexact(np.array([2.0, 0.0]), p, (0,))
+
+
 # --- solves -----------------------------------------------------------------
 
 def test_iterates_stay_feasible(p42):
@@ -351,6 +370,24 @@ def test_r35_scan_halves_a_span_whose_kernels_overflow(p42, r):
     params = FieldParams.default(red.n, red.k, sigma=0.2)
     report = solve(red, params, SolveConfig(r=r, max_iter=2), np.array([-0.9, -1.0, 2.0]))
     assert report.termination == "max_iter" and report.iterations == 2
+    assert report.kkt is not None
+
+
+def test_t31_backtracking_floor_ends_field_failure(p42, monkeypatch):
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    steps = []
+
+    def rejects(p, cfg, rec, s, y):
+        steps.append(s)
+        return False
+    monkeypatch.setattr(solver, "_accepts", rejects)
+    report = solve(red, params, SolveConfig(algorithm="t31", r=0.5),
+                   np.array([-0.9, -1.0, 2.0]))
+    assert report.termination == "field_failure" and report.iterations == 0
+    assert report.diagnostic == "backtracking step fell below the floor"
+    # Steps 0.5, 0.25, ..., 0.5 * 2^-46: the next falls below 1e-14 * r.
+    assert steps == [0.5 * 0.5 ** i for i in range(47)]
     assert report.kkt is not None
 
 
