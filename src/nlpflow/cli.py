@@ -137,6 +137,11 @@ def _to_target_coords(target, problem, x):
                      f"(full) coordinates, got {len(x)}")
 
 
+def _point_text(x):
+    """A point as ``--x`` and ``--x0`` take it: comma-joined, 17 digits."""
+    return ",".join(_fmt(v) for v in x)
+
+
 def _write(out, text):
     if out is None:
         sys.stdout.write(text)
@@ -155,7 +160,7 @@ def cmd_solve(args):
     text = io.solve_report_csv(target, report)
     if reduced is not None and report.records:
         full = reduced.lift(report.final_x)
-        text += "# x_full: " + ",".join(_fmt(v) for v in full) + "\n"
+        text += f"# x_full: {_point_text(full)}\n"
     _write(args.out, text)
     log.info("terminated: %s after %d iterations", report.termination,
              report.iterations)
@@ -170,11 +175,7 @@ def cmd_flow(args):
     x0 = _to_target_coords(target, problem, args.x0)
     params = FieldParams.default(target.n, target.k, sigma=args.sigma)
     traj = flow.euler_flow(target, params, x0, args.step, args.steps)
-    lines = [io.trajectory_header(target)]
-    lines.extend(io.trajectory_csv_rows(target, traj))
-    if traj.diagnostic:
-        lines.append(f"# diagnostic: {traj.diagnostic}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, io.trajectory_csv(target, [traj], with_id=False))
     return 0 if traj.status == "completed" else 1
 
 
@@ -216,14 +217,9 @@ def cmd_phase(args):
         stem, dot, ext = args.out.rpartition(".")
         for tid, traj in enumerate(grid.trajectories):
             path = f"{stem}-{tid}.{ext}" if dot else f"{args.out}-{tid}"
-            lines = [io.trajectory_header(target)]
-            lines.extend(io.trajectory_csv_rows(target, traj))
-            _write(path, "\n".join(lines) + "\n")
+            _write(path, io.trajectory_csv(target, [traj], with_id=False))
     else:
-        lines = [io.trajectory_header(target, with_id=True)]
-        for tid, traj in enumerate(grid.trajectories):
-            lines.extend(io.trajectory_csv_rows(target, traj, traj_id=tid))
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, io.trajectory_csv(target, grid.trajectories, with_id=True))
     log.info("phase grid: %d trajectories, %d infeasible points skipped",
              len(grid.trajectories), len(grid.skipped))
     return 0
@@ -284,7 +280,8 @@ def cmd_check(args):
         full_errors = _spread(lift_errors, full_errors)
         full_ok = [error is None for error in full_errors]
         full_draws = draws[full_ok, split:].reshape(-1, checks.FORM_DRAWS, problem.n)
-        found_full = _spread(full_errors, checks.identity_block(full_params, full, full_draws))
+        found_full = _spread(full_errors, zip(
+            full.x, checks.identity_block(full_params, full, full_draws)))
 
     violations = 0
     gray = 0
@@ -292,16 +289,17 @@ def cmd_check(args):
         messages, verdict = _checked(found[i])
         for msg in messages:
             violations += 1
-            print(f"violation at {x}: {msg}")
+            print(f"violation at {_point_text(x)}: {msg}")
         if verdict == "disagree":
             violations += 1
-            print(f"criticality disagreement at {x}")
+            print(f"criticality disagreement at {_point_text(x)}")
         elif verdict == "gray":
             gray += 1
         if reduced is not None:
-            for msg in _checked(found_full[i]):
+            lifted_x, messages = _checked(found_full[i])
+            for msg in messages:
                 violations += 1
-                print(f"violation at lifted {x}: {msg}")
+                print(f"violation at lifted {_point_text(lifted_x)}: {msg}")
     print(f"checked {len(points)} feasible points: "
           f"{violations} violations, {gray} gray-band points")
     return 0 if violations == 0 else 1

@@ -27,11 +27,12 @@ with ``tolist``, any other sequence with ``float`` per entry), so every
 result is a Python float; it raises EvalError for an overflow, for a
 value or tangent that is not finite, and for a ``^0`` whose base is not
 finite, at the first point where a loop of one-point runs would.
-``evaluate_stack`` and ``jvp_stack`` run the value kernel and the
-one-lane kernel seeded with the direction at one point, and
-``evaluate_block`` and ``jvp_block`` at each point of a block, in one
-runner call; ``evaluate`` and ``jvp`` are their one-output cases, so a
-stack gives each expression the bits it gets alone.  ``grad`` runs the
+``evaluate_stack`` runs the value kernel at one point, and
+``evaluate_block`` at each point of a block, in one runner call;
+``evaluate`` is its one-output case, so a stack gives each expression
+the bits it gets alone.  ``jvp_block`` runs the one-lane kernel, seeded
+with the direction, at each point of a block; its one-point, one-output
+case is the directional derivative of one expression.  ``grad`` runs the
 kernel with a lane per variable, seeded with the unit vectors, which
 computes the value once for all of them.
 
@@ -592,30 +593,11 @@ def grad(e, x):
     return list(tangents)
 
 
-def jvp(e, x, u):
-    """Directional derivative of the expression at ``x`` along ``u``.
-
-    One tangent run seeded with ``u``; equal to ``grad(e, x) @ u`` up to
-    rounding, at less cost than grad's run.
-    """
-    return jvp_stack(e, x, u)[0]
-
-
-def jvp_stack(s, x, u):
-    """Directional derivative of every expression of the Stack ``s``.
-
-    One run of the stacked tangent kernel seeded with ``u``: a tuple equal,
-    bit for bit, to ``jvp`` of each expression at ``x`` along ``u``; it
-    raises EvalError if any of them would.
-    """
-    [(_, tangents)] = _run(s, s.tape.tangent_kernel, (x,), (_point(s, u),))
-    return tangents
-
-
 def jvp_block(s, points, u):
-    """``jvp_stack`` of the Stack ``s`` along ``u`` at each of ``points``,
-    from one runner call, with ``u`` converted once; it raises the first
-    error that the loop of ``jvp_stack`` calls would."""
+    """Directional derivatives along ``u`` of every expression of the Stack
+    ``s`` (or of one Expr) at each of ``points``, from one runner call with
+    ``u`` converted once: each row has the bits of each expression's run
+    alone, and it raises the first EvalError that one point at a time would."""
     return [tangents for _, tangents
             in _run(s, s.tape.tangent_kernel, points, (_point(s, u),))]
 

@@ -149,11 +149,3 @@ def phase_grid(p, params, plane, ranges, counts, base, step, steps):
         result.trajectories = _advance(p, params, result.starts, step, steps)
     return result
 
-
-def check_theta_monotone(traj, slack=1e-8):
-    """True when theta never increases by more than slack*(1+|theta|) per step."""
-    th = traj.theta
-    for a, b in zip(th[:-1], th[1:]):
-        if b > a + slack * (1.0 + abs(a)):
-            return False
-    return True

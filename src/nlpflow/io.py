@@ -156,10 +156,19 @@ def trajectory_csv_rows(p, traj, traj_id=None):
         yield prefix + fmt % (t, *x, theta, normF, max_g, max_abs_h)
 
 
-def trajectory_header(p, with_id=False):
-    cols = (["traj_id"] if with_id else []) + ["t"] + list(p.names) + \
-        ["theta", "normF", "max_g", "max_abs_h"]
-    return ",".join(cols)
+def trajectory_csv(p, trajectories, with_id):
+    """CSV text of ``trajectories``: the header, then each trajectory's rows
+    and, after one that stopped early, its ``# diagnostic:`` line.  With
+    ``with_id`` each row starts with its trajectory's index, which the
+    diagnostic names too."""
+    lines = [",".join((["traj_id"] if with_id else []) + ["t", *p.names] +
+                      ["theta", "normF", "max_g", "max_abs_h"])]
+    for tid, traj in enumerate(trajectories):
+        lines.extend(trajectory_csv_rows(p, traj, tid if with_id else None))
+        if traj.diagnostic:
+            who = f"trajectory {tid}: " if with_id else ""
+            lines.append(f"# diagnostic: {who}{traj.diagnostic}")
+    return "\n".join(lines) + "\n"
 
 
 def kkt_block(report, prefix=""):

@@ -113,7 +113,6 @@ class IterateRecord:
     step: float = 0.0  # accepted step taken *from* this iterate
     backtracks: int = 0
     proj_used: bool = False
-    active_set: tuple = ()
 
 
 @dataclass
@@ -349,7 +348,6 @@ def _t31_step(p, cfg, fe, x, rec):
     except EvalError as exc:
         raise _Stop("field_failure", f"Euler-ray sampling failed at epsilon = "
                                      f"{cfg.epsilon:g}: {exc}") from None
-    rec.active_set = active
     s = cfg.r
     backtracks = 0
     while True:
@@ -424,13 +422,15 @@ def solve(p, params, cfg, x0):
     for i in range(cfg.max_iter + 1):
         try:
             fe = field_eval(p, params, x)
-        except FieldError as exc:
+        except (FieldError, EvalError) as exc:
             if i < cfg.max_iter:
                 report.termination = "field_failure"
             report.diagnostic = str(exc)
             break
+        with np.errstate(over="ignore"):  # a slope that overflows is -inf or inf
+            dtheta_F = float(fe.grad_theta.dot(fe.F))
         rec = IterateRecord(x=x.copy(), theta=fe.theta, normF=float(norms(fe.F)),
-                            dtheta_F=float(fe.grad_theta.dot(fe.F)))
+                            dtheta_F=dtheta_F)
         report.records.append(rec)
         if i == cfg.max_iter:
             break

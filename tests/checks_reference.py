@@ -8,8 +8,9 @@ then for criticality, then at its lifted point in the full space, before
 the next point is drawn into the suite.  One thing differs from the
 earlier code: the quadratic-form check takes all FORM_DRAWS vectors of a
 point in one draw, where the earlier code stopped drawing at the first
-failing vector.  The stacked code must print the same lines and raise
-the same error after them.
+failing vector.  Each point prints as ``--x`` takes it, comma-joined in 17
+digits, and a lifted line prints the lifted point.  The stacked code must
+print the same lines and raise the same error after them.
 
 ``sample_feasible`` is the oracle of ``io.sample_feasible``, which draws
 its tries in blocks: one draw and one ``is_feasible`` test per try.
@@ -112,6 +113,10 @@ def criticality_agreement(p, params, x, field_tol=1e-6, kkt_tol=1e-4,
     return "disagree"
 
 
+def _text(x):
+    return ",".join(format(float(v), ".17g") for v in x)
+
+
 def cmd_check(args):
     problem, reduced = _load(args.problem)
     target = _solve_target(problem, reduced)
@@ -126,17 +131,18 @@ def cmd_check(args):
     for x in points:
         for msg in identity_violations(target, params, x, rng):
             violations += 1
-            print(f"violation at {x}: {msg}")
+            print(f"violation at {_text(x)}: {msg}")
         verdict = criticality_agreement(target, params, x)
         if verdict == "disagree":
             violations += 1
-            print(f"criticality disagreement at {x}")
+            print(f"criticality disagreement at {_text(x)}")
         elif verdict == "gray":
             gray += 1
         if reduced is not None:
-            for msg in identity_violations(problem, full_params, reduced.lift(x), rng):
+            lifted = reduced.lift(x)
+            for msg in identity_violations(problem, full_params, lifted, rng):
                 violations += 1
-                print(f"violation at lifted {x}: {msg}")
+                print(f"violation at lifted {_text(lifted)}: {msg}")
     print(f"checked {len(points)} feasible points: "
           f"{violations} violations, {gray} gray-band points")
     return 0 if violations == 0 else 1

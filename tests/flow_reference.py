@@ -8,6 +8,8 @@ each trajectory is integrated to its end before the next one starts.
 The stacked code must give every quantity, every trajectory row and
 every diagnostic with the same bits.  ``field_eval`` returns its point's
 field as a one-point FieldBlock row, the type of ``field.field_eval``.
+``check_theta_monotone`` is the descent test that the flow tests and
+criterion 7 apply to a trajectory.
 """
 
 import numpy as np
@@ -145,3 +147,12 @@ def phase_grid(p, params, plane, ranges, counts, base, step, steps):
             result.starts.append(x0)
             result.trajectories.append(euler_flow(p, params, x0, step, steps))
     return result
+
+
+def check_theta_monotone(traj, slack=1e-8):
+    """True when theta never increases by more than slack*(1+|theta|) per step."""
+    th = traj.theta
+    for a, b in zip(th[:-1], th[1:]):
+        if b > a + slack * (1.0 + abs(a)):
+            return False
+    return True

@@ -3,14 +3,14 @@ sampler and inexact projection.
 
 These are ``_curvature_scan``, ``active_index_set`` and ``project_inexact``
 as they were before the problem's expressions were stacked into one
-kernel: one ``jvp`` or ``evaluate`` call per expression per point, and the
+kernel: one ``jvp_block`` or ``evaluate`` call per expression per point, and the
 ray sampler's test on NumPy arrays.  They are kept for tests only: the
 stacked versions must return the same bits.
 """
 
 import numpy as np
 
-from nlpflow.exprlang import evaluate, grad, jvp
+from nlpflow.exprlang import evaluate, grad, jvp_block
 from nlpflow.solver import (CURV_SEGMENTS, FEAS_TOL, PROJECTION_MAX_INNER, RAY_SAMPLES,
                             ProjectionFailure)
 
@@ -34,7 +34,7 @@ def curvature_scan(p, fe, x, span):
     ds = span / CURV_SEGMENTS
 
     def kest(expr):
-        slopes = [jvp(expr, x + s * fe.F, fe.F) for s in ss]
+        slopes = [jvp_block(expr, [x + s * fe.F], fe.F)[0][0] for s in ss]
         worst = float(np.max(np.diff(slopes))) / ds
         chord = (slopes[-1] - slopes[0]) / span
         return max(0.0, 0.5 * (worst + chord))

@@ -9,11 +9,11 @@ each number.
 import numpy as np
 import pytest
 
+from flow_reference import check_theta_monotone
 from nlpflow import (FieldParams, SolveConfig, field_eval, phase_grid,
                      solve)
 from nlpflow.checks import criticality_agreement, identity_violations
 from nlpflow.exprlang import grad, parse
-from nlpflow.flow import check_theta_monotone
 from nlpflow.io import sample_feasible, solve_report_csv
 
 X41_RED = np.array([0.0, 0.0])          # reduced image of (0, 0, 2)

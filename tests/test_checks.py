@@ -96,7 +96,8 @@ def test_check_prints_the_same_lines_before_the_same_error(cubic, sigma, inject,
         # come out before the error.
         points = draws(load_problem(cubic)[1], 10, 3)
         first = min(inject, default=len(points))
-        assert lines[:first] == [f"criticality disagreement at {x}" for x in points[:first]]
+        assert lines[:first] == [f"criticality disagreement at {','.join(map(io._fmt, x))}"
+                                 for x in points[:first]]
         assert len(lines) == first + (not error)
     if sigma == "1" and not error:
         assert rc == 0

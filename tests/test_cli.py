@@ -182,6 +182,33 @@ def test_phase_per_trajectory_files(tmp_path):
     assert files[0].read_text().startswith("t,x1,x2,")
 
 
+MOTIVATING_PHASE = ["phase", "--problem", P41, "--plane", "x1,x2", "--range=0,1.9,0.05,1",
+                    "--grid", "2x2", "--sigma", "2", "--step", "0.5", "--steps", "50"]
+
+
+def test_phase_prints_each_aborted_trajectory_diagnostic(capsys):
+    # A step of 0.5 drifts every trajectory out of the feasible set at once:
+    # each stops after its first row, and says why.
+    rc = main(MOTIVATING_PHASE)
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0 and lines[0].startswith("traj_id,t,x1,x2,")
+    assert [ln.split(",")[0] for ln in lines[1::2]] == ["0", "1", "2"]
+    for tid, line in enumerate(lines[2::2]):
+        assert line.startswith(f"# diagnostic: trajectory {tid}: field evaluation failed "
+                               "at step 1: point infeasible: max constraint violation")
+    assert len(lines) == 7
+
+
+def test_phase_per_trajectory_file_keeps_its_diagnostic(tmp_path):
+    out = tmp_path / "traj.csv"
+    rc = main(MOTIVATING_PHASE + ["--per-trajectory", "--out", str(out)])
+    assert rc == 0
+    for tid in range(3):
+        lines = (tmp_path / f"traj-{tid}.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[1].startswith("0,")
+        assert lines[2].startswith("# diagnostic: field evaluation failed at step 1: ")
+
+
 def test_check_passes(capsys):
     rc = main(["check", "--problem", P42, "--samples", "20", "--seed", "1"])
     out = capsys.readouterr().out
@@ -190,8 +217,9 @@ def test_check_passes(capsys):
 
 
 def test_check_reports_violations_in_both_spaces(monkeypatch, capsys):
-    """Each violation prints one line, in the reduced space and then at the
-    lifted point, and any violation makes the exit code 1."""
+    """Each violation prints one line, at the reduced point and then at the
+    lifted point, each as ``--x`` takes it, and any violation makes the exit
+    code 1."""
     def violated(params, block, draws):
         return [[f"forced in {block.F.shape[1]} coordinates"] for _ in block.F]
     monkeypatch.setattr(nlpflow.checks, "identity_block", violated)
@@ -200,8 +228,9 @@ def test_check_reports_violations_in_both_spaces(monkeypatch, capsys):
     _, red = io.load_problem(P42)
     want = []
     for x in io.sample_feasible(red, 3, 1):
-        want += [f"violation at {x}: forced in 3 coordinates",
-                 f"violation at lifted {x}: forced in 4 coordinates"]
+        want += [f"violation at {','.join(map(io._fmt, x))}: forced in 3 coordinates",
+                 f"violation at lifted {','.join(map(io._fmt, red.lift(x)))}: "
+                 "forced in 4 coordinates"]
     assert rc == 1
     assert out.splitlines() == want + ["checked 3 feasible points: 6 violations, "
                                        "0 gray-band points"]
@@ -381,6 +410,39 @@ def test_t31_ray_sampling_overflow_is_field_failure(capsys):
                           "# diagnostic: Euler-ray sampling failed at epsilon = 1e+150: "
                           "overflow: Numerical result out of range"]
     assert "# is_critical: false" in lines
+
+
+@pytest.fixture
+def power(tmp_path):
+    """-x^300 below a bound: past x = 10.52 its gradient overflows, and
+    past x = 10.64 its value too."""
+    def write(bound):
+        path = tmp_path / "power.nlp"
+        path.write_text(f"vars: x\nobjective: -x^300\nineq: x - {bound}\n")
+        return str(path)
+    return write
+
+
+@pytest.mark.parametrize("algo", ["r35", "t31"])
+def test_gradient_overflow_at_x0_is_field_failure(algo, power, capsys):
+    rc = _run_without_warnings(["solve", "--problem", power(10.65), "--algo", algo,
+                                "--x0=10.6"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (1, "")
+    assert captured.out.splitlines() == ["iter,x,theta,normF,step,backtracks,proj_used",
+                                         "# termination: field_failure",
+                                         "# diagnostic: non-finite value in derivative sweep"]
+
+
+@pytest.mark.parametrize("algo", ["r35", "t31"])
+def test_slope_that_overflows_gives_no_warning(algo, power, capsys):
+    # grad(theta) . F overflows at x0, where the field is finite.
+    rc = _run_without_warnings(["solve", "--problem", power(11), "--algo", algo,
+                                "--x0=10.5"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (1, "")
+    lines = captured.out.splitlines()
+    assert lines[1].startswith("0,10.5,") and lines[2] == "# termination: field_failure"
 
 
 @pytest.fixture

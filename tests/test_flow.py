@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from flow_reference import check_theta_monotone
 from nlpflow.exprlang import parse
 from nlpflow.field import FieldParams
-from nlpflow.flow import check_theta_monotone, euler_flow, phase_grid
+from nlpflow.flow import euler_flow, phase_grid
 from nlpflow.model import Problem
 
 

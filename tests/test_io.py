@@ -8,8 +8,8 @@ from nlpflow.exprlang import EvalError, evaluate, parse
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.flow import Trajectory
 from nlpflow.io import (ProblemFormatError, SamplingError, kkt_block, load_problem,
-                        sample_feasible, solve_report_csv, trajectory_csv_rows,
-                        trajectory_header)
+                        sample_feasible, solve_report_csv, trajectory_csv,
+                        trajectory_csv_rows)
 from nlpflow.model import Problem, is_feasible
 from nlpflow.solver import IterateRecord, SolveConfig, SolveReport, solve
 
@@ -179,15 +179,34 @@ def test_trajectory_csv_round_trip(p41):
     _, red = p41
     params = FieldParams.default(red.n, red.k, sigma=2.0)
     traj = euler_flow(red, params, np.array([0.5, 0.5]), step=0.01, steps=20)
-    header = trajectory_header(red)
+    header, *rows = trajectory_csv(red, [traj], with_id=False).splitlines()
     assert header == "t,x1,x2,theta,normF,max_g,max_abs_h"
-    rows = list(trajectory_csv_rows(red, traj))
+    assert rows == list(trajectory_csv_rows(red, traj))
     assert len(rows) == len(traj)
     # 17-significant-digit formatting makes the round trip exact
     for i, row in enumerate(rows):
         vals = [float(tok) for tok in row.split(",")]
         assert vals[1] == traj.x[i][0] and vals[2] == traj.x[i][1]
         assert vals[3] == traj.theta[i]
+
+
+def test_trajectory_csv_keeps_each_diagnostic():
+    p = Problem(names=("x1",), objective=parse("x1", ("x1",)))
+
+    def trajectory(rows, diagnostic=""):
+        col = np.arange(rows, dtype=float)
+        return Trajectory(t=col, x=col[:, None], theta=col, normF=col, max_g=col,
+                          max_abs_h=col, status="aborted" if diagnostic else "completed",
+                          diagnostic=diagnostic)
+
+    trajs = [trajectory(2, "drift"), trajectory(1), trajectory(1, "Q is not finite")]
+    assert trajectory_csv(p, trajs, with_id=True).splitlines() == [
+        "traj_id,t,x1,theta,normF,max_g,max_abs_h",
+        "0,0,0,0,0,0,0", "0,1,1,1,1,1,1", "# diagnostic: trajectory 0: drift",
+        "1,0,0,0,0,0,0",
+        "2,0,0,0,0,0,0", "# diagnostic: trajectory 2: Q is not finite"]
+    assert trajectory_csv(p, trajs[2:], with_id=False) == (
+        "t,x1,theta,normF,max_g,max_abs_h\n0,0,0,0,0,0\n# diagnostic: Q is not finite\n")
 
 
 def test_solve_report_csv_round_trip(p42):

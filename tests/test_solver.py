@@ -363,6 +363,27 @@ def test_solve_reports_from_the_field_of_its_last_record(p42, count_calls, monke
     assert _bits_of_kkt(report.kkt) == _bits_of_kkt(want)
 
 
+@pytest.mark.parametrize("algo", ["r35", "t31"])
+def test_kernel_error_in_a_later_field_ends_field_failure(p42, monkeypatch, algo):
+    # An EvalError from the field's kernels (a gradient that overflows where
+    # the value does not) ends the solve as a FieldError does, with the
+    # kernel's message and the KKT report of the last record.
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise EvalError("non-finite value in derivative sweep")
+        return field_eval(*args)
+    monkeypatch.setattr(solver, "field_eval", failing)
+    report = solve(red, params, SolveConfig(algorithm=algo), np.array([-0.9, -1.0, 2.0]))
+    assert (report.termination, report.diagnostic) == (
+        "field_failure", "non-finite value in derivative sweep")
+    assert len(report.records) == 2 and report.kkt is not None
+
+
 @pytest.mark.parametrize("r", [1e100, 1e200, 1e300])
 def test_r35_scan_halves_a_span_whose_kernels_overflow(p42, r):
     # The first scan over [0, r] overflows; it is halved until it runs.

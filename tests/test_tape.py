@@ -1,12 +1,13 @@
 """Differential tests: the compiled kernels against the reference tree walkers.
 
-``evaluate``, ``grad`` and ``jvp`` must return the same bits, of the same
-type, as the recursive interpreters in ``exprlang_reference``, and fail
-with the same exception class (an overflow there is an ``EvalError`` here).
+``evaluate``, ``grad`` and a one-point ``jvp_block`` must return the same
+bits, of the same type, as the recursive interpreters in
+``exprlang_reference``, and fail with the same exception class (an
+overflow there is an ``EvalError`` here).
 At an ndarray point, or at a list of NumPy scalars, they return Python
 floats, with the bits that the interpreters give on the NumPy scalars.
-The stacked kernels, ``evaluate_stack`` and ``jvp_stack``, must return what
-``evaluate`` and ``jvp`` return one expression at a time, and the solver's
+The stacked kernels, run by ``evaluate_stack`` and ``jvp_block``, must return
+what they return one expression at a time, and the solver's
 stacked curvature scan, ray sampler and projection what their
 per-expression forms in ``solver_reference`` return.
 """
@@ -25,7 +26,7 @@ import exprlang_reference as ref
 import solver_reference
 from nlpflow import exprlang, solver
 from nlpflow.exprlang import (EvalError, Stack, evaluate, evaluate_stack, grad,
-                              jvp, jvp_stack, parse, substitute)
+                              jvp_block, parse, substitute)
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.io import load_problem, sample_feasible
 from nlpflow.model import Problem, residuals
@@ -83,11 +84,22 @@ def _reference(fn, e, x, *args):
 DIRECTION = (0.7, -1.3, 2.9, -0.1)
 
 
+def _tangents(s, x, u):
+    """``jvp_block`` at the one point ``x``: each expression's tangent."""
+    return jvp_block(s, [x], u)[0]
+
+
+def _jvp(e, x, u):
+    """The one expression's tangent at ``x`` along ``u``."""
+    [d] = _tangents(e, x, u)
+    return d
+
+
 def assert_same(e, x):
     u = DIRECTION[:len(x)]
     assert _outcome(evaluate, e, x) == _reference(ref.evaluate, e, x)
     assert _outcome(grad, e, x) == _reference(ref.grad, e, x)
-    assert _outcome(jvp, e, x, u) == _reference(ref.jvp, e, x, u)
+    assert _outcome(_jvp, e, x, u) == _reference(ref.jvp, e, x, u)
 
 
 def test_criterion_8_expressions_match_reference():
@@ -161,8 +173,8 @@ def test_kernels_are_shared_by_structure():
         assert evaluate(b, x) == 3 * x1 + 5
         assert grad(a, x) == [2.0, 0.0, 0.0]
         assert grad(b, x) == [3.0, 0.0, 0.0]
-        assert jvp(a, x, [1.0, 1.0, 1.0]) == 2.0
-        assert jvp(b, x, [1.0, 1.0, 1.0]) == 3.0
+        assert _jvp(a, x, [1.0, 1.0, 1.0]) == 2.0
+        assert _jvp(b, x, [1.0, 1.0, 1.0]) == 3.0
 
 
 # --- stacked kernels ---------------------------------------------------------
@@ -179,7 +191,7 @@ def assert_stack_same(exprs, x):
     s = Stack(tuple(exprs), exprs[0].variables)
     u = DIRECTION[:len(x)]
     assert _outcome(evaluate_stack, s, x) == _one_by_one(evaluate, exprs, x)
-    assert _outcome(jvp_stack, s, x, u) == _one_by_one(jvp, exprs, x, u)
+    assert _outcome(_tangents, s, x, u) == _one_by_one(_jvp, exprs, x, u)
 
 
 @pytest.mark.parametrize("name", ["p41", "p42"])
@@ -369,7 +381,7 @@ def assert_same_with_messages(e, x):
     u, floats = DIRECTION[:len(x)], [float(v) for v in x]
     assert _failure(evaluate, e, x) == _failure(ref.evaluate, e, floats)
     assert _failure(grad, e, x) == _failure(ref.grad, e, floats)
-    assert _failure(jvp, e, x, u) == _failure(ref.jvp, e, floats, u)
+    assert _failure(_jvp, e, x, u) == _failure(ref.jvp, e, floats, u)
 
 
 def _copy(root):
@@ -493,8 +505,8 @@ def assert_block_same(s, points):
     if isinstance(want, list):
         assert [[_bits(v) for v in row] for row in got] == \
             [[_bits(v) for v in row] for row in want]
-    got = _block_outcome(exprlang.jvp_block, s, points, u)
-    want = _loop_outcome(jvp_stack, s, points, u)
+    got = _block_outcome(jvp_block, s, points, u)
+    want = _loop_outcome(_tangents, s, points, u)
     assert got == want and type(got) is type(want)
     if isinstance(want, list):
         assert [[_bits(v) for v in row] for row in got] == \
