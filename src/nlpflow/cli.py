@@ -198,6 +198,8 @@ def _coordinate(target, token):
 
 
 def cmd_phase(args):
+    if args.per_trajectory and not args.out:
+        raise UsageError("argument --per-trajectory: needs --out, the stem of the file names")
     problem, reduced = _load(args.problem)
     target = reduced if reduced is not None else problem
     plane = tuple(_coordinate(target, token) for token in args.plane)
@@ -213,11 +215,12 @@ def cmd_phase(args):
     params = FieldParams.default(target.n, target.k, sigma=args.sigma)
     grid = flow.phase_grid(target, params, plane, args.range, args.grid,
                            base, args.step, args.steps)
-    if args.per_trajectory and args.out:
-        stem, dot, ext = args.out.rpartition(".")
+    if not grid.starts:
+        raise ValueError(f"no feasible grid point: {len(grid.skipped)} infeasible points skipped")
+    if args.per_trajectory:
+        stem, ext = os.path.splitext(args.out)
         for tid, traj in enumerate(grid.trajectories):
-            path = f"{stem}-{tid}.{ext}" if dot else f"{args.out}-{tid}"
-            _write(path, io.trajectory_csv(target, [traj], with_id=False))
+            _write(f"{stem}-{tid}{ext}", io.trajectory_csv(target, [traj], with_id=False))
     else:
         _write(args.out, io.trajectory_csv(target, grid.trajectories, with_id=True))
     log.info("phase grid: %d trajectories, %d infeasible points skipped",

@@ -6,7 +6,8 @@ one stacked field assembly (``field_block``) for every trajectory still
 running, and ``euler_flow`` is the one-trajectory case.  Euler can leave
 the feasible set, so the field is evaluated with the drift tolerance
 DRIFT_ABORT.  A trajectory whose inequality drift exceeds it, or whose
-field assembly fails, stops there with a diagnostic; the others go on.
+field assembly or expression kernels fail, stops there with a diagnostic
+that names its cause; the others go on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import FieldError, field_block, norms
+from .field import field_block, norms
 from .model import FIELD_FEAS_TOL, is_feasible
 
 # Inequality drift beyond which integration stops and reports.
@@ -45,22 +46,19 @@ class PhaseGrid:
 
 
 def _advance(p, params, starts, step, steps):
-    """Integrate x' = F(x) with constant step from each feasible start.
+    """Integrate x' = F(x) with constant step from each start; the
+    callers have tested the starts for feasibility.
 
     All trajectories advance together, one ``field_block`` call per step;
     each row has the same bits as integrating its trajectory alone.
     Records (t, x, theta, |F|, max g, max |h|) at every visited point.  A
-    trajectory whose field evaluation fails stops with a diagnostic that
-    names the step and the cause.  An ExprError stops its trajectory too,
-    and once the others have finished, the first one, in start order, is
-    raised: the error that integrating one trajectory after another would
-    raise.
+    trajectory whose field evaluation fails, by a FieldError or by an
+    ExprError of the kernels, stops with a diagnostic that names the step
+    and the cause; the others go on.
     """
     X = np.array(starts, dtype=float)
-    if not all(is_feasible(p, x, FIELD_FEAS_TOL) for x in X):
-        raise ValueError("initial point is infeasible")
     N, n = X.shape
-    status, diagnostic, raised = ["completed"] * N, [""] * N, {}
+    status, diagnostic = ["completed"] * N, [""] * N
     live = np.arange(N)
     # The live set only shrinks.  Each run of steps with the same live set
     # keeps (x, theta, F, g, h) of its trajectories, one tuple per step.
@@ -69,11 +67,9 @@ def _advance(p, params, starts, step, steps):
         block, errors = field_block(p, params, X, DRIFT_ABORT)
         if any(errors):
             for r, exc in zip(live.tolist(), errors):
-                if isinstance(exc, FieldError):
+                if exc is not None:
                     status[r] = "aborted"
                     diagnostic[r] = f"field evaluation failed at step {i}: {exc}"
-                elif exc is not None:
-                    raised[r] = exc
             keep = [exc is None for exc in errors]
             live, X = live[keep], X[keep]
             if not live.size:
@@ -82,8 +78,6 @@ def _advance(p, params, starts, step, steps):
         runs[-1][1].append((X, block.theta, block.F, block.g, block.h))
         if i < steps:
             X = X + step * block.F
-    if raised:
-        raise raised[min(raised)]
 
     parts = [[] for _ in range(N)]
     for live, rows in runs:
@@ -114,11 +108,14 @@ def euler_flow(p, params, x0, step, steps):
 
     Records (t, x, theta, |F|, max g, max |h|) at every visited point.
     Stops early with a diagnostic if the field evaluation fails, which it
-    does once max g exceeds DRIFT_ABORT.
+    does once max g exceeds DRIFT_ABORT or an expression kernel fails.
     """
     if not step > 0:
         raise ValueError("step must be positive")
-    return _advance(p, params, [np.asarray(x0, dtype=float)], step, steps)[0]
+    x0 = np.asarray(x0, dtype=float)
+    if not is_feasible(p, x0, FIELD_FEAS_TOL):
+        raise ValueError("initial point is infeasible")
+    return _advance(p, params, [x0], step, steps)[0]
 
 
 def phase_grid(p, params, plane, ranges, counts, base, step, steps):

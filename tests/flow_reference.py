@@ -6,15 +6,17 @@ trajectory together.  This is the earlier per-point code: the expression
 kernels run on the NumPy point itself, the linear algebra is 2-D, and
 each trajectory is integrated to its end before the next one starts.
 The stacked code must give every quantity, every trajectory row and
-every diagnostic with the same bits.  ``field_eval`` returns its point's
-field as a one-point FieldBlock row, the type of ``field.field_eval``.
+every diagnostic with the same bits.  A FieldError or an ExprError of
+the kernels ends its own trajectory with a diagnostic.  ``field_eval``
+returns its point's field as a one-point FieldBlock row, the type of
+``field.field_eval``.
 ``check_theta_monotone`` is the descent test that the flow tests and
 criterion 7 apply to a trajectory.
 """
 
 import numpy as np
 
-from nlpflow.exprlang import evaluate, evaluate_stack, grad
+from nlpflow.exprlang import ExprError, evaluate, evaluate_stack, grad
 from nlpflow.field import (ConstraintQualificationError, FieldBlock, FieldError,
                            InfeasiblePointError, _potrf, _potrs)
 from nlpflow.flow import DRIFT_ABORT, PhaseGrid, Trajectory
@@ -113,7 +115,7 @@ def euler_flow(p, params, x0, step, steps):
     for i in range(steps + 1):
         try:
             fe = field_eval(p, params, x, feas_tol=DRIFT_ABORT)
-        except FieldError as exc:
+        except (FieldError, ExprError) as exc:
             status, diagnostic = "aborted", f"field evaluation failed at step {i}: {exc}"
             break
         rows_t.append(i * step)

@@ -95,6 +95,8 @@ def test_usage_error_exits_2():
     ["kkt", "--problem", P42, "--x", "0,1,2,x"],
     ["solve", "--problem", P41, "--x0", "0.5,"],
     ["flow", "--problem", P41, "--x0", "a,0.5", "--step", "0.01", "--steps", "3"],
+    ["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0.2,0.8,0.2,0.8", "--grid",
+     "2x2", "--sigma", "2", "--step", "0.01", "--steps", "1", "--per-trajectory"],
 ], ids=["negative-steps", "empty-grid", "empty-grid-column", "plane-one",
         "plane-repeated", "plane-repeated-by-number", "plane-unknown",
         "plane-out-of-range", "range-three", "range-not-a-number",
@@ -102,7 +104,8 @@ def test_usage_error_exits_2():
         "flow-negative-step", "flow-nan-step", "flow-infinite-step", "flow-step-not-a-number",
         "phase-zero-step-infeasible-grid", "phase-zero-step", "check-zero-samples",
         "check-negative-samples", "check-samples-not-a-number", "check-negative-seed",
-        "kkt-x-not-a-number", "solve-x0-empty-coordinate", "flow-x0-not-a-number"])
+        "kkt-x-not-a-number", "solve-x0-empty-coordinate", "flow-x0-not-a-number",
+        "phase-per-trajectory-without-out"])
 def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -180,6 +183,27 @@ def test_phase_per_trajectory_files(tmp_path):
     files = sorted(tmp_path.glob("traj-*.csv"))
     assert len(files) == 4
     assert files[0].read_text().startswith("t,x1,x2,")
+
+
+@pytest.mark.parametrize("out, names", [("run.v2/traj", ["traj-0", "traj-1"]),
+                                         ("d/.hidden", [".hidden-0", ".hidden-1"]),
+                                         ("d/x.tar.gz", ["x.tar-0.gz", "x.tar-1.gz"])])
+def test_phase_per_trajectory_names_split_only_the_file_extension(out, names, tmp_path):
+    # A dot in a directory name, or a leading one, is not an extension.
+    (tmp_path / out).parent.mkdir()
+    rc = main(["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0.2,0.8,0.2,0.2",
+               "--grid", "2x1", "--sigma", "2", "--step", "0.01", "--steps", "1",
+               "--per-trajectory", "--out", str(tmp_path / out)])
+    assert rc == 0
+    assert sorted(f.name for f in (tmp_path / out).parent.iterdir()) == names
+
+
+def test_phase_over_an_infeasible_grid_is_an_error(capsys):
+    rc = main(["phase", "--problem", P41, "--plane", "x1,x2", "--range=-2,-1,-2,-1",
+               "--grid", "2x2", "--step", "0.01", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err == "error: no feasible grid point: 4 infeasible points skipped\n"
 
 
 MOTIVATING_PHASE = ["phase", "--problem", P41, "--plane", "x1,x2", "--range=0,1.9,0.05,1",
@@ -432,6 +456,43 @@ def test_gradient_overflow_at_x0_is_field_failure(algo, power, capsys):
     assert captured.out.splitlines() == ["iter,x,theta,normF,step,backtracks,proj_used",
                                          "# termination: field_failure",
                                          "# diagnostic: non-finite value in derivative sweep"]
+
+
+@pytest.fixture
+def power_plane(tmp_path):
+    """``power``'s problem with a second coordinate y: past x = 10.52 the
+    gradient overflows."""
+    path = tmp_path / "power_plane.nlp"
+    path.write_text("vars: x y\nobjective: -x^300 + y^2\nineq: x - 10.65\n")
+    return str(path)
+
+
+def test_gradient_overflow_ends_only_its_own_trajectory(power_plane, capsys):
+    # The starts at x = 10 drift out of the feasible set at step 1; at
+    # x = 10.6 the gradient overflows at once.
+    rc = _run_without_warnings(["phase", "--problem", power_plane, "--plane", "x,y",
+                                "--range=10,10.6,0,1", "--grid", "2x2", "--step", "0.01",
+                                "--steps", "3"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    lines = captured.out.splitlines()
+    assert lines[0] == "traj_id,t,x,y,theta,normF,max_g,max_abs_h" and len(lines) == 7
+    for tid, y in enumerate("01"):
+        assert lines[1 + 2 * tid].startswith(f"{tid},0,10,{y},")
+        assert lines[2 + 2 * tid].startswith(f"# diagnostic: trajectory {tid}: field evaluation "
+                                             "failed at step 1: point infeasible: ")
+    assert lines[5:] == [f"# diagnostic: trajectory {tid}: field evaluation failed at step 0: "
+                         "non-finite value in derivative sweep" for tid in (2, 3)]
+
+
+def test_gradient_overflow_at_x0_aborts_flow(power_plane, capsys):
+    rc = _run_without_warnings(["flow", "--problem", power_plane, "--x0=10.6,0.5",
+                                "--step", "0.01", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (1, "")
+    assert captured.out.splitlines() == [
+        "t,x,y,theta,normF,max_g,max_abs_h",
+        "# diagnostic: field evaluation failed at step 0: non-finite value in derivative sweep"]
 
 
 @pytest.mark.parametrize("algo", ["r35", "t31"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import flow_reference as ref
-from nlpflow.exprlang import EvalError, parse
+from nlpflow.exprlang import parse
 from nlpflow.field import FieldParams, field_block, field_eval
 from nlpflow.flow import _advance, euler_flow, phase_grid
 from nlpflow.io import sample_feasible
@@ -106,22 +106,24 @@ def test_trajectories_end_on_their_own():
         assert_same_trajectories([euler_flow(p, params, x0, 1.5, 10)], [traj])
 
 
-def test_first_expression_error_in_start_order_is_raised():
+def test_an_expression_error_ends_only_its_own_trajectory():
     # The first start sits at a critical point.  The second overflows x1^9
     # at step 1, once the huge gain has flung x1 out; the third divides by
-    # zero at step 0.  Integrating one trajectory after another meets the
-    # overflow first, so the lockstep flow must raise it.
+    # zero at step 0.  Each error stops its own trajectory with a
+    # diagnostic, and the first goes on to its end.
     names = ("x1", "x2")
     p = Problem(names=names, objective=parse("x1^9 + 0/x2", names))
     params = FieldParams.default(2, 0, sigma=1e305)
     starts = [np.array([0.0, 1.0]), np.array([1e-30, 1.0]), np.array([0.0, 0.0])]
-    with pytest.raises(EvalError) as want:
-        for x0 in starts:
-            euler_flow(p, params, x0, 0.1, 5)
-    with pytest.raises(EvalError) as got:
-        _advance(p, params, starts, 0.1, 5)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("overflow")
+    lockstep = _advance(p, params, starts, 0.1, 5)
+    assert [(t.status, len(t)) for t in lockstep] == [
+        ("completed", 6), ("aborted", 1), ("aborted", 0)]
+    assert [t.diagnostic for t in lockstep[1:]] == [
+        "field evaluation failed at step 1: overflow: Numerical result out of range",
+        "field evaluation failed at step 0: division by zero"]
+    assert_same_trajectories(lockstep, [euler_flow(p, params, x0, 0.1, 5) for x0 in starts])
+    assert_same_trajectories(lockstep, [ref.euler_flow(p, params, x0, 0.1, 5)
+                                        for x0 in starts])
 
 
 def test_drift_abort_is_pinned(p41):
