@@ -44,7 +44,7 @@ def identity_block(params, block, draws):
 
     # Projector is idempotent and annihilates the equality gradients.
     found.append((_worst(H @ H - H) > 1e-10, "projector not idempotent"))
-    if A.shape[1]:
+    if A.shape[1]:  # _worst of an empty stack raises
         found.append((_worst(A @ H) > 1e-10, "A H != 0"))
         found.append((_worst(H @ A.transpose(0, 2, 1)) > 1e-10, "H A' != 0"))
 
@@ -70,7 +70,7 @@ def identity_block(params, block, draws):
     found.append((np.abs(np.vecdot(gtheta, F) - rate) > scale,
                   "grad(theta).F disagrees with the dissipation identity"))
 
-    if B.shape[1]:
+    if B.shape[1]:  # _worst and the max over j raise on an empty stack
         g, r3, vplus = block.g, block.r3, block.vplus
         BF = _mv(B, F)
         # Boundary-rate identity for B F, with a fresh solve for Q^{-1} w.

@@ -21,7 +21,7 @@ from . import checks, flow, io, kkt, solver
 from .exprlang import ExprError
 from .field import FieldError, FieldParams, field_block, field_eval, norms
 from .io import ProblemFormatError, SamplingError, _fmt
-from .model import ModelError
+from .model import FIELD_FEAS_TOL, ModelError
 from .solver import SolveConfig, SolveError
 
 log = logging.getLogger("nlpflow")
@@ -129,9 +129,15 @@ def _solve_target(problem, reduced):
 
 
 def _to_target_coords(target, problem, x):
+    """``x`` in target coordinates; a full ``x`` must lie on the elimination map."""
     if len(x) == target.n:
         return x
     if len(x) == problem.n and target is not problem:
+        for name, have, want in zip(problem.names[target.n:], x[target.n:],
+                                    target.lift(x[:target.n])[target.n:]):
+            if not abs(have - want) <= FIELD_FEAS_TOL:
+                raise SolveError(f"x0 is off the elimination map: {name} = {_fmt(have)}, "
+                                 f"but the map gives {_fmt(want)}")
         return x[:target.n]
     raise SolveError(f"x0 must have {target.n} (reduced) or {problem.n} "
                      f"(full) coordinates, got {len(x)}")

@@ -199,15 +199,15 @@ def _factors(S, name, failure, failed):
 
 
 def _solves(factors, R):
-    """The solutions X_j of S_j X_j = R_j, stacked, from the factors of S_j.
-
-    potrs returns each X_j in Fortran order.  The slices keep that layout,
-    because OpenBLAS picks its gemv kernel by layout, and the two kernels
-    round differently.
+    """The solutions X_j of S_j X_j = R_j, stacked, from the factors of S_j:
+    the field's one LAPACK solve.  potrs returns each X_j in Fortran order.
+    The slices keep that layout, because OpenBLAS picks its gemv kernel by
+    layout, and the two kernels round differently.  Systems with no rows
+    are skipped: f2py's dpotrs rejects an empty right-hand side.
     """
     N, k, n = R.shape
     Xt = np.empty((N, n, k))
-    for j in range(N):
+    for j in range(N if k else 0):
         x, _ = _potrs(factors[j], R[j], lower=True)  # info is non-zero only for a bad argument
         Xt[j] = x.T
     return Xt.transpose(0, 2, 1)
@@ -216,7 +216,7 @@ def _solves(factors, R):
 def _projectors(A, failed):
     """Null-space projectors of the slices of the (N, m, n) stack ``A``."""
     N, m, n = A.shape
-    if m == 0:
+    if m == 0:  # every solver field: no Gram factorization and solve per row
         return _diag(1.0, N, n)
     gram = A @ A.transpose(0, 2, 1)
     factors = _factors(gram, "the Gram matrix of the equality gradients",
@@ -290,38 +290,32 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
         D = _diag(g, N, k)
         Q = C @ B.transpose(0, 2, 1) - D
         Q = 0.5 * (Q + Q.transpose(0, 2, 1))
-        if k == 0:
-            P = np.zeros((N, 0, n))
-            v = vplus = r3 = w = omega = np.zeros((N, 0))
-            M = H
-        else:
-            cho = _factors(Q, "Q", "Q is not positive definite (smallest pivot {pivot:.3e}): "
-                                   "LICQ violated or point infeasible", failed)
-            P = _solves(cho, C)
-            v = _mv(P, gtheta)
-            vplus = np.maximum(0.0, v)
-            M = H - C.transpose(0, 2, 1) @ P  # H - P'QP
+        cho = _factors(Q, "Q", "Q is not positive definite (smallest pivot {pivot:.3e}): "
+                               "LICQ violated or point infeasible", failed)
+        P = _solves(cho, C)
+        v = _mv(P, gtheta)
+        vplus = np.maximum(0.0, v)
+        M = H - C.transpose(0, 2, 1) @ P  # H - P'QP
         xi = _mv(M, gtheta)
         R1xi = _mv(params.R1, xi)
         F = _mv(-M, R1xi)
-        if k:
-            # Row-shaped gains: a (1, k) row broadcasts over the stack at
-            # less cost than a (k,) vector.
-            a, b = params.a[None], params.b[None]
-            r3 = b + _gain_terms(params, vplus, 0)
-            mixed = _mv(params.R2, g * v) - a * v  # (R2 diag(g) - diag(a)) v
-            r3v = r3 * vplus
-            Pt = P.transpose(0, 2, 1)
-            F = F - _mv(Pt, g * mixed) - _mv(Pt, r3v)
-            w = _mv(C, R1xi) - _mv(Q + D, mixed) - r3v
-            omega = np.array([_potrs(cho[j], w[j], lower=True)[0] for j in range(N)]).reshape(N, k)
+        # Row-shaped gains: a (1, k) row broadcasts over the stack at less
+        # cost than a (k,) vector.
+        a, b = params.a[None], params.b[None]
+        r3 = b + _gain_terms(params, vplus, 0)
+        mixed = _mv(params.R2, g * v) - a * v  # (R2 diag(g) - diag(a)) v
+        r3v = r3 * vplus
+        Pt = P.transpose(0, 2, 1)
+        F = F - _mv(Pt, g * mixed) - _mv(Pt, r3v)
+        w = _mv(C, R1xi) - _mv(Q + D, mixed) - r3v
+        omega = _solves(cho, w[..., None])[..., 0]
     if not (np.isfinite(F).all() and np.isfinite(w).all()):
         for name, value in (("the field F", F), ("the vector w", w)):
             for j in np.flatnonzero(~np.isfinite(value).all(axis=1)):
                 failed.setdefault(j, FieldError(f"{name} is not finite: its assembly overflowed"))
 
-    block = FieldBlock(X if N == len(X) else X[kept], np.array(thetas, dtype=float), gtheta,
-                       h, g, A, B, H, Q, P, v, vplus, r3, F, w, omega, xi)
+    block = FieldBlock(X[kept], np.array(thetas, dtype=float), gtheta, h, g, A, B, H, Q, P,
+                       v, vplus, r3, F, w, omega, xi)
     if failed:
         for j, exc in failed.items():
             errors[kept[j]] = exc
@@ -354,13 +348,12 @@ def dissipation_rates(params, xi, g, v, vplus):
     product grad(theta) . F there.  A row has the bits of the same sum
     taken at its point alone.
     """
+    gv = g * v
     rate = -np.vecdot(xi, _mv(params.R1, xi))
-    if g.shape[1]:
-        gv = g * v
-        rate -= np.vecdot(gv, _mv(params.R2, gv))
-        rate -= np.sum(params.a * np.abs(g) * v ** 2, axis=1)
-        rate -= np.sum(params.b * vplus ** 2, axis=1)
-        rate -= np.sum(_gain_terms(params, vplus, 2), axis=1)
+    rate -= np.vecdot(gv, _mv(params.R2, gv))
+    rate -= np.sum(params.a * np.abs(g) * v ** 2, axis=1)
+    rate -= np.sum(params.b * vplus ** 2, axis=1)
+    rate -= np.sum(_gain_terms(params, vplus, 2), axis=1)
     return rate
 
 

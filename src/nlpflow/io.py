@@ -32,6 +32,7 @@ class SamplingError(RuntimeError):
 # blocks of _SAMPLE_BLOCK draws, and keeps a draw whose max g_j <= SAMPLE_TOL.
 SAMPLE_BOX = 3.0
 SAMPLE_TOL = 1e-12
+SAMPLE_MAX_TRIES = 2_000_000  # draws before sample_feasible gives up
 _SAMPLE_BLOCK = 256
 
 
@@ -105,7 +106,7 @@ def load_problem(path):
     return problem, reduced
 
 
-def sample_feasible(p, n_samples, seed, max_tries=2_000_000):
+def sample_feasible(p, n_samples, seed):
     """Seeded rejection sampling of feasible points in the box
     [-SAMPLE_BOX, SAMPLE_BOX]^n.
 
@@ -115,8 +116,8 @@ def sample_feasible(p, n_samples, seed, max_tries=2_000_000):
     draw is tested by one run of the constraint stack, in order, up to the
     draw that completes the sample.  So the points are those of one draw
     and one test per try, and an error is raised only at a draw that the
-    sample needs.  ``max_tries`` counts draws; running out of them raises
-    SamplingError.
+    sample needs.  SAMPLE_MAX_TRIES, read at each call, counts draws;
+    running out of them raises SamplingError.
     """
     if p.m != 0:
         raise ValueError("sampling needs an inequality-only (or reduced) problem")
@@ -125,16 +126,16 @@ def sample_feasible(p, n_samples, seed, max_tries=2_000_000):
     rng = np.random.default_rng(seed)
     stack = p.constraint_stack  # with m = 0 its values are (g_1, ..., g_k)
     out = []
-    for start in range(0, max_tries, _SAMPLE_BLOCK):
+    for start in range(0, SAMPLE_MAX_TRIES, _SAMPLE_BLOCK):
         draws = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX,
-                            size=(min(_SAMPLE_BLOCK, max_tries - start), p.n))
+                            size=(min(_SAMPLE_BLOCK, SAMPLE_MAX_TRIES - start), p.n))
         for x in draws.tolist():
             g = exprlang.evaluate_stack(stack, x)
             if not g or max(g) <= SAMPLE_TOL:
                 out.append(x)
                 if len(out) == n_samples:
                     return np.array(out)
-    raise SamplingError(f"could not draw {n_samples} feasible samples in {max_tries} "
+    raise SamplingError(f"could not draw {n_samples} feasible samples in {SAMPLE_MAX_TRIES} "
                         f"tries from the box [-{SAMPLE_BOX:g}, {SAMPLE_BOX:g}]^{p.n}")
 
 

@@ -35,7 +35,7 @@ class KktReport:
 def equality_multipliers(p, grad_theta, A, B, mu):
     """lam at one point: the least-squares solution of the stationarity
     equation A' lam = -(grad(theta) + B' mu), given mu."""
-    if p.m == 0:
+    if p.m == 0:  # else check's criticality block runs one lstsq per row
         return np.zeros(0)
     rhs = -(grad_theta + B.T @ mu)
     lam, _, rank, _ = np.linalg.lstsq(A.T, rhs, rcond=None)
@@ -69,15 +69,13 @@ def kkt_residuals(grad_theta, A, B, g, lam, mu):
     Python's ``min`` takes it.
     """
     N, m, k = len(grad_theta), A.shape[1], B.shape[1]
+    mu = np.reshape(mu, (N, k))
     stat = np.array(grad_theta, dtype=float)  # a copy: the sums below update it
-    if m:
-        stat += _mv(A.transpose(0, 2, 1), np.reshape(lam, (N, m)))
-    if k:
-        mu = np.reshape(mu, (N, k))
-        stat += _mv(B.transpose(0, 2, 1), mu)
+    stat += _mv(A.transpose(0, 2, 1), np.reshape(lam, (N, m)))
+    stat += _mv(B.transpose(0, 2, 1), mu)
     with np.errstate(over="ignore"):
         stationarity = np.sqrt(np.vecdot(stat, stat))
-    if not k:
+    if not k:  # mu.min over an empty axis raises
         return stationarity, np.zeros(N), np.zeros(N)
     least = mu.min(axis=1)
     return stationarity, np.abs(np.vecdot(mu, g)), np.where(least < 0.0, -least, 0.0)

@@ -322,7 +322,7 @@ def _accepts(p, cfg, rec, s, y):
     theta(y) <= theta + armijo * s * dtheta_F + allowance, where the
     allowance, ARMIJO_ROUNDING * eps * (1 + |theta|), covers the rounding
     of theta near a minimizer."""
-    if p.k and max(evaluate_stack(p.constraint_stack, y)[p.m:]) > FEAS_TOL:
+    if p.k and max(evaluate_stack(p.constraint_stack, y)[p.m:]) > FEAS_TOL:  # max() of no g raises
         return False
     allowance = ARMIJO_ROUNDING * sys.float_info.epsilon * (1.0 + abs(rec.theta))
     return evaluate(p.objective, y) <= rec.theta + cfg.armijo * s * rec.dtheta_F + allowance
@@ -367,7 +367,7 @@ def _t31_step(p, cfg, fe, x, rec):
 
 def _r35_step(p, cfg, fe, x, rec):
     """Curvature-bounded step; each rejection inflates the estimates."""
-    dgF = _dgF_identity(fe) if p.k else np.zeros(0)
+    dgF = _dgF_identity(fe)
     K, K_theta, span = _curvature_scan(p, fe, x, cfg.r)
     s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Refine the scan span toward the step actually proposed so the
@@ -395,7 +395,7 @@ def _r35_step(p, cfg, fe, x, rec):
         s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
         if increments > MAX_DOUBLINGS:
             worst = (int(np.argmax(evaluate_stack(p.constraint_stack, candidate)[p.m:]))
-                     if p.k else -1)
+                     if p.k else -1)  # argmax of no g raises
             raise _Stop("inner_cap", f"curvature increments exhausted; most "
                                      f"violated constraint index {worst}")
 

@@ -1,4 +1,3 @@
-import functools
 import os
 import pathlib
 import subprocess
@@ -55,6 +54,19 @@ def test_solve_bad_dimension_is_error(capsys):
     rc = main(["solve", "--problem", P41, "--x0", "1,2,3,4"])
     assert rc == 1
     assert "coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--sigma", "0.2", "--max-iter", "2"],
+                                     ["flow", "--step", "0.01", "--steps", "2"]],
+                         ids=["solve", "flow"])
+def test_full_x0_off_the_elimination_map_is_an_error(command, capsys):
+    # The lift of (-0.9, -1, 2) has x4 = 0.82 (README's start), not 99.
+    rc = main([*command, "--problem", P42, "--x0=-0.9,-1,2,99"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: x0 is off the elimination map: x4 = 99, "
+                            "but the map gives 0.82000000000000028\n")
 
 
 def test_missing_file_is_error(capsys):
@@ -261,8 +273,7 @@ def test_check_reports_violations_in_both_spaces(monkeypatch, capsys):
 
 
 def test_exhausted_sampler_is_an_error(monkeypatch, capsys):
-    monkeypatch.setattr(io, "sample_feasible",
-                        functools.partial(io.sample_feasible, max_tries=10))
+    monkeypatch.setattr(io, "SAMPLE_MAX_TRIES", 10)
     rc = main(["check", "--problem", P42, "--samples", "50"])
     assert rc == 1
     assert capsys.readouterr().err == ("error: could not draw 50 feasible samples in "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import checks_reference
+from nlpflow import io
 from nlpflow.exprlang import EvalError, evaluate, parse
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.flow import Trajectory
@@ -85,8 +86,8 @@ def test_sample_feasible_matches_per_draw_reference(p41, p42):
             assert np.array_equal(sample_feasible(red, 20, seed), want)
 
 
-def test_sample_feasible_counts_draws(p42):
-    """``max_tries`` bounds the draws, across block edges, as one draw per
+def test_sample_feasible_counts_draws(p42, monkeypatch):
+    """SAMPLE_MAX_TRIES bounds the draws, across block edges, as one draw per
     try does: the n-th feasible point on the last allowed draw is found,
     one draw fewer is an error."""
     _, red = p42
@@ -97,15 +98,18 @@ def test_sample_feasible_counts_draws(p42):
             tries.append(i)
     for count in (1, 13, len(tries)):  # inside the first block, and past it
         last = tries[count - 1]
-        assert np.array_equal(sample_feasible(red, count, 9, max_tries=last),
+        monkeypatch.setattr(io, "SAMPLE_MAX_TRIES", last)
+        assert np.array_equal(sample_feasible(red, count, 9),
                               checks_reference.sample_feasible(red, count, 9, max_tries=last))
         message = (f"could not draw {count} feasible samples in {last - 1} tries "
                    "from the box [-3, 3]^3")
-        for sampler, error in ((sample_feasible, SamplingError),
-                               (checks_reference.sample_feasible, RuntimeError)):
-            with pytest.raises(error) as exc:
-                sampler(red, count, 9, max_tries=last - 1)
-            assert str(exc.value) == message
+        monkeypatch.setattr(io, "SAMPLE_MAX_TRIES", last - 1)
+        with pytest.raises(SamplingError) as exc:
+            sample_feasible(red, count, 9)
+        assert str(exc.value) == message
+        with pytest.raises(RuntimeError) as exc:
+            checks_reference.sample_feasible(red, count, 9, max_tries=last - 1)
+        assert str(exc.value) == message
     assert tries[12] < 256 < tries[-1]
 
 
@@ -161,11 +165,12 @@ def test_sample_feasible_without_constraints_takes_every_draw():
     assert np.array_equal(checks_reference.sample_feasible(p, 300, 3), want)
 
 
-def test_sample_feasible_needs_a_positive_count(p42):
+def test_sample_feasible_needs_a_positive_count(p42, monkeypatch):
     _, red = p42
+    monkeypatch.setattr(io, "SAMPLE_MAX_TRIES", 10)
     for count in (0, -1):
         with pytest.raises(ValueError, match="at least one sample"):
-            sample_feasible(red, count, seed=0, max_tries=10)
+            sample_feasible(red, count, seed=0)
 
 
 def test_sample_feasible_rejects_equalities(p41):

@@ -4,9 +4,10 @@ the one-point, one-trajectory reference in ``flow_reference``."""
 import numpy as np
 import pytest
 
+import checks_reference
 import flow_reference as ref
 from nlpflow.exprlang import parse
-from nlpflow.field import FieldParams, field_block, field_eval
+from nlpflow.field import FieldParams, dissipation_rates, field_block, field_eval
 from nlpflow.flow import _advance, euler_flow, phase_grid
 from nlpflow.io import sample_feasible
 from nlpflow.model import Problem
@@ -161,6 +162,58 @@ def test_block_rows_match_field_eval(name, sigma, request):
             fe = field_eval(p, params, x)
             assert_same_field(fe, ref.field_eval(p, params, x))
             assert_same_field(block.row(j), fe)
+
+
+def _unconstrained():
+    names = ("x1", "x2", "x3")
+    return Problem(names=names, objective=parse("x1^2 + 2*x2^2 + x3^2 - x1*x3 + x2", names))
+
+
+def _one_equality():
+    names = ("x1", "x2", "x3")
+    return Problem(names=names, objective=parse("x1^4 - x2*x3 + x3^2", names),
+                   equalities=(parse("x1 + x2^2 + x3 - 3", names),))
+
+
+def _points(p, count):
+    """``count`` seeded points of [-2, 2]^3, with x3 solved from the
+    equality where there is one."""
+    X = np.random.default_rng(7).uniform(-2.0, 2.0, size=(count, 3))
+    if p.m:
+        X[:, 2] = 3.0 - X[:, 0] - X[:, 1] ** 2
+    return X
+
+
+# k = 0: no inequality, so Q, P, v, v+, r3, w and omega are empty.
+WITHOUT_INEQUALITIES = pytest.mark.parametrize(
+    "make", [_unconstrained, _one_equality], ids=["unconstrained", "one-equality"])
+
+
+@WITHOUT_INEQUALITIES
+@pytest.mark.parametrize("sigma", [0.2, 1.0, 50.0])
+@pytest.mark.parametrize("N", [1, 2, 40])
+def test_block_rows_without_inequalities_match_field_eval(make, sigma, N):
+    p = make()
+    params = FieldParams.default(p.n, p.k, sigma=sigma)
+    X = _points(p, N)
+    block, errors = field_block(p, params, X)
+    assert errors == [None] * N
+    rates = dissipation_rates(params, block.xi, block.g, block.v, block.vplus)
+    for j, x in enumerate(X):
+        want = ref.field_eval(p, params, x)
+        assert_same_field(block.row(j), want)
+        assert _bits(rates[j]) == _bits(np.float64(checks_reference.dissipation(params, want)))
+
+
+@WITHOUT_INEQUALITIES
+def test_flows_without_inequalities_match_reference(make):
+    p = make()
+    params = FieldParams.default(p.n, p.k, sigma=1.0)
+    starts = list(_points(p, 4))
+    lockstep = _advance(p, params, starts, 0.01, 100)
+    assert [t.status for t in lockstep] == ["completed"] * 4
+    assert_same_trajectories(lockstep, [ref.euler_flow(p, params, x0, 0.01, 100)
+                                        for x0 in starts])
 
 
 def test_block_reports_each_failing_row():
