@@ -7,29 +7,51 @@ R3, and combines them into a descent field F whose equilibria are
 exactly the KKT points.  The dissipation identity gives the decrease
 rate of the objective along the field in closed form.
 
-The construction is assembled for a block of N points at once
-(``field_block``), so the Euler flow advances all its trajectories with
-one assembly per step.  The expression kernels run point by point on
-Python floats.  The linear algebra runs on stacked (N, ., .) arrays, where
-each slice makes the BLAS call that a single point makes and LAPACK runs
-once per slice, so a point gets the same bits whatever N is.
-``field_eval`` is the N = 1 case: a point's field is one row of the block.
+The construction has explicit formulae, so for a problem's (n, m, k) and
+its gains one point's field is a fixed sequence of scalar operations.
+``_generate`` writes that sequence out as straight-line Python, one
+statement per operation: the Gram matrix of the equality gradients and
+H, C = B H, Q = C B' - diag(g) symmetrized, its Cholesky factor, P, v,
+v+, M = H - C'P, xi, R1 xi, r3, the mixed term, F, w and omega.  Only
+exact constants are folded: H = I when m = 0, zero gains and the zero
+entries of R1.  A gain's power of v+ is a multiplication chain.  The
+source is compiled once per (n, m, k) and gains, by value, and run by
+one of two runners: row by row on Python floats, or on NumPy columns
+with one array per scalar of the construction.  Both make the same IEEE
+operations in the same order, so a point gets the same bits from either,
+whatever the block's size.  No LAPACK routine runs.
+
+The field is assembled for a block of N points at once (``field_block``),
+so the Euler flow advances all its trajectories with one assembly per
+step.  The expression kernels run point by point on Python floats, then
+the field kernel runs on the block.  ``field_eval`` is the N = 1 case: a
+point's field is one row of the block.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import functools
+import itertools
+import logging
 import math
-import os
-import sys
+import time
 from collections import namedtuple
 
 import numpy as np
-import scipy
 
 from .exprlang import ExprError, evaluate, evaluate_stack, grad
 from .model import FIELD_FEAS_TOL
+
+log = logging.getLogger(__name__)
+
+# Blocks of at least this many rows run the field kernel on NumPy columns,
+# smaller ones row by row.  The runners give the same bits, so this moves
+# only time.  On the four benchmark shapes (p41 and p42, reduced and full;
+# 190 to 400 operations, 2-core x86-64 host) a row costs 10 to 20 us and a
+# column run 200 to 700 us whatever the block's size; they cross between
+# 20 and 30 rows.  At 93 rows, criterion 7's portrait, columns take a third
+# of the rows' time.
+COLUMNS_FROM = 24
 
 
 class FieldError(RuntimeError):
@@ -42,39 +64,6 @@ class ConstraintQualificationError(FieldError):
 
 class InfeasiblePointError(FieldError):
     pass
-
-
-def _load_flapack():
-    """SciPy's compiled LAPACK extension, loaded without its package.
-
-    ``import scipy.linalg`` runs all of ``scipy/linalg/__init__.py``: 0.27 to
-    0.34 s and 27 MB of peak memory in a fresh interpreter that has already
-    imported NumPy and SciPy (2-core x86-64 host, SciPy 1.17), about 60% of
-    every command's start-up.  The extension alone is found and created
-    from SciPy's ``linalg`` directory; ``import scipy`` above does SciPy's
-    platform set-up first.  The module is entered in ``sys.modules`` under
-    its own name, so a later ``import scipy.linalg`` reuses it.  If SciPy
-    ships no such module, this raises ImportError naming it; there is no
-    other way to load LAPACK.
-    """
-    name = "scipy.linalg._flapack"
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy.__path__[0], "linalg")])
-    if spec is None:
-        raise ImportError(f"nlpflow needs SciPy's compiled LAPACK module {name}, "
-                          "which this SciPy does not have", name=name)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# LAPACK's Cholesky factorization and triangular solves for float64
-# (dpotrf, dpotrs), called without scipy.linalg's checking wrappers: the
-# objects that ``get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)``
-# returns.
-_flapack = _load_flapack()
-_potrf, _potrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 class FieldParams:
@@ -96,6 +85,9 @@ class FieldParams:
         self._validate()
         for arr in (self.R1, self.R2, self.a, self.b, self.c, self.p):
             arr.setflags(write=False)
+        # The field kernel's cache key: the gains by value.
+        self._key = (len(self.R1), *(tuple(arr.ravel().tolist()) for arr in
+                                     (self.R1, self.R2, self.a, self.b, self.c, self.p)))
 
     @classmethod
     def default(cls, n, k, sigma=1.0):
@@ -144,14 +136,6 @@ class FieldBlock(namedtuple("FieldBlock", "x theta grad_theta h g A B H Q P v vp
         return FieldBlock(*(v[j] for v in self))
 
 
-def _diag(d, N, k):
-    """N stacked k x k diagonal matrices, with the rows of ``d`` (or the
-    scalar ``d``) on their diagonals."""
-    out = np.zeros((N, k, k))
-    out.reshape(N, k * k)[:, ::k + 1] = d
-    return out
-
-
 def _mv(M, v):
     """Stacked matrix-vector products M_j @ v_j.
 
@@ -170,74 +154,343 @@ def _gain_terms(params, vplus, extra):
     return out
 
 
-def _factors(S, name, failure, failed):
-    """Lower Cholesky factors of the symmetric slices of the stack ``S``,
-    called ``name``, by one LAPACK call per slice.
+# ---------------------------------------------------------------------------
+# The field kernel.
 
-    A slice fails with a FieldError if it is not finite, and with a
-    ConstraintQualificationError, carrying the message ``failure`` and its
-    smallest eigenvalue, if LAPACK cannot factor it.  ``failed`` maps each
-    failed slice to its first error; such a slice gets an identity factor,
-    so the stacked arithmetic can go on.
+def _zero(a):
+    return isinstance(a, float) and a == 0.0
+
+
+def _text(a):
+    """A name, or a constant as a literal that reads back to its bits."""
+    return a if isinstance(a, str) else f"({a!r})"
+
+
+class _Writer:
+    """Straight-line code over names (str) and exact constants (float).
+
+    Each arithmetic method writes one statement, one operation, and returns
+    the name of its result.  An operation on constants alone is done here,
+    and one that an exact 0 or 1 decides is left out: x*0 and 0*x are 0,
+    x*1, x+0 and x-0 are x, and 0-x is -x.  Those constants are the
+    construction's structural ones (H = I when m = 0, zero gains, the zeros
+    of R1), so leaving them out changes at most the sign of a zero.  An
+    operation already written, on the same operands in either order for +
+    and *, is not written again: IEEE addition and multiplication commute
+    bit for bit.
     """
-    all_finite = np.isfinite(S).all()
-    out = []
-    for j in range(len(S)):  # indexing, not iterating: iterating a stack costs more
-        s = S[j]
-        if j not in failed:
-            if not (all_finite or np.isfinite(s).all()):
-                failed[j] = FieldError(f"{name} is not finite: its assembly overflowed")
-            else:
-                c, info = _potrf(s, lower=True, clean=False)
-                if info == 0:
-                    out.append(c)
-                    continue
-                pivot = float(np.linalg.eigvalsh(s).min())
-                failed[j] = ConstraintQualificationError(failure.format(pivot=pivot))
-        out.append(np.eye(len(s)))
+
+    def __init__(self):
+        self.lines = []
+        self.ops = 0
+        self.seen = {}  # expression -> name
+
+    def emit(self, expression):
+        if expression not in self.seen:
+            self.seen[expression] = name = f"t{self.ops}"
+            self.ops += 1
+            self.lines.append(f"{name} = {expression}")
+        return self.seen[expression]
+
+    def mul(self, a, b):
+        if isinstance(b, float):
+            a, b = b, a  # a constant goes first
+        if isinstance(b, float):
+            return a * b
+        if isinstance(a, str):
+            return self.emit(" * ".join(sorted((a, b))))
+        if a == 0.0:
+            return 0.0
+        return b if a == 1.0 else self.emit(f"{_text(a)} * {b}")
+
+    def add(self, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return a + b
+        if _zero(a) or _zero(b):
+            return b if _zero(a) else a
+        return self.emit(" + ".join(sorted((_text(a), _text(b)))))
+
+    def sub(self, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return a - b
+        if _zero(b):
+            return a
+        if _zero(a):
+            return self.neg(b)
+        return self.emit(f"{_text(a)} - {_text(b)}")
+
+    def neg(self, a):
+        return -a if isinstance(a, float) else self.emit(f"-{a}")
+
+    def div(self, a, b):
+        return self.emit(f"{_text(a)} / {b}")
+
+    def call(self, function, *args):
+        return self.emit(f"{function}({', '.join(map(str, args))})")
+
+    def dot(self, xs, ys):
+        """sum_i xs[i]*ys[i], added left to right."""
+        total = 0.0
+        for x, y in zip(xs, ys):
+            total = self.add(total, self.mul(x, y))
+        return total
+
+    def power(self, x, q):
+        """x^q, q >= 1, by the binary method: a multiplication chain."""
+        result, base = None, x
+        while q:
+            if q & 1:
+                result = base if result is None else self.mul(result, base)
+            q >>= 1
+            if q:
+                base = self.mul(base, base)
+        return result
+
+    def check_finite(self, stage, entries):
+        if entries:
+            listed = "".join(f"{_text(e)}, " for e in entries)
+            self.lines.append(f"_finite(fail, {stage}, ({listed}))")
+
+    def cholesky(self, S, stage):
+        """The lower Cholesky factor of the symmetric matrix whose lower
+        triangle is ``S``; each pivot is checked as stage ``stage``."""
+        L = [[None] * len(S) for _ in S]
+        for j in range(len(S)):
+            pivot = self.sub(S[j][j], self.dot(L[j][:j], L[j][:j]))
+            L[j][j] = self.call("_root", "fail", stage, pivot)
+            for i in range(j + 1, len(S)):
+                L[i][j] = self.div(self.sub(S[i][j], self.dot(L[i][:j], L[j][:j])), L[j][j])
+        return L
+
+    def solve(self, L, rhs):
+        """x with L L' x = rhs: forward, then back substitution."""
+        k = len(L)
+        y = []
+        for i in range(k):
+            y.append(self.div(self.sub(rhs[i], self.dot(L[i][:i], y)), L[i][i]))
+        x = [None] * k
+        for i in reversed(range(k)):
+            x[i] = self.div(self.sub(y[i], self.dot([L[j][i] for j in range(i + 1, k)],
+                                                    x[i + 1:])), L[i][i])
+        return x
+
+
+# The kernel's checks, in the order they run.  A row that fails one
+# records its stage on ``fail`` and goes on with a unit pivot; the first
+# stage recorded is its error.
+_GRAM_FINITE, _GRAM_PIVOTS, _Q_FINITE, _Q_PIVOTS, _F_FINITE, _W_FINITE = range(1, 7)
+
+
+def _symmetric(code, S):
+    """0.5*(S + S') of a square matrix of names, with each mirror pair
+    computed once; the diagonal is S's own."""
+    n = len(S)
+    out = [[S[r][c] if r == c else None for c in range(n)] for r in range(n)]
+    for r in range(n):
+        for c in range(r):
+            out[r][c] = out[c][r] = code.mul(0.5, code.add(S[r][c], S[c][r]))
     return out
 
 
-def _solves(factors, R):
-    """The solutions X_j of S_j X_j = R_j, stacked, from the factors of S_j:
-    the field's one LAPACK solve.  potrs returns each X_j in Fortran order.
-    The slices keep that layout, because OpenBLAS picks its gemv kernel by
-    layout, and the two kernels round differently.  Systems with no rows
-    are skipped: f2py's dpotrs rejects an empty right-hand side.
+def _generate(n, m, k, R1, R2, a, b, c, p):
+    """The source of ``kernel(row, fail)`` for a problem of size (n, m, k)
+    with the gains R1 (n x n), R2 (k x k), a, b, c and p (row-major
+    sequences), and its operation count.
+
+    ``row`` holds one point's inputs in FieldBlock order (x, theta,
+    grad_theta, h, g, A, B).  The kernel returns the block's other columns
+    (H, Q, P, v, vplus, r3, F, w, omega, xi) and then the Gram matrix of
+    the equality gradients, each matrix row by row, as one tuple.
     """
-    N, k, n = R.shape
-    Xt = np.empty((N, n, k))
-    for j in range(N if k else 0):
-        x, _ = _potrs(factors[j], R[j], lower=True)  # info is non-zero only for a bad argument
-        Xt[j] = x.T
-    return Xt.transpose(0, 2, 1)
+    code = _Writer()
+    d = [f"d{i}" for i in range(n)]
+    g = [f"g{j}" for j in range(k)]
+    A = [[f"a{i}_{col}" for col in range(n)] for i in range(m)]
+    B = [[f"b{j}_{col}" for col in range(n)] for j in range(k)]
+    inputs = ["_"] * (n + 1) + d + ["_"] * m + g + sum(A, []) + sum(B, [])
+
+    identity = [[float(r == col) for col in range(n)] for r in range(n)]
+    if m:
+        gram = [[code.dot(A[i], A[j]) for j in range(i + 1)] for i in range(m)]
+        code.check_finite(_GRAM_FINITE, sum(gram, []))
+        L = code.cholesky(gram, _GRAM_PIVOTS)
+        X = [code.solve(L, [A[i][col] for i in range(m)]) for col in range(n)]  # by column
+        H = _symmetric(code, [[code.sub(identity[r][col],
+                                        code.dot([A[i][r] for i in range(m)], X[col]))
+                               for col in range(n)] for r in range(n)])
+        gram = [[gram[max(i, j)][min(i, j)] for j in range(m)] for i in range(m)]
+    else:
+        H, gram = identity, []
+    C = [[code.dot(B[j], [H[r][col] for r in range(n)]) for col in range(n)] for j in range(k)]
+    Q = _symmetric(code, [[code.sub(code.dot(C[i], B[j]), g[i] if i == j else 0.0)
+                           for j in range(k)] for i in range(k)])
+    code.check_finite(_Q_FINITE, [Q[i][j] for i in range(k) for j in range(i + 1)])
+    LQ = code.cholesky(Q, _Q_PIVOTS)
+    P = list(zip(*(code.solve(LQ, [C[j][col] for j in range(k)]) for col in range(n)))) if k else []
+    v = [code.dot(P[j], d) for j in range(k)]
+    vplus = [code.call("_pos", v[j]) for j in range(k)]
+    M = [[code.sub(H[r][col], code.dot([C[j][r] for j in range(k)], [P[j][col] for j in range(k)]))
+          for col in range(n)] for r in range(n)]
+    xi = [code.dot(M[r], d) for r in range(n)]
+    R1xi = [code.dot(R1[r * n:(r + 1) * n], xi) for r in range(n)]
+    r3 = [code.add(b[j], code.mul(c[j], code.power(vplus[j], 2 * p[j]))) if c[j] else b[j]
+          for j in range(k)]
+    gv = [code.mul(g[j], v[j]) for j in range(k)] if any(R2) else [0.0] * k
+    mixed = [code.sub(code.dot(R2[j * k:(j + 1) * k], gv), code.mul(a[j], v[j])) for j in range(k)]
+    r3v = [code.mul(r3[j], vplus[j]) for j in range(k)]
+    gm = [code.mul(g[j], mixed[j]) for j in range(k)]
+    F = []
+    for r in range(n):
+        Pr = [P[j][r] for j in range(k)]
+        F0 = code.neg(code.dot(M[r], R1xi))
+        F.append(code.sub(code.sub(F0, code.dot(Pr, gm)), code.dot(Pr, r3v)))
+    QD = [[code.add(Q[i][j], g[i]) if i == j else Q[i][j] for j in range(k)] for i in range(k)]
+    w = [code.sub(code.sub(code.dot(C[j], R1xi), code.dot(QD[j], mixed)), r3v[j])
+         for j in range(k)]
+    code.check_finite(_F_FINITE, F)
+    code.check_finite(_W_FINITE, w)
+    omega = code.solve(LQ, w)
+
+    outputs = [*sum(H, []), *sum(Q, []), *sum(map(list, P), []), *v, *vplus, *r3, *F, *w,
+               *omega, *xi, *sum(gram, [])]
+    body = [f"{''.join(f'{name}, ' for name in inputs)}= row", *code.lines,
+            f"return ({''.join(f'{_text(value)}, ' for value in outputs)})"]
+    return "def kernel(row, fail):\n" + "".join(f"    {line}\n" for line in body), code.ops
 
 
-def _projectors(A, failed):
-    """Null-space projectors of the slices of the (N, m, n) stack ``A``."""
-    N, m, n = A.shape
-    if m == 0:  # every solver field: no Gram factorization and solve per row
-        return _diag(1.0, N, n)
-    gram = A @ A.transpose(0, 2, 1)
-    factors = _factors(gram, "the Gram matrix of the equality gradients",
-                       "equality gradients are rank deficient (smallest pivot {pivot:.3e})",
-                       failed)
-    H = np.eye(n) - A.transpose(0, 2, 1) @ _solves(factors, A)
-    return 0.5 * (H + H.transpose(0, 2, 1))
+def _root_row(fail, stage, d):
+    if d > 0.0:
+        return math.sqrt(d)
+    fail.append(stage)
+    return 1.0
+
+
+def _finite_row(fail, stage, entries):
+    if not all(map(math.isfinite, entries)):
+        fail.append(stage)
+
+
+def _root_columns(fail, stage, d):
+    ok = d > 0.0
+    fail[~ok & (fail == 0)] = stage
+    return np.sqrt(np.where(ok, d, 1.0))
+
+
+def _finite_columns(fail, stage, entries):
+    ok = True
+    for e in entries:
+        ok = ok & np.isfinite(e)
+    fail[~ok & (fail == 0)] = stage
+
+
+# The kernel's helpers, for Python floats and for NumPy columns: sqrt of a
+# checked pivot, the finiteness check and v+ = max(0, v), which is +0.0
+# unless v > 0.
+_ROW_HELPERS = {"_root": _root_row, "_finite": _finite_row,
+                "_pos": lambda v: v if v > 0.0 else 0.0}
+_COLUMN_HELPERS = {"_root": _root_columns, "_finite": _finite_columns,
+                   "_pos": lambda v: np.where(v > 0.0, v, 0.0)}
+
+
+class _Kernel:
+    """One compiled field kernel: ``rows`` and ``columns`` run the same
+    source on a Python-float row and on NumPy columns.  A block's table is
+    a record array of ``dtype``: the FieldBlock columns in order, then the
+    Gram matrix of the equality gradients."""
+
+    def __init__(self, n, m, k, gains):
+        start = time.perf_counter()
+        source, self.ops = _generate(n, m, k, *gains)
+        code = compile(source, "<field kernel>", "exec")
+        self.rows, self.columns = (_define(code, helpers)
+                                   for helpers in (_ROW_HELPERS, _COLUMN_HELPERS))
+        shapes = [(n,), (), (n,), (m,), (k,), (m, n), (k, n),  # the inputs
+                  (n, n), (k, k), (k, n), (k,), (k,), (k,), (n,), (k,), (k,), (n,), (m, m)]
+        self.dtype = np.dtype([(name, float, shape) for name, shape
+                               in zip((*FieldBlock._fields, "gram"), shapes)])
+        self.width = self.dtype.itemsize // 8
+        self.inputs = sum(math.prod(shape) for shape in shapes[:7])
+        log.debug("field kernel for (n, m, k) = (%d, %d, %d): %d operations, compiled in "
+                  "%.1f ms; blocks of %d or more rows run on NumPy columns, others by row",
+                  n, m, k, self.ops, 1e3 * (time.perf_counter() - start), COLUMNS_FROM)
+
+
+def _define(code, helpers):
+    namespace = dict(helpers)
+    exec(code, namespace)
+    return namespace["kernel"]
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(m, key):
+    """The field kernel for m equality constraints and the gains whose
+    ``FieldParams._key`` is ``key``: cached by value, so gains built again
+    compile nothing."""
+    n, *gains = key
+    return _Kernel(n, m, len(gains[2]), gains)
+
+
+_NOT_FINITE = {_GRAM_FINITE: "the Gram matrix of the equality gradients", _Q_FINITE: "Q",
+               _F_FINITE: "the field F", _W_FINITE: "the vector w"}
+
+
+def _stage_error(stage, record):
+    """The error of a block record whose kernel run failed ``stage``."""
+    if stage in _NOT_FINITE:
+        return FieldError(f"{_NOT_FINITE[stage]} is not finite: its assembly overflowed")
+    if stage == _GRAM_PIVOTS:
+        S, failure = record["gram"], "equality gradients are rank deficient (smallest pivot {:.3e})"
+    else:
+        S, failure = record["Q"], ("Q is not positive definite (smallest pivot {:.3e}): "
+                                   "LICQ violated or point infeasible")
+    return ConstraintQualificationError(failure.format(float(np.linalg.eigvalsh(S).min())))
+
+
+def _assemble(kernel, inputs):
+    """Run ``kernel`` at each of ``inputs``: tuples of Python floats that
+    hold a point's x, theta, grad_theta, h, g, A and B, each flattened.
+    Returns ``(block, failed)``: ``failed`` maps the index of each row
+    whose field fails to its FieldError, and ``block`` is the FieldBlock
+    of the other rows, in order, as views of one record array."""
+    N = len(inputs)
+    if N < COLUMNS_FROM:
+        rows, stages = [], []
+        for row in inputs:
+            fail = []
+            rows.append(row + kernel.rows(row, fail))
+            stages.append(fail[0] if fail else 0)
+        table = np.array(rows, dtype=float).reshape(N * kernel.width).view(kernel.dtype)
+    else:
+        table = np.empty(N, kernel.dtype)
+        flat = table.view(float).reshape(N, kernel.width)
+        flat[:, :kernel.inputs] = inputs
+        stages = np.zeros(N, dtype=np.int8)
+        # A failed row goes on with unit pivots, and large gains can
+        # overflow F and w: the kernel's checks report both.
+        with np.errstate(all="ignore"):
+            out = kernel.columns(flat[:, :kernel.inputs].T, stages)
+        for i, column in enumerate(out, start=kernel.inputs):
+            flat[:, i] = column
+    failed = {j: _stage_error(stage, table[j]) for j, stage in enumerate(stages) if stage}
+    if failed:
+        table = table[[j for j in range(N) if j not in failed]]
+    return FieldBlock(*(table[name] for name in FieldBlock._fields)), failed
 
 
 def projector_h(A):
-    """Orthogonal projector onto the null space of the stacked rows of A.
+    """Orthogonal projector onto the null space of the stacked rows of A,
+    as the field kernel computes it.
 
     Solves the m x m symmetric system by Cholesky; a factorization
     failure signals rank deficiency of A (an LICQ violation).
     """
-    failed = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = _projectors(np.asarray(A, dtype=float)[None], failed)
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    kernel = _kernel(m, FieldParams.default(n, 0)._key)
+    block, failed = _assemble(kernel, [(0.0,) * (2 * n + 1 + m) + tuple(A.ravel().tolist())])
     if failed:
         raise failed[0]
-    return H[0]
+    return block.H[0]
 
 
 def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
@@ -246,18 +499,20 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
     Returns ``(block, errors)``.  ``errors[r]`` is the FieldError or
     ExprError that ``field_eval`` raises at row r, or None.  ``block`` is
     a FieldBlock of the rows without an error, in row order: row j of the
-    block is the field that ``field_eval`` returns at its point.
+    block is the field that ``field_eval`` returns at its point.  Its
+    columns are views of one array.
 
     The expression kernels run row by row, on Python floats.  A row whose
     kernels fail, or whose constraint violation exceeds ``feas_tol``,
-    leaves the block there.  The linear algebra is stacked: each slice
-    makes the BLAS call that one point's 2-D arithmetic makes, and LAPACK
-    runs once per slice, so a row has the same bits whatever N is.
+    leaves the block there.  The field kernel then runs on the other rows:
+    row by row below COLUMNS_FROM rows and on NumPy columns from there,
+    which give a row the same bits.
     """
     X = np.asarray(X, dtype=float)
-    n, m, k = p.n, p.m, p.k
+    m = p.m
+    kernel = _kernel(m, params._key)
     errors = [None] * len(X)
-    kept, values, thetas, grads = [], [], [], []
+    kept, inputs = [], []
     for r, x in enumerate(X.tolist()):
         try:
             vals = evaluate_stack(p.constraint_stack, x)
@@ -271,56 +526,10 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
             errors[r] = exc
             continue
         kept.append(r)
-        values.append(vals)
-        thetas.append(theta)
-        grads.append(rows)
-
-    N = len(kept)
-    vals = np.array(values, dtype=float).reshape(N, m + k)
-    h, g = vals[:, :m], vals[:, m:]
-    G = np.array(grads, dtype=float).reshape(N, 1 + m + k, n)
-    gtheta, A, B = G[:, 0], G[:, 1:1 + m], G[:, 1 + m:]
-    failed = {}  # slice -> the first FieldError of its linear algebra
-    # A failed slice goes on with an identity factor, so its arithmetic can
-    # overflow; large gains can overflow F and w.  The finiteness checks and
-    # ``failed`` report both, so numpy's warnings would only repeat them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = _projectors(A, failed)
-        C = B @ H
-        D = _diag(g, N, k)
-        Q = C @ B.transpose(0, 2, 1) - D
-        Q = 0.5 * (Q + Q.transpose(0, 2, 1))
-        cho = _factors(Q, "Q", "Q is not positive definite (smallest pivot {pivot:.3e}): "
-                               "LICQ violated or point infeasible", failed)
-        P = _solves(cho, C)
-        v = _mv(P, gtheta)
-        vplus = np.maximum(0.0, v)
-        M = H - C.transpose(0, 2, 1) @ P  # H - P'QP
-        xi = _mv(M, gtheta)
-        R1xi = _mv(params.R1, xi)
-        F = _mv(-M, R1xi)
-        # Row-shaped gains: a (1, k) row broadcasts over the stack at less
-        # cost than a (k,) vector.
-        a, b = params.a[None], params.b[None]
-        r3 = b + _gain_terms(params, vplus, 0)
-        mixed = _mv(params.R2, g * v) - a * v  # (R2 diag(g) - diag(a)) v
-        r3v = r3 * vplus
-        Pt = P.transpose(0, 2, 1)
-        F = F - _mv(Pt, g * mixed) - _mv(Pt, r3v)
-        w = _mv(C, R1xi) - _mv(Q + D, mixed) - r3v
-        omega = _solves(cho, w[..., None])[..., 0]
-    if not (np.isfinite(F).all() and np.isfinite(w).all()):
-        for name, value in (("the field F", F), ("the vector w", w)):
-            for j in np.flatnonzero(~np.isfinite(value).all(axis=1)):
-                failed.setdefault(j, FieldError(f"{name} is not finite: its assembly overflowed"))
-
-    block = FieldBlock(X[kept], np.array(thetas, dtype=float), gtheta, h, g, A, B, H, Q, P,
-                       v, vplus, r3, F, w, omega, xi)
-    if failed:
-        for j, exc in failed.items():
-            errors[kept[j]] = exc
-        ok = [j for j in range(N) if j not in failed]
-        block = FieldBlock(*(value[ok] for value in block))
+        inputs.append((*x, theta, *itertools.chain(rows[0], vals, *rows[1:])))
+    block, failed = _assemble(kernel, inputs)
+    for j, exc in failed.items():
+        errors[kept[j]] = exc
     return block, errors
 
 

@@ -12,15 +12,23 @@ returns its point's field as a one-point FieldBlock row, the type of
 ``field.field_eval``.
 ``check_theta_monotone`` is the descent test that the flow tests and
 criterion 7 apply to a trajectory.
+
+The linear algebra is BLAS and LAPACK (``dpotrf``/``dpotrs`` from
+``scipy.linalg.get_lapack_funcs``), not the package's generated field
+kernel, so it is an independent oracle: the kernel sums in its own
+order, and the tests compare the two within stated bounds.
 """
 
 import numpy as np
+import scipy.linalg
 
 from nlpflow.exprlang import ExprError, evaluate, evaluate_stack, grad
-from nlpflow.field import (ConstraintQualificationError, FieldBlock, FieldError,
-                           InfeasiblePointError, _potrf, _potrs)
+from nlpflow.field import ConstraintQualificationError, FieldBlock, FieldError, InfeasiblePointError
 from nlpflow.flow import DRIFT_ABORT, PhaseGrid, Trajectory
 from nlpflow.model import FIELD_FEAS_TOL, is_feasible
+
+
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _cholesky(S, name, failure):

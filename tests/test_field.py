@@ -214,44 +214,32 @@ def test_zero_gains_leave_out_their_power_terms():
     assert dissipation(params, fe) < 0
 
 
-# --- LAPACK against scipy.linalg's wrappers ---------------------------------
+# --- the kernel's Cholesky solves against scipy.linalg's ----------------------
 
-def _bits(a):
-    return a.dtype, a.shape, a.tobytes()
+# P, omega and H against scipy.linalg.cho_solve on the kernel's own Q and
+# Gram matrix, in units of eps * (1 + max |scipy's|): about 8 times the
+# worst seen at these points (24, 43 and 0.5).
+SOLVE_BOUND = {"P": 256, "omega": 512, "H": 8}
+
+
+def _within(got, want, ulps):
+    scale = 1.0 + np.abs(want).max(initial=0.0)
+    return np.abs(got - want).max(initial=0.0) <= ulps * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("name", ["p41", "p42"])
-def test_cholesky_matches_scipy_bit_for_bit(name, request):
+def test_cholesky_solves_match_scipy_within_bound(name, request):
     full, red = request.getfixturevalue(name)
     for x in sample_feasible(red, 20, seed=11):
         for p, point in ((red, x), (full, red.lift(x))):
             fe = field_eval(p, FieldParams.default(p.n, p.k), point)
             cho = scipy.linalg.cho_factor(fe.Q, lower=True)
-            factor, info = field._potrf(fe.Q, lower=True, clean=False)
-            assert info == 0 and _bits(factor) == _bits(cho[0])
-            assert _bits(fe.P) == _bits(scipy.linalg.cho_solve(cho, fe.B @ fe.H))
-            assert _bits(fe.omega) == _bits(scipy.linalg.cho_solve(cho, fe.w))
+            assert _within(fe.P, scipy.linalg.cho_solve(cho, fe.B @ fe.H), SOLVE_BOUND["P"])
+            assert _within(fe.omega, scipy.linalg.cho_solve(cho, fe.w), SOLVE_BOUND["omega"])
             if p.m:
-                gram = fe.A @ fe.A.T
-                cho = scipy.linalg.cho_factor(gram, lower=True)
-                factor, info = field._potrf(gram, lower=True, clean=False)
-                assert info == 0 and _bits(factor) == _bits(cho[0])
+                cho = scipy.linalg.cho_factor(fe.A @ fe.A.T, lower=True)
                 H = np.eye(p.n) - fe.A.T @ scipy.linalg.cho_solve(cho, fe.A)
-                assert _bits(fe.H) == _bits(0.5 * (H + H.T))
-
-
-def test_potrf_and_potrs_are_scipy_linalg_functions():
-    # field loads SciPy's LAPACK extension without the scipy.linalg package;
-    # once that package is imported, its lookup gives the very same objects.
-    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-    assert field._potrf is potrf and field._potrs is potrs
-
-
-def test_missing_lapack_module_is_an_import_error_naming_it(monkeypatch):
-    monkeypatch.setattr(field.importlib.machinery.PathFinder, "find_spec",
-                        lambda *args: None)
-    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
-        field._load_flapack()
+                assert _within(fe.H, 0.5 * (H + H.T), SOLVE_BOUND["H"])
 
 
 def test_norms_are_linalg_norm_where_the_square_is_finite():

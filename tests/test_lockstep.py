@@ -1,16 +1,30 @@
-"""The stacked field assembly and the lockstep flow, bit for bit against
-the one-point, one-trajectory reference in ``flow_reference``."""
+"""The stacked field assembly and the lockstep flow: bit for bit against
+the package's own one-point and one-trajectory paths, and within stated
+bounds against the BLAS/LAPACK reference in ``flow_reference``.  Rows,
+columns and a lone point give one field, bit for bit."""
 
 import numpy as np
 import pytest
 
 import checks_reference
 import flow_reference as ref
-from nlpflow.exprlang import parse
+from nlpflow import field
+from nlpflow.exprlang import ExprError, parse
 from nlpflow.field import FieldParams, dissipation_rates, field_block, field_eval
 from nlpflow.flow import _advance, euler_flow, phase_grid
 from nlpflow.io import sample_feasible
 from nlpflow.model import Problem
+
+EPS = np.finfo(float).eps
+# How far the field kernel may round from the reference, which sums in
+# BLAS's and LAPACK's order: per quantity, in units of
+# EPS * (1 + max |reference|), about 8 times the worst seen on these
+# tests' points (0.8, 11, 22, 81, 50, 81, 284, 410, 1441 and 495).  The
+# inputs come from the same expression kernels, so they agree exactly.
+FIELD_BOUND = {"H": 8, "Q": 128, "P": 256, "v": 1024, "vplus": 1024, "xi": 1024,
+               "r3": 4096, "F": 4096, "w": 16384, "omega": 4096}
+# The same for each column of a trajectory (worst seen: 12).
+TRAJECTORY_BOUND = 64
 
 
 def _bits(a):
@@ -18,10 +32,23 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def _within(got, want, ulps):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bound = ulps * EPS * (1.0 + np.abs(want).max(initial=0.0))
+    return np.abs(got - want).max(initial=0.0) <= bound
+
+
 def assert_same_field(got, want):
     assert got._fields == want._fields
     for name, a, b in zip(want._fields, got, want):
         assert _bits(a) == _bits(b), name
+
+
+def assert_close_field(got, want):
+    assert got._fields == want._fields
+    for name, a, b in zip(want._fields, got, want):
+        assert _within(a, b, FIELD_BOUND.get(name, 0)), name
 
 
 def assert_same_trajectories(got, want):
@@ -32,12 +59,29 @@ def assert_same_trajectories(got, want):
             assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
 
 
+def assert_close_trajectories(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.status, a.diagnostic) == (b.status, b.diagnostic)
+        assert _bits(a.t) == _bits(b.t)
+        for name in ("x", "theta", "normF", "max_g", "max_abs_h"):
+            assert _within(getattr(a, name), getattr(b, name), TRAJECTORY_BOUND), name
+
+
+def _one_by_one(p, params, starts, step, steps):
+    """Each start's trajectory alone, from the package and from the reference."""
+    return ([euler_flow(p, params, x0, step, steps) for x0 in starts],
+            [ref.euler_flow(p, params, x0, step, steps) for x0 in starts])
+
+
 def _grid_pair(p, params, **grid):
     got = phase_grid(p, params, **grid)
     want = ref.phase_grid(p, params, **grid)
     for name in ("starts", "skipped"):
         assert _bits(getattr(got, name)) == _bits(getattr(want, name))
-    assert_same_trajectories(got.trajectories, want.trajectories)
+    assert_close_trajectories(got.trajectories, want.trajectories)
+    alone = [euler_flow(p, params, x0, grid["step"], grid["steps"]) for x0 in got.starts]
+    assert_same_trajectories(got.trajectories, alone)
     return got
 
 
@@ -68,8 +112,9 @@ def test_full_space_flows_match_reference(name, request):
     params = FieldParams.default(full.n, full.k, sigma=1.0)
     starts = [red.lift(x) for x in sample_feasible(red, 6, seed=4)]
     lockstep = _advance(full, params, starts, 0.01, 100)
-    assert_same_trajectories(lockstep, [ref.euler_flow(full, params, x0, 0.01, 100)
-                                        for x0 in starts])
+    alone, reference = _one_by_one(full, params, starts, 0.01, 100)
+    assert_same_trajectories(lockstep, alone)
+    assert_close_trajectories(lockstep, reference)
 
 
 def _doubled_facet():
@@ -93,8 +138,8 @@ def test_trajectories_end_on_their_own():
     p, params = _doubled_facet()
     starts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 5.0])]
     lockstep = _advance(p, params, starts, 1.5, 10)
-    assert_same_trajectories(lockstep, [ref.euler_flow(p, params, x0, 1.5, 10)
-                                        for x0 in starts])
+    assert_close_trajectories(lockstep, [ref.euler_flow(p, params, x0, 1.5, 10)
+                                         for x0 in starts])
     assert [len(t) for t in lockstep] == [11, 5, 0]
     assert [t.status for t in lockstep] == ["completed", "aborted", "aborted"]
     assert lockstep[1].diagnostic == (
@@ -160,7 +205,7 @@ def test_block_rows_match_field_eval(name, sigma, request):
         assert errors == [None] * len(X)
         for j, x in enumerate(X):
             fe = field_eval(p, params, x)
-            assert_same_field(fe, ref.field_eval(p, params, x))
+            assert_close_field(fe, ref.field_eval(p, params, x))
             assert_same_field(block.row(j), fe)
 
 
@@ -200,9 +245,10 @@ def test_block_rows_without_inequalities_match_field_eval(make, sigma, N):
     assert errors == [None] * N
     rates = dissipation_rates(params, block.xi, block.g, block.v, block.vplus)
     for j, x in enumerate(X):
-        want = ref.field_eval(p, params, x)
-        assert_same_field(block.row(j), want)
-        assert _bits(rates[j]) == _bits(np.float64(checks_reference.dissipation(params, want)))
+        fe = field_eval(p, params, x)
+        assert_same_field(block.row(j), fe)
+        assert_close_field(fe, ref.field_eval(p, params, x))
+        assert _bits(rates[j]) == _bits(np.float64(checks_reference.dissipation(params, fe)))
 
 
 @WITHOUT_INEQUALITIES
@@ -212,8 +258,9 @@ def test_flows_without_inequalities_match_reference(make):
     starts = list(_points(p, 4))
     lockstep = _advance(p, params, starts, 0.01, 100)
     assert [t.status for t in lockstep] == ["completed"] * 4
-    assert_same_trajectories(lockstep, [ref.euler_flow(p, params, x0, 0.01, 100)
-                                        for x0 in starts])
+    alone, reference = _one_by_one(p, params, starts, 0.01, 100)
+    assert_same_trajectories(lockstep, alone)
+    assert_close_trajectories(lockstep, reference)
 
 
 def test_block_reports_each_failing_row():
@@ -228,3 +275,54 @@ def test_block_reports_each_failing_row():
     assert _bits(block.x) == _bits(X[[0, 3]])
     for j, r in enumerate((0, 3)):
         assert_same_field(block.row(j), field_eval(p, params, X[r]))
+
+
+def _agreement_case(name, request):
+    """(problem, feasible points, a failing point) of one agreement case."""
+    if name in ("unconstrained", "one-equality"):
+        p = _unconstrained() if name == "unconstrained" else _one_equality()
+        return p, _points(p, 93), np.full(3, 1e200)  # x1^2 or x1^4 overflows
+    if name == "doubled-facet":
+        p, _ = _doubled_facet()
+        X = np.random.default_rng(5).uniform(-4.0, 4.9, size=(93, 2))
+        return p, X, np.array([1.0, 5.0])  # Q is singular there
+    problem, space = name.split("-")
+    full, red = request.getfixturevalue(problem)
+    X = sample_feasible(red, 93, seed=5)
+    if problem == "p42":
+        # The vertex where g_1 = 0 exactly: v+ and its signed zeros.
+        X = np.concatenate([[[-1.0, -1.0, 2.0]], X[:-1]])
+    if space == "full":
+        return full, np.array([red.lift(x) for x in X]), np.full(full.n, 1e200)
+    return red, X, np.full(red.n, 1e200)
+
+
+@pytest.mark.parametrize("name", ["p41-reduced", "p41-full", "p42-reduced", "p42-full",
+                                  "unconstrained", "one-equality", "doubled-facet"])
+@pytest.mark.parametrize("sigma", [0.2, 1.0, 50.0])
+def test_rows_columns_and_a_lone_point_agree_bit_for_bit(name, sigma, request, monkeypatch):
+    # Each block but the one-point one has a failing row in its middle.
+    p, X, bad = _agreement_case(name, request)
+    params = FieldParams.default(p.n, p.k, sigma=sigma)
+    crossover = field.COLUMNS_FROM
+    for N in (1, 2, crossover - 1, crossover, 93):
+        block_X = X[:1] if N == 1 else np.insert(X[:N - 1], (N - 1) // 2, bad, axis=0)
+        monkeypatch.setattr(field, "COLUMNS_FROM", crossover)
+        lone = []
+        for x in block_X:
+            try:
+                lone.append(field_eval(p, params, x))
+            except (field.FieldError, ExprError) as exc:
+                lone.append(exc)
+        assert sum(isinstance(want, Exception) for want in lone) == (N > 1)
+        for columns_from in (crossover, 0, len(block_X) + 1):  # as shipped, columns, rows
+            monkeypatch.setattr(field, "COLUMNS_FROM", columns_from)
+            block, errors = field_block(p, params, block_X)
+            kept = iter(range(len(block.x)))
+            for want, error in zip(lone, errors):
+                if isinstance(want, Exception):
+                    assert (type(error), str(error)) == (type(want), str(want))
+                else:
+                    assert error is None
+                    assert_same_field(block.row(next(kept)), want)
+            assert next(kept, None) is None

@@ -256,7 +256,7 @@ def test_t31_candidate_that_overflows_is_rejected():
 
 
 @pytest.mark.parametrize("algo, r, x0, expected", [
-    ("r35", 1.0, (-0.9, -1.0, 2.0), ("critical", 66, 0)),
+    ("r35", 1.0, (-0.9, -1.0, 2.0), ("critical", 55, 0)),
     ("r35", 1.0, (-1.0, -1.0, -2.0), ("critical", 87, 0)),
     ("t31", 0.5, (-0.9, -1.0, 2.0), ("critical", 81, 139)),
     ("t31", 0.5, (-1.0, -1.0, -2.0), ("critical", 82, 115)),
