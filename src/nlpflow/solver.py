@@ -4,21 +4,23 @@ One outer loop, ``solve``, for inequality-only problems (equality-constrained
 problems are reduced first).  At each iterate it evaluates the field,
 records it and stops once |F| falls to ``stop_tol``, after ``max_iter``
 steps, or when an accepted step leaves x bitwise unchanged (``stalled``:
-every later iteration would repeat it); the KKT report of the last
-iterate takes its multipliers from the field held there.  How
-far to move along F is left to one of two step policies, selected by
-``SolveConfig.algorithm``:
+every later iteration would repeat it); the KKT report of the last iterate
+takes its multipliers from the field held there.  How far to move along F
+is left to one of two step policies, selected by ``SolveConfig.algorithm``:
 
-* ``t31`` -- backtracking Euler steps with an inexact projection onto
+* ``t31`` -- backtracking Euler steps; each candidate is projected onto
   the constraints at risk of activation along the step.
 * ``r35`` -- curvature-estimating step selection; each rejection
   inflates the curvature estimates, by an increment that doubles from
-  one rejection to the next, instead of halving the step.
+  one rejection to the next, instead of halving the step.  Each
+  candidate is snapped onto the facets within SNAP_BAND of it.
 
-Both accept a candidate by one test, feasibility and then sufficient
-decrease of theta up to one rounding allowance (``_accepts``).  A policy
-returns the accepted point, or raises ``_Stop`` to end the solve with a
-termination and a diagnostic.
+Both correct a candidate with one least-norm Newton projection
+(``_newton_project``) and accept it by one test, feasibility and then
+sufficient decrease of theta up to one rounding allowance (``_accepts``);
+a candidate at which a kernel or the projection fails is rejected.  A
+policy returns the accepted point, or raises ``_Stop`` to end the solve
+with a termination and a diagnostic.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ ARMIJO_ROUNDING = 16.0
 # move along it; landings stay within FEAS_TOL of feasibility.
 BETA = 0.5 * FEAS_TOL
 # Candidates whose constraint values fall inside the snap band are pulled
-# back onto the exact facet (Newton on g_j = 0) before being tested, in
-# at most SNAP_SWEEPS passes over the constraints.
+# back onto the exact facets (``_newton_project``) before being tested, in
+# at most SNAP_SWEEPS steps; this dissolves the O(1e-16) landing noise that
+# otherwise accumulates against the feasibility ceiling along a facet.
 SNAP_BAND = 2.0 * FEAS_TOL
 SNAP_SWEEPS = 3
 # Curvature-scan controls: number of segments per scan, refinement passes,
@@ -61,7 +64,8 @@ CURV_REFINEMENTS = 4
 SPAN_COVER = 1.5
 SPAN_FLOOR = 1e-8
 # Points sampled along the Euler ray by ``active_index_set``, and the cap
-# on the linearized steps of ``project_inexact``.
+# on the Newton steps of ``project_inexact``.  The caps cannot be one: more
+# snap steps move r35's bits, and some snaps never reach g_j = 0 exactly.
 RAY_SAMPLES = 9
 PROJECTION_MAX_INNER = 100
 
@@ -145,7 +149,8 @@ def _ray_points(x, F, ss):
     """The points x + s*F for each s in ``ss``, as lists of Python floats.
 
     Each coordinate is one IEEE product and one sum, the same bits as
-    NumPy's ``x + s * F``, without an array per point.
+    NumPy's ``x + s * F``, without an array per point; one that overflows
+    is an inf without NumPy's warning.
     """
     x, F = np.asarray(x, dtype=float).tolist(), F.tolist()
     return [[a + s * f for a, f in zip(x, F)] for s in ss]
@@ -183,31 +188,53 @@ def active_index_set(p, fe, x, epsilon):
                  if max(vals) + lift * _peak_curvature(vals, dsq) > -epsilon)
 
 
+def _newton_project(p, y, select, max_steps):
+    """Least-norm Gauss-Newton steps from ``y`` onto the facets g_J = 0: the
+    projection of Rosen's gradient projection method (J. SIAM 8(1), 1960).
+
+    Each step runs the constraint stack once at y, ``select(g)`` names the
+    facets J still to reach, and y moves by the least-norm d with B d = g_J,
+    B's rows being the gradients of g_J (zero ones left out): (g_j/|b|^2) b
+    for one facet, else ``np.linalg.lstsq`` on rows scaled to unit length,
+    which copes with duplicate facets and keeps one with a small gradient.
+    Returns ``(y, steps, J, g)`` at the first y where J is empty, every
+    facet of J has a zero gradient, or ``max_steps`` steps are taken.
+    """
+    y = np.array(y, dtype=float)
+    for steps in range(max_steps + 1):
+        g = evaluate_stack(p.constraint_stack, y)[p.m:]
+        J = select(g)
+        rows = [] if steps == max_steps else [
+            (g[j], b) for j in J
+            for b in [np.asarray(grad(p.inequalities[j], y), dtype=float)] if b @ b > 0.0]
+        if not rows:
+            return y, steps, J, g
+        if len(rows) == 1:
+            [(gj, b)] = rows
+            y = y - (gj / float(b @ b)) * b
+        else:
+            gJ, B = map(np.array, zip(*rows))
+            scale = np.linalg.norm(B, axis=1)
+            y = y - np.linalg.lstsq(B / scale[:, None], gJ / scale, rcond=None)[0]
+
+
 def project_inexact(target, p, indices):
     """Approximate nearest point with g_j <= 0 for the selected indices.
 
-    Alternates first-order projections onto the most violated
-    constraint's linearization until max_j g_j <= FEAS_TOL, in at most
-    PROJECTION_MAX_INNER steps.  Each step takes every g_j from one run of
-    the problem's constraint stack, so a constraint outside ``indices``
-    that cannot be evaluated at y raises EvalError too.
+    ``_newton_project`` onto the selected facets with g_j > FEAS_TOL, in at
+    most PROJECTION_MAX_INNER steps.  Every step runs the whole constraint
+    stack, so a constraint outside ``indices`` that cannot be evaluated at
+    y raises EvalError too.  Facets left over raise ProjectionFailure.
     """
     if not indices:
         raise ValueError("projection needs a non-empty index set")
-    y = np.array(target, dtype=float)
-    for _ in range(PROJECTION_MAX_INNER):
-        g = evaluate_stack(p.constraint_stack, y)[p.m:]
-        jm = max(indices, key=g.__getitem__)
-        gm = g[jm]
-        if gm <= FEAS_TOL:
-            return y
-        gj = np.asarray(grad(p.inequalities[jm], y), dtype=float)
-        nrm2 = float(gj @ gj)
-        if nrm2 == 0.0:
-            raise ProjectionFailure("zero constraint gradient during projection")
-        y = y - (gm / nrm2) * gj
-    raise ProjectionFailure(
-        f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps")
+    y, steps, left, _ = _newton_project(
+        p, target, lambda g: [j for j in indices if g[j] > FEAS_TOL], PROJECTION_MAX_INNER)
+    if left:
+        raise ProjectionFailure(
+            f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps"
+            if steps == PROJECTION_MAX_INNER else "zero constraint gradient during projection")
+    return y
 
 
 def _curvature_scan(p, fe, x, span):
@@ -263,17 +290,6 @@ def _curvature_scan(p, fe, x, span):
     return np.array(K, dtype=float), K_theta, span
 
 
-def _dgF_identity(fe):
-    """Directional derivative of g along F via the structural identity.
-
-    Computed as g_j*omega_j - r3_j*v_j^+ rather than the raw dot product:
-    on a facet the identity yields an exact zero where the dot product
-    leaves rounding noise of arbitrary sign, which can stall the step
-    selection permanently.
-    """
-    return fe.g * fe.omega - fe.r3 * fe.vplus
-
-
 def _step_bound(fe, rec, dgF, K, K_theta, r):
     """Largest step the quadratic models allow, with BETA facet slack.
 
@@ -292,27 +308,9 @@ def _step_bound(fe, rec, dgF, K, K_theta, r):
     return s
 
 
-def _snap_to_facets(p, y):
-    """Pull constraints inside the band back onto their exact facets.
-
-    One Newton step per near-active constraint per sweep; dissolves the
-    O(1e-16) landing noise that otherwise accumulates against the
-    feasibility ceiling while riding an active facet.
-    """
-    moved_any = False
-    for _ in range(SNAP_SWEEPS):
-        moved = False
-        for gexpr in p.inequalities:
-            gj = evaluate(gexpr, y)
-            if -SNAP_BAND <= gj <= SNAP_BAND and gj != 0.0:
-                gr = np.asarray(grad(gexpr, y), dtype=float)
-                nrm2 = float(gr @ gr)
-                if nrm2 > 0.0:
-                    y = y - (gj / nrm2) * gr
-                    moved = moved_any = True
-        if not moved:
-            break
-    return y, moved_any
+def _in_snap_band(g):
+    """The facets r35 snaps a candidate onto: 0 < |g_j| <= SNAP_BAND."""
+    return [j for j, v in enumerate(g) if 0.0 < abs(v) <= SNAP_BAND]
 
 
 def _accepts(p, cfg, rec, s, y):
@@ -336,12 +334,8 @@ def _t31_step(p, cfg, fe, x, rec):
     """Armijo halving from r; each candidate is projected onto the facets
     the Euler ray may reach.
 
-    The candidate x + s*F is formed on Python floats, as ``_ray_points``
-    forms it, so a coordinate that overflows is an inf without a warning.
-    A candidate that the projection cannot repair, or at which a kernel
-    raises EvalError, is rejected like an infeasible one.  Where the
-    constraints cannot be evaluated along the Euler ray (they overflow at
-    a large epsilon), the solve ends ``field_failure``.
+    Where the constraints cannot be evaluated along the Euler ray (they
+    overflow at a large epsilon), the solve ends ``field_failure``.
     """
     try:
         active = active_index_set(p, fe, x, cfg.epsilon)
@@ -366,8 +360,12 @@ def _t31_step(p, cfg, fe, x, rec):
 
 
 def _r35_step(p, cfg, fe, x, rec):
-    """Curvature-bounded step; each rejection inflates the estimates."""
-    dgF = _dgF_identity(fe)
+    """Curvature-bounded step; each rejection inflates the estimates.  Each
+    candidate is snapped onto the facets within SNAP_BAND, then tested."""
+    # g's rate along F from the identity g_j*omega_j - r3_j*v_j^+, not the
+    # dot product: on a facet it is an exact zero where the dot product
+    # leaves rounding noise of either sign, which can stall the steps.
+    dgF = fe.g * fe.omega - fe.r3 * fe.vplus
     K, K_theta, span = _curvature_scan(p, fe, x, cfg.r)
     s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Refine the scan span toward the step actually proposed so the
@@ -384,20 +382,22 @@ def _r35_step(p, cfg, fe, x, rec):
 
     increments = 0
     while True:
-        candidate, snapped = _snap_to_facets(p, x + s * fe.F)
-        if _accepts(p, cfg, rec, s, candidate):
-            rec.step, rec.backtracks, rec.proj_used = s, increments, snapped
-            return candidate
+        [y] = _ray_points(x, fe.F, (s,))
+        try:
+            y, steps, _, g = _newton_project(p, y, _in_snap_band, SNAP_SWEEPS)
+            if _accepts(p, cfg, rec, s, y):
+                rec.step, rec.backtracks, rec.proj_used = s, increments, steps > 0
+                return y
+            why = f"most violated constraint index {int(np.argmax(g)) if p.k else -1}"
+        except (ProjectionFailure, EvalError) as exc:
+            why = f"the last candidate failed: {exc}"
         bump = cfg.epsilon * 2.0 ** increments
         K = K + bump
         K_theta += bump
         increments += 1
         s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
         if increments > MAX_DOUBLINGS:
-            worst = (int(np.argmax(evaluate_stack(p.constraint_stack, candidate)[p.m:]))
-                     if p.k else -1)  # argmax of no g raises
-            raise _Stop("inner_cap", f"curvature increments exhausted; most "
-                                     f"violated constraint index {worst}")
+            raise _Stop("inner_cap", f"curvature increments exhausted; {why}")
 
 
 def solve(p, params, cfg, x0):

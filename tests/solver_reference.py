@@ -1,18 +1,26 @@
 """Reference per-expression forms of the solver's curvature scan, ray
-sampler and inexact projection.
+sampler, inexact projection and facet snap.
 
-These are ``_curvature_scan``, ``active_index_set`` and ``project_inexact``
-as they were before the problem's expressions were stacked into one
-kernel: one ``jvp_block`` or ``evaluate`` call per expression per point, and the
-ray sampler's test on NumPy arrays.  They are kept for tests only: the
-stacked versions must return the same bits.
+``curvature_scan`` and ``active_index_set`` are ``_curvature_scan`` and
+``active_index_set`` as they were before the problem's expressions were
+stacked into one kernel: one ``jvp_block`` or ``evaluate`` call per
+expression per point, and the ray sampler's test on NumPy arrays.
+``project_inexact`` takes the least-norm Newton steps of
+``_newton_project`` with one ``evaluate`` and one ``grad`` call per
+expression.  They are kept for tests only: the stacked versions must
+return the same bits.
+
+``snap_to_facets`` is r35's snap as it was before the one least-norm
+projection replaced it: up to SNAP_SWEEPS sweeps of one Newton step per
+constraint in the band.  Where at most one facet is in the band, the
+projection must return its point and moved flag bit for bit.
 """
 
 import numpy as np
 
 from nlpflow.exprlang import evaluate, grad, jvp_block
 from nlpflow.solver import (CURV_SEGMENTS, FEAS_TOL, PROJECTION_MAX_INNER, RAY_SAMPLES,
-                            ProjectionFailure)
+                            SNAP_BAND, SNAP_SWEEPS, ProjectionFailure)
 
 
 def active_index_set(p, fe, x, epsilon):
@@ -44,18 +52,46 @@ def curvature_scan(p, fe, x, span):
     return K, K_theta
 
 
+def _least_norm_step(rows):
+    """The least-norm d with b_j . d = g_j for each row (g_j, b_j)."""
+    if len(rows) == 1:
+        [(gj, b)] = rows
+        return (gj / float(b @ b)) * b
+    gJ = np.array([gj for gj, _ in rows])
+    B = np.array([b for _, b in rows])
+    scale = np.linalg.norm(B, axis=1)
+    return np.linalg.lstsq(B / scale[:, None], gJ / scale, rcond=None)[0]
+
+
 def project_inexact(target, p, indices):
     exprs = [p.inequalities[j] for j in indices]
     y = np.array(target, dtype=float)
-    for _ in range(PROJECTION_MAX_INNER):
-        gvals = np.array([evaluate(e, y) for e in exprs])
-        jm = int(np.argmax(gvals))
-        if gvals[jm] <= FEAS_TOL:
+    for steps in range(PROJECTION_MAX_INNER + 1):
+        violated = [(gj, e) for e in exprs if (gj := evaluate(e, y)) > FEAS_TOL]
+        if not violated:
             return y
-        gj = np.asarray(grad(exprs[jm], y), dtype=float)
-        nrm2 = float(gj @ gj)
-        if nrm2 == 0.0:
+        if steps == PROJECTION_MAX_INNER:
+            raise ProjectionFailure(
+                f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps")
+        rows = [(gj, b) for gj, e in violated
+                for b in [np.asarray(grad(e, y), dtype=float)] if b @ b > 0.0]
+        if not rows:
             raise ProjectionFailure("zero constraint gradient during projection")
-        y = y - (gvals[jm] / nrm2) * gj
-    raise ProjectionFailure(
-        f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps")
+        y = y - _least_norm_step(rows)
+
+
+def snap_to_facets(p, y):
+    moved_any = False
+    for _ in range(SNAP_SWEEPS):
+        moved = False
+        for gexpr in p.inequalities:
+            gj = evaluate(gexpr, y)
+            if -SNAP_BAND <= gj <= SNAP_BAND and gj != 0.0:
+                gr = np.asarray(grad(gexpr, y), dtype=float)
+                nrm2 = float(gr @ gr)
+                if nrm2 > 0.0:
+                    y = y - (gj / nrm2) * gr
+                    moved = moved_any = True
+        if not moved:
+            break
+    return y, moved_any

@@ -255,6 +255,59 @@ def test_t31_candidate_that_overflows_is_rejected():
         (1.0, 0), (0.5, 1)]
 
 
+def _snap_jump():
+    """min x1^100 + (x2 + 0.5)^2 s.t. -x2 <= 0 and 1e-120 * (x1^3 - 1) <= 0.
+
+    From (0.01, 1) the second constraint lies in the snap band, and its
+    gradient is so small that a Newton step onto it moves x1 to about
+    3333, where theta overflows.
+    """
+    names = ("x1", "x2")
+    return Problem(names=names, objective=parse("x1^100 + (x2 + 0.5)^2", names),
+                   inequalities=(parse("-x2", names), parse("1e-120*(x1^3 - 1)", names)))
+
+
+@pytest.mark.parametrize("algo, r, termination, iterations", [
+    ("r35", 1.0, "inner_cap", 0),
+    ("t31", 0.5, "critical", 29),
+])
+def test_candidate_whose_kernels_raise_is_rejected(algo, r, termination, iterations):
+    # Both policies reject a candidate at which the snap, the projection or
+    # the acceptance test raises, as they reject an infeasible one.  Every
+    # r35 candidate snaps to the overflow, so its increments run out, and
+    # the diagnostic names the error without running the kernel again.
+    report = solve(_snap_jump(), FieldParams.default(2, 2),
+                   SolveConfig(algorithm=algo, r=r, max_iter=50), np.array([0.01, 1.0]))
+    assert (report.termination, report.iterations) == (termination, iterations)
+    assert report.kkt is not None
+    if algo == "r35":
+        assert report.diagnostic == ("curvature increments exhausted; the last candidate "
+                                     "failed: overflow: Numerical result out of range")
+
+
+def _flat_facet():
+    """min (x1-1)^2 + (x2+0.5)^2 s.t. -x2 <= 0 and 0*x1 - 1e-11 <= 0.
+
+    The second constraint lies in the snap band everywhere, with a zero
+    gradient, so no Newton step can move onto it.
+    """
+    names = ("x1", "x2")
+    return Problem(names=names, objective=parse("(x1-1)^2 + (x2+0.5)^2", names),
+                   inequalities=(parse("-x2", names), parse("0*x1 - 1e-11", names)))
+
+
+@pytest.mark.parametrize("algo, r, iterations", [("r35", 1.0, 2), ("t31", 0.5, 29)])
+def test_zero_gradient_facet_in_the_snap_band_is_left_out(algo, r, iterations):
+    # The snap leaves the flat facet out of its step and snaps onto g_0
+    # alone; a snap that failed on the zero gradient ended r35 inner_cap.
+    report = solve(_flat_facet(), FieldParams.default(2, 2, sigma=1.0),
+                   SolveConfig(algorithm=algo, r=r, max_iter=200), np.array([3.0, 2.0]))
+    assert (report.termination, report.iterations) == ("critical", iterations)
+    if algo == "r35":
+        assert [rec.proj_used for rec in report.records] == [True, False, False]
+        assert report.final_x.tolist() == [0.9999999999999996, 0.0]
+
+
 @pytest.mark.parametrize("algo, r, x0, expected", [
     ("r35", 1.0, (-0.9, -1.0, 2.0), ("critical", 55, 0)),
     ("r35", 1.0, (-1.0, -1.0, -2.0), ("critical", 87, 0)),

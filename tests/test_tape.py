@@ -9,7 +9,8 @@ floats, with the bits that the interpreters give on the NumPy scalars.
 The stacked kernels, run by ``evaluate_stack`` and ``jvp_block``, must return
 what they return one expression at a time, and the solver's
 stacked curvature scan, ray sampler and projection what their
-per-expression forms in ``solver_reference`` return.
+per-expression forms in ``solver_reference`` return; r35's snap must
+return what the per-constraint sweeps it replaced return.
 """
 
 import math
@@ -30,6 +31,7 @@ from nlpflow.exprlang import (EvalError, Stack, evaluate, evaluate_stack, grad,
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.io import load_problem, sample_feasible
 from nlpflow.model import Problem, residuals
+from nlpflow.solver import SolveConfig, solve
 from test_acceptance import _random_expression
 
 NAMES = ("x1", "x2", "x3")
@@ -306,16 +308,59 @@ def test_stacked_projection_matches_per_expression(p42):
                                           target, red, indices)
                 moved += isinstance(got, bytes) and got != target.tobytes()
     assert moved > 0
-    # A tie for the most violated constraint goes to the first in index
-    # order; from (2, 2) that gives (1, 2) or (1, 1.5).
+    # Both constraints are violated by 1 at (2, 2): the least-norm step onto
+    # both facets lands on their vertex (1, 2) in either index order.
     names = ("x1", "x2")
     tie = Problem(names=names, objective=parse("x1", names),
                   inequalities=(parse("x1 - 1", names), parse("x1 + x2 - 3", names)))
-    for indices, want in (((0, 1), [1.0, 2.0]), ((1, 0), [1.0, 1.5])):
+    for indices in ((0, 1), (1, 0)):
         got = solver.project_inexact(np.array([2.0, 2.0]), tie, indices)
-        assert got.tolist() == want
+        assert got.tolist() == [1.0, 2.0]
         assert got.tobytes() == solver_reference.project_inexact(
             np.array([2.0, 2.0]), tie, indices).tobytes()
+
+
+def test_snap_matches_the_per_constraint_sweeps(p42, monkeypatch):
+    # Every candidate that r35 forms on its way from drawn starts of reduced
+    # p42, at r = 1 and 0.5, has at most one facet in the band; there the
+    # least-norm snap gives the sweeps' point and moved flag bit for bit.
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    candidates = []
+    project = solver._newton_project
+
+    def recording(p, y, select, max_steps):
+        if select is solver._in_snap_band:
+            candidates.append(np.array(y))
+        return project(p, y, select, max_steps)
+    monkeypatch.setattr(solver, "_newton_project", recording)
+    for r in (1.0, 0.5):
+        for x0 in sample_feasible(red, 3, seed=5):
+            assert solve(red, params, SolveConfig(r=r), x0).termination == "critical"
+    monkeypatch.undo()
+    moved = 0
+    for y in candidates:
+        assert len(solver._in_snap_band([evaluate(e, y) for e in red.inequalities])) <= 1
+        got, steps, _, _ = solver._newton_project(red, y, solver._in_snap_band,
+                                                  solver.SNAP_SWEEPS)
+        want, want_moved = solver_reference.snap_to_facets(red, y)
+        assert got.tobytes() == want.tobytes() and (steps > 0) == want_moved
+        moved += want_moved
+    assert candidates and moved > 0
+
+
+def test_snap_lands_on_a_vertex_in_one_step(p41):
+    # Near the vertex (1/3, 5/3) of reduced p41, g_0 and g_3 are both in the
+    # band.  One least-norm step lands on both facets; three sweeps of one
+    # Newton step per constraint end off the vertex.
+    _, red = p41
+    y0 = np.array([1 / 3 - 3e-11, 5 / 3 + 1e-11])
+    assert solver._in_snap_band(evaluate_stack(red.constraint_stack, y0)) == [0, 3]
+    y, steps, left, g = solver._newton_project(red, y0, solver._in_snap_band,
+                                               solver.SNAP_SWEEPS)
+    assert (steps, left, g[0], g[3]) == (1, [], 0.0, 0.0)
+    want, moved = solver_reference.snap_to_facets(red, y0)
+    assert moved and evaluate(red.inequalities[0], want) > 0.0
 
 
 def _wall_problem(scale):
