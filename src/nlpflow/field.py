@@ -23,9 +23,12 @@ whatever the block's size.  No LAPACK routine runs.
 
 The field is assembled for a block of N points at once (``field_block``),
 so the Euler flow advances all its trajectories with one assembly per
-step.  The expression kernels run point by point on Python floats, then
-the field kernel runs on the block.  ``field_eval`` is the N = 1 case: a
-point's field is one row of the block.
+step.  The expression kernels give the field's inputs first: from
+``COLUMNS_FROM`` points (the one crossover of ``nlpflow.exprlang``) one
+column run of the gradient kernel of theta, h and g, and below it, or
+where that run gives up on the block, point by point on Python floats.
+The field kernel then runs on the block.  ``field_eval`` is the N = 1
+case: a point's field is one row of the block.
 """
 
 from __future__ import annotations
@@ -39,19 +42,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .exprlang import ExprError, evaluate, evaluate_stack, grad
+from .exprlang import COLUMNS_FROM, ExprError, evaluate, evaluate_stack, grad, gradient_columns
 from .model import FIELD_FEAS_TOL
 
 log = logging.getLogger(__name__)
-
-# Blocks of at least this many rows run the field kernel on NumPy columns,
-# smaller ones row by row.  The runners give the same bits, so this moves
-# only time.  On the four benchmark shapes (p41 and p42, reduced and full;
-# 190 to 400 operations, 2-core x86-64 host) a row costs 10 to 20 us and a
-# column run 200 to 700 us whatever the block's size; they cross between
-# 20 and 30 rows.  At 93 rows, criterion 7's portrait, columns take a third
-# of the rows' time.
-COLUMNS_FROM = 24
 
 
 class FieldError(RuntimeError):
@@ -447,13 +441,16 @@ def _stage_error(stage, record):
 
 
 def _assemble(kernel, inputs):
-    """Run ``kernel`` at each of ``inputs``: tuples of Python floats that
-    hold a point's x, theta, grad_theta, h, g, A and B, each flattened.
-    Returns ``(block, failed)``: ``failed`` maps the index of each row
-    whose field fails to its FieldError, and ``block`` is the FieldBlock
-    of the other rows, in order, as views of one record array."""
+    """Run ``kernel`` at each of ``inputs``: tuples of Python floats, or the
+    rows of an array, that hold a point's x, theta, grad_theta, h, g, A and
+    B, each flattened.  Returns ``(block, failed)``: ``failed`` maps the
+    index of each row whose field fails to its FieldError, and ``block`` is
+    the FieldBlock of the other rows, in order, as views of one record
+    array."""
     N = len(inputs)
     if N < COLUMNS_FROM:
+        if isinstance(inputs, np.ndarray):
+            inputs = list(map(tuple, inputs.tolist()))
         rows, stages = [], []
         for row in inputs:
             fail = []
@@ -502,35 +499,60 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
     block is the field that ``field_eval`` returns at its point.  Its
     columns are views of one array.
 
-    The expression kernels run row by row, on Python floats.  A row whose
-    kernels fail, or whose constraint violation exceeds ``feas_tol``,
-    leaves the block there.  The field kernel then runs on the other rows:
-    row by row below COLUMNS_FROM rows and on NumPy columns from there,
-    which give a row the same bits.
+    From COLUMNS_FROM rows, one column run of the gradient kernel of the
+    problem's ``field_stack`` gives every value and gradient of the block,
+    with the bits of the row path below; where that run gives up on the
+    block, or the block is narrower, the expression kernels run row by
+    row.  A row whose kernels fail, or whose constraint violation exceeds
+    ``feas_tol``, leaves the block there.  The field kernel then runs on
+    the other rows: row by row below COLUMNS_FROM rows and on NumPy columns
+    from there, which give a row the same bits.
     """
     X = np.asarray(X, dtype=float)
     m = p.m
     kernel = _kernel(m, params._key)
     errors = [None] * len(X)
-    kept, inputs = [], []
-    for r, x in enumerate(X.tolist()):
-        try:
-            vals = evaluate_stack(p.constraint_stack, x)
-            worst = max(max(map(abs, vals[:m]), default=0.0), max(vals[m:], default=0.0))
-            if worst > feas_tol:
-                raise InfeasiblePointError(
-                    f"point infeasible: max constraint violation {worst:.3e} > {feas_tol:.1e}")
-            theta = evaluate(p.objective, x)
-            rows = [grad(e, x) for e in (p.objective, *p.equalities, *p.inequalities)]
-        except (FieldError, ExprError) as exc:
-            errors[r] = exc
-            continue
-        kept.append(r)
-        inputs.append((*x, theta, *itertools.chain(rows[0], vals, *rows[1:])))
+    # A narrower block runs by rows without building the field stack.
+    columns = gradient_columns(p.field_stack, X) if len(X) >= COLUMNS_FROM else None
+    if columns is not None:
+        values, grads = columns
+        worst = np.maximum(np.abs(values[:, 1:m + 1]).max(axis=1, initial=0.0),
+                           values[:, m + 1:].max(axis=1, initial=0.0))
+        for r in np.flatnonzero(worst > feas_tol).tolist():
+            errors[r] = _infeasible(worst[r], feas_tol)
+        kept = [r for r, error in enumerate(errors) if error is None]
+        inputs = np.concatenate([X, values[:, :1], grads[:, 0], values[:, 1:],
+                                 grads[:, 1:].reshape(len(X), (m + p.k) * p.n)], axis=1)[kept]
+    else:
+        # Per row, the constraint stack, the objective and one grad run per
+        # expression.  Moving rows onto the field stack too, one gradient
+        # run per row, is the next step (ROADMAP: the field as one kernel
+        # per point).
+        kept, inputs = [], []
+        for r, x in enumerate(X.tolist()):
+            try:
+                vals = evaluate_stack(p.constraint_stack, x)
+                worst = max(max(map(abs, vals[:m]), default=0.0), max(vals[m:], default=0.0))
+                if worst > feas_tol:
+                    raise _infeasible(worst, feas_tol)
+                theta = evaluate(p.objective, x)
+                rows = [grad(e, x) for e in (p.objective, *p.equalities, *p.inequalities)]
+            except (FieldError, ExprError) as exc:
+                errors[r] = exc
+                continue
+            kept.append(r)
+            inputs.append((*x, theta, *itertools.chain(rows[0], vals, *rows[1:])))
     block, failed = _assemble(kernel, inputs)
     for j, exc in failed.items():
         errors[kept[j]] = exc
     return block, errors
+
+
+def _infeasible(worst, feas_tol):
+    """The error of a row whose largest constraint violation, ``worst``,
+    exceeds ``feas_tol``."""
+    return InfeasiblePointError(
+        f"point infeasible: max constraint violation {worst:.3e} > {feas_tol:.1e}")
 
 
 def point_block(p, params, x):

@@ -112,12 +112,15 @@ def sample_feasible(p, n_samples, seed):
 
     For equality-constrained problems pass the reduced problem: the
     box lives in the reduced coordinates.  The draws are taken in blocks
-    of _SAMPLE_BLOCK, which gives the stream of one draw per try, and each
-    draw is tested by one run of the constraint stack, in order, up to the
-    draw that completes the sample.  So the points are those of one draw
-    and one test per try, and an error is raised only at a draw that the
-    sample needs.  SAMPLE_MAX_TRIES, read at each call, counts draws;
-    running out of them raises SamplingError.
+    of _SAMPLE_BLOCK, which gives the stream of one draw per try.  One
+    column run of the constraint stack tests a block's draws at once, and
+    the draws that pass are taken in order up to the one that completes
+    the sample.  Where the column run gives up on the block (a narrow
+    block, or an error at some draw), each draw is tested by one run of
+    the stack, in order, up to the draw that completes the sample.  So the
+    points are those of one draw and one test per try, and an error is
+    raised only at a draw that the sample needs.  SAMPLE_MAX_TRIES, read
+    at each call, counts draws; running out of them raises SamplingError.
     """
     if p.m != 0:
         raise ValueError("sampling needs an inequality-only (or reduced) problem")
@@ -129,12 +132,18 @@ def sample_feasible(p, n_samples, seed):
     for start in range(0, SAMPLE_MAX_TRIES, _SAMPLE_BLOCK):
         draws = rng.uniform(-SAMPLE_BOX, SAMPLE_BOX,
                             size=(min(_SAMPLE_BLOCK, SAMPLE_MAX_TRIES - start), p.n))
-        for x in draws.tolist():
-            g = exprlang.evaluate_stack(stack, x)
-            if not g or max(g) <= SAMPLE_TOL:
-                out.append(x)
-                if len(out) == n_samples:
-                    return np.array(out)
+        g = exprlang.evaluate_columns(stack, draws)
+        if g is not None:
+            out += draws[(g <= SAMPLE_TOL).all(axis=1)].tolist()
+        else:
+            for x in draws.tolist():
+                g = exprlang.evaluate_stack(stack, x)
+                if not g or max(g) <= SAMPLE_TOL:
+                    out.append(x)
+                    if len(out) == n_samples:
+                        break
+        if len(out) >= n_samples:
+            return np.array(out[:n_samples])
     raise SamplingError(f"could not draw {n_samples} feasible samples in {SAMPLE_MAX_TRIES} "
                         f"tries from the box [-{SAMPLE_BOX:g}, {SAMPLE_BOX:g}]^{p.n}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprlang
-from .exprlang import Expr, Stack, evaluate_stack, grad, substitute
+from .exprlang import Expr, Stack, evaluate_columns, evaluate_stack, grad, substitute
 
 # Feasibility tolerances, as bounds on max |h_i| and max g_j.  Accepted
 # solver iterates satisfy FEAS_TOL.  The descent field is defined within
@@ -64,6 +64,12 @@ class Problem:
     def constraint_stack(self):
         """(h_1, ..., h_m, g_1, ..., g_k): every constraint at a point."""
         return Stack((*self.equalities, *self.inequalities), self.names)
+
+    @functools.cached_property
+    def field_stack(self):
+        """(theta, h_1, ..., h_m, g_1, ..., g_k): every value whose gradient
+        the field takes, at a point."""
+        return Stack((self.objective, *self.equalities, *self.inequalities), self.names)
 
     @functools.cached_property
     def scan_stack(self):
@@ -159,10 +165,12 @@ def reduce(p, elimination):
     The eliminated names must be exactly the trailing variables of ``p``
     and their defining expressions may only use the leading variables.
     The equality constraints are verified at REDUCE_SAMPLES random points
-    of [-5, 5]^n1, in order, each by one run of the reduced problem's
-    ``elimination_stack``; any violation beyond REDUCE_TOL raises
-    :class:`ReductionError`.  The inequalities are not evaluated there:
-    they need not be finite outside the region a solve visits.
+    of [-5, 5]^n1, in order, from one column run of the reduced problem's
+    ``elimination_stack``, or, where that run gives up on the block, one
+    row run per point up to the first that raises; any violation beyond
+    REDUCE_TOL raises :class:`ReductionError`.  The inequalities are not
+    evaluated there: they need not be finite outside the region a solve
+    visits.
     """
     n2 = len(elimination)
     if n2 == 0:
@@ -192,13 +200,18 @@ def reduce(p, elimination):
 
     # One draw of every sample gives the points that one draw per sample
     # gives, in the same order.
-    rng = np.random.default_rng(REDUCE_SEED)
-    for xi in rng.uniform(-5.0, 5.0, size=(REDUCE_SAMPLES, n1)):
-        try:
-            h = evaluate_stack(reduced.elimination_stack, xi)[n2:]
-        except exprlang.EvalError:
-            reduced.lift(xi)  # the map's own error, if it has one
-            raise
+    samples = np.random.default_rng(REDUCE_SEED).uniform(-5.0, 5.0, size=(REDUCE_SAMPLES, n1))
+    stack = reduced.elimination_stack
+    block = evaluate_columns(stack, samples)
+    for j, xi in enumerate(samples):
+        if block is not None:
+            h = block[j, n2:].tolist()
+        else:  # test sample by sample, up to the first error
+            try:
+                h = evaluate_stack(stack, xi)[n2:]
+            except exprlang.EvalError:
+                reduced.lift(xi)  # the map's own error, if it has one
+                raise
         worst = max(map(abs, h), default=0.0)
         if worst > REDUCE_TOL:
             raise ReductionError(

@@ -13,14 +13,16 @@ is left to one of two step policies, selected by ``SolveConfig.algorithm``:
 * ``r35`` -- curvature-estimating step selection; each rejection
   inflates the curvature estimates, by an increment that doubles from
   one rejection to the next, instead of halving the step.  Each
-  candidate is snapped onto the facets within SNAP_BAND of it.
+  candidate is snapped onto the facets within SNAP_BAND of it that a
+  Newton step no longer than the candidate's own step reaches.
 
 Both correct a candidate with one least-norm Newton projection
 (``_newton_project``) and accept it by one test, feasibility and then
-sufficient decrease of theta up to one rounding allowance (``_accepts``);
-a candidate at which a kernel or the projection fails is rejected.  A
-policy returns the accepted point, or raises ``_Stop`` to end the solve
-with a termination and a diagnostic.
+sufficient decrease of theta up to one rounding allowance (``_accepts``),
+which takes the constraint values that the projection computed at the
+candidate; a candidate at which a kernel or the projection fails is
+rejected.  A policy returns the accepted point, or raises ``_Stop`` to end
+the solve with a termination and a diagnostic.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ BETA = 0.5 * FEAS_TOL
 # Candidates whose constraint values fall inside the snap band are pulled
 # back onto the exact facets (``_newton_project``) before being tested, in
 # at most SNAP_SWEEPS steps; this dissolves the O(1e-16) landing noise that
-# otherwise accumulates against the feasibility ceiling along a facet.
+# otherwise accumulates against the feasibility ceiling along a facet.  A
+# facet whose Newton step is longer than the candidate's own step is not
+# landing noise (its gradient is nearly zero), and is left out of the snap.
 SNAP_BAND = 2.0 * FEAS_TOL
 SNAP_SWEEPS = 3
 # Curvature-scan controls: number of segments per scan, refinement passes,
@@ -188,17 +192,19 @@ def active_index_set(p, fe, x, epsilon):
                  if max(vals) + lift * _peak_curvature(vals, dsq) > -epsilon)
 
 
-def _newton_project(p, y, select, max_steps):
+def _newton_project(p, y, select, max_steps, reach=math.inf):
     """Least-norm Gauss-Newton steps from ``y`` onto the facets g_J = 0: the
     projection of Rosen's gradient projection method (J. SIAM 8(1), 1960).
 
     Each step runs the constraint stack once at y, ``select(g)`` names the
     facets J still to reach, and y moves by the least-norm d with B d = g_J,
-    B's rows being the gradients of g_J (zero ones left out): (g_j/|b|^2) b
-    for one facet, else ``np.linalg.lstsq`` on rows scaled to unit length,
-    which copes with duplicate facets and keeps one with a small gradient.
-    Returns ``(y, steps, J, g)`` at the first y where J is empty, every
-    facet of J has a zero gradient, or ``max_steps`` steps are taken.
+    B's rows being the gradients of g_J: (g_j/|b|^2) b for one facet, else
+    ``np.linalg.lstsq`` on rows scaled to unit length, which copes with
+    duplicate facets and keeps one with a small gradient.  A facet with a
+    zero gradient, or whose own Newton step |g_j|/|b| is longer than
+    ``reach``, is left out of the step.  Returns ``(y, steps, J, g)`` at
+    the first y where J is empty, every facet of J is left out, or
+    ``max_steps`` steps are taken.
     """
     y = np.array(y, dtype=float)
     for steps in range(max_steps + 1):
@@ -206,7 +212,8 @@ def _newton_project(p, y, select, max_steps):
         J = select(g)
         rows = [] if steps == max_steps else [
             (g[j], b) for j in J
-            for b in [np.asarray(grad(p.inequalities[j], y), dtype=float)] if b @ b > 0.0]
+            for b in [np.asarray(grad(p.inequalities[j], y), dtype=float)]
+            for bb in [float(b @ b)] if bb > 0.0 and abs(g[j]) <= reach * math.sqrt(bb)]
         if not rows:
             return y, steps, J, g
         if len(rows) == 1:
@@ -216,6 +223,17 @@ def _newton_project(p, y, select, max_steps):
             gJ, B = map(np.array, zip(*rows))
             scale = np.linalg.norm(B, axis=1)
             y = y - np.linalg.lstsq(B / scale[:, None], gJ / scale, rcond=None)[0]
+
+
+def _project_inexact(target, p, indices):
+    """``project_inexact``'s point, and every g_j there."""
+    y, steps, left, g = _newton_project(
+        p, target, lambda g: [j for j in indices if g[j] > FEAS_TOL], PROJECTION_MAX_INNER)
+    if left:
+        raise ProjectionFailure(
+            f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps"
+            if steps == PROJECTION_MAX_INNER else "zero constraint gradient during projection")
+    return y, g
 
 
 def project_inexact(target, p, indices):
@@ -228,13 +246,7 @@ def project_inexact(target, p, indices):
     """
     if not indices:
         raise ValueError("projection needs a non-empty index set")
-    y, steps, left, _ = _newton_project(
-        p, target, lambda g: [j for j in indices if g[j] > FEAS_TOL], PROJECTION_MAX_INNER)
-    if left:
-        raise ProjectionFailure(
-            f"projection did not reach feasibility in {PROJECTION_MAX_INNER} steps"
-            if steps == PROJECTION_MAX_INNER else "zero constraint gradient during projection")
-    return y
+    return _project_inexact(target, p, indices)[0]
 
 
 def _curvature_scan(p, fe, x, span):
@@ -313,14 +325,14 @@ def _in_snap_band(g):
     return [j for j, v in enumerate(g) if 0.0 < abs(v) <= SNAP_BAND]
 
 
-def _accepts(p, cfg, rec, s, y):
+def _accepts(p, cfg, rec, s, y, g):
     """The acceptance test of both step policies: whether the candidate
-    ``y`` for the step ``s`` from the iterate ``rec`` is feasible to
-    FEAS_TOL and passes the Armijo test
-    theta(y) <= theta + armijo * s * dtheta_F + allowance, where the
-    allowance, ARMIJO_ROUNDING * eps * (1 + |theta|), covers the rounding
-    of theta near a minimizer."""
-    if p.k and max(evaluate_stack(p.constraint_stack, y)[p.m:]) > FEAS_TOL:  # max() of no g raises
+    ``y`` for the step ``s`` from the iterate ``rec``, where the
+    inequalities take the values ``g``, is feasible to FEAS_TOL and passes
+    the Armijo test theta(y) <= theta + armijo * s * dtheta_F + allowance,
+    where the allowance, ARMIJO_ROUNDING * eps * (1 + |theta|), covers the
+    rounding of theta near a minimizer."""
+    if p.k and max(g) > FEAS_TOL:  # max() of no g raises
         return False
     allowance = ARMIJO_ROUNDING * sys.float_info.epsilon * (1.0 + abs(rec.theta))
     return evaluate(p.objective, y) <= rec.theta + cfg.armijo * s * rec.dtheta_F + allowance
@@ -347,8 +359,12 @@ def _t31_step(p, cfg, fe, x, rec):
     while True:
         [y] = _ray_points(x, fe.F, (s,))
         try:
-            y = project_inexact(y, p, active) if active else np.array(y)
-            if _accepts(p, cfg, rec, s, y):
+            if active:
+                y, g = _project_inexact(y, p, active)
+            else:
+                y = np.array(y)
+                g = evaluate_stack(p.constraint_stack, y)[p.m:]
+            if _accepts(p, cfg, rec, s, y, g):
                 rec.step, rec.backtracks, rec.proj_used = s, backtracks, bool(active)
                 return y
         except (ProjectionFailure, EvalError):
@@ -361,7 +377,8 @@ def _t31_step(p, cfg, fe, x, rec):
 
 def _r35_step(p, cfg, fe, x, rec):
     """Curvature-bounded step; each rejection inflates the estimates.  Each
-    candidate is snapped onto the facets within SNAP_BAND, then tested."""
+    candidate is snapped onto the facets within SNAP_BAND that a Newton
+    step no longer than s*|F| reaches, then tested."""
     # g's rate along F from the identity g_j*omega_j - r3_j*v_j^+, not the
     # dot product: on a facet it is an exact zero where the dot product
     # leaves rounding noise of either sign, which can stall the steps.
@@ -384,8 +401,9 @@ def _r35_step(p, cfg, fe, x, rec):
     while True:
         [y] = _ray_points(x, fe.F, (s,))
         try:
-            y, steps, _, g = _newton_project(p, y, _in_snap_band, SNAP_SWEEPS)
-            if _accepts(p, cfg, rec, s, y):
+            y, steps, _, g = _newton_project(p, y, _in_snap_band, SNAP_SWEEPS,
+                                             s * rec.normF)
+            if _accepts(p, cfg, rec, s, y, g):
                 rec.step, rec.backtracks, rec.proj_used = s, increments, steps > 0
                 return y
             why = f"most violated constraint index {int(np.argmax(g)) if p.k else -1}"

@@ -6,7 +6,8 @@ compiled kernels must reproduce their values, gradients and directional
 derivatives bit for bit.  Only overflow is
 reported differently: these raise ``OverflowError`` where the tape raises
 ``EvalError``.  Like the tape, they raise ``EvalError`` for a ``^0`` whose
-base is not finite.
+base is not finite, and take a power ``b^k`` as a multiplication chain,
+with the tangent's ``b^(k-1)`` a chain too.
 """
 
 import math
@@ -47,8 +48,31 @@ class _Dual:
         if k == 0:
             _check_zeroth_power_base(self.val)
             return _Dual(1.0, 0.0)
-        v = self.val ** k
-        return _Dual(v, k * self.val ** (k - 1) * self.dot)
+        v = _power(self.val, k)
+        return _Dual(v, k * _chain(self.val, k - 1) * self.dot if k > 1 else self.dot)
+
+
+def _chain(base, k):
+    """base^k, k >= 1, by the binary method (Knuth, TAOCP vol. 2, 4.6.3):
+    the squares of base, and the products of the squares that k's bits
+    select, multiplied in from the low bits up."""
+    result, square = None, base
+    while k:
+        if k & 1:
+            result = square if result is None else result * square
+        k >>= 1
+        if k:
+            square = square * square
+    return result
+
+
+def _power(base, k):
+    """The chain base^k; an infinity from a finite base is an overflow,
+    as Python's ``**`` reports one."""
+    value = _chain(base, k)
+    if math.isinf(value) and math.isfinite(base):
+        raise OverflowError(34, "Numerical result out of range")
+    return value
 
 
 def _check_zeroth_power_base(value):
@@ -68,7 +92,8 @@ def _eval_node(node, x):
         base = _eval_node(node.base, x)
         if node.exponent == 0:
             _check_zeroth_power_base(base)
-        return base ** node.exponent
+            return 1.0
+        return _power(base, node.exponent)
     left = _eval_node(node.left, x)
     right = _eval_node(node.right, x)
     if node.op == "+":

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,24 @@ def test_grad_quotient():
 def test_power_binds_tighter_than_unary_minus():
     e = parse("-x1^2", NAMES)
     assert evaluate(e, [3.0, 0.0, 0.0]) == -9.0
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_powers_agree_with_pow_within_their_rounding(k):
+    # A power is a multiplication chain, so it may differ from libm's pow.
+    # A chain of k factors rounds k - 1 times, and a squaring doubles the
+    # error already made, so its relative error is below (k - 1) * 2^-53:
+    # k - 1 ulps, whatever the chain's length.  pow adds under 1 ulp.
+    rng = np.random.default_rng(k)
+    magnitudes = np.exp(rng.uniform(-69.0, 69.0, size=2000))  # 1e-30 to 1e30
+    bases = [*rng.uniform(-3.0, 3.0, size=2000), *(magnitudes * rng.choice([-1.0, 1.0], 2000))]
+    e = parse(f"x1^{k}", ("x1",))
+    worst = max(abs(evaluate(e, [a]) - math.pow(a, k)) / math.ulp(math.pow(a, k))
+                for a in bases)
+    assert worst <= k
+    # One multiplication is IEEE's correctly rounded product, as pow nearly is.
+    if k == 2:
+        assert worst <= 1
 
 
 def test_zero_power_is_one():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import checks_reference
-from nlpflow import io
+from nlpflow import exprlang, io
 from nlpflow.exprlang import EvalError, evaluate, parse
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.flow import Trajectory
@@ -116,20 +116,29 @@ def test_sample_feasible_counts_draws(p42, monkeypatch):
 @pytest.mark.parametrize("seed, consumed", [(0, 629), (1, 519)])
 def test_sample_feasible_runs_the_stack_once_per_draw_it_takes(p42, monkeypatch, seed,
                                                                consumed):
-    """One kernel run tests each draw, up to the draw that completes the
-    sample, not to the end of its block."""
+    """One column run tests each block of draws, up to the block that
+    completes the sample.  Row by row, one kernel run tests each draw, up
+    to the draw that completes the sample, not to the end of its block."""
     _, red = p42
     tape = red.constraint_stack.tape
     kernel, runs = tape.value_kernel, []
 
-    def counted(*args):
-        runs.append(1)
-        return kernel(*args)
-    monkeypatch.setitem(tape.__dict__, "value_kernel", counted)
-    points = sample_feasible(red, 50, seed)
+    def counted(runner):
+        def run(*args):
+            runs.append(runner)
+            return getattr(kernel, runner)(*args)
+        return run
+    monkeypatch.setitem(tape.__dict__, "value_kernel",
+                        type(kernel)(counted("rows"), counted("columns")))
     draws = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(consumed, 3))
-    assert np.array_equal(points[-1], draws[-1])
-    assert len(runs) == consumed
+    blocks = -(-consumed // io._SAMPLE_BLOCK)
+    for columns_from, want in ((exprlang.COLUMNS_FROM, ["columns"] * blocks),
+                               (io._SAMPLE_BLOCK + 1, ["rows"] * consumed)):
+        monkeypatch.setattr(exprlang, "COLUMNS_FROM", columns_from)
+        runs.clear()
+        points = sample_feasible(red, 50, seed)
+        assert np.array_equal(points[-1], draws[-1])
+        assert runs == want
 
 
 def _raising_at(draw):

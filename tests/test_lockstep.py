@@ -1,19 +1,23 @@
 """The stacked field assembly and the lockstep flow: bit for bit against
 the package's own one-point and one-trajectory paths, and within stated
 bounds against the BLAS/LAPACK reference in ``flow_reference``.  Rows,
-columns and a lone point give one field, bit for bit."""
+columns and a lone point give one field, bit for bit.  The expression
+kernels, the sampler and the reduction's check give on NumPy columns what
+one-point runs give, errors included."""
 
 import numpy as np
 import pytest
 
 import checks_reference
 import flow_reference as ref
-from nlpflow import field
-from nlpflow.exprlang import ExprError, parse
+from nlpflow import exprlang, field, io
+from nlpflow.exprlang import (EvalError, ExprError, Stack, evaluate_block, evaluate_stack, grad,
+                              gradient_columns, jvp_block, parse)
 from nlpflow.field import FieldParams, dissipation_rates, field_block, field_eval
 from nlpflow.flow import _advance, euler_flow, phase_grid
 from nlpflow.io import sample_feasible
-from nlpflow.model import Problem
+from nlpflow.model import REDUCE_SAMPLES, Problem, ReductionError, reduce
+from test_acceptance import _random_expression
 
 EPS = np.finfo(float).eps
 # How far the field kernel may round from the reference, which sums in
@@ -326,3 +330,186 @@ def test_rows_columns_and_a_lone_point_agree_bit_for_bit(name, sigma, request, m
                     assert error is None
                     assert_same_field(block.row(next(kept)), want)
             assert next(kept, None) is None
+
+
+# ---------------------------------------------------------------------------
+# The expression kernels: one column run against the row runs.
+
+NAMES = ("x1", "x2", "x3")
+DIRECTION = (0.7, -1.3, 2.9)
+SHIPPED = exprlang.COLUMNS_FROM
+
+
+def _crossovers(monkeypatch, N):
+    """Set the one crossover, in both modules that read it, to its shipped
+    value, to 0 (columns) and past N (rows), in turn."""
+    for columns_from in (SHIPPED, 0, N + 1):
+        for module in (exprlang, field):
+            monkeypatch.setattr(module, "COLUMNS_FROM", columns_from)
+        yield columns_from
+
+
+def _outcome(fn, *args):
+    """Every output's bits (as float.hex, which keeps a zero's sign), or the
+    class and text of the error raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- the error is the result
+        return type(exc), str(exc)
+    assert all(type(v) is float for row in out for v in row)
+    return [[float.hex(v) for v in row] for row in out]
+
+
+def _point_runs(s, points, u):
+    """The rows of values, of tangents along ``u`` and of values and
+    gradients that one-point runs give, in order, or the first error of
+    each: what every block runner must give."""
+    values = _outcome(lambda: [evaluate_stack(s, x) for x in points])
+    tangents = _outcome(lambda: [jvp_block(s, [x], u)[0] for x in points])
+    grads = _outcome(lambda: [[*evaluate_stack(s, x), *(v for e in s.exprs for v in grad(e, x))]
+                              for x in points])
+    return values, tangents, grads
+
+
+def _assert_block_runs_agree(s, points, monkeypatch):
+    """evaluate_block, jvp_block and gradient_columns against one-point runs
+    at every crossover; returns, per crossover, whether the gradient
+    kernel's column run vouched for the block."""
+    u = DIRECTION[:len(s.variables)]
+    values, tangents, grads = _point_runs(s, points, u)
+    ran = []
+    for columns_from in _crossovers(monkeypatch, len(points)):
+        assert _outcome(evaluate_block, s, points) == values
+        assert _outcome(jvp_block, s, points, u) == tangents
+        out = gradient_columns(s, points)
+        ran.append(out is not None)
+        if out is not None:
+            assert columns_from <= len(points) and not isinstance(grads[0], type)
+            vals, G = out
+            assert vals.shape == (len(points), len(s.exprs))
+            assert G.shape == (len(points), len(s.exprs), len(s.variables))
+            rows = [[*v, *sum(g, [])] for v, g in zip(vals.tolist(), G.tolist())]
+            assert [[float.hex(v) for v in row] for row in rows] == grads
+    return ran
+
+
+def test_criterion_8_expressions_run_on_columns_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(8)
+    for _ in range(150):
+        s = Stack(tuple(parse(_random_expression(rng, NAMES), NAMES) for _ in range(2)), NAMES)
+        points = rng.uniform(-2.0, 2.0, size=(30, 3))
+        assert _assert_block_runs_agree(s, points, monkeypatch) == [True, True, False]
+        assert _assert_block_runs_agree(s, points.tolist(), monkeypatch) == [True, True, False]
+
+
+def _stacks(p):
+    stacks = [p.constraint_stack, p.scan_stack, p.field_stack]
+    if hasattr(p, "phi"):
+        stacks += [p.phi_stack, p.elimination_stack]
+    return stacks
+
+
+@pytest.mark.parametrize("name", ["p41", "p42"])
+def test_problem_stacks_run_on_columns_bit_for_bit(name, request, monkeypatch):
+    full, red = request.getfixturevalue(name)
+    points = sample_feasible(red, 30, seed=3)
+    for p, X in ((red, points), (full, np.array([red.lift(x) for x in points]))):
+        for s in _stacks(p):
+            assert _assert_block_runs_agree(s, X, monkeypatch) == [True, True, False]
+
+
+# Formulas over (x1, x2, x3) and a point at which each fails, or, for the
+# intermediate overflow, at which the rows give a finite value where a
+# column run meets a floating-point exception.  With an infinite constant
+# no block runs on columns.
+FAILING = [
+    ("x1 / x2", [1.0, 0.0, 0.0]),                    # division by zero
+    ("x1 / x2", [np.inf, 0.0, 0.0]),                 # inf/0
+    ("1e400 / x2 + x1", [1.0, 0.0, 0.0]),            # an inf constant over 0
+    ("x1^400 + x2", [10.0, 1.0, 0.0]),               # a power that overflows
+    ("(x1^400)^0 + x2", [10.0, 1.0, 0.0]),           # ... behind ^0
+    ("1 / (x1 * 1e307 * x3) + x2", [10.0, 1.0, 10.0]),  # back to finite
+    ("x1^0 + x2", [np.inf, 1.0, 0.0]),               # inf^0
+    ("x1^2 + x2", [np.nan, 1.0, 0.0]),               # a NaN input
+    ("x1 - x2", [np.inf, 1.0, 0.0]),                 # an inf input
+    ("x1 * x2 * 1e300", [1e10, 1e10, 0.0]),          # a value that overflows
+    ("1 / x1 + x2", [1e-160, 1.0, 0.0]),             # a tangent that overflows
+    ("x1 + x2 + x3", [1.0, 2.0]),                    # a wrong coordinate count
+]
+
+
+@pytest.mark.parametrize("text, bad", FAILING)
+def test_a_failing_point_makes_a_block_run_by_rows(text, bad, monkeypatch):
+    s = Stack((parse(text, NAMES), parse("x1^2 - x3", NAMES)), NAMES)
+    good = np.random.default_rng(4).uniform(1.0, 2.0, size=(29, 3)).tolist()
+    points = good[:13] + [bad] + good[13:]
+    assert not any(_assert_block_runs_agree(s, points, monkeypatch))
+    assert _assert_block_runs_agree(s, good, monkeypatch) == (
+        [False] * 3 if "1e400" in text else [True, True, False])
+
+
+def test_sampler_takes_the_same_draws_on_columns(p42, monkeypatch):
+    _, red = p42
+    want = checks_reference.sample_feasible(red, 50, 9)
+    for _ in _crossovers(monkeypatch, io._SAMPLE_BLOCK):
+        assert _bits(sample_feasible(red, 50, 9)) == _bits(want)
+
+
+def test_sampler_raises_at_a_needed_draw_on_columns(monkeypatch):
+    # g = x1 + 0*(1/(x1 - d)) divides by zero at the 41st draw only.
+    draws = np.random.default_rng(5).uniform(-3.0, 3.0, size=(256, 2))
+    names = ("x1", "x2")
+    g = parse(f"x1 + 0*(1/(x1 - {float(draws[40, 0])!r}))", names)
+    p = Problem(names=names, objective=parse("x1^2 + x2^2", names), inequalities=(g,))
+    before = int((draws[:40, 0] <= 1e-12).sum())
+    for _ in _crossovers(monkeypatch, io._SAMPLE_BLOCK):
+        assert _bits(sample_feasible(p, before, 5)) == _bits(draws[:40][draws[:40, 0] <= 1e-12])
+        with pytest.raises(EvalError, match="^division by zero$"):
+            sample_feasible(p, before + 1, 5)
+
+
+@pytest.mark.parametrize("map_text, error, message", [
+    ("2 - x1 - x2", None, None),
+    ("2 - x1 - 1.001*x2", ReductionError,
+     "elimination violates an equality constraint by 2.302e-03 at a sampled point"),
+    ("2 - x1 - x2 + 1/(x1 - x1)", EvalError, "division by zero"),
+])
+def test_reduce_checks_its_samples_alike_on_columns(map_text, error, message, monkeypatch):
+    names = ("x1", "x2", "x3")
+    p = Problem(names=names, objective=parse("x1^2 + x2^2 + x3^2", names),
+                equalities=(parse("x1 + x2 + x3 - 2", names),))
+    for _ in _crossovers(monkeypatch, REDUCE_SAMPLES):
+        if error is None:
+            assert reduce(p, [("x3", map_text)]).n == 2
+        else:
+            with pytest.raises(error) as exc:
+                reduce(p, [("x3", map_text)])
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["p41", "p42"])
+def test_field_inputs_on_columns_keep_each_row_error(name, request, monkeypatch):
+    # A finite infeasible row leaves a column run standing and is reported
+    # from its values; an overflowing row makes the whole block run by rows.
+    full, red = request.getfixturevalue(name)
+    X = sample_feasible(red, 30, seed=6)
+    for p, block_X in ((red, X), (full, np.array([red.lift(x) for x in X]))):
+        params = FieldParams.default(p.n, p.k, sigma=1.0)
+        for bad in (np.full(p.n, 3.0), np.full(p.n, 1e200)):
+            points = np.insert(block_X, 15, bad, axis=0)
+            lone = []
+            for x in points:
+                try:
+                    lone.append(field_eval(p, params, x))
+                except (field.FieldError, ExprError) as exc:
+                    lone.append(exc)
+            assert [j for j, want in enumerate(lone) if isinstance(want, Exception)] == [15]
+            for _ in _crossovers(monkeypatch, len(points)):
+                block, errors = field_block(p, params, points)
+                kept = iter(range(len(block.x)))
+                for want, error in zip(lone, errors):
+                    if isinstance(want, Exception):
+                        assert (type(error), str(error)) == (type(want), str(want))
+                    else:
+                        assert error is None
+                        assert_same_field(block.row(next(kept)), want)

@@ -268,21 +268,33 @@ def _snap_jump():
 
 
 @pytest.mark.parametrize("algo, r, termination, iterations", [
-    ("r35", 1.0, "inner_cap", 0),
+    ("r35", 1.0, "critical", 1),
     ("t31", 0.5, "critical", 29),
 ])
 def test_candidate_whose_kernels_raise_is_rejected(algo, r, termination, iterations):
     # Both policies reject a candidate at which the snap, the projection or
-    # the acceptance test raises, as they reject an infeasible one.  Every
-    # r35 candidate snaps to the overflow, so its increments run out, and
-    # the diagnostic names the error without running the kernel again.
+    # the acceptance test raises, as they reject an infeasible one.  r35's
+    # snap leaves out the facet whose Newton step would reach the overflow:
+    # that step is far longer than the candidate's own.
     report = solve(_snap_jump(), FieldParams.default(2, 2),
                    SolveConfig(algorithm=algo, r=r, max_iter=50), np.array([0.01, 1.0]))
     assert (report.termination, report.iterations) == (termination, iterations)
     assert report.kkt is not None
-    if algo == "r35":
-        assert report.diagnostic == ("curvature increments exhausted; the last candidate "
-                                     "failed: overflow: Numerical result out of range")
+
+
+def test_r35_candidate_that_raises_ends_inner_cap_naming_the_error(p42, monkeypatch):
+    # Every acceptance test raises, so the increments run out, and the
+    # diagnostic names the error without running the kernel again.
+    _, red = p42
+
+    def overflowing(e, x):
+        raise EvalError("overflow: Numerical result out of range")
+    monkeypatch.setattr(solver, "evaluate", overflowing)
+    report = solve(red, FieldParams.default(red.n, red.k, sigma=0.2), SolveConfig(),
+                   np.array([-0.9, -1.0, 2.0]))
+    assert (report.termination, report.iterations) == ("inner_cap", 0)
+    assert report.diagnostic == ("curvature increments exhausted; the last candidate "
+                                 "failed: overflow: Numerical result out of range")
 
 
 def _flat_facet():
@@ -452,7 +464,7 @@ def test_t31_backtracking_floor_ends_field_failure(p42, monkeypatch):
     params = FieldParams.default(red.n, red.k, sigma=0.2)
     steps = []
 
-    def rejects(p, cfg, rec, s, y):
+    def rejects(p, cfg, rec, s, y, g):
         steps.append(s)
         return False
     monkeypatch.setattr(solver, "_accepts", rejects)

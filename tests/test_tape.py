@@ -329,10 +329,10 @@ def test_snap_matches_the_per_constraint_sweeps(p42, monkeypatch):
     candidates = []
     project = solver._newton_project
 
-    def recording(p, y, select, max_steps):
+    def recording(p, y, select, max_steps, reach=math.inf):
         if select is solver._in_snap_band:
             candidates.append(np.array(y))
-        return project(p, y, select, max_steps)
+        return project(p, y, select, max_steps, reach)
     monkeypatch.setattr(solver, "_newton_project", recording)
     for r in (1.0, 0.5):
         for x0 in sample_feasible(red, 3, seed=5):
