@@ -42,7 +42,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .exprlang import COLUMNS_FROM, ExprError, evaluate, evaluate_stack, grad, gradient_columns
+from . import exprlang
+from .exprlang import ExprError, evaluate, evaluate_stack, grad, gradient_columns
 from .model import FIELD_FEAS_TOL
 
 log = logging.getLogger(__name__)
@@ -406,7 +407,7 @@ class _Kernel:
         self.inputs = sum(math.prod(shape) for shape in shapes[:7])
         log.debug("field kernel for (n, m, k) = (%d, %d, %d): %d operations, compiled in "
                   "%.1f ms; blocks of %d or more rows run on NumPy columns, others by row",
-                  n, m, k, self.ops, 1e3 * (time.perf_counter() - start), COLUMNS_FROM)
+                  n, m, k, self.ops, 1e3 * (time.perf_counter() - start), exprlang.COLUMNS_FROM)
 
 
 def _define(code, helpers):
@@ -448,7 +449,7 @@ def _assemble(kernel, inputs):
     the FieldBlock of the other rows, in order, as views of one record
     array."""
     N = len(inputs)
-    if N < COLUMNS_FROM:
+    if N < exprlang.COLUMNS_FROM:
         if isinstance(inputs, np.ndarray):
             inputs = list(map(tuple, inputs.tolist()))
         rows, stages = [], []
@@ -513,7 +514,7 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
     kernel = _kernel(m, params._key)
     errors = [None] * len(X)
     # A narrower block runs by rows without building the field stack.
-    columns = gradient_columns(p.field_stack, X) if len(X) >= COLUMNS_FROM else None
+    columns = gradient_columns(p.field_stack, X) if len(X) >= exprlang.COLUMNS_FROM else None
     if columns is not None:
         values, grads = columns
         worst = np.maximum(np.abs(values[:, 1:m + 1]).max(axis=1, initial=0.0),

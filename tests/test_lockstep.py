@@ -11,8 +11,8 @@ import pytest
 import checks_reference
 import flow_reference as ref
 from nlpflow import exprlang, field, io
-from nlpflow.exprlang import (EvalError, ExprError, Stack, evaluate_block, evaluate_stack, grad,
-                              gradient_columns, jvp_block, parse)
+from nlpflow.exprlang import (EvalError, ExprError, Stack, evaluate_columns, evaluate_stack, grad,
+                              gradient_columns, parse)
 from nlpflow.field import FieldParams, dissipation_rates, field_block, field_eval
 from nlpflow.flow import _advance, euler_flow, phase_grid
 from nlpflow.io import sample_feasible
@@ -308,10 +308,10 @@ def test_rows_columns_and_a_lone_point_agree_bit_for_bit(name, sigma, request, m
     # Each block but the one-point one has a failing row in its middle.
     p, X, bad = _agreement_case(name, request)
     params = FieldParams.default(p.n, p.k, sigma=sigma)
-    crossover = field.COLUMNS_FROM
+    crossover = exprlang.COLUMNS_FROM
     for N in (1, 2, crossover - 1, crossover, 93):
         block_X = X[:1] if N == 1 else np.insert(X[:N - 1], (N - 1) // 2, bad, axis=0)
-        monkeypatch.setattr(field, "COLUMNS_FROM", crossover)
+        monkeypatch.setattr(exprlang, "COLUMNS_FROM", crossover)
         lone = []
         for x in block_X:
             try:
@@ -320,7 +320,7 @@ def test_rows_columns_and_a_lone_point_agree_bit_for_bit(name, sigma, request, m
                 lone.append(exc)
         assert sum(isinstance(want, Exception) for want in lone) == (N > 1)
         for columns_from in (crossover, 0, len(block_X) + 1):  # as shipped, columns, rows
-            monkeypatch.setattr(field, "COLUMNS_FROM", columns_from)
+            monkeypatch.setattr(exprlang, "COLUMNS_FROM", columns_from)
             block, errors = field_block(p, params, block_X)
             kept = iter(range(len(block.x)))
             for want, error in zip(lone, errors):
@@ -336,16 +336,14 @@ def test_rows_columns_and_a_lone_point_agree_bit_for_bit(name, sigma, request, m
 # The expression kernels: one column run against the row runs.
 
 NAMES = ("x1", "x2", "x3")
-DIRECTION = (0.7, -1.3, 2.9)
 SHIPPED = exprlang.COLUMNS_FROM
 
 
 def _crossovers(monkeypatch, N):
-    """Set the one crossover, in both modules that read it, to its shipped
-    value, to 0 (columns) and past N (rows), in turn."""
+    """Set the one crossover to its shipped value, to 0 (columns) and past
+    N (rows), in turn."""
     for columns_from in (SHIPPED, 0, N + 1):
-        for module in (exprlang, field):
-            monkeypatch.setattr(module, "COLUMNS_FROM", columns_from)
+        monkeypatch.setattr(exprlang, "COLUMNS_FROM", columns_from)
         yield columns_from
 
 
@@ -360,37 +358,46 @@ def _outcome(fn, *args):
     return [[float.hex(v) for v in row] for row in out]
 
 
-def _point_runs(s, points, u):
-    """The rows of values, of tangents along ``u`` and of values and
-    gradients that one-point runs give, in order, or the first error of
-    each: what every block runner must give."""
+def _point_runs(s, points):
+    """The rows of values, and of values and gradients, that one-point runs
+    give, in order, or the first error of each: what a column run that
+    vouches for the block must give, and where it must not vouch."""
     values = _outcome(lambda: [evaluate_stack(s, x) for x in points])
-    tangents = _outcome(lambda: [jvp_block(s, [x], u)[0] for x in points])
     grads = _outcome(lambda: [[*evaluate_stack(s, x), *(v for e in s.exprs for v in grad(e, x))]
                               for x in points])
-    return values, tangents, grads
+    return values, grads
+
+
+def _hex(rows):
+    return [[float.hex(v) for v in row] for row in rows]
 
 
 def _assert_block_runs_agree(s, points, monkeypatch):
-    """evaluate_block, jvp_block and gradient_columns against one-point runs
-    at every crossover; returns, per crossover, whether the gradient
-    kernel's column run vouched for the block."""
-    u = DIRECTION[:len(s.variables)]
-    values, tangents, grads = _point_runs(s, points, u)
+    """evaluate_columns and gradient_columns against one-point runs at every
+    crossover; returns, per crossover, whether the value and the gradient
+    kernel's column runs vouched for the block."""
+    values, grads = _point_runs(s, points)
     ran = []
     for columns_from in _crossovers(monkeypatch, len(points)):
-        assert _outcome(evaluate_block, s, points) == values
-        assert _outcome(jvp_block, s, points, u) == tangents
+        vals = evaluate_columns(s, points)
         out = gradient_columns(s, points)
-        ran.append(out is not None)
+        ran.append((vals is not None, out is not None))
+        if vals is not None:
+            assert columns_from <= len(points) and not isinstance(values[0], type)
+            assert vals.shape == (len(points), len(s.exprs))
+            assert _hex(vals.tolist()) == values
         if out is not None:
             assert columns_from <= len(points) and not isinstance(grads[0], type)
             vals, G = out
             assert vals.shape == (len(points), len(s.exprs))
             assert G.shape == (len(points), len(s.exprs), len(s.variables))
-            rows = [[*v, *sum(g, [])] for v, g in zip(vals.tolist(), G.tolist())]
-            assert [[float.hex(v) for v in row] for row in rows] == grads
+            assert _hex([*v, *sum(g, [])] for v, g in zip(vals.tolist(), G.tolist())) == grads
     return ran
+
+
+# Per crossover (shipped, 0, past the block): both column runs vouch for a
+# clean block of 30 points, except past the block, where it runs by rows.
+CLEAN = [(True, True), (True, True), (False, False)]
 
 
 def test_criterion_8_expressions_run_on_columns_bit_for_bit(monkeypatch):
@@ -398,8 +405,8 @@ def test_criterion_8_expressions_run_on_columns_bit_for_bit(monkeypatch):
     for _ in range(150):
         s = Stack(tuple(parse(_random_expression(rng, NAMES), NAMES) for _ in range(2)), NAMES)
         points = rng.uniform(-2.0, 2.0, size=(30, 3))
-        assert _assert_block_runs_agree(s, points, monkeypatch) == [True, True, False]
-        assert _assert_block_runs_agree(s, points.tolist(), monkeypatch) == [True, True, False]
+        assert _assert_block_runs_agree(s, points, monkeypatch) == CLEAN
+        assert _assert_block_runs_agree(s, points.tolist(), monkeypatch) == CLEAN
 
 
 def _stacks(p):
@@ -415,7 +422,7 @@ def test_problem_stacks_run_on_columns_bit_for_bit(name, request, monkeypatch):
     points = sample_feasible(red, 30, seed=3)
     for p, X in ((red, points), (full, np.array([red.lift(x) for x in points]))):
         for s in _stacks(p):
-            assert _assert_block_runs_agree(s, X, monkeypatch) == [True, True, False]
+            assert _assert_block_runs_agree(s, X, monkeypatch) == CLEAN
 
 
 # Formulas over (x1, x2, x3) and a point at which each fails, or, for the
@@ -443,9 +450,9 @@ def test_a_failing_point_makes_a_block_run_by_rows(text, bad, monkeypatch):
     s = Stack((parse(text, NAMES), parse("x1^2 - x3", NAMES)), NAMES)
     good = np.random.default_rng(4).uniform(1.0, 2.0, size=(29, 3)).tolist()
     points = good[:13] + [bad] + good[13:]
-    assert not any(_assert_block_runs_agree(s, points, monkeypatch))
+    assert not any(gradient for _, gradient in _assert_block_runs_agree(s, points, monkeypatch))
     assert _assert_block_runs_agree(s, good, monkeypatch) == (
-        [False] * 3 if "1e400" in text else [True, True, False])
+        [(False, False)] * 3 if "1e400" in text else CLEAN)
 
 
 def test_sampler_takes_the_same_draws_on_columns(p42, monkeypatch):
