@@ -4,11 +4,14 @@ Expressions are polynomial-style formulas over named variables:
 literals, identifiers, ``+ - * /``, unary minus, integer powers via
 ``^`` and parentheses.
 
-Every :class:`Expr` is lowered once, when it is built, to a flat
-:class:`Tape`: a straight-line list of operations over numbered slots
-(Griewank & Walther, *Evaluating Derivatives*, ch. 3), with one output
-slot.  A :class:`Stack` lowers several expressions over the same
-variables to one tape with an output slot each.  The lowering is
+Every :class:`Expr` is lowered once, when a kernel first runs it, to a
+flat :class:`Tape`: a straight-line list of operations over numbered
+slots (Griewank & Walther, *Evaluating Derivatives*, ch. 3), with one
+output slot.  A :class:`Stack` lowers several expressions over the same
+variables to one tape with an output slot each, on first use too, from
+their trees: an expression that only ever runs in stacks, as most of a
+problem's do, is never lowered alone.  Each runner reads the tape once
+per run, as a plain instance attribute after the first.  The lowering is
 value-numbered, the common-subexpression step of tape-based AD: each
 distinct constant (by its bits) and each distinct operation on the same
 operand slots is written once, whether the repeat is a subtree shared by
@@ -73,7 +76,7 @@ import functools
 import re
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite, isinf
 
 import numpy as np
@@ -205,33 +208,49 @@ def _post_order(root, leaf, combine, done=None):
     Operations are visited left operand first.  Results are memoised by
     node identity in ``done``, so a shared subtree is folded once; pass
     one ``done`` to several folds to share it across trees.
+
+    The work stack holds nodes only.  An operation whose children are not
+    all folded goes back on it under the ones still to fold, the left one
+    on top, and is combined when it comes off again.
     """
     done = {} if done is None else done
-    stack = [(root, False)]
+    get = done.get
+    stack = [root]
     push, pop = stack.append, stack.pop
     while stack:
-        node, expanded = pop()
+        node = pop()
         key = id(node)
         if key in done:
             continue
         cls = node.__class__
         if cls is BinOp:
-            kids = (node.left, node.right)
-        elif cls is Neg:
-            kids = (node.arg,)
-        elif cls is Pow:
-            kids = (node.base,)
+            left, right = node.left, node.right
+            a = get(id(left), _PENDING)
+            b = get(id(right), _PENDING)
+            if a is _PENDING or b is _PENDING:
+                push(node)
+                if b is _PENDING:
+                    push(right)
+                if a is _PENDING:
+                    push(left)
+                continue
+            done[key] = combine(node, (a, b))
+        elif cls is Neg or cls is Pow:
+            kid = node.arg if cls is Neg else node.base
+            a = get(id(kid), _PENDING)
+            if a is _PENDING:
+                push(node)
+                push(kid)
+                continue
+            done[key] = combine(node, (a,))
         else:
             done[key] = leaf(node)
-            continue
-        if expanded:
-            done[key] = combine(node, [done[id(kid)] for kid in kids])
-        else:
-            push((node, True))
-            for kid in reversed(kids):
-                if id(kid) not in done:
-                    push((kid, False))
     return done[id(root)]
+
+
+# A child of ``_post_order`` whose result is not in ``done`` yet: a result
+# may be any object, None included.
+_PENDING = object()
 
 
 def _lower(roots, n):
@@ -248,32 +267,36 @@ def _lower(roots, n):
     one in tape order.  A subtree shared by identity is looked up once.
     """
     # consts and ops map each key to its index, in order of first occurrence.
+    # An operand is numbered while the constants are still being counted:
+    # variable i is i, constant j is ~j (negative) and operation i is n + i.
     consts, ops, done = {}, {}, {}
 
     def leaf(node):
-        if isinstance(node, Var):
-            return ("var", node.index)
-        return ("const", consts.setdefault(struct.pack("<d", node.value), len(consts)))
+        if node.__class__ is Var:
+            return node.index
+        return ~consts.setdefault(struct.pack("<d", node.value), len(consts))
 
     def combine(node, kids):
-        if isinstance(node, BinOp):
-            op = (_BINARY[node.op], kids[0], kids[1])
-        elif isinstance(node, Neg):
+        cls = node.__class__
+        if cls is BinOp:
+            op = (_BINARY[node.op], *kids)
+        elif cls is Neg:
             op = (_NEG, kids[0], 0)
         else:
             op = (_POW, kids[0], node.exponent)
-        return ("op", ops.setdefault(op, len(ops)))
+        return n + ops.setdefault(op, len(ops))
 
     outs = [_post_order(root, leaf, combine, done) for root in roots]
-    base = {"var": 0, "const": n, "op": n + len(consts)}
 
     def slot(r):
-        return base[r[0]] + r[1]
+        if r < 0:
+            return n + ~r
+        return r + len(consts) if r >= n else r
 
     tape_ops = tuple((code, slot(a), b if code in (_NEG, _POW) else slot(b))
                      for code, a, b in ops)
     return Tape(tuple(struct.unpack("<d", bits)[0] for bits in consts), tape_ops,
-                tuple(slot(r) for r in outs), n)
+                tuple(map(slot, outs)), n)
 
 
 def _number_subtrees(root, table):
@@ -306,16 +329,19 @@ def _number_subtrees(root, table):
 class Expr:
     """A parsed expression together with its variable namespace.
 
-    Equality, hashing and ``repr`` walk the tree without recursion, so
-    they work on trees of any depth.
+    Its ``tape`` is lowered from the tree when a kernel first runs the
+    expression, not when it is built.  Equality, hashing and ``repr``
+    walk the tree without recursion, so they work on trees of any depth.
     """
 
     root: object
     variables: tuple
-    tape: Tape = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tape", _lower((self.root,), len(self.variables)))
+    @functools.cached_property
+    def tape(self):
+        """The tree lowered to a Tape, on first use; a plain instance
+        attribute from then on."""
+        return _lower((self.root,), len(self.variables))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -336,7 +362,8 @@ class Expr:
 
 @dataclass(frozen=True, eq=False)
 class Stack:
-    """Several expressions over one namespace, lowered to one stacked tape.
+    """Several expressions over one namespace, lowered to one stacked tape
+    on first use.
 
     Compared by identity: a stack is a compiled form, built once and kept
     by its owner.
@@ -344,13 +371,16 @@ class Stack:
 
     exprs: tuple
     variables: tuple
-    tape: Tape = field(init=False, repr=False)
 
     def __post_init__(self):
         if any(e.variables != self.variables for e in self.exprs):
             raise ExprError(f"every stacked expression must be over {self.variables}")
-        roots = tuple(e.root for e in self.exprs)
-        object.__setattr__(self, "tape", _lower(roots, len(self.variables)))
+
+    @functools.cached_property
+    def tape(self):
+        """Every member's tree lowered to one Tape, on first use; the
+        members' own tapes are neither read nor built."""
+        return _lower(tuple(e.root for e in self.exprs), len(self.variables))
 
 
 # ---------------------------------------------------------------------------
@@ -623,21 +653,21 @@ def _unit_vectors(n):
     return tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
 
 
-def _point(e, x):
-    """``x`` as a list of Python floats, so no kernel runs on NumPy scalars
-    or ints: an ndarray by ``tolist``, much cheaper than ``float`` per
-    entry, and any other sequence by ``float`` per entry."""
-    if len(x) != len(e.variables):
-        raise ExprError(f"expected {len(e.variables)} coordinates, got {len(x)}")
+def _point(n, x):
+    """``x``, a point of ``n`` coordinates, as a list of Python floats, so
+    no kernel runs on NumPy scalars or ints: an ndarray by ``tolist``, much
+    cheaper than ``float`` per entry, and any other sequence by ``float``
+    per entry."""
+    if len(x) != n:
+        raise ExprError(f"expected {n} coordinates, got {len(x)}")
     if isinstance(x, np.ndarray):
         return x.astype(float, copy=False).tolist()
     return [*map(float, x)]
 
 
-def _run(e, kernel, points, seeds=()):
+def _run(tape, kernel, points, seeds=()):
     """``(values, tangents)`` at each of ``points`` from row runs of
-    ``kernel``, a kernel of the tape of ``e`` (an Expr or a Stack), with
-    the tangent ``seeds``.
+    ``kernel``, a kernel of ``tape``, with the tangent ``seeds``.
 
     Every public runner is a case of this one or falls back to it, the
     one-point runners with a block of one point: an overflow, a zero
@@ -646,11 +676,11 @@ def _run(e, kernel, points, seeds=()):
     so a block raises the error that a loop of one-point runs raises, at
     the same first failing point.
     """
-    consts = e.tape.consts
+    consts, n = tape.consts, tape.n
     rows = []
     for x in points:
         try:
-            values, tangents = kernel.rows(_point(e, x), seeds, consts)
+            values, tangents = kernel.rows(_point(n, x), seeds, consts)
         except OverflowError as exc:
             raise EvalError(f"overflow: {exc.args[-1]}") from exc
         except ZeroDivisionError:
@@ -663,7 +693,7 @@ def _run(e, kernel, points, seeds=()):
     return rows
 
 
-def _columns(e, kernel, points, seeds=()):
+def _columns(tape, kernel, points, seeds=()):
     """The outputs of ``kernel`` at each of ``points``, from one run on
     NumPy columns: an array of one row per value, then per tangent, lane by
     lane, with a column per point.  Or None, where the block runs row by
@@ -687,9 +717,9 @@ def _columns(e, kernel, points, seeds=()):
         X = np.asarray(points, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
         return None
-    consts = np.array(e.tape.consts, dtype=float)
+    consts = np.array(tape.consts, dtype=float)
     seeds = np.array(seeds, dtype=float)
-    if (X.shape != (N, len(e.variables)) or not np.isfinite(X).all()
+    if (X.shape != (N, tape.n) or not np.isfinite(X).all()
             or not np.isfinite(consts).all() or not np.isfinite(seeds).all()):
         return None
     with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
@@ -707,7 +737,8 @@ def _columns(e, kernel, points, seeds=()):
 def evaluate(e, x):
     """The value of the expression at the point ``x`` (a sequence of
     floats), as a Python float."""
-    [(values, _)] = _run(e, e.tape.value_kernel, (x,))
+    tape = e.tape
+    [(values, _)] = _run(tape, tape.value_kernel, (x,))
     return values[0]
 
 
@@ -717,7 +748,8 @@ def evaluate_stack(s, x):
     A tuple equal, bit for bit, to ``evaluate`` of each expression at
     ``x``; it raises EvalError if any of them would.
     """
-    [(values, _)] = _run(s, s.tape.value_kernel, (x,))
+    tape = s.tape
+    [(values, _)] = _run(tape, tape.value_kernel, (x,))
     return values
 
 
@@ -725,14 +757,16 @@ def evaluate_block(s, points):
     """``evaluate_stack`` of the Stack ``s`` at each of ``points``, from one
     runner call; it raises the first error that the loop of
     ``evaluate_stack`` calls would."""
-    return [values for values, _ in _run(s, s.tape.value_kernel, points)]
+    tape = s.tape
+    return [values for values, _ in _run(tape, tape.value_kernel, points)]
 
 
 def evaluate_columns(s, points):
     """``evaluate_block`` of the Stack ``s`` at the (N, n) block ``points``
     as an (N, outputs) array, from one column run; or None where the block
     runs row by row (see ``_columns``), which is where it may raise."""
-    out = _columns(s, s.tape.value_kernel, points)
+    tape = s.tape
+    out = _columns(tape, tape.value_kernel, points)
     return None if out is None else out.T
 
 
@@ -742,19 +776,20 @@ def gradient_columns(s, points):
     (N, outputs) and (N, outputs, n), with the bits of ``evaluate_stack``
     and of ``grad`` of each expression at each point; or None where the
     block runs row by row (see ``_columns``)."""
-    n = len(s.variables)
-    out = _columns(s, s.tape.gradient_kernel, points, _unit_vectors(n))
+    tape = s.tape
+    n = tape.n
+    out = _columns(tape, tape.gradient_kernel, points, _unit_vectors(n))
     if out is None:
         return None
-    width = len(s.tape.outs)
+    width = len(tape.outs)
     return out[:width].T, out[width:].reshape(n, width, len(points)).transpose(2, 1, 0)
 
 
 def grad(e, x):
     """Gradient at ``x``: one run of the kernel with a tangent lane per
     unit vector."""
-    [(_, tangents)] = _run(e, e.tape.gradient_kernel, (x,),
-                           _unit_vectors(len(e.variables)))
+    tape = e.tape
+    [(_, tangents)] = _run(tape, tape.gradient_kernel, (x,), _unit_vectors(tape.n))
     return list(tangents)
 
 
@@ -763,8 +798,9 @@ def jvp_block(s, points, u):
     ``s`` (or of one Expr) at each of ``points``, from one runner call with
     ``u`` converted once: each row has the bits of each expression's run
     alone, and it raises the first EvalError that one point at a time would."""
+    tape = s.tape
     return [tangents for _, tangents
-            in _run(s, s.tape.tangent_kernel, points, (_point(s, u),))]
+            in _run(tape, tape.tangent_kernel, points, (_point(tape.n, u),))]
 
 
 # ---------------------------------------------------------------------------

@@ -93,29 +93,40 @@ class FieldParams:
                    np.ones(k), np.ones(k), np.zeros(k), np.ones(k, dtype=int))
 
     def _validate(self):
-        k = self.a.shape[0]
-        if self.R2.shape != (k, k) or any(v.shape != (k,) for v in (self.b, self.c, self.p)):
+        R1, R2, a, b, c, p = self.R1, self.R2, self.a, self.b, self.c, self.p
+        if R1.ndim != 2 or R1.shape[0] != R1.shape[1]:
+            raise ValueError("R1 must be square")
+        if a.ndim != 1 or R2.shape != a.shape * 2 or any(v.shape != a.shape for v in (b, c, p)):
             raise ValueError("inconsistent parameter dimensions")
-        if not all(np.isfinite(v).all() for v in (self.R1, self.R2, self.a, self.b, self.c)):
+        k = a.shape[0]
+        gains = np.concatenate((R1.ravel(), R2.ravel(), a, b, c))  # a, b, c last
+        if not np.isfinite(gains).all():
             raise ValueError("gains must be finite")
-        if not np.allclose(self.R1, self.R1.T):
+        if not _symmetric_gain(R1):
             raise ValueError("R1 must be symmetric")
-        if np.linalg.eigvalsh(self.R1).min() <= 0:
+        if np.linalg.eigvalsh(R1).min() <= 0:
             raise ValueError("R1 must be positive definite")
         if k:
-            if not np.allclose(self.R2, self.R2.T):
+            if not _symmetric_gain(R2):
                 raise ValueError("R2 must be symmetric")
-            r2_min = np.linalg.eigvalsh(self.R2).min()
+            r2_min = np.linalg.eigvalsh(R2).min()
             if r2_min < -1e-12:
                 raise ValueError("R2 must be positive semidefinite")
-            if np.min(self.a) < 0 or np.min(self.b) < 0 or np.min(self.c) < 0:
+            if gains[-3 * k:].min() < 0:
                 raise ValueError("a, b, c must be non-negative")
-            if np.min(self.b + self.c) <= 0:
+            if (b + c).min() <= 0:
                 raise ValueError("b_i + c_i must be positive for every i")
-            if np.min(self.p) < 1:
+            if p.min() < 1:
                 raise ValueError("exponents p_i must be integers >= 1")
-            if not (r2_min > 0 or np.min(self.a) > 0):
+            if not (r2_min > 0 or a.min() > 0):
                 raise ValueError("either R2 positive definite or all a_i > 0")
+
+
+def _symmetric_gain(S):
+    """``np.allclose(S, S.T)`` of a finite square S, written out: every
+    |S - S'| <= 1e-8 + 1e-5 |S'|, the same IEEE operations."""
+    T = S.T
+    return bool((np.abs(S - T) <= 1e-8 + 1e-5 * np.abs(T)).all())
 
 
 class FieldBlock(namedtuple("FieldBlock", "x theta grad_theta h g A B H Q P v vplus r3 F w omega xi")):
@@ -508,7 +519,13 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
     ``feas_tol``, leaves the block there.  The field kernel then runs on
     the other rows: row by row below COLUMNS_FROM rows and on NumPy columns
     from there, which give a row the same bits.
+
+    Gains sized for another problem, whose R1 is not n x n or whose a is
+    not of length k, raise ValueError before any kernel runs.
     """
+    if len(params.R1) != p.n or len(params.a) != p.k:
+        raise ValueError(f"gains are sized for (n, k) = ({len(params.R1)}, {len(params.a)}), "
+                         f"the problem has (n, k) = ({p.n}, {p.k})")
     X = np.asarray(X, dtype=float)
     m = p.m
     kernel = _kernel(m, params._key)

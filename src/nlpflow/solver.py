@@ -421,8 +421,9 @@ def _r35_step(p, cfg, fe, x, rec):
 def solve(p, params, cfg, x0):
     """Step from the feasible start ``x0`` along the field until |F| <= stop_tol.
 
-    Raises ValueError for an invalid configuration and SolveError for a
-    problem with equality constraints or an infeasible start.  Every other
+    Raises ValueError for an invalid configuration or gains sized for
+    another problem, and SolveError for a problem with equality
+    constraints or an infeasible start.  Every other
     outcome is a SolveReport whose ``termination`` names how it ended; it
     has no records when the field fails at ``x0`` itself.
     """

@@ -8,11 +8,82 @@ reported differently: these raise ``OverflowError`` where the tape raises
 ``EvalError``.  Like the tape, they raise ``EvalError`` for a ``^0`` whose
 base is not finite, and take a power ``b^k`` as a multiplication chain,
 with the tangent's ``b^(k-1)`` a chain too.
+
+``post_order`` and ``lower`` are the tree walk and the lowering that
+``nlpflow.exprlang`` used before its walk kept nodes alone on its work
+stack: the lowering must give the same tapes, and the walk must call
+``leaf`` and ``combine`` in the same order.
 """
 
 import math
+import struct
 
-from nlpflow.exprlang import EvalError, ExprError, Neg, Num, Pow, Var
+from nlpflow.exprlang import (_BINARY, _NEG, _POW, BinOp, EvalError, ExprError, Neg, Num,
+                              Pow, Tape, Var)
+
+
+def post_order(root, leaf, combine, done=None):
+    """Fold the tree at ``root`` bottom-up without recursion, left operand
+    first, memoised by node identity in ``done``; the work stack holds a
+    ``(node, expanded)`` pair per visit."""
+    done = {} if done is None else done
+    stack = [(root, False)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node, expanded = pop()
+        key = id(node)
+        if key in done:
+            continue
+        cls = node.__class__
+        if cls is BinOp:
+            kids = (node.left, node.right)
+        elif cls is Neg:
+            kids = (node.arg,)
+        elif cls is Pow:
+            kids = (node.base,)
+        else:
+            done[key] = leaf(node)
+            continue
+        if expanded:
+            done[key] = combine(node, [done[id(kid)] for kid in kids])
+        else:
+            push((node, True))
+            for kid in reversed(kids):
+                if id(kid) not in done:
+                    push((kid, False))
+    return done[id(root)]
+
+
+def lower(roots, n):
+    """The value-numbered Tape of the trees at ``roots`` over ``n``
+    variables, one output slot per root, by ``post_order``."""
+    # consts and ops map each key to its index, in order of first occurrence.
+    consts, ops, done = {}, {}, {}
+
+    def leaf(node):
+        if isinstance(node, Var):
+            return ("var", node.index)
+        return ("const", consts.setdefault(struct.pack("<d", node.value), len(consts)))
+
+    def combine(node, kids):
+        if isinstance(node, BinOp):
+            op = (_BINARY[node.op], kids[0], kids[1])
+        elif isinstance(node, Neg):
+            op = (_NEG, kids[0], 0)
+        else:
+            op = (_POW, kids[0], node.exponent)
+        return ("op", ops.setdefault(op, len(ops)))
+
+    outs = [post_order(root, leaf, combine, done) for root in roots]
+    base = {"var": 0, "const": n, "op": n + len(consts)}
+
+    def slot(r):
+        return base[r[0]] + r[1]
+
+    tape_ops = tuple((code, slot(a), b if code in (_NEG, _POW) else slot(b))
+                     for code, a, b in ops)
+    return Tape(tuple(struct.unpack("<d", bits)[0] for bits in consts), tape_ops,
+                tuple(slot(r) for r in outs), n)
 
 
 class _Dual:

@@ -1,10 +1,14 @@
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlpflow import field
+from nlpflow import field, flow, solver
 from nlpflow.exprlang import evaluate, grad, parse
 from nlpflow.field import (ConstraintQualificationError, FieldError,
                            FieldParams, InfeasiblePointError, dissipation,
@@ -51,6 +55,11 @@ def test_params_arrays_are_frozen():
     (dict(a=[np.nan]), "gains must be finite"),
     (dict(b=[np.inf]), "gains must be finite"),
     (dict(c=[np.nan]), "gains must be finite"),
+    (dict(R1=np.ones((2, 3))), "R1 must be square"),
+    (dict(R1=[1.0, 2.0]), "R1 must be square"),
+    (dict(R1=2.0), "R1 must be square"),
+    (dict(a=1.0), "inconsistent parameter dimensions"),
+    (dict(R2=np.zeros((1, 2))), "inconsistent parameter dimensions"),
 ])
 def test_params_validation(mutate, message):
     base = dict(R1=np.eye(2), R2=np.zeros((1, 1)),
@@ -61,8 +70,14 @@ def test_params_validation(mutate, message):
 
 
 def test_default_rejects_nonpositive_sigma():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
         FieldParams.default(2, 1, sigma=0.0)
+
+
+@pytest.mark.parametrize("sigma", [-0.0, -5e-324, -1.0])
+def test_default_rejects_negative_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        FieldParams.default(2, 1, sigma=sigma)
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
@@ -70,6 +85,86 @@ def test_default_rejects_non_finite_sigma(sigma):
     # Checked before sigma * I is formed: inf * 0 is NaN, with a RuntimeWarning.
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         FieldParams.default(2, 1, sigma=sigma)
+
+
+def _symmetry_decisions(S):
+    """Whether FieldParams takes S as R1 and as R2, and whether
+    ``np.allclose`` takes it as symmetric; S is positive definite."""
+    k = len(S)
+
+    def accepted(**gains):
+        try:
+            FieldParams(**{"R1": np.eye(k), "R2": np.zeros((k, k)), "a": np.ones(k),
+                           "b": np.ones(k), "c": np.zeros(k), "p": np.ones(k, dtype=int),
+                           **gains})
+        except ValueError as exc:
+            assert "must be symmetric" in str(exc)
+            return False
+        return True
+
+    return accepted(R1=S), accepted(R2=S), bool(np.allclose(S, S.T))
+
+
+def _last_close(b, away):
+    """The x furthest from b towards ``away`` (an infinity of b's sign)
+    with |x - b| <= 1e-8 + 1e-5 |b| in floating point: np.isclose(x, b)
+    holds there and fails one ulp further."""
+    def close(x):
+        return abs(x - b) <= 1e-8 + 1e-5 * abs(b)
+
+    x = b + math.copysign(1e-8 + 1e-5 * abs(b), away)
+    while not close(x):
+        x = np.nextafter(x, -away)
+    while close(np.nextafter(x, away)):
+        x = np.nextafter(x, away)
+    return x
+
+
+@pytest.mark.parametrize("b", [0.0, 1e-9, 0.3, 1.0, -1.0, 7.5, 1e6, -3e8])
+def test_symmetry_boundary_is_np_allclose(b):
+    away = math.copysign(math.inf, b)
+    x = _last_close(b, away)
+    for off, symmetric in ((x, True), (np.nextafter(x, away), False)):
+        # S[0, 1] = off is compared with S[1, 0] = b and then b with off;
+        # |off| > |b|, so the first comparison decides.
+        S = np.array([[4e8 + 1.0, off], [b, 4e8 + 1.0]])
+        assert _symmetry_decisions(S) == (symmetric,) * 3, (b, off)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.floats(-1e3, 1e3), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-9, 1e-8, 2e-8, 1e-6, 1e-5, 1e-3]))
+def test_symmetry_decision_is_np_allclose(k, scale, seed, noise):
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1, 1, (k, k)) * scale
+    S = M @ M.T + (k * scale * scale + 1.0) * np.eye(k)
+    S = S + noise * rng.uniform(-1, 1, (k, k)) * np.abs(S).max()
+    S[np.diag_indices(k)] = np.abs(np.diag(S)) + k * np.abs(S).max()
+    decisions = _symmetry_decisions(S)
+    assert decisions == (decisions[2],) * 3
+
+
+# --- gains of another problem -----------------------------------------------
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 1), (4, 3)])
+def test_gains_of_another_problem_are_rejected(n, k, p42, monkeypatch):
+    _, red = p42
+    params = FieldParams(0.2 * np.eye(n), np.zeros((k, k)), np.ones(k), np.ones(k),
+                         np.zeros(k), np.ones(k, dtype=int))
+    ran = []
+    monkeypatch.setattr(field, "_kernel", lambda *args: ran.append(args))
+    x0 = [-0.9, -1.0, 2.0]
+    match = re.escape(f"gains are sized for (n, k) = ({n}, {k}), "
+                      "the problem has (n, k) = (3, 2)")
+    calls = [lambda: field_eval(red, params, x0),
+             lambda: field.field_block(red, params, np.tile(x0, (30, 1))),
+             lambda: solver.solve(red, params, solver.SolveConfig(max_iter=3), x0),
+             lambda: flow.phase_grid(red, params, (0, 1), (-0.9, -0.8, -1.0, -0.9), (2, 2),
+                                     x0, 0.01, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()
+    assert ran == []
 
 
 # --- projector and Q --------------------------------------------------------
