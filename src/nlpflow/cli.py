@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -314,7 +315,9 @@ def cmd_check(args):
     return 0 if violations == 0 else 1
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="nlpflow",
         description="Feasible-set descent-field NLP solver and diagnostics")

@@ -654,15 +654,20 @@ def _unit_vectors(n):
 
 
 def _point(n, x):
-    """``x``, a point of ``n`` coordinates, as a list of Python floats, so
-    no kernel runs on NumPy scalars or ints: an ndarray by ``tolist``, much
-    cheaper than ``float`` per entry, and any other sequence by ``float``
-    per entry."""
+    """``x``, a point or a direction of ``n`` coordinates, as a list of
+    Python floats, so no kernel runs on NumPy scalars or ints: an ndarray by
+    ``tolist``, much cheaper than ``float`` per entry, and any other
+    sequence by ``float`` per entry.  An entry too large for a float (the
+    int ``10**400``) is an overflow, the only one: on floats ``+ - * /``
+    give an infinity, and a power is a chain of products."""
     if len(x) != n:
         raise ExprError(f"expected {n} coordinates, got {len(x)}")
-    if isinstance(x, np.ndarray):
-        return x.astype(float, copy=False).tolist()
-    return [*map(float, x)]
+    try:
+        if isinstance(x, np.ndarray):
+            return x.astype(float, copy=False).tolist()
+        return [*map(float, x)]
+    except OverflowError as exc:
+        raise EvalError(f"overflow: {exc.args[-1]}") from exc
 
 
 def _run(tape, kernel, points, seeds=()):
@@ -670,8 +675,9 @@ def _run(tape, kernel, points, seeds=()):
     ``kernel``, a kernel of ``tape``, with the tangent ``seeds``.
 
     Every public runner is a case of this one or falls back to it, the
-    one-point runners with a block of one point: an overflow, a zero
-    divisor, or a value or tangent that is not finite, raises EvalError.
+    one-point runners with a block of one point: a coordinate too large
+    for a float, a zero divisor, or a value or tangent that is not finite,
+    raises EvalError.
     The points run in order and each is checked before the next one runs,
     so a block raises the error that a loop of one-point runs raises, at
     the same first failing point.
@@ -681,8 +687,6 @@ def _run(tape, kernel, points, seeds=()):
     for x in points:
         try:
             values, tangents = kernel.rows(_point(n, x), seeds, consts)
-        except OverflowError as exc:
-            raise EvalError(f"overflow: {exc.args[-1]}") from exc
         except ZeroDivisionError:
             raise EvalError("division by zero") from None
         for value in values + tangents:
@@ -693,12 +697,13 @@ def _run(tape, kernel, points, seeds=()):
     return rows
 
 
-def _columns(tape, kernel, points, seeds=()):
-    """The outputs of ``kernel`` at each of ``points``, from one run on
+def _columns(s, points, seeds=()):
+    """The outputs of the value kernel of the Stack ``s``, or with tangent
+    ``seeds`` of its gradient kernel, at each of ``points``, from one run on
     NumPy columns: an array of one row per value, then per tangent, lane by
     lane, with a column per point.  Or None, where the block runs row by
-    row: below COLUMNS_FROM points, or where the column run cannot vouch
-    for every point.
+    row: below COLUMNS_FROM points, before the tape is read or lowered, or
+    where the column run cannot vouch for every point.
 
     The run makes the row runs' IEEE operations on one array per slot, so
     a point gets the bits that a row run gives it.  The rows raise an
@@ -713,6 +718,8 @@ def _columns(tape, kernel, points, seeds=()):
     N = len(points)
     if N < COLUMNS_FROM:
         return None
+    tape = s.tape
+    kernel = tape.gradient_kernel if seeds else tape.value_kernel
     try:
         X = np.asarray(points, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
@@ -765,8 +772,7 @@ def evaluate_columns(s, points):
     """``evaluate_block`` of the Stack ``s`` at the (N, n) block ``points``
     as an (N, outputs) array, from one column run; or None where the block
     runs row by row (see ``_columns``), which is where it may raise."""
-    tape = s.tape
-    out = _columns(tape, tape.value_kernel, points)
+    out = _columns(s, points)
     return None if out is None else out.T
 
 
@@ -776,12 +782,11 @@ def gradient_columns(s, points):
     (N, outputs) and (N, outputs, n), with the bits of ``evaluate_stack``
     and of ``grad`` of each expression at each point; or None where the
     block runs row by row (see ``_columns``)."""
-    tape = s.tape
-    n = tape.n
-    out = _columns(tape, tape.gradient_kernel, points, _unit_vectors(n))
+    n = len(s.variables)
+    out = _columns(s, points, _unit_vectors(n))
     if out is None:
         return None
-    width = len(tape.outs)
+    width = len(s.exprs)
     return out[:width].T, out[width:].reshape(n, width, len(points)).transpose(2, 1, 0)
 
 

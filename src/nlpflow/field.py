@@ -14,10 +14,12 @@ statement per operation: the Gram matrix of the equality gradients and
 H, C = B H, Q = C B' - diag(g) symmetrized, its Cholesky factor, P, v,
 v+, M = H - C'P, xi, R1 xi, r3, the mixed term, F, w and omega.  Only
 exact constants are folded: H = I when m = 0, zero gains and the zero
-entries of R1.  A gain's power of v+ is a multiplication chain.  The
-source is compiled once per (n, m, k) and gains, by value, and run by
-one of two runners: row by row on Python floats, or on NumPy columns
-with one array per scalar of the construction.  Both make the same IEEE
+entries of R1.  A gain's power of v+ is the expression kernels'
+multiplication chain, written by ``exprlang._Chain``.  The source is
+compiled once per (n, m, k) and gains, by value, and defined by
+``exprlang._define`` for each of two runners: row by row on Python
+floats, or on NumPy columns with one array per scalar of the
+construction.  Both make the same IEEE
 operations in the same order, so a point gets the same bits from either,
 whatever the block's size.  No LAPACK routine runs.
 
@@ -184,6 +186,9 @@ class _Writer:
     operation already written, on the same operands in either order for +
     and *, is not written again: IEEE addition and multiplication commute
     bit for bit.
+
+    ``exprlang._Chain`` writes r3's powers of v+ on ``lines`` too, under
+    names of its own.
     """
 
     def __init__(self):
@@ -240,17 +245,6 @@ class _Writer:
         for x, y in zip(xs, ys):
             total = self.add(total, self.mul(x, y))
         return total
-
-    def power(self, x, q):
-        """x^q, q >= 1, by the binary method: a multiplication chain."""
-        result, base = None, x
-        while q:
-            if q & 1:
-                result = base if result is None else self.mul(result, base)
-            q >>= 1
-            if q:
-                base = self.mul(base, base)
-        return result
 
     def check_finite(self, stage, entries):
         if entries:
@@ -339,8 +333,12 @@ def _generate(n, m, k, R1, R2, a, b, c, p):
           for col in range(n)] for r in range(n)]
     xi = [code.dot(M[r], d) for r in range(n)]
     R1xi = [code.dot(R1[r * n:(r + 1) * n], xi) for r in range(n)]
-    r3 = [code.add(b[j], code.mul(c[j], code.power(vplus[j], 2 * p[j]))) if c[j] else b[j]
-          for j in range(k)]
+    r3 = list(b)
+    for j in range(k):
+        if c[j]:
+            chain = exprlang._Chain(code.lines, vplus[j], f"r{j}_")
+            r3[j] = code.add(b[j], code.mul(c[j], chain(2 * p[j])))
+            code.ops += len(chain.names) - 1  # its multiplications
     gv = [code.mul(g[j], v[j]) for j in range(k)] if any(R2) else [0.0] * k
     mixed = [code.sub(code.dot(R2[j * k:(j + 1) * k], gv), code.mul(a[j], v[j])) for j in range(k)]
     r3v = [code.mul(r3[j], vplus[j]) for j in range(k)]
@@ -408,7 +406,7 @@ class _Kernel:
         start = time.perf_counter()
         source, self.ops = _generate(n, m, k, *gains)
         code = compile(source, "<field kernel>", "exec")
-        self.rows, self.columns = (_define(code, helpers)
+        self.rows, self.columns = (exprlang._define(code, helpers)
                                    for helpers in (_ROW_HELPERS, _COLUMN_HELPERS))
         shapes = [(n,), (), (n,), (m,), (k,), (m, n), (k, n),  # the inputs
                   (n, n), (k, k), (k, n), (k,), (k,), (k,), (n,), (k,), (k,), (n,), (m, m)]
@@ -419,12 +417,6 @@ class _Kernel:
         log.debug("field kernel for (n, m, k) = (%d, %d, %d): %d operations, compiled in "
                   "%.1f ms; blocks of %d or more rows run on NumPy columns, others by row",
                   n, m, k, self.ops, 1e3 * (time.perf_counter() - start), exprlang.COLUMNS_FROM)
-
-
-def _define(code, helpers):
-    namespace = dict(helpers)
-    exec(code, namespace)
-    return namespace["kernel"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -530,8 +522,7 @@ def field_block(p, params, X, feas_tol=FIELD_FEAS_TOL):
     m = p.m
     kernel = _kernel(m, params._key)
     errors = [None] * len(X)
-    # A narrower block runs by rows without building the field stack.
-    columns = gradient_columns(p.field_stack, X) if len(X) >= exprlang.COLUMNS_FROM else None
+    columns = gradient_columns(p.field_stack, X)
     if columns is not None:
         values, grads = columns
         worst = np.maximum(np.abs(values[:, 1:m + 1]).max(axis=1, initial=0.0),

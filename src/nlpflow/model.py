@@ -68,13 +68,8 @@ class Problem:
     @functools.cached_property
     def field_stack(self):
         """(theta, h_1, ..., h_m, g_1, ..., g_k): every value whose gradient
-        the field takes, at a point."""
+        the field takes, at a point; with m = 0, the curvature scan's slopes."""
         return Stack((self.objective, *self.equalities, *self.inequalities), self.names)
-
-    @functools.cached_property
-    def scan_stack(self):
-        """(theta, g_1, ..., g_k): the slopes the curvature scan takes."""
-        return Stack((self.objective, *self.inequalities), self.names)
 
 
 @dataclass(frozen=True)

@@ -254,10 +254,11 @@ def _curvature_scan(p, fe, x, span):
 
     Samples the exact directional derivative along F at CURV_SEGMENTS+1
     equally spaced points x + s*F, formed once each on Python floats.  One
-    runner call (``jvp_block`` on the scan stack) runs the problem's
-    stacked tangent kernel, seeded with F, at every point, which gives
-    the slopes of theta and of every g_j together, with the elimination
-    map they share, and every operation they repeat, computed once.  The
+    runner call (``jvp_block`` on the field stack, which is (theta, g_1,
+    ..., g_k) on the problems ``solve`` accepts) runs its tangent kernel,
+    seeded with F, at every point, which gives the slopes of theta and of
+    every g_j together, with the elimination map they share, and every
+    operation they repeat, computed once.  The
     largest forward difference of these slopes
     bounds the second derivative on the sampled interval, while the
     end-to-end chord gives its average; the estimate is their mean.
@@ -284,7 +285,7 @@ def _curvature_scan(p, fe, x, span):
     while True:
         ss = _offsets(span, CURV_SEGMENTS)
         try:
-            rows = jvp_block(p.scan_stack, _ray_points(x, fe.F, ss), fe.F.tolist())
+            rows = jvp_block(p.field_stack, _ray_points(x, fe.F, ss), fe.F.tolist())
             break
         except EvalError as exc:
             span *= 0.5
@@ -344,7 +345,8 @@ class _Stop(Exception):
 
 def _t31_step(p, cfg, fe, x, rec):
     """Armijo halving from r; each candidate is projected onto the facets
-    the Euler ray may reach.
+    the Euler ray may reach.  With no facet selected, the projection is one
+    run of the constraint stack at the candidate, which gives its g.
 
     Where the constraints cannot be evaluated along the Euler ray (they
     overflow at a large epsilon), the solve ends ``field_failure``.
@@ -359,11 +361,7 @@ def _t31_step(p, cfg, fe, x, rec):
     while True:
         [y] = _ray_points(x, fe.F, (s,))
         try:
-            if active:
-                y, g = _project_inexact(y, p, active)
-            else:
-                y = np.array(y)
-                g = evaluate_stack(p.constraint_stack, y)[p.m:]
+            y, g = _project_inexact(y, p, active)
             if _accepts(p, cfg, rec, s, y, g):
                 rec.step, rec.backtracks, rec.proj_used = s, backtracks, bool(active)
                 return y

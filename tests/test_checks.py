@@ -163,6 +163,20 @@ def test_one_point_checks_match_reference(name, space, p41, p42):
         assert rng.random() == rng_ref.random()
 
 
+def test_identity_block_names_a_rate_that_is_not_negative(p42):
+    # A crafted block: with xi, v and v+ zeroed the assembled rate is
+    # zero while |F| is not.
+    from nlpflow.field import field_block
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    block, _ = field_block(red, params, sample_feasible(red, 2, seed=3))
+    zero = {name: np.zeros_like(getattr(block, name)) for name in ("xi", "v", "vplus")}
+    found = checks.identity_block(params, block._replace(**zero),
+                                  np.zeros((2, checks.FORM_DRAWS, red.n)))
+    for messages, F in zip(found, block.F):
+        assert f"dissipation -0.000e+00 not negative at |F|={np.linalg.norm(F):.3e}" in messages
+
+
 def test_criticality_block_runs_no_kernel(p42, count_calls):
     # The block holds every input of the KKT residuals (grad(theta), B and
     # g), so the check runs no gradient and no other kernel.

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import nlpflow
-from nlpflow import io, solver
+from nlpflow import cli, io, solver
 from nlpflow.cli import main
 from nlpflow.solver import SolveConfig, SolveError
 
@@ -110,6 +110,8 @@ def test_usage_error_exits_2():
     ["flow", "--problem", P41, "--x0", "a,0.5", "--step", "0.01", "--steps", "3"],
     ["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0.2,0.8,0.2,0.8", "--grid",
      "2x2", "--sigma", "2", "--step", "0.01", "--steps", "1", "--per-trajectory"],
+    *(["phase", "--problem", P41, "--plane", "x1,x2", "--range", "0,1,0,1", "--grid", grid,
+       "--step", "0.01", "--steps", "3"] for grid in ("11", "axb")),
 ], ids=["negative-steps", "empty-grid", "empty-grid-column", "plane-one",
         "plane-repeated", "plane-repeated-by-number", "plane-unknown",
         "plane-out-of-range", "range-three", "range-not-a-number",
@@ -118,12 +120,30 @@ def test_usage_error_exits_2():
         "phase-zero-step-infeasible-grid", "phase-zero-step", "check-zero-samples",
         "check-negative-samples", "check-samples-not-a-number", "check-negative-seed",
         "kkt-x-not-a-number", "solve-x0-empty-coordinate", "flow-x0-not-a-number",
-        "phase-per-trajectory-without-out"])
+        "phase-per-trajectory-without-out", "grid-one-count", "grid-not-counts"])
 def test_bad_counts_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["check", "--problem", P42, "--samples", "2"]) == 0
+    assert cli.build_parser.cache_info()[:2] == (1, 1)  # (hits, misses)
+    capsys.readouterr()
+    # A usage error after a good call still shows its own subcommand's
+    # usage, whether argparse or the command finds it.
+    for argv, usage in ((["solve", "--problem", P41], "usage: nlpflow solve "),
+                        (["phase", "--problem", P41, "--plane", "x9,x1", "--range", "0,1,0,1",
+                          "--grid", "2x2", "--step", "0.01", "--steps", "3"],
+                         "usage: nlpflow phase ")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage)
 
 
 def test_solve_options_fill_a_solve_config(monkeypatch):
@@ -211,6 +231,16 @@ def test_phase_per_trajectory_names_split_only_the_file_extension(out, names, tm
     assert sorted(f.name for f in (tmp_path / out).parent.iterdir()) == names
 
 
+def test_phase_fix_sets_the_coordinates_off_the_plane(capsys):
+    rc = main(["phase", "--problem", P42, "--plane", "x1,x2", "--range=-0.5,0.5,-0.5,0.5",
+               "--grid", "2x2", "--fix", "x3=1.5", "--sigma", "0.2", "--step", "0.01",
+               "--steps", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0 and lines[0].startswith("traj_id,t,x1,x2,x3,")
+    starts = [line.split(",") for line in lines[1:] if line.split(",")[1] == "0"]
+    assert [row[2:5] for row in starts] == [["0.5", "-0.5", "1.5"], ["0.5", "0.5", "1.5"]]
+
+
 def test_phase_over_an_infeasible_grid_is_an_error(capsys):
     rc = main(["phase", "--problem", P41, "--plane", "x1,x2", "--range=-2,-1,-2,-1",
                "--grid", "2x2", "--step", "0.01", "--steps", "3"])
@@ -244,6 +274,18 @@ def test_phase_per_trajectory_file_keeps_its_diagnostic(tmp_path):
         lines = (tmp_path / f"traj-{tid}.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[1].startswith("0,")
         assert lines[2].startswith("# diagnostic: field evaluation failed at step 1: ")
+
+
+@pytest.mark.parametrize("command", [["solve", "--x0", "0.5,0.5"], ["check", "--samples", "3"]],
+                         ids=["solve", "check"])
+def test_equalities_without_elimination_are_an_error(command, tmp_path, capsys):
+    path = tmp_path / "eq.nlp"
+    path.write_text("vars: x y\nobjective: x^2 + y^2\neq: x + y - 1\nineq: -x\n")
+    assert main([*command, "--problem", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: problem has equality constraints but no eliminate lines; "
+                            "add an elimination map\n")
 
 
 def test_check_passes(capsys):

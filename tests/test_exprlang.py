@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nlpflow.exprlang import (MAX_NESTING, BinOp, EvalError, ExprError, Neg,
                               Num, ParseError, Stack, UnknownVariableError,
-                              Var, evaluate, evaluate_stack, grad, jvp_block,
-                              parse, substitute, to_string)
+                              Var, evaluate, evaluate_block, evaluate_stack, grad,
+                              jvp_block, parse, substitute, to_string)
 
 NAMES = ("x1", "x2", "x3")
 
@@ -103,6 +104,22 @@ def test_parse_error_reports_offset():
     assert exc.value.offset == 5
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("x1 + $x2", "unexpected character '$'", 5),
+    ("(x1 + x2", "expected ')'", 8),
+])
+def test_parse_error_names_its_offset(text, message, offset):
+    with pytest.raises(ParseError, match=re.escape(f"{message} (at offset {offset})")) as exc:
+        parse(text, NAMES)
+    assert exc.value.offset == offset
+
+
+def test_expr_is_never_equal_to_another_type():
+    e = parse("1", NAMES)
+    assert (e == 1) is False and (e != 1) is True
+    assert e.__eq__(1) is NotImplemented
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse("x1 x2", NAMES)
@@ -153,6 +170,21 @@ def test_overflow_is_eval_error(point):
                      lambda: _jvp(e, point, [1.0])):
             with pytest.raises(EvalError):
                 call()
+
+
+@pytest.mark.parametrize("huge", [[10**400, 0], np.array([10**400, 0], dtype=object)],
+                         ids=["int-list", "object-ndarray"])
+def test_coordinate_too_large_for_a_float_is_eval_error(huge):
+    # Points and directions alike: float(10**400) raises OverflowError.
+    e = parse("x1 + x2", ("x1", "x2"))
+    s = Stack((e,), ("x1", "x2"))
+    message = "overflow: int too large to convert to float"
+    for call in (lambda: evaluate(e, huge), lambda: grad(e, huge),
+                 lambda: evaluate_block(s, [[1.0, 2.0], huge]),
+                 lambda: jvp_block(s, [huge], [1.0, 0.0]),
+                 lambda: jvp_block(s, [[1.0, 2.0]], huge)):
+        with pytest.raises(EvalError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("point", [[1e10], np.array([1e10])], ids=["list", "ndarray"])

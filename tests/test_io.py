@@ -57,6 +57,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     ("vars: x\nobjective: x\njust text\n", "expected 'key: value'"),
     ("vars: x\nobjective: x +\n", ":2:"),
     ("vars: x y\nobjective: x\neliminate: y\n", "name = expression"),
+    ("vars:\nobjective: x\n", ":1: empty vars line"),
 ])
 def test_load_problem_errors(tmp_path, text, fragment):
     with pytest.raises(ProblemFormatError, match=fragment):

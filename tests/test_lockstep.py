@@ -213,6 +213,52 @@ def test_block_rows_match_field_eval(name, sigma, request):
             assert_same_field(block.row(j), fe)
 
 
+def _chain(v, k):
+    """v^k, k >= 1, by the binary method: squares, and the products of
+    those an exponent's bits select, low bits first."""
+    result, square = None, v
+    while k:
+        if k & 1:
+            result = square if result is None else result * square
+        k >>= 1
+        if k:
+            square = square * square
+    return result
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 4])
+def test_r3_is_b_plus_c_times_the_chain_of_v_plus(power, p42):
+    # By rows (5 points) and by columns (30): r3_j = b_j + c_j*v+_j^(2p),
+    # the power being the multiplication chain of the expression kernels.
+    _, red = p42
+    params = FieldParams(R1=np.eye(red.n), R2=np.zeros((red.k, red.k)), a=np.ones(red.k),
+                         b=[1.0, 0.3], c=[0.7, 2.5], p=[power] * red.k)
+    X = sample_feasible(red, 30, seed=9)
+    positive = 0
+    for N in (5, 30):
+        block, errors = field_block(red, params, X[:N])
+        assert errors == [None] * N
+        for vplus, r3 in zip(block.vplus.tolist(), block.r3.tolist()):
+            want = [b + c * _chain(v, 2 * power) for b, c, v in zip([1.0, 0.3], [0.7, 2.5], vplus)]
+            assert _bits(r3) == _bits(want)
+            positive += sum(v > 0.0 for v in vplus)
+    assert positive > 10
+
+
+def test_a_wide_block_below_the_crossover_once_infeasible_rows_leave(p42):
+    # 30 rows, 20 of them infeasible: the inputs come from one column run,
+    # and the 10 rows left run the field kernel row by row.
+    _, red = p42
+    params = _params(red, None)
+    X = np.insert(sample_feasible(red, 10, seed=8), 5, np.full((20, red.n), 3.0), axis=0)
+    assert len(X) >= exprlang.COLUMNS_FROM > 10
+    block, errors = field_block(red, params, X)
+    assert [r for r, error in enumerate(errors) if error is not None] == list(range(5, 25))
+    kept = [r for r, error in enumerate(errors) if error is None]
+    for j, r in enumerate(kept):
+        assert_same_field(block.row(j), field_eval(red, params, X[r]))
+
+
 def _unconstrained():
     names = ("x1", "x2", "x3")
     return Problem(names=names, objective=parse("x1^2 + 2*x2^2 + x3^2 - x1*x3 + x2", names))
@@ -410,7 +456,7 @@ def test_criterion_8_expressions_run_on_columns_bit_for_bit(monkeypatch):
 
 
 def _stacks(p):
-    stacks = [p.constraint_stack, p.scan_stack, p.field_stack]
+    stacks = [p.constraint_stack, p.field_stack]
     if hasattr(p, "phi"):
         stacks += [p.phi_stack, p.elimination_stack]
     return stacks

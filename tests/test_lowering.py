@@ -38,10 +38,10 @@ def _same_tape(got, roots, n):
 def _problem_members(full, red):
     """Every Expr and Stack of a problem's full and reduced forms."""
     exprs = [full.objective, *full.equalities, *full.inequalities]
-    stacks = [full.constraint_stack, full.field_stack, full.scan_stack]
+    stacks = [full.constraint_stack, full.field_stack]
     if red is not None:
         exprs += [red.objective, *red.inequalities, *red.phi, *red.elimination_stack.exprs]
-        stacks += [red.constraint_stack, red.field_stack, red.scan_stack, red.phi_stack,
+        stacks += [red.constraint_stack, red.field_stack, red.phi_stack,
                    red.elimination_stack]
     return exprs, stacks
 

@@ -151,6 +151,24 @@ def test_reduce_reports_the_maps_own_error():
     assert str(got.value).startswith("non-finite value")
 
 
+def test_reduce_reraises_an_equalitys_error_where_the_map_runs():
+    """Where the map runs at a sample and an equality composed with it
+    raises, the check re-raises the equality's error."""
+    p = Problem(names=("x1", "x2"), objective=parse("x1^2", ("x1", "x2")),
+                equalities=(parse("x2 - x1 + 1/(x1 - x1)", ("x1", "x2")),))
+    with pytest.raises(EvalError, match="division by zero"):
+        reduce(p, [("x2", "x1")])
+
+
+@pytest.mark.parametrize("elimination, message", [
+    ([("x1", "0"), ("x2", "0"), ("x3", "0")], "elimination covers every variable"),
+    ([("x3", parse("2 - x1 - x2", N3))], r"elimination for x3 must use only \('x1', 'x2'\)"),
+], ids=["every-variable", "foreign-variables"])
+def test_reduce_rejects_a_map_that_cannot_eliminate(elimination, message):
+    with pytest.raises(ModelError, match=message):
+        reduce(_toy(), elimination)
+
+
 def test_reduce_does_not_evaluate_the_inequalities():
     """An inequality that overflows at the check's samples does not block
     the reduction: only the map and the equalities are evaluated there."""

@@ -1,17 +1,20 @@
 import math
+import pathlib
 import time
 
 import numpy as np
 import pytest
 
 from nlpflow import solver
-from nlpflow.exprlang import EvalError, parse
+from nlpflow.exprlang import EvalError, jvp_block, parse
 from nlpflow.field import FieldError, FieldParams, field_eval
-from nlpflow.io import sample_feasible
+from nlpflow.io import load_problem, sample_feasible
 from nlpflow.kkt import kkt_residual, multipliers
 from nlpflow.model import Problem, is_feasible
 from nlpflow.solver import (FEAS_TOL, ProjectionFailure, SolveConfig,
                             active_index_set, project_inexact, solve)
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def _disk():
@@ -48,6 +51,8 @@ def test_sample_offsets_are_linspace_bit_for_bit():
     dict(epsilon=math.inf),
     dict(epsilon=math.nan),
     dict(stop_tol=math.nan),
+    dict(algorithm="t31", armijo=0.0),
+    dict(algorithm="t31", armijo=1.0),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -475,6 +480,23 @@ def test_t31_backtracking_floor_ends_field_failure(p42, monkeypatch):
     # Steps 0.5, 0.25, ..., 0.5 * 2^-46: the next falls below 1e-14 * r.
     assert steps == [0.5 * 0.5 ** i for i in range(47)]
     assert report.kkt is not None
+
+
+def test_reduced_r35_scan_runs_the_field_stack(monkeypatch):
+    # With no equalities the field stack is (theta, g_1, ..., g_k): the
+    # curvature scan runs its tangent kernel.
+    _, red = load_problem(PROBLEMS / "p42.nlp")
+    stacks = []
+
+    def recording(stack, points, u):
+        stacks.append(stack)
+        return jvp_block(stack, points, u)
+    monkeypatch.setattr(solver, "jvp_block", recording)
+    report = solve(red, FieldParams.default(red.n, red.k, sigma=0.2), SolveConfig(max_iter=5),
+                   np.array([-0.9, -1.0, 2.0]))
+    assert report.iterations == 5 and stacks
+    assert all(stack is red.field_stack for stack in stacks)
+    assert red.field_stack.exprs == (red.objective, *red.inequalities)
 
 
 def test_scan_that_fails_at_every_span_ends_field_failure(p42, monkeypatch):

@@ -201,7 +201,7 @@ def test_problem_stacks_match_one_by_one(name, request):
     full, red = request.getfixturevalue(name)
     for x in sample_feasible(red, 50, seed=4):
         for p, point in ((red, x), (full, red.lift(x))):
-            for s in (p.constraint_stack, p.scan_stack):
+            for s in (p.constraint_stack, p.field_stack):
                 assert_stack_same(s.exprs, point)
                 assert_stack_same(s.exprs, list(point))
                 assert_stack_same(s.exprs, point.tolist())
@@ -241,8 +241,8 @@ def test_random_stacks_match_one_by_one(texts, shared, point):
 
 def test_stack_lowers_shared_subtrees_once(p42):
     _, red = p42
-    s = red.scan_stack
-    assert s is red.scan_stack and red.constraint_stack is red.constraint_stack
+    s = red.field_stack
+    assert s is red.field_stack and red.constraint_stack is red.constraint_stack
     assert s.exprs == (red.objective, *red.inequalities)
     # theta, g1 and g2 each contain the elimination map of x4.
     assert len(s.tape.ops) < sum(len(e.tape.ops) for e in s.exprs)
@@ -506,10 +506,10 @@ def test_signed_zero_constants_keep_separate_slots():
 
 
 @pytest.mark.parametrize("name, counts", [
-    # (ops, constants) of the scan stack, the constraint stack, theta and each g_j.
-    ("p41", {"scan": (19, 4), "constraints": (8, 2), "theta": (14, 3),
+    # (ops, constants) of the field stack, the constraint stack, theta and each g_j.
+    ("p41", {"field": (19, 4), "constraints": (8, 2), "theta": (14, 3),
              "g": [(4, 2), (1, 0), (1, 0), (3, 1)]}),
-    ("p42", {"scan": (38, 6), "constraints": (27, 4), "theta": (23, 4),
+    ("p42", {"field": (38, 6), "constraints": (27, 4), "theta": (23, 4),
              "g": [(19, 3), (19, 3)]}),
 ])
 def test_reduced_tapes_are_value_numbered(name, counts, request):
@@ -518,7 +518,7 @@ def test_reduced_tapes_are_value_numbered(name, counts, request):
     def size(tape):
         return len(tape.ops), len(tape.consts)
 
-    assert size(red.scan_stack.tape) == counts["scan"]
+    assert size(red.field_stack.tape) == counts["field"]
     assert size(red.constraint_stack.tape) == counts["constraints"]
     assert size(red.objective.tape) == counts["theta"]
     assert [size(g.tape) for g in red.inequalities] == counts["g"]
