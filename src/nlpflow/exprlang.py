@@ -23,39 +23,37 @@ statement per operation, which give every output's value and, in each
 tangent lane, its directional derivative along the lane's seed.  A power
 ``a^k`` is the binary-method multiplication chain (Knuth, TAOCP vol. 2,
 4.6.3), one statement per multiplication, and so is the ``a^(k-1)`` of
-its tangent: its bits depend on no libm.  Kernels are cached by the
+its tangent: its bits depend on no libm.  The ray kernel is univariate
+Taylor mode (Griewank & Walther, ch. 13): seeded with a direction u, it
+gives every output's coefficients c_0..c_D along the ray x + t*u, one
+statement per coefficient of an operation.  Kernels are cached by the
 tape's structure, not its constants, so re-parsing a problem compiles
 nothing.
 
 Each kernel's source is compiled once and defined for two runners.
-``_run`` runs it over a block of points on Python floats, one point after
-another, whatever each point's container (an ndarray is converted with
-``tolist``, any other sequence with ``float`` per entry), so every result
-is a Python float; it raises EvalError for a zero divisor, for a power
-that overflows from a finite base, for a ``^0`` whose base is not finite
-and for a value or tangent that is not finite, at the first point where
-a loop of one-point runs would.  ``_columns`` runs it once on NumPy
-columns, one array per slot, for a block of at least ``COLUMNS_FROM``
-points: the same IEEE operations, so each point gets the same bits.  A
-column run cannot raise at a point, so it gives up on the whole block,
-which then runs by rows, at a non-finite input, constant or seed, at any
-floating-point exception but underflow, and at a failed check.
+``_run`` runs it at one point on Python floats, whatever the point's
+container (an ndarray is converted with ``tolist``, any other sequence
+with ``float`` per entry), so every result is a Python float; it raises
+EvalError for a zero divisor, for a power that overflows from a finite
+base, for a ``^0`` whose base is not finite and for a value or tangent
+that is not finite.  ``_columns`` runs it once on NumPy columns, one
+array per slot, for a block of at least ``COLUMNS_FROM`` points: the same
+IEEE operations, so each point gets the same bits.  A column run cannot
+raise at a point, so it gives up on the whole block, which then runs by
+rows, at a non-finite input, constant or seed, at any floating-point
+exception but underflow, and at a failed check.
 
-``evaluate_stack`` runs the value kernel at one point, and
-``evaluate_block`` at each point of a block, in one row runner call;
-``evaluate`` is its one-output case, so a stack gives each expression
-the bits it gets alone.  ``jvp_block`` runs the one-lane kernel, seeded
-with the direction, at each point of a block; its one-point, one-output
-case is the directional derivative of one expression.  ``grad`` runs the
-kernel with a lane per variable, seeded with the unit vectors, which
-computes the value once for all of them.  ``evaluate_columns`` and
-``gradient_columns`` are the column runs of the value and the gradient
-kernel, as arrays, for the callers with wide blocks (the sampler,
-``reduce``'s check and the field's inputs), which run the block by rows
-themselves where the column run gives up.  The solver's blocks (9-point
-scans and rays) are narrower than the crossover, so ``evaluate_block``
-and ``jvp_block`` run by rows, and the tangent kernel is defined for
-rows only.
+``evaluate_stack`` runs the value kernel at one point; ``evaluate`` is
+its one-output case, so a stack gives each expression the bits it gets
+alone.  ``grad`` runs the kernel with a lane per variable, seeded with
+the unit vectors, which computes the value once for all of them.
+``ray_polynomials`` runs the ray kernel: the solver's one run per iterate
+along the Euler ray.  ``evaluate_columns`` and ``gradient_columns`` are
+the column runs of the value and the gradient kernel, as arrays, for the
+callers with wide blocks (the sampler, ``reduce``'s check and the field's
+inputs), which run the block by rows themselves where the column run
+gives up.  The ray kernel has no caller with a block, so it is defined
+for rows only.
 
 Grammar (EBNF)::
 
@@ -77,7 +75,7 @@ import re
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
-from math import isfinite, isinf
+from math import inf, isfinite, isinf
 
 import numpy as np
 
@@ -176,10 +174,10 @@ class Tape:
     except that ``b`` is the integer exponent of a power and unused by a
     negation.  ``outs`` holds one output slot per expression.  The tape
     runs as compiled kernels, built on first use: one for the values, one
-    for the values and a tangent, and one for the values and a tangent
-    per variable, which gives the gradient in one run.  Each is a
-    ``_Kernel``: its row function and its column function, which the
-    tangent kernel leaves out, as no caller runs it on a wide block.
+    for the values and a tangent per variable, which gives the gradient in
+    one run, and one for the Taylor coefficients along a ray.  Each is a
+    ``_Kernel``: its row function and its column function, which the ray
+    kernel leaves out, as no caller runs it on a wide block.
     """
 
     consts: tuple  # floats
@@ -192,8 +190,8 @@ class Tape:
         return _compile(self.ops, len(self.consts), self.outs, self.n, 0)
 
     @functools.cached_property
-    def tangent_kernel(self):
-        return _compile(self.ops, len(self.consts), self.outs, self.n, 1, columns=False)
+    def ray_kernel(self):
+        return _compile(self.ops, len(self.consts), self.outs, self.n, 0, ray=True)
 
     @functools.cached_property
     def gradient_kernel(self):
@@ -511,13 +509,12 @@ def parse(text, variables):
 # x86-64 host, in-process ``timeit``), a column run costs about the same
 # whatever the block's size, and the runners cross at: 20 to 37 points for
 # the constraint stacks' value kernels (0.9 to 1.1 us a point by rows, 18
-# to 35 us a column run), 15 to 23 for the scan stacks' tangent kernels,
-# 26 to 48 for the field stacks' gradient kernels (2.4 to 5.6 us a point,
-# 58 to 216 us a run), and 6 to 15 rows for a field block's inputs, which
-# take 10 to 15 us a row by rows; the field kernel itself crosses between
-# 20 and 30 rows (a row 10 to 20 us, a column run 200 to 700 us).  At 93
-# rows, criterion 7's portrait, the field kernel's columns take a third of
-# its rows' time.
+# to 35 us a column run), 26 to 48 for the field stacks' gradient kernels
+# (2.4 to 5.6 us a point, 58 to 216 us a run), and 6 to 15 rows for a
+# field block's inputs, which take 10 to 15 us a row by rows; the field
+# kernel itself crosses between 20 and 30 rows (a row 10 to 20 us, a
+# column run 200 to 700 us).  At 93 rows, criterion 7's portrait, the
+# field kernel's columns take a third of its rows' time.
 COLUMNS_FROM = 24
 
 # The error of a power that overflows from a finite base: the text of
@@ -532,16 +529,24 @@ class _Chain:
 
     A product is written once, under its exponent: two chains that reach
     an exponent reach it by the same multiplications, so ``a^k`` and the
-    tangent's ``a^(k-1)`` share what they have in common.
+    tangent's ``a^(k-1)`` share what they have in common.  ``multiply(name,
+    a, b)`` writes one product under ``name`` and returns what stands for
+    it: by default the one statement ``name = a * b``; the ray kernel's
+    chains multiply truncated series instead (``_Series.product``).
     """
 
-    def __init__(self, lines, base, prefix):
+    def __init__(self, lines, base, prefix, multiply=None):
         self.lines, self.prefix, self.names = lines, prefix, {1: base}
+        self.multiply = multiply or self._times
+
+    def _times(self, name, a, b):
+        self.lines.append(f"{name} = {a} * {b}")
+        return name
 
     def product(self, i, j):
         if i + j not in self.names:
-            self.names[i + j] = name = f"{self.prefix}{i + j}"
-            self.lines.append(f"{name} = {self.names[i]} * {self.names[j]}")
+            self.names[i + j] = self.multiply(f"{self.prefix}{i + j}", self.names[i],
+                                              self.names[j])
         return i + j
 
     def __call__(self, k):
@@ -560,10 +565,10 @@ class _Chain:
 # process that runs many of them would otherwise compile the same kernels
 # again each time.  The bound is the number of distinct structures kept.
 @functools.lru_cache(maxsize=256)
-def _compile(ops, nconst, outs, n, lanes, columns=True):
+def _compile(ops, nconst, outs, n, lanes, ray=False):
     """Compile tape operations to straight-line Python, once, and define it
-    for both runners: a ``_Kernel`` of the row and the column function, or
-    of the row function and None if ``columns`` is false.
+    for the runners: a ``_Kernel`` of the row and the column function, or,
+    for the ray kernel (``ray`` true), of the row function and None.
 
     Each function is ``kernel(x, d, c)``: ``x`` holds the ``n`` variables,
     ``d`` holds ``lanes`` seed vectors and ``c`` the ``nconst`` constants,
@@ -572,7 +577,9 @@ def _compile(ops, nconst, outs, n, lanes, columns=True):
     of ``outs``, and in one flat tuple, lane by lane, the tangent of each
     slot seeded with that lane's vector.  Tangents follow the dual-number
     rules: (a*b)' = a*b' + a'*b, (a/b)' = (a' - q*b')/b with q = a/b,
-    (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).
+    (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).  The ray kernel takes one seed
+    vector u and gives, in place of the tangents, the Taylor coefficients
+    c_1..c_D of each output along x + t*u, output by output (``_Series``).
 
     A power ``a^k`` is the binary-method chain of ``_Chain``, and so is the
     tangent's ``a^(k-1)``: the same multiplications on Python floats and on
@@ -583,7 +590,9 @@ def _compile(ops, nconst, outs, n, lanes, columns=True):
     it.  A zero divisor raises ZeroDivisionError on Python floats.  Each
     statement is one operation, in tape order, so the kernel does the same
     arithmetic whatever the constants are, and each lane does the
-    arithmetic of a one-lane kernel with its seed.
+    arithmetic of a one-lane kernel with its seed.  Every kernel computes
+    the values by the value kernel's statements, so it gives their bits and
+    raises where the value kernel raises.
     """
     lines = []
 
@@ -592,43 +601,159 @@ def _compile(ops, nconst, outs, n, lanes, columns=True):
             names = "".join(f"{prefix}{i}, " for i in range(first, first + count))
             lines.append(f"{names}= {source}")
 
+    def row(names):
+        return "(" + "".join(f"{name}, " for name in names) + ")"
+
     unpack(0, n, "v", "x")
     unpack(n, nconst, "v", "c")
-    tangents = [f"t{lane}_" for lane in range(lanes)]  # name prefix of each lane
-    for lane, t in enumerate(tangents):
-        unpack(0, n, t, f"d[{lane}]")
-        lines.extend(f"{t}{i} = 0.0" for i in range(n, n + nconst))
-    for s, (code, a, b) in enumerate(ops, start=n + nconst):
-        if code == _POW and b == 0:
-            lines += [f"if not isfinite(v{a}): raise EvalError('non-finite base of ^0')",
-                      f"v{s} = one", *(f"{t}{s} = 0.0" for t in tangents)]
-        elif code == _POW:
-            chain = _Chain(lines, f"v{a}", f"p{s}_")
-            lines.append(f"v{s} = {chain(b)}")
-            if b > 1:
-                lines.append(f"if isinf(v{s}) and isfinite(v{a}): raise EvalError({_OVERFLOW!r})")
-            slope = f"{float(b)!r} * {chain(b - 1)} * " if b > 1 and tangents else ""
-            lines.extend(f"{t}{s} = {slope}{t}{a}" for t in tangents)
-        else:
-            lines.append(f"v{s} = " + (f"-v{a}" if code == _NEG else
-                                       f"v{a} {_SYMBOL[code]} v{b}"))
-            for t in tangents:
-                if code == _MUL:
-                    lines.append(f"{t}{s} = v{a} * {t}{b} + {t}{a} * v{b}")
-                elif code == _DIV:
-                    lines.append(f"{t}{s} = ({t}{a} - v{s} * {t}{b}) / v{b}")
-                elif code == _NEG:
-                    lines.append(f"{t}{s} = -{t}{a}")
-                else:
-                    lines.append(f"{t}{s} = {t}{a} {_SYMBOL[code]} {t}{b}")
-
-    def row(prefixes):
-        return "(" + "".join(f"{p}{i}, " for p in prefixes for i in outs) + ")"
-
-    lines.append(f"return {row(['v'])}, {row(tangents)}")
+    if ray:
+        series = _Series(lines, ops, nconst, outs, n)
+        for s, op in enumerate(ops, start=n + nconst):
+            series.write(s, *op)
+        lines.append(f"return {row(f'v{i}' for i in outs)}, {row(series.coefficients(outs))}")
+    else:
+        tangents = [f"t{lane}_" for lane in range(lanes)]  # name prefix of each lane
+        for lane, t in enumerate(tangents):
+            unpack(0, n, t, f"d[{lane}]")
+            lines.extend(f"{t}{i} = 0.0" for i in range(n, n + nconst))
+        for s, (code, a, b) in enumerate(ops, start=n + nconst):
+            if code == _POW and b == 0:
+                lines += _zeroth_power(s, a)
+                lines.extend(f"{t}{s} = 0.0" for t in tangents)
+            elif code == _POW:
+                chain = _Chain(lines, f"v{a}", f"p{s}_")
+                lines.append(f"v{s} = {chain(b)}")
+                if b > 1:
+                    lines.append(_overflow_check(s, a))
+                slope = f"{float(b)!r} * {chain(b - 1)} * " if b > 1 and tangents else ""
+                lines.extend(f"{t}{s} = {slope}{t}{a}" for t in tangents)
+            else:
+                lines.append(f"v{s} = " + (f"-v{a}" if code == _NEG else
+                                           f"v{a} {_SYMBOL[code]} v{b}"))
+                for t in tangents:
+                    if code == _MUL:
+                        lines.append(f"{t}{s} = v{a} * {t}{b} + {t}{a} * v{b}")
+                    elif code == _DIV:
+                        lines.append(f"{t}{s} = ({t}{a} - v{s} * {t}{b}) / v{b}")
+                    elif code == _NEG:
+                        lines.append(f"{t}{s} = -{t}{a}")
+                    else:
+                        lines.append(f"{t}{s} = {t}{a} {_SYMBOL[code]} {t}{b}")
+        lines.append(f"return {row(f'v{i}' for i in outs)}, "
+                     f"{row(f'{t}{i}' for t in tangents for i in outs)}")
     source = "def kernel(x, d, c):\n" + "".join(f"    {line}\n" for line in lines)
     code = compile(source, "<tape kernel>", "exec")
-    return _Kernel(_define(code, _ROW_HELPERS), _define(code, _COLUMN_HELPERS) if columns else None)
+    return _Kernel(_define(code, _ROW_HELPERS), None if ray else _define(code, _COLUMN_HELPERS))
+
+
+def _zeroth_power(s, a):
+    """The statements of slot ``s`` = a^0, for the value ``v{a}``."""
+    return [f"if not isfinite(v{a}): raise EvalError('non-finite base of ^0')", f"v{s} = one"]
+
+
+def _overflow_check(s, a):
+    """The statement that raises if the power ``v{s}`` of ``v{a}`` overflowed."""
+    return f"if isinf(v{s}) and isfinite(v{a}): raise EvalError({_OVERFLOW!r})"
+
+
+# The highest Taylor coefficient that a ray kernel computes: the series of a
+# tape of higher degree, or with a variable divisor, is truncated there.
+RAY_DEGREE = 4
+
+
+class _Series:
+    """Writes the ray kernel: the Taylor coefficients c_0..c_d of each slot
+    along the ray x + t*u (Griewank & Walther, *Evaluating Derivatives*, 2nd
+    ed., ch. 13), one statement per coefficient of an operation.
+
+    ``d`` is the slot's polynomial degree, tracked while the code is
+    written, capped at D = min(the outputs' largest degree, RAY_DEGREE): a
+    variable has degree 1 and a constant 0, a sum the larger degree of its
+    operands, a product their sum and ``a^k`` k times a's.  A divisor of
+    degree 0 divides each coefficient; a variable divisor makes the
+    quotient a series division truncated at D.  A coefficient above a
+    slot's degree is an exact zero, which is never written, and a sum's
+    coefficient that one operand alone has is that operand's, by name.
+
+    Coefficient k of the series named N is N itself for k = 0 and ``N_k``
+    above, so c_0 of slot s is ``v{s}``, the value kernel's name: a product
+    is a Cauchy product whose c_0 is the value kernel's product, ``a^k`` is
+    the ``_Chain`` of truncated Cauchy products, and a quotient's c_0 is
+    the value kernel's quotient, so the values, and every error raised on
+    them, are the value kernel's.
+    """
+
+    def __init__(self, lines, ops, nconst, outs, n):
+        degree = [1] * n + [0] * nconst
+        for code, a, b in ops:
+            if code == _POW:
+                d = degree[a] * b if b else 0
+            elif code == _NEG:
+                d = degree[a]
+            elif code == _DIV:
+                d = inf if degree[b] else degree[a]
+            else:
+                d = degree[a] + degree[b] if code == _MUL else max(degree[a], degree[b])
+            degree.append(d)
+        self.lines, self.D = lines, min(max((degree[s] for s in outs), default=0), RAY_DEGREE)
+        self.series = [[f"v{i}", f"v{i}_1"][:self.D + 1] for i in range(n)]
+        self.series += ([f"v{i}"] for i in range(n, n + nconst))
+        if n and self.D:
+            lines.append("".join(f"v{i}_1, " for i in range(n)) + "= d[0]")
+
+    def _write(self, name, k, expression):
+        """Write coefficient k of the series ``name``; returns its name."""
+        target = f"{name}_{k}" if k else name
+        self.lines.append(f"{target} = {expression}")
+        return target
+
+    def product(self, name, a, b):
+        """The Cauchy product of the series ``a`` and ``b``, truncated at D."""
+        def coefficient(k):
+            return " + ".join(f"{a[i]} * {b[k - i]}"
+                              for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))))
+
+        return [self._write(name, k, coefficient(k))
+                for k in range(min(len(a) + len(b) - 1, self.D + 1))]
+
+    def write(self, s, code, a, b):
+        """Write slot ``s``, the operation ``(code, a, b)``, and keep its series."""
+        A, name = self.series[a], f"v{s}"
+        B = self.series[b] if code not in (_NEG, _POW) else None
+        if code == _POW and b == 0:
+            self.lines.extend(_zeroth_power(s, a))
+            out = [name]
+        elif code == _POW:
+            power = _Chain(self.lines, A, f"p{s}_", self.product)(b)
+            self.lines.append(f"{name} = {power[0]}")
+            if b > 1:
+                self.lines.append(_overflow_check(s, a))
+            out = [name, *power[1:]]
+        elif code == _NEG:
+            out = [self._write(name, k, f"-{c}") for k, c in enumerate(A)]
+        elif code == _MUL:
+            out = self.product(name, A, B)
+        elif code == _DIV and len(B) == 1:
+            out = [self._write(name, k, f"{c} / {B[0]}") for k, c in enumerate(A)]
+        elif code == _DIV:
+            # q_k = (a_k - q_0 b_k - ... - q_(k-1) b_1) / b_0, truncated at D.
+            out = [self._write(name, 0, f"{A[0]} / {B[0]}")]
+            for k in range(1, self.D + 1):
+                terms = "".join(f" - {out[k - j]} * {B[j]}" for j in range(1, min(k + 1, len(B))))
+                out.append(self._write(name, k, f"({A[k] if k < len(A) else ''}{terms}) / {B[0]}"))
+        else:
+            symbol = _SYMBOL[code]
+            out = [self._write(name, k, f"{A[k]} {symbol} {B[k]}") if k < len(B) else A[k]
+                   for k in range(len(A))]
+            # The coefficients that b alone has: b's own, negated for a difference.
+            out += [B[k] if code == _ADD else self._write(name, k, f"-{B[k]}")
+                    for k in range(len(A), len(B))]
+        self.series.append(out)
+
+    def coefficients(self, outs):
+        """The names of c_1..c_D of each of ``outs`` in turn, 0.0 above its degree."""
+        return [c for s in outs
+                for c in [*self.series[s][1:], *["0.0"] * (self.D + 1 - len(self.series[s]))]]
 
 
 # The kernels' helpers, for Python floats and for NumPy columns: ``isinf``
@@ -670,31 +795,23 @@ def _point(n, x):
         raise EvalError(f"overflow: {exc.args[-1]}") from exc
 
 
-def _run(tape, kernel, points, seeds=()):
-    """``(values, tangents)`` at each of ``points`` from row runs of
+def _run(tape, kernel, x, seeds=()):
+    """``(values, tangents)`` at the point ``x`` from a row run of
     ``kernel``, a kernel of ``tape``, with the tangent ``seeds``.
 
-    Every public runner is a case of this one or falls back to it, the
-    one-point runners with a block of one point: a coordinate too large
-    for a float, a zero divisor, or a value or tangent that is not finite,
-    raises EvalError.
-    The points run in order and each is checked before the next one runs,
-    so a block raises the error that a loop of one-point runs raises, at
-    the same first failing point.
+    Every public runner is a case of this one or falls back to it: a
+    coordinate too large for a float, a zero divisor, or a value or tangent
+    that is not finite, raises EvalError.
     """
-    consts, n = tape.consts, tape.n
-    rows = []
-    for x in points:
-        try:
-            values, tangents = kernel.rows(_point(n, x), seeds, consts)
-        except ZeroDivisionError:
-            raise EvalError("division by zero") from None
-        for value in values + tangents:
-            if not isfinite(value):
-                raise EvalError("non-finite value in derivative sweep" if seeds else
-                                f"non-finite value {value!r}")
-        rows.append((values, tangents))
-    return rows
+    try:
+        values, tangents = kernel.rows(_point(tape.n, x), seeds, tape.consts)
+    except ZeroDivisionError:
+        raise EvalError("division by zero") from None
+    for value in values + tangents:
+        if not isfinite(value):
+            raise EvalError("non-finite value in derivative sweep" if seeds else
+                            f"non-finite value {value!r}")
+    return values, tangents
 
 
 def _columns(s, points, seeds=()):
@@ -745,7 +862,7 @@ def evaluate(e, x):
     """The value of the expression at the point ``x`` (a sequence of
     floats), as a Python float."""
     tape = e.tape
-    [(values, _)] = _run(tape, tape.value_kernel, (x,))
+    values, _ = _run(tape, tape.value_kernel, x)
     return values[0]
 
 
@@ -756,21 +873,13 @@ def evaluate_stack(s, x):
     ``x``; it raises EvalError if any of them would.
     """
     tape = s.tape
-    [(values, _)] = _run(tape, tape.value_kernel, (x,))
+    values, _ = _run(tape, tape.value_kernel, x)
     return values
 
 
-def evaluate_block(s, points):
-    """``evaluate_stack`` of the Stack ``s`` at each of ``points``, from one
-    runner call; it raises the first error that the loop of
-    ``evaluate_stack`` calls would."""
-    tape = s.tape
-    return [values for values, _ in _run(tape, tape.value_kernel, points)]
-
-
 def evaluate_columns(s, points):
-    """``evaluate_block`` of the Stack ``s`` at the (N, n) block ``points``
-    as an (N, outputs) array, from one column run; or None where the block
+    """``evaluate_stack`` of the Stack ``s`` at each point of the (N, n) block
+    ``points`` as an (N, outputs) array, from one column run; or None where the block
     runs row by row (see ``_columns``), which is where it may raise."""
     out = _columns(s, points)
     return None if out is None else out.T
@@ -794,18 +903,27 @@ def grad(e, x):
     """Gradient at ``x``: one run of the kernel with a tangent lane per
     unit vector."""
     tape = e.tape
-    [(_, tangents)] = _run(tape, tape.gradient_kernel, (x,), _unit_vectors(tape.n))
+    _, tangents = _run(tape, tape.gradient_kernel, x, _unit_vectors(tape.n))
     return list(tangents)
 
 
-def jvp_block(s, points, u):
-    """Directional derivatives along ``u`` of every expression of the Stack
-    ``s`` (or of one Expr) at each of ``points``, from one runner call with
-    ``u`` converted once: each row has the bits of each expression's run
-    alone, and it raises the first EvalError that one point at a time would."""
+def ray_polynomials(s, x, u):
+    """The Taylor coefficients (c_0, ..., c_D) of t -> e(x + t*u) for every
+    expression e of the Stack ``s`` (or of one Expr), from one run of the
+    ray kernel (``_Series``): each expression restricted to the ray is
+    sum c_i t^i, exactly for a polynomial of degree at most RAY_DEGREE and
+    truncated at D = RAY_DEGREE otherwise.  D is the tape's: a coefficient
+    above an expression's own degree is 0.0.
+
+    c_0 has the bits of ``evaluate_stack`` at ``x``, and it raises the
+    errors that ``evaluate_stack`` raises there, except that a value or a
+    coefficient that is not finite raises the EvalError of a derivative
+    sweep.
+    """
     tape = s.tape
-    return [tangents for _, tangents
-            in _run(tape, tape.tangent_kernel, points, (_point(tape.n, u),))]
+    values, coefficients = _run(tape, tape.ray_kernel, x, (_point(tape.n, u),))
+    D = len(coefficients) // len(values) if values else 0
+    return [(c0, *coefficients[i * D:(i + 1) * D]) for i, c0 in enumerate(values)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,13 @@ the solve with a termination and a diagnostic.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprlang import EvalError, evaluate, evaluate_block, evaluate_stack, grad, jvp_block
+from .exprlang import _OVERFLOW, EvalError, evaluate, evaluate_stack, grad, ray_polynomials
 from .field import FieldError, field_eval, norms
 from .kkt import kkt_residual, multipliers
 from .model import FEAS_TOL, FIELD_FEAS_TOL, is_feasible
@@ -62,15 +63,15 @@ BETA = 0.5 * FEAS_TOL
 SNAP_BAND = 2.0 * FEAS_TOL
 SNAP_SWEEPS = 3
 # Curvature-scan controls: number of segments per scan, refinement passes,
-# and the factor by which a scan span must cover the proposed step.
+# the factor by which a scan span must cover the proposed step, and the
+# smallest span that a refinement proposes or an overflow halving reaches.
 CURV_SEGMENTS = 8
 CURV_REFINEMENTS = 4
 SPAN_COVER = 1.5
 SPAN_FLOOR = 1e-8
-# Points sampled along the Euler ray by ``active_index_set``, and the cap
-# on the Newton steps of ``project_inexact``.  The caps cannot be one: more
-# snap steps move r35's bits, and some snaps never reach g_j = 0 exactly.
-RAY_SAMPLES = 9
+# The cap on the Newton steps of ``project_inexact``.  The caps cannot be
+# one: more snap steps move r35's bits, and some snaps never reach g_j = 0
+# exactly.
 PROJECTION_MAX_INNER = 100
 
 
@@ -104,7 +105,7 @@ class SolveConfig:
             if not 0 < self.armijo < 1:
                 raise ValueError("t31 requires armijo in (0, 1)")
             try:
-                float(self.epsilon) ** 2  # active_index_set squares epsilon
+                float(self.epsilon) ** 2  # active_index_set's bound takes its powers
             except OverflowError:
                 raise ValueError("t31 requires epsilon ** 2 to be finite") from None
         else:
@@ -160,36 +161,28 @@ def _ray_points(x, F, ss):
     return [[a + s * f for a, f in zip(x, F)] for s in ss]
 
 
-def _peak_curvature(vals, dsq):
-    """``np.max(np.maximum(0.0, np.diff(vals, 2) / dsq))`` on Python floats.
-
-    The same IEEE operations on the same operands, so the same value up to
-    the sign of a zero, which cannot change a comparison.  A quotient that
-    is NaN makes the result NaN, as NumPy's max propagates it (Python's
-    ``max`` would skip it), and ``dsq == 0`` divides as NumPy does, where
-    Python raises ZeroDivisionError.
-    """
-    d2 = [(c - b) - (b - a) for a, b, c in zip(vals, vals[1:], vals[2:])]
-    q = [d / dsq for d in d2] if dsq else [d * math.inf if d else math.nan for d in d2]
-    return math.nan if any(map(math.isnan, q)) else max(0.0, *q)
-
-
 def active_index_set(p, fe, x, epsilon):
     """Indices whose constraint may rise above -epsilon along the Euler ray.
 
-    The continuous max over s in [0, epsilon] is over-approximated by
-    sampling g_j at RAY_SAMPLES equally spaced points and inflating by
-    half epsilon^2 times a second-difference curvature estimate.  One
-    runner call (``evaluate_block``) runs the problem's constraint stack
-    at every sample point, which gives every g_j there at once; the test
-    itself runs on Python floats.
+    One run of the ray kernel of the problem's constraint stack gives each
+    g_j along x + s*F as c_0 + c_1 s + ... + c_D s^D (``ray_polynomials``).
+    Over s in [0, epsilon] that is at most c_0 + sum max(0, c_i) epsilon^i,
+    and j is active when this bound exceeds -epsilon.  The bound is exact
+    up to rounding on constraints of degree at most RAY_DEGREE, and a
+    truncated Taylor model on others.  A bound that is not finite raises the
+    EvalError of an overflow.
     """
-    ss = _offsets(epsilon, RAY_SAMPLES - 1)
-    dsq = ss[1] ** 2
-    lift = 0.5 * epsilon ** 2
-    rows = evaluate_block(p.constraint_stack, _ray_points(x, fe.F, ss))
-    return tuple(j for j, vals in enumerate(zip(*(row[p.m:] for row in rows)))
-                 if max(vals) + lift * _peak_curvature(vals, dsq) > -epsilon)
+    active = []
+    for j, c in enumerate(ray_polynomials(p.constraint_stack, x, fe.F)[p.m:]):
+        bound = 0.0
+        for ci in c[:0:-1]:  # Horner's rule, on non-negative terms: no inf - inf
+            bound = (bound + max(0.0, ci)) * epsilon
+        bound += c[0]
+        if not math.isfinite(bound):
+            raise EvalError(_OVERFLOW)
+        if bound > -epsilon:
+            active.append(j)
+    return tuple(active)
 
 
 def _newton_project(p, y, select, max_steps, reach=math.inf):
@@ -204,18 +197,19 @@ def _newton_project(p, y, select, max_steps, reach=math.inf):
     zero gradient, or whose own Newton step |g_j|/|b| is longer than
     ``reach``, is left out of the step.  Returns ``(y, steps, J, g)`` at
     the first y where J is empty, every facet of J is left out, or
-    ``max_steps`` steps are taken.
+    ``max_steps`` steps are taken: where the first J is empty, right after
+    the one stack run, with no step bookkeeping.
     """
     y = np.array(y, dtype=float)
-    for steps in range(max_steps + 1):
-        g = evaluate_stack(p.constraint_stack, y)[p.m:]
-        J = select(g)
-        rows = [] if steps == max_steps else [
-            (g[j], b) for j in J
-            for b in [np.asarray(grad(p.inequalities[j], y), dtype=float)]
-            for bb in [float(b @ b)] if bb > 0.0 and abs(g[j]) <= reach * math.sqrt(bb)]
+    g = evaluate_stack(p.constraint_stack, y)[p.m:]
+    J = select(g)
+    steps = 0
+    while J and steps < max_steps:
+        rows = [(g[j], b) for j in J
+                for b in [np.asarray(grad(p.inequalities[j], y), dtype=float)]
+                for bb in [float(b @ b)] if bb > 0.0 and abs(g[j]) <= reach * math.sqrt(bb)]
         if not rows:
-            return y, steps, J, g
+            break
         if len(rows) == 1:
             [(gj, b)] = rows
             y = y - (gj / float(b @ b)) * b
@@ -223,6 +217,10 @@ def _newton_project(p, y, select, max_steps, reach=math.inf):
             gJ, B = map(np.array, zip(*rows))
             scale = np.linalg.norm(B, axis=1)
             y = y - np.linalg.lstsq(B / scale[:, None], gJ / scale, rcond=None)[0]
+        steps += 1
+        g = evaluate_stack(p.constraint_stack, y)[p.m:]
+        J = select(g)
+    return y, steps, J, g
 
 
 def _project_inexact(target, p, indices):
@@ -249,23 +247,31 @@ def project_inexact(target, p, indices):
     return _project_inexact(target, p, indices)[0]
 
 
-def _curvature_scan(p, fe, x, span):
+def _slope_polynomials(p, fe, x):
+    """The slopes along F of theta and of every g_j on the ray x + s*F, as
+    polynomials in s: for each, the coefficients of sum i*c_i*s^(i-1),
+    highest first, for Horner's rule.
+
+    One ray run (``ray_polynomials``) of the field stack, which is (theta,
+    g_1, ..., g_k) on the problems ``solve`` accepts, gives every c_i, with
+    the elimination map they share, and every operation they repeat,
+    computed once.
+    """
+    return [[i * c[i] for i in range(len(c) - 1, 0, -1)]
+            for c in ray_polynomials(p.field_stack, x, fe.F)]
+
+
+def _curvature_scan(slopes, span):
     """Curvature bounds for g_j and theta along F over [0, span].
 
-    Samples the exact directional derivative along F at CURV_SEGMENTS+1
-    equally spaced points x + s*F, formed once each on Python floats.  One
-    runner call (``jvp_block`` on the field stack, which is (theta, g_1,
-    ..., g_k) on the problems ``solve`` accepts) runs its tangent kernel,
-    seeded with F, at every point, which gives the slopes of theta and of
-    every g_j together, with the elimination map they share, and every
-    operation they repeat, computed once.  The
-    largest forward difference of these slopes
-    bounds the second derivative on the sampled interval, while the
-    end-to-end chord gives its average; the estimate is their mean.
-    The worst-case bound alone over-throttles
-    steps along strongly curved facets, and the average alone can
-    underestimate badly enough to exhaust the rejection loop, so the
-    blend trades a few rejections for steps of useful length.
+    Evaluates each slope polynomial of ``_slope_polynomials`` at
+    CURV_SEGMENTS+1 equally spaced points of [0, span], with no kernel run.
+    The largest forward difference of these slopes bounds the second
+    derivative on the sampled interval, while the end-to-end chord gives
+    its average; the estimate is their mean.  The worst-case bound alone
+    over-throttles steps along strongly curved facets, and the average
+    alone can underestimate badly enough to exhaust the rejection loop, so
+    the blend trades a few rejections for steps of useful length.
 
     Differencing first derivatives rather than function values keeps the
     estimate conditioned at small spans: value second differences drown
@@ -278,29 +284,40 @@ def _curvature_scan(p, fe, x, span):
     iteration crawl, while inner-loop termination is already guaranteed
     by the rejection increments.
 
-    Returns ``(K, K_theta, span)``.  A span whose kernels raise EvalError
-    (an overflow at a large span) is halved until they run; below
+    Returns ``(K, K_theta, span)``.  A span at which a slope is not finite
+    (an overflow at a large span) is halved until every slope is; below
     SPAN_FLOOR the solve ends ``field_failure``.
     """
     while True:
         ss = _offsets(span, CURV_SEGMENTS)
-        try:
-            rows = jvp_block(p.field_stack, _ray_points(x, fe.F, ss), fe.F.tolist())
+        rows = [_horner(d, ss) for d in slopes]
+        if all([all(map(math.isfinite, row)) for row in rows]):
             break
-        except EvalError as exc:
-            span *= 0.5
-            if span < SPAN_FLOOR:
-                raise _Stop("field_failure", f"curvature scan failed at every span "
-                                             f"down to {SPAN_FLOOR:g}: {exc}") from None
+        span *= 0.5
+        if span < SPAN_FLOOR:
+            raise _Stop("field_failure", f"curvature scan failed at every span "
+                                         f"down to {SPAN_FLOOR:g}: {_OVERFLOW}")
     ds = ss[1]
 
     def kest(slopes):
-        worst = max(b - a for a, b in zip(slopes, slopes[1:])) / ds
+        worst = max(map(operator.sub, slopes[1:], slopes)) / ds
         chord = (slopes[-1] - slopes[0]) / span
         return max(0.0, 0.5 * (worst + chord))
 
-    K_theta, *K = map(kest, zip(*rows))
+    K_theta, *K = map(kest, rows)
     return np.array(K, dtype=float), K_theta, span
+
+
+def _horner(coefficients, ss):
+    """The polynomial with ``coefficients``, highest first, at each of
+    ``ss``: ``np.polyval``'s Horner steps, from 0.0, on Python floats."""
+    values = []
+    for s in ss:
+        v = 0.0
+        for c in coefficients:
+            v = v * s + c
+        values.append(v)
+    return values
 
 
 def _step_bound(fe, rec, dgF, K, K_theta, r):
@@ -348,8 +365,9 @@ def _t31_step(p, cfg, fe, x, rec):
     the Euler ray may reach.  With no facet selected, the projection is one
     run of the constraint stack at the candidate, which gives its g.
 
-    Where the constraints cannot be evaluated along the Euler ray (they
-    overflow at a large epsilon), the solve ends ``field_failure``.
+    Where the ray run of the constraint stack fails, or a constraint's
+    bound along the Euler ray is not finite (it overflows at a large
+    epsilon), the solve ends ``field_failure``.
     """
     try:
         active = active_index_set(p, fe, x, cfg.epsilon)
@@ -376,12 +394,21 @@ def _t31_step(p, cfg, fe, x, rec):
 def _r35_step(p, cfg, fe, x, rec):
     """Curvature-bounded step; each rejection inflates the estimates.  Each
     candidate is snapped onto the facets within SNAP_BAND that a Newton
-    step no longer than s*|F| reaches, then tested."""
+    step no longer than s*|F| reaches, then tested.
+
+    One ray run of the field stack gives the slope polynomials; every scan,
+    refinement and overflow halving evaluates them with no kernel run.  A
+    ray run that fails ends the solve ``field_failure``.
+    """
     # g's rate along F from the identity g_j*omega_j - r3_j*v_j^+, not the
     # dot product: on a facet it is an exact zero where the dot product
     # leaves rounding noise of either sign, which can stall the steps.
     dgF = fe.g * fe.omega - fe.r3 * fe.vplus
-    K, K_theta, span = _curvature_scan(p, fe, x, cfg.r)
+    try:
+        slopes = _slope_polynomials(p, fe, x)
+    except EvalError as exc:
+        raise _Stop("field_failure", f"curvature scan failed on the ray: {exc}") from None
+    K, K_theta, span = _curvature_scan(slopes, cfg.r)
     s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Refine the scan span toward the step actually proposed so the
     # quadratic models are local; a whole-ray scan can overestimate
@@ -390,7 +417,7 @@ def _r35_step(p, cfg, fe, x, rec):
         new_span = min(cfg.r, max(SPAN_COVER * s, SPAN_FLOOR))
         if new_span >= 0.9 * span:
             break
-        K, K_theta, span = _curvature_scan(p, fe, x, new_span)
+        K, K_theta, span = _curvature_scan(slopes, new_span)
         s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Never step beyond the interval the models were sampled on.
     s = min(s, span)

@@ -2,13 +2,14 @@
 sampler, inexact projection and facet snap.
 
 ``curvature_scan`` and ``active_index_set`` are ``_curvature_scan`` and
-``active_index_set`` as they were before the problem's expressions were
-stacked into one kernel: one ``jvp_block`` or ``evaluate`` call per
-expression per point, and the ray sampler's test on NumPy arrays.
-``project_inexact`` takes the least-norm Newton steps of
+``active_index_set`` as they were before the ray polynomials replaced
+their samples: the slope along F as ``grad . F`` at each of the scan's
+points, and the value of each g_j at RAY_SAMPLES points of the ray, with
+the sampler's curvature lift, on NumPy arrays.  The ray sampler's active
+set must be the same, and the scan must agree within a bound tied to
+rounding.  ``project_inexact`` takes the least-norm Newton steps of
 ``_newton_project`` with one ``evaluate`` and one ``grad`` call per
-expression.  They are kept for tests only: the stacked versions must
-return the same bits.
+expression; the stacked version must return the same bits.
 
 ``snap_to_facets`` is r35's snap as it was before the one least-norm
 projection replaced it: up to SNAP_SWEEPS sweeps of one Newton step per
@@ -18,9 +19,12 @@ projection must return its point and moved flag bit for bit.
 
 import numpy as np
 
-from nlpflow.exprlang import evaluate, grad, jvp_block
-from nlpflow.solver import (CURV_SEGMENTS, FEAS_TOL, PROJECTION_MAX_INNER, RAY_SAMPLES,
-                            SNAP_BAND, SNAP_SWEEPS, ProjectionFailure)
+from nlpflow.exprlang import evaluate, grad
+from nlpflow.solver import (CURV_SEGMENTS, FEAS_TOL, PROJECTION_MAX_INNER, SNAP_BAND,
+                            SNAP_SWEEPS, ProjectionFailure)
+
+# Points at which the ray sampler took the values of each g_j.
+RAY_SAMPLES = 9
 
 
 def active_index_set(p, fe, x, epsilon):
@@ -37,19 +41,25 @@ def active_index_set(p, fe, x, epsilon):
 
 
 def curvature_scan(p, fe, x, span):
+    """``(K, K_theta, sizes)``: the scan's estimates, and for theta and each
+    g_j the largest sum of |d_i e| |F_i| over the points, the size of a
+    slope that sets its rounding."""
     x = np.asarray(x, dtype=float)
     ss = np.linspace(0.0, span, CURV_SEGMENTS + 1)
     ds = span / CURV_SEGMENTS
+    sizes = []
 
     def kest(expr):
-        slopes = [jvp_block(expr, [x + s * fe.F], fe.F)[0][0] for s in ss]
+        grads = [np.asarray(grad(expr, x + s * fe.F)) for s in ss]
+        slopes = [float(g @ fe.F) for g in grads]
+        sizes.append(max(float(np.abs(g) @ np.abs(fe.F)) for g in grads))
         worst = float(np.max(np.diff(slopes))) / ds
         chord = (slopes[-1] - slopes[0]) / span
         return max(0.0, 0.5 * (worst + chord))
 
     K_theta = kest(p.objective)
     K = np.array([kest(e) for e in p.inequalities]) if p.k else np.zeros(0)
-    return K, K_theta
+    return K, K_theta, sizes
 
 
 def _least_norm_step(rows):

@@ -7,17 +7,17 @@ import pytest
 
 from nlpflow.exprlang import (MAX_NESTING, BinOp, EvalError, ExprError, Neg,
                               Num, ParseError, Stack, UnknownVariableError,
-                              Var, evaluate, evaluate_block, evaluate_stack, grad,
-                              jvp_block, parse, substitute, to_string)
+                              Var, evaluate, evaluate_stack, grad, parse,
+                              ray_polynomials, substitute, to_string)
 
 NAMES = ("x1", "x2", "x3")
 
 
 def _jvp(e, x, u):
-    """The tangent of the one expression ``e`` at ``x`` along ``u``: one
-    point of ``jvp_block``."""
-    [d] = jvp_block(e, [x], u)[0]
-    return d
+    """The derivative of the one expression ``e`` at ``x`` along ``u``: c_1
+    of its ray polynomial, 0.0 where it has none."""
+    [c] = ray_polynomials(e, x, u)
+    return c[1] if len(c) > 1 else 0.0
 
 
 def test_evaluate_polynomial():
@@ -180,9 +180,9 @@ def test_coordinate_too_large_for_a_float_is_eval_error(huge):
     s = Stack((e,), ("x1", "x2"))
     message = "overflow: int too large to convert to float"
     for call in (lambda: evaluate(e, huge), lambda: grad(e, huge),
-                 lambda: evaluate_block(s, [[1.0, 2.0], huge]),
-                 lambda: jvp_block(s, [huge], [1.0, 0.0]),
-                 lambda: jvp_block(s, [[1.0, 2.0]], huge)):
+                 lambda: evaluate_stack(s, huge),
+                 lambda: ray_polynomials(s, huge, [1.0, 0.0]),
+                 lambda: ray_polynomials(s, [1.0, 2.0], huge)):
         with pytest.raises(EvalError, match=message):
             call()
 
@@ -197,13 +197,13 @@ def test_non_finite_base_of_zeroth_power_is_eval_error(text, point):
     s = Stack((parse("x", ("x",)), e), ("x",))
     for call in (lambda: evaluate(e, point), lambda: grad(e, point),
                  lambda: _jvp(e, point, [1.0]), lambda: evaluate_stack(s, point),
-                 lambda: jvp_block(s, [point], [1.0])):
+                 lambda: ray_polynomials(s, point, [1.0])):
         with pytest.raises(EvalError, match=r"\^0"):
             call()
 
 
 def test_grad_without_variables_runs_its_kernel():
-    # Like jvp_block, grad runs the expression's kernel even with no lane to seed.
+    # Like the ray kernel, grad runs the expression's kernel even with no lane to seed.
     e = parse("1/(1-1)", ())
     for call in (lambda: grad(e, []), lambda: _jvp(e, [], [])):
         with pytest.raises(EvalError, match="division by zero"):

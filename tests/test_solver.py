@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlpflow import solver
-from nlpflow.exprlang import EvalError, jvp_block, parse
+from nlpflow.exprlang import EvalError, evaluate_stack, parse, ray_polynomials
 from nlpflow.field import FieldError, FieldParams, field_eval
 from nlpflow.io import load_problem, sample_feasible
 from nlpflow.kkt import kkt_residual, multipliers
@@ -25,12 +25,11 @@ def _disk():
 
 
 def test_sample_offsets_are_linspace_bit_for_bit():
-    # The scan and the ray sample at these offsets; np.linspace gave them.
+    # The scan evaluates its slopes at these offsets; np.linspace gave them.
     rng = np.random.default_rng(2024)
     for span in (10.0 ** rng.uniform(-17, math.log10(200), 10_000)).tolist():
-        for segments in {solver.CURV_SEGMENTS, solver.RAY_SAMPLES - 1}:
-            got = np.array(solver._offsets(span, segments))
-            assert got.tobytes() == np.linspace(0.0, span, segments + 1).tobytes()
+        got = np.array(solver._offsets(span, solver.CURV_SEGMENTS))
+        assert got.tobytes() == np.linspace(0.0, span, solver.CURV_SEGMENTS + 1).tobytes()
 
 
 # --- configuration ----------------------------------------------------------
@@ -322,12 +321,12 @@ def test_zero_gradient_facet_in_the_snap_band_is_left_out(algo, r, iterations):
     assert (report.termination, report.iterations) == ("critical", iterations)
     if algo == "r35":
         assert [rec.proj_used for rec in report.records] == [True, False, False]
-        assert report.final_x.tolist() == [0.9999999999999996, 0.0]
+        assert report.final_x.tolist() == [0.9999999999999999, 0.0]
 
 
 @pytest.mark.parametrize("algo, r, x0, expected", [
-    ("r35", 1.0, (-0.9, -1.0, 2.0), ("critical", 55, 0)),
-    ("r35", 1.0, (-1.0, -1.0, -2.0), ("critical", 87, 0)),
+    ("r35", 1.0, (-0.9, -1.0, 2.0), ("critical", 63, 0)),
+    ("r35", 1.0, (-1.0, -1.0, -2.0), ("critical", 86, 0)),
     ("t31", 0.5, (-0.9, -1.0, 2.0), ("critical", 81, 139)),
     ("t31", 0.5, (-1.0, -1.0, -2.0), ("critical", 82, 115)),
     # Without the Armijo test's rounding allowance, t31 stalled here: the
@@ -484,14 +483,14 @@ def test_t31_backtracking_floor_ends_field_failure(p42, monkeypatch):
 
 def test_reduced_r35_scan_runs_the_field_stack(monkeypatch):
     # With no equalities the field stack is (theta, g_1, ..., g_k): the
-    # curvature scan runs its tangent kernel.
+    # curvature scan takes its slopes from the stack's ray polynomials.
     _, red = load_problem(PROBLEMS / "p42.nlp")
     stacks = []
 
-    def recording(stack, points, u):
+    def recording(stack, x, u):
         stacks.append(stack)
-        return jvp_block(stack, points, u)
-    monkeypatch.setattr(solver, "jvp_block", recording)
+        return ray_polynomials(stack, x, u)
+    monkeypatch.setattr(solver, "ray_polynomials", recording)
     report = solve(red, FieldParams.default(red.n, red.k, sigma=0.2), SolveConfig(max_iter=5),
                    np.array([-0.9, -1.0, 2.0]))
     assert report.iterations == 5 and stacks
@@ -500,17 +499,91 @@ def test_reduced_r35_scan_runs_the_field_stack(monkeypatch):
 
 
 def test_scan_that_fails_at_every_span_ends_field_failure(p42, monkeypatch):
+    # 4 * c_4 overflows, so no span gives a finite slope; the halving runs
+    # no kernel.
     _, red = p42
     params = FieldParams.default(red.n, red.k, sigma=0.2)
-    scans = []
+    rays, spans = [], []
+    offsets = solver._offsets
 
-    def overflowing(stack, points, u):
-        scans.append(len(points))
-        raise EvalError("overflow: Numerical result out of range")
-    monkeypatch.setattr(solver, "jvp_block", overflowing)
+    def overflowing(stack, x, u):
+        rays.append(stack)
+        return [(0.0, 1.0, 0.0, 0.0, 1.7e308)] * len(stack.exprs)
+
+    def recording(span, segments):
+        spans.append(span)
+        return offsets(span, segments)
+    monkeypatch.setattr(solver, "ray_polynomials", overflowing)
+    monkeypatch.setattr(solver, "_offsets", recording)
     report = solve(red, params, SolveConfig(), np.array([-0.9, -1.0, 2.0]))
     assert report.termination == "field_failure" and report.iterations == 0
     assert report.diagnostic == ("curvature scan failed at every span down to 1e-08: "
                                  "overflow: Numerical result out of range")
     # Spans 1, 1/2, ..., 2^-26: the next halving falls below SPAN_FLOOR.
-    assert len(scans) == 27 and report.kkt is not None
+    assert spans == [0.5 ** i for i in range(27)] and report.kkt is not None
+    assert rays == [red.field_stack]
+
+
+@pytest.mark.parametrize("algo, why", [
+    ("r35", "curvature scan failed on the ray"),
+    ("t31", "Euler-ray sampling failed at epsilon = 1e-06")])
+def test_ray_run_that_fails_ends_field_failure(p42, monkeypatch, algo, why):
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+
+    def failing(stack, x, u):
+        raise EvalError("non-finite value in derivative sweep")
+    monkeypatch.setattr(solver, "ray_polynomials", failing)
+    report = solve(red, params, SolveConfig(algorithm=algo, r=0.5),
+                   np.array([-0.9, -1.0, 2.0]))
+    assert (report.termination, report.iterations) == ("field_failure", 0)
+    assert report.diagnostic == f"{why}: non-finite value in derivative sweep"
+    assert report.kkt is not None
+
+
+@pytest.mark.parametrize("algo, spans", [("r35", (1.0, 1e200)), ("t31", (0.5,))])
+def test_every_iteration_makes_one_ray_run(p42, monkeypatch, algo, spans):
+    # Refinements, overflow halvings (r35 at r = 1e200 halves every first
+    # scan), rejections and backtracks run no kernel along the ray: one ray
+    # run per iteration, whatever they number.
+    _, red = p42
+    params = FieldParams.default(red.n, red.k, sigma=0.2)
+    runs, scans = [], []
+    scan = solver._curvature_scan
+
+    def counting(stack, x, u):
+        runs.append(stack)
+        return ray_polynomials(stack, x, u)
+
+    def scanning(slopes, span):
+        scans.append(span)
+        return scan(slopes, span)
+    monkeypatch.setattr(solver, "ray_polynomials", counting)
+    monkeypatch.setattr(solver, "_curvature_scan", scanning)
+    stack = red.field_stack if algo == "r35" else red.constraint_stack
+    solves = backtracks = 0
+    for start in ((-0.9, -1.0, 2.0), (-1.0, -1.0, -2.0)):
+        for r in spans:
+            runs.clear()
+            report = solve(red, params, SolveConfig(algorithm=algo, r=r, max_iter=20),
+                           np.array(start))
+            assert (report.termination, report.iterations) == ("max_iter", 20)
+            assert len(runs) == 20 and all(s is stack for s in runs)
+            solves += 1
+            backtracks += sum(rec.backtracks for rec in report.records)
+    if algo == "r35":
+        assert len(scans) > 20 * solves  # refinements
+    else:
+        assert backtracks > 0
+
+
+def test_projection_onto_no_facet_is_one_stack_run(p42):
+    # An unprojected t31 candidate: the point as a float array, and the
+    # bits of the one constraint-stack run there.
+    _, red = p42
+    for y in ([-0.9, -1.0, 2.0], np.array([3, -2, 1]), (0.5, 1e50, -0.0)):
+        got, g = solver._project_inexact(y, red, ())
+        assert got.dtype == np.float64 and got.tolist() == [float(v) for v in y]
+        want = evaluate_stack(red.constraint_stack, y)
+        assert [math.copysign(1.0, v) for v in g] == [math.copysign(1.0, v) for v in want]
+        assert g == want

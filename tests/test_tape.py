@@ -1,16 +1,17 @@
 """Differential tests: the compiled kernels against the reference tree walkers.
 
-``evaluate``, ``grad`` and a one-point ``jvp_block`` must return the same
-bits, of the same type, as the recursive interpreters in
-``exprlang_reference``, and fail with the same exception class (an
-overflow there is an ``EvalError`` here).
+``evaluate`` and ``grad`` must return the same bits, of the same type, as
+the recursive interpreters in ``exprlang_reference``, and fail with the
+same exception class (an overflow there is an ``EvalError`` here).
 At an ndarray point, or at a list of NumPy scalars, they return Python
 floats, with the bits that the interpreters give on the NumPy scalars.
-The stacked kernels, run by ``evaluate_stack`` and ``jvp_block``, must return
-what they return one expression at a time, and the solver's
-stacked curvature scan, ray sampler and projection what their
-per-expression forms in ``solver_reference`` return; r35's snap must
-return what the per-constraint sweeps it replaced return.
+The ray kernel's c_0 must be the value, bit for bit, and it must fail where
+the value fails.  The stacked kernels, run by ``evaluate_stack`` and
+``ray_polynomials``, must return what they return one expression at a
+time, and the solver's ray sampler and projection what their
+per-expression forms in ``solver_reference`` return; its curvature scan
+must agree with the sampled one there within a bound tied to rounding.
+r35's snap must return what the per-constraint sweeps it replaced return.
 """
 
 import math
@@ -26,8 +27,8 @@ from hypothesis import strategies as st
 import exprlang_reference as ref
 import solver_reference
 from nlpflow import exprlang, solver
-from nlpflow.exprlang import (EvalError, Stack, evaluate, evaluate_stack, grad,
-                              jvp_block, parse, substitute)
+from nlpflow.exprlang import (EvalError, Stack, evaluate, evaluate_stack, grad, parse,
+                              ray_polynomials, substitute)
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.io import load_problem, sample_feasible
 from nlpflow.model import Problem, residuals
@@ -82,26 +83,51 @@ def _reference(fn, e, x, *args):
     return expected
 
 
-# Directions for jvp, truncated to the number of variables.
+# Directions of the rays, truncated to the number of variables.
 DIRECTION = (0.7, -1.3, 2.9, -0.1)
+# The error of a ray run whose value or coefficient is not finite.
+SWEEP = (EvalError, "non-finite value in derivative sweep")
 
 
-def _tangents(s, x, u):
-    """``jvp_block`` at the one point ``x``: each expression's tangent."""
-    return jvp_block(s, [x], u)[0]
+def _ray(s, x, u):
+    """``ray_polynomials`` of ``s`` at ``x`` along ``u``: every expression's
+    coefficients in turn."""
+    return [c for row in ray_polynomials(s, x, u) for c in row]
 
 
-def _jvp(e, x, u):
-    """The one expression's tangent at ``x`` along ``u``."""
-    [d] = _tangents(e, x, u)
-    return d
+def _ray_values(s, x, u):
+    """c_0 of every expression's ray polynomial."""
+    return [row[0] for row in ray_polynomials(s, x, u)]
+
+
+def _result(fn, *args):
+    """The bits of the floats ``fn`` returns, or its error's class and message."""
+    try:
+        return [_bits(v) for v in fn(*args)]
+    except exprlang.ExprError as exc:
+        return type(exc), str(exc)
+
+
+def assert_ray_runs_the_values(s, x):
+    """The ray run of ``s`` (a Stack or an Expr) at ``x`` does the value
+    run's work: c_0 has the bits of ``evaluate_stack``, and the ray fails
+    where it fails, with its message, except that a value that is not
+    finite is the error of a derivative sweep.  Where the values are all
+    finite, only a coefficient that is not finite makes the ray fail."""
+    want = _result(evaluate_stack, s, x)
+    got = _result(_ray_values, s, x, DIRECTION[:len(s.variables)])
+    if isinstance(want, list):
+        assert got in (want, SWEEP)
+    elif want[1].startswith("non-finite value"):
+        assert got == SWEEP
+    else:
+        assert got == want
 
 
 def assert_same(e, x):
-    u = DIRECTION[:len(x)]
     assert _outcome(evaluate, e, x) == _reference(ref.evaluate, e, x)
     assert _outcome(grad, e, x) == _reference(ref.grad, e, x)
-    assert _outcome(_jvp, e, x, u) == _reference(ref.jvp, e, x, u)
+    assert_ray_runs_the_values(e, x)
 
 
 def test_criterion_8_expressions_match_reference():
@@ -168,15 +194,15 @@ def test_kernels_are_shared_by_structure():
     # Same operations, different constants: one pair of compiled kernels.
     a, b = parse("2*x1 + 1", NAMES), parse("3*x1 + 5", NAMES)
     assert a.tape.value_kernel is b.tape.value_kernel
-    assert a.tape.tangent_kernel is b.tape.tangent_kernel
+    assert a.tape.ray_kernel is b.tape.ray_kernel
     for x1 in (0.5, -2.0, 7.0):
         x = [x1, 0.0, 0.0]
         assert evaluate(a, x) == 2 * x1 + 1
         assert evaluate(b, x) == 3 * x1 + 5
         assert grad(a, x) == [2.0, 0.0, 0.0]
         assert grad(b, x) == [3.0, 0.0, 0.0]
-        assert _jvp(a, x, [1.0, 1.0, 1.0]) == 2.0
-        assert _jvp(b, x, [1.0, 1.0, 1.0]) == 3.0
+        assert _ray(a, x, [1.0, 1.0, 1.0]) == [2 * x1 + 1, 2.0]
+        assert _ray(b, x, [1.0, 1.0, 1.0]) == [3 * x1 + 5, 3.0]
 
 
 # --- stacked kernels ---------------------------------------------------------
@@ -189,11 +215,23 @@ def _one_by_one(fn, exprs, *args):
     return failed[0] if failed else outs
 
 
+def _rays_one_by_one(exprs, x, u):
+    """What a stack's ray run must give: each expression's coefficients
+    alone, padded with 0.0 to the stack's degree, the largest of theirs; or,
+    if any of them fails, the class of the first failure."""
+    outs = [_outcome(_ray, e, x, u) for e in exprs]
+    failed = [o for o in outs if isinstance(o, type)]
+    if failed:
+        return failed[0]
+    width = max(map(len, outs))
+    return [c for o in outs for c in o + [_bits(0.0)] * (width - len(o))]
+
+
 def assert_stack_same(exprs, x):
     s = Stack(tuple(exprs), exprs[0].variables)
     u = DIRECTION[:len(x)]
     assert _outcome(evaluate_stack, s, x) == _one_by_one(evaluate, exprs, x)
-    assert _outcome(_tangents, s, x, u) == _one_by_one(_jvp, exprs, x, u)
+    assert _outcome(_ray, s, x, u) == _rays_one_by_one(exprs, x, u)
 
 
 @pytest.mark.parametrize("name", ["p41", "p42"])
@@ -260,7 +298,7 @@ def test_reparsing_a_problem_compiles_nothing():
         residuals(full, red.lift(x))
         fe = field_eval(red, FieldParams.default(red.n, red.k, sigma=0.2), x)
         solver.active_index_set(red, fe, x, 1e-6)
-        solver._curvature_scan(red, fe, x, 1.0)
+        solver._curvature_scan(solver._slope_polynomials(red, fe, x), 1.0)
 
     exercise()
     before = exprlang._compile.cache_info()
@@ -275,15 +313,26 @@ def test_stacked_scan_and_ray_match_per_expression(name, sigma, request):
     params = FieldParams.default(red.n, red.k, sigma=sigma)
     for x in sample_feasible(red, 20, seed=5):
         fe = field_eval(red, params, x)
+        slopes = solver._slope_polynomials(red, fe, x)
         for span in (1.0, 0.05, 1e-4, 1e-8):
-            K, K_theta, scanned = solver._curvature_scan(red, fe, x, span)
-            assert scanned == span
-            K_ref, K_theta_ref = solver_reference.curvature_scan(red, fe, x, span)
-            assert K.dtype == K_ref.dtype and K.tobytes() == K_ref.tobytes()
-            assert _bits(K_theta) == _bits(K_theta_ref)
-        for epsilon in (1.0, 0.1, 1e-3, 1e-6):
+            K, K_theta, scanned = solver._curvature_scan(slopes, span)
+            assert scanned == span and K.dtype == np.float64
+            K_ref, K_theta_ref, sizes = solver_reference.curvature_scan(red, fe, x, span)
+            # Each path's slope is within 16 ulps of its size, and an
+            # estimate takes differences of two slopes over ds, or over more.
+            bound = 64 * np.finfo(float).eps * np.array(sizes) / (span / solver.CURV_SEGMENTS)
+            assert (np.abs(np.array([K_theta, *K]) - [K_theta_ref, *K_ref]) <= bound).all()
+        for epsilon in (1e-3, 1e-6):
             assert (solver.active_index_set(red, fe, x, epsilon)
                     == solver_reference.active_index_set(red, fe, x, epsilon))
+        # Farther out the two over-approximations part, and either may flag
+        # a constraint that the other leaves out; the ray bound still flags
+        # every constraint that rises above -epsilon at some point of the ray.
+        for epsilon in (1.0, 0.1):
+            ss = np.linspace(0.0, epsilon, 513)
+            G = np.array([evaluate_stack(red.constraint_stack, x + s * fe.F) for s in ss])
+            reached = {j for j in range(red.k) if G[:, j].max() > -epsilon}
+            assert reached <= set(solver.active_index_set(red, fe, x, epsilon))
 
 
 def _projection(fn, target, p, indices):
@@ -378,32 +427,50 @@ def _wall_problem(scale):
 @pytest.mark.parametrize("scale", ["1.7e308", "-1.7e308", "1"])
 @pytest.mark.parametrize("x0, epsilon", [
     (-1.0, 2.0), (-1.0, 0.5), (-0.75, 1.5),
-    # The squared sample spacing underflows to 0, so a second difference of
-    # 0 gives a NaN curvature, which NumPy's max keeps, and the constraint
-    # is left out although g_1 >= 0 at every sample.
+    # The sampler's squared spacing underflowed to 0, so a second difference
+    # of 0 gave a NaN curvature, which NumPy's max kept, and g_1 was left out
+    # although g_1 >= 0 at every sample.
     (0.0, 1e-170), (0.0, 5e-324)])
 def test_ray_sampler_edges_match_numpy(scale, x0, epsilon):
     p = _wall_problem(scale)
     fe = SimpleNamespace(F=np.array([1.0]))
     x = np.array([x0])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        want = solver_reference.active_index_set(p, fe, x, epsilon)
-    assert solver.active_index_set(p, fe, x, epsilon) == want
+    if scale != "1":
+        # g_0's coefficients overflow, where the sampler's differences did.
+        with pytest.raises(EvalError, match="^non-finite value in derivative sweep$"):
+            solver.active_index_set(p, fe, x, epsilon)
+        return
+    got = solver.active_index_set(p, fe, x, epsilon)
     if epsilon < 1e-160:
-        assert want == ()
+        # g_1 = s on the ray: its bound 0 + 1 * epsilon exceeds -epsilon.
+        assert 1 in got
+    else:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            assert got == solver_reference.active_index_set(p, fe, x, epsilon)
 
 
 def test_peak_curvature_is_the_numpy_formula():
+    # The scan's estimate on Python floats is the NumPy formula on
+    # np.polyval's slopes (Horner's rule too), up to the sign of a zero, at
+    # slope coefficients whose values and differences overflow.
     big = 1.7e308
-    columns = [(big, -big, big, -big, 0.0, 0.0, 0.0, 1.0, -1.0),
-               (0.0,) * 9, (-0.0, 0.0) * 4 + (1e-300,),
-               (-big, big, -1.0, 2.0, big, big, -big, 0.0, 5.0)]
-    for column in columns:
-        for dsq in (1.0, 1e-300, 5e-324, 0.0):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                want = float(np.max(np.maximum(0.0, np.diff(np.array(column), 2) / dsq)))
-            got = solver._peak_curvature(column, dsq)
-            assert got == want or math.isnan(got) and math.isnan(want), (column, dsq)
+    slopes = [(big, -big, big), (0.0,) * 3, (-0.0, 0.0, 1e-300), (-big, 5.0, 1.0),
+              (1e200, -1e100, 2.0), (1.0,), ()]
+    for span in (1.0, 1e-100, 1e-300, 1e-320):
+        ss = np.linspace(0.0, span, solver.CURV_SEGMENTS + 1)
+        ds = ss[1]
+        want = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for d in slopes:
+                v = np.polyval(np.array(d or (0.0,)), ss)
+                assert solver._horner(d, ss.tolist()) == v.tolist()
+                want.append(max(0.0, 0.5 * (np.max(np.diff(v)) / ds + (v[-1] - v[0]) / span)))
+        if not all(np.isfinite(np.polyval(np.array(d or (0.0,)), ss)).all() for d in slopes):
+            continue
+        K, K_theta, scanned = solver._curvature_scan(slopes, span)
+        assert scanned == span
+        for got, w in zip([K_theta, *K], want):
+            assert got == w or math.isnan(got) and math.isnan(w), (span, got, w)
 
 
 # --- value numbering ---------------------------------------------------------
@@ -423,10 +490,9 @@ def _failure(fn, *args):
 def assert_same_with_messages(e, x):
     """``assert_same``, and every error with the reference's message."""
     assert_same(e, x)
-    u, floats = DIRECTION[:len(x)], [float(v) for v in x]
+    floats = [float(v) for v in x]
     assert _failure(evaluate, e, x) == _failure(ref.evaluate, e, floats)
     assert _failure(grad, e, x) == _failure(ref.grad, e, floats)
-    assert _failure(_jvp, e, x, u) == _failure(ref.jvp, e, floats, u)
 
 
 def _copy(root):
@@ -526,38 +592,6 @@ def test_reduced_tapes_are_value_numbered(name, counts, request):
 
 # --- block runs --------------------------------------------------------------
 
-def _loop_outcome(fn, s, points, *args):
-    """What a block run must give: the loop of one-point runs' results, or
-    the class and message of its first error."""
-    try:
-        return [fn(s, x, *args) for x in points]
-    except exprlang.ExprError as exc:
-        return type(exc), str(exc)
-
-
-def _block_outcome(fn, s, points, *args):
-    try:
-        return fn(s, points, *args)
-    except exprlang.ExprError as exc:
-        return type(exc), str(exc)
-
-
-def assert_block_same(s, points):
-    u = DIRECTION[:len(s.variables)]
-    got = _block_outcome(exprlang.evaluate_block, s, points)
-    want = _loop_outcome(evaluate_stack, s, points)
-    assert got == want and type(got) is type(want)
-    if isinstance(want, list):
-        assert [[_bits(v) for v in row] for row in got] == \
-            [[_bits(v) for v in row] for row in want]
-    got = _block_outcome(jvp_block, s, points, u)
-    want = _loop_outcome(_tangents, s, points, u)
-    assert got == want and type(got) is type(want)
-    if isinstance(want, list):
-        assert [[_bits(v) for v in row] for row in got] == \
-            [[_bits(v) for v in row] for row in want]
-
-
 _COORDINATE = st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 1e10, 1e200])
 
 
@@ -565,9 +599,11 @@ _COORDINATE = st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.5, 1e10, 1e200])
 @given(st.lists(_expressions(NAMES, _HUGE), min_size=1, max_size=4),
        st.lists(st.lists(_COORDINATE, min_size=3, max_size=3), max_size=6))
 def test_block_runs_fail_where_the_loop_fails(texts, points):
+    # At each point of a block the ray run fails where the value run fails.
     s = Stack(tuple(parse(t, NAMES) for t in texts), NAMES)
-    assert_block_same(s, points)
-    assert_block_same(s, [np.array(x) for x in points])
+    for x in points:
+        assert_ray_runs_the_values(s, x)
+        assert_ray_runs_the_values(s, np.array(x))
 
 
 @pytest.mark.parametrize("points", [
@@ -583,6 +619,9 @@ def test_block_runs_fail_where_the_loop_fails(texts, points):
     [],
 ])
 def test_block_run_raises_the_first_error_of_the_loop(points):
+    # The runners run one point at a time; the ray run raises the value
+    # run's error at each.
     s = Stack((parse("x1 / (x2 - x3)", NAMES), parse("x1 * x1 * x1 * 1e200", NAMES)),
               NAMES)
-    assert_block_same(s, points)
+    for x in points:
+        assert_ray_runs_the_values(s, x)
