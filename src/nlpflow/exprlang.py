@@ -35,10 +35,12 @@ Each kernel's source is compiled once and defined for two runners.
 container (an ndarray is converted with ``tolist``, any other sequence
 with ``float`` per entry), so every result is a Python float; it raises
 EvalError for a zero divisor, for a power that overflows from a finite
-base, for a ``^0`` whose base is not finite and for a value or tangent
-that is not finite.  ``_columns`` runs it once on NumPy columns, one
-array per slot, for a block of at least ``COLUMNS_FROM`` points: the same
-IEEE operations, so each point gets the same bits.  A column run cannot
+base, for a ``^0`` whose base is not finite and for a value that is not
+finite, and in a gradient for a tangent that is not finite; the ray
+kernel's coefficients come back as they are.  ``_columns`` runs it once
+on NumPy columns, one array per slot, for a block of at least
+``COLUMNS_FROM`` points: the same IEEE operations, so each point gets the
+same bits.  A column run cannot
 raise at a point, so it gives up on the whole block, which then runs by
 rows, at a non-finite input, constant or seed, at any floating-point
 exception but underflow, and at a failed check.
@@ -191,7 +193,7 @@ class Tape:
 
     @functools.cached_property
     def ray_kernel(self):
-        return _compile(self.ops, len(self.consts), self.outs, self.n, 0, ray=True)
+        return _compile_ray(self.ops, len(self.consts), self.outs, self.n)
 
     @functools.cached_property
     def gradient_kernel(self):
@@ -565,10 +567,9 @@ class _Chain:
 # process that runs many of them would otherwise compile the same kernels
 # again each time.  The bound is the number of distinct structures kept.
 @functools.lru_cache(maxsize=256)
-def _compile(ops, nconst, outs, n, lanes, ray=False):
+def _compile(ops, nconst, outs, n, lanes):
     """Compile tape operations to straight-line Python, once, and define it
-    for the runners: a ``_Kernel`` of the row and the column function, or,
-    for the ray kernel (``ray`` true), of the row function and None.
+    for both runners: a ``_Kernel`` of the row and the column function.
 
     Each function is ``kernel(x, d, c)``: ``x`` holds the ``n`` variables,
     ``d`` holds ``lanes`` seed vectors and ``c`` the ``nconst`` constants,
@@ -577,9 +578,7 @@ def _compile(ops, nconst, outs, n, lanes, ray=False):
     of ``outs``, and in one flat tuple, lane by lane, the tangent of each
     slot seeded with that lane's vector.  Tangents follow the dual-number
     rules: (a*b)' = a*b' + a'*b, (a/b)' = (a' - q*b')/b with q = a/b,
-    (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).  The ray kernel takes one seed
-    vector u and gives, in place of the tangents, the Taylor coefficients
-    c_1..c_D of each output along x + t*u, output by output (``_Series``).
+    (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).
 
     A power ``a^k`` is the binary-method chain of ``_Chain``, and so is the
     tangent's ``a^(k-1)``: the same multiplications on Python floats and on
@@ -590,60 +589,81 @@ def _compile(ops, nconst, outs, n, lanes, ray=False):
     it.  A zero divisor raises ZeroDivisionError on Python floats.  Each
     statement is one operation, in tape order, so the kernel does the same
     arithmetic whatever the constants are, and each lane does the
-    arithmetic of a one-lane kernel with its seed.  Every kernel computes
-    the values by the value kernel's statements, so it gives their bits and
-    raises where the value kernel raises.
+    arithmetic of a one-lane kernel with its seed.
     """
-    lines = []
+    lines = _unpacked(n, nconst)
+    tangents = [f"t{lane}_" for lane in range(lanes)]  # name prefix of each lane
+    for lane, t in enumerate(tangents):
+        lines += _unpack(0, n, t, f"d[{lane}]")
+        lines.extend(f"{t}{i} = 0.0" for i in range(n, n + nconst))
+    for s, (code, a, b) in enumerate(ops, start=n + nconst):
+        if code == _POW and b == 0:
+            lines += _zeroth_power(s, a)
+            lines.extend(f"{t}{s} = 0.0" for t in tangents)
+        elif code == _POW:
+            chain = _Chain(lines, f"v{a}", f"p{s}_")
+            lines.append(f"v{s} = {chain(b)}")
+            if b > 1:
+                lines.append(_overflow_check(s, a))
+            slope = f"{float(b)!r} * {chain(b - 1)} * " if b > 1 and tangents else ""
+            lines.extend(f"{t}{s} = {slope}{t}{a}" for t in tangents)
+        else:
+            lines.append(f"v{s} = " + (f"-v{a}" if code == _NEG else
+                                       f"v{a} {_SYMBOL[code]} v{b}"))
+            for t in tangents:
+                if code == _MUL:
+                    lines.append(f"{t}{s} = v{a} * {t}{b} + {t}{a} * v{b}")
+                elif code == _DIV:
+                    lines.append(f"{t}{s} = ({t}{a} - v{s} * {t}{b}) / v{b}")
+                elif code == _NEG:
+                    lines.append(f"{t}{s} = -{t}{a}")
+                else:
+                    lines.append(f"{t}{s} = {t}{a} {_SYMBOL[code]} {t}{b}")
+    lines.append(f"return {_row(f'v{i}' for i in outs)}, "
+                 f"{_row(f'{t}{i}' for t in tangents for i in outs)}")
+    code = _code(lines)
+    return _Kernel(_define(code, _ROW_HELPERS), _define(code, _COLUMN_HELPERS))
 
-    def unpack(first, count, prefix, source):
-        if count:
-            names = "".join(f"{prefix}{i}, " for i in range(first, first + count))
-            lines.append(f"{names}= {source}")
 
-    def row(names):
-        return "(" + "".join(f"{name}, " for name in names) + ")"
+@functools.lru_cache(maxsize=256)
+def _compile_ray(ops, nconst, outs, n):
+    """Compile tape operations to the ray kernel, once (``_Series``), and
+    define it for the row runner: a ``_Kernel`` of the row function and
+    None, as no caller runs it on a wide block.
 
-    unpack(0, n, "v", "x")
-    unpack(n, nconst, "v", "c")
-    if ray:
-        series = _Series(lines, ops, nconst, outs, n)
-        for s, op in enumerate(ops, start=n + nconst):
-            series.write(s, *op)
-        lines.append(f"return {row(f'v{i}' for i in outs)}, {row(series.coefficients(outs))}")
-    else:
-        tangents = [f"t{lane}_" for lane in range(lanes)]  # name prefix of each lane
-        for lane, t in enumerate(tangents):
-            unpack(0, n, t, f"d[{lane}]")
-            lines.extend(f"{t}{i} = 0.0" for i in range(n, n + nconst))
-        for s, (code, a, b) in enumerate(ops, start=n + nconst):
-            if code == _POW and b == 0:
-                lines += _zeroth_power(s, a)
-                lines.extend(f"{t}{s} = 0.0" for t in tangents)
-            elif code == _POW:
-                chain = _Chain(lines, f"v{a}", f"p{s}_")
-                lines.append(f"v{s} = {chain(b)}")
-                if b > 1:
-                    lines.append(_overflow_check(s, a))
-                slope = f"{float(b)!r} * {chain(b - 1)} * " if b > 1 and tangents else ""
-                lines.extend(f"{t}{s} = {slope}{t}{a}" for t in tangents)
-            else:
-                lines.append(f"v{s} = " + (f"-v{a}" if code == _NEG else
-                                           f"v{a} {_SYMBOL[code]} v{b}"))
-                for t in tangents:
-                    if code == _MUL:
-                        lines.append(f"{t}{s} = v{a} * {t}{b} + {t}{a} * v{b}")
-                    elif code == _DIV:
-                        lines.append(f"{t}{s} = ({t}{a} - v{s} * {t}{b}) / v{b}")
-                    elif code == _NEG:
-                        lines.append(f"{t}{s} = -{t}{a}")
-                    else:
-                        lines.append(f"{t}{s} = {t}{a} {_SYMBOL[code]} {t}{b}")
-        lines.append(f"return {row(f'v{i}' for i in outs)}, "
-                     f"{row(f'{t}{i}' for t in tangents for i in outs)}")
+    The function is ``kernel(x, d, c)`` as ``_compile``'s, with ``d`` the
+    one direction u.  It returns ``(values, coefficients)``: the value of
+    each slot of ``outs``, by the value kernel's statements, so with their
+    bits and their errors, and in one flat tuple, output by output, the
+    Taylor coefficients c_1..c_D of each along x + t*u.
+    """
+    lines = _unpacked(n, nconst)
+    series = _Series(lines, ops, nconst, outs, n)
+    for s, op in enumerate(ops, start=n + nconst):
+        series.write(s, *op)
+    lines.append(f"return {_row(f'v{i}' for i in outs)}, {_row(series.coefficients(outs))}")
+    return _Kernel(_define(_code(lines), _ROW_HELPERS), None)
+
+
+def _unpack(first, count, prefix, source):
+    """The statement that unpacks ``source`` into ``count`` names from ``first`` on."""
+    if not count:
+        return []
+    return ["".join(f"{prefix}{i}, " for i in range(first, first + count)) + f"= {source}"]
+
+
+def _unpacked(n, nconst):
+    """The statements that name a kernel's variables and constants."""
+    return _unpack(0, n, "v", "x") + _unpack(n, nconst, "v", "c")
+
+
+def _row(names):
+    return "(" + "".join(f"{name}, " for name in names) + ")"
+
+
+def _code(lines):
     source = "def kernel(x, d, c):\n" + "".join(f"    {line}\n" for line in lines)
-    code = compile(source, "<tape kernel>", "exec")
-    return _Kernel(_define(code, _ROW_HELPERS), None if ray else _define(code, _COLUMN_HELPERS))
+    return compile(source, "<tape kernel>", "exec")
 
 
 def _zeroth_power(s, a):
@@ -795,21 +815,24 @@ def _point(n, x):
         raise EvalError(f"overflow: {exc.args[-1]}") from exc
 
 
-def _run(tape, kernel, x, seeds=()):
+def _run(tape, kernel, x, seeds=(), sweep=False):
     """``(values, tangents)`` at the point ``x`` from a row run of
     ``kernel``, a kernel of ``tape``, with the tangent ``seeds``.
 
     Every public runner is a case of this one or falls back to it: a
-    coordinate too large for a float, a zero divisor, or a value or tangent
-    that is not finite, raises EvalError.
+    coordinate too large for a float, a zero divisor, or a value that is
+    not finite, raises EvalError.  With ``sweep`` (a derivative sweep), so
+    does a tangent that is not finite, and a value or tangent that is not
+    finite raises the sweep's error; without, the tangents are returned as
+    they are.
     """
     try:
         values, tangents = kernel.rows(_point(tape.n, x), seeds, tape.consts)
     except ZeroDivisionError:
         raise EvalError("division by zero") from None
-    for value in values + tangents:
+    for value in values + tangents if sweep else values:
         if not isfinite(value):
-            raise EvalError("non-finite value in derivative sweep" if seeds else
+            raise EvalError("non-finite value in derivative sweep" if sweep else
                             f"non-finite value {value!r}")
     return values, tangents
 
@@ -903,7 +926,7 @@ def grad(e, x):
     """Gradient at ``x``: one run of the kernel with a tangent lane per
     unit vector."""
     tape = e.tape
-    _, tangents = _run(tape, tape.gradient_kernel, x, _unit_vectors(tape.n))
+    _, tangents = _run(tape, tape.gradient_kernel, x, _unit_vectors(tape.n), sweep=True)
     return list(tangents)
 
 
@@ -916,9 +939,9 @@ def ray_polynomials(s, x, u):
     above an expression's own degree is 0.0.
 
     c_0 has the bits of ``evaluate_stack`` at ``x``, and it raises the
-    errors that ``evaluate_stack`` raises there, except that a value or a
-    coefficient that is not finite raises the EvalError of a derivative
-    sweep.
+    errors that ``evaluate_stack`` raises there, with their messages.  A
+    coefficient c_1..c_D that is not finite (it overflows where the value
+    does not) is returned as it is, for the caller to judge.
     """
     tape = s.tape
     values, coefficients = _run(tape, tape.ray_kernel, x, (_point(tape.n, u),))

@@ -69,6 +69,12 @@ CURV_SEGMENTS = 8
 CURV_REFINEMENTS = 4
 SPAN_COVER = 1.5
 SPAN_FLOOR = 1e-8
+# Segments of [0, epsilon] at whose ends t31's active-set test takes each
+# constraint's ray polynomial.
+RAY_SEGMENTS = 8
+# Relative slack of the bound that lets the active-set test skip the points
+# of a constraint far below -epsilon: far more than the rounding of the test.
+RAY_SLACK = 2.0 ** -40
 # The cap on the Newton steps of ``project_inexact``.  The caps cannot be
 # one: more snap steps move r35's bits, and some snaps never reach g_j = 0
 # exactly.
@@ -105,7 +111,10 @@ class SolveConfig:
             if not 0 < self.armijo < 1:
                 raise ValueError("t31 requires armijo in (0, 1)")
             try:
-                float(self.epsilon) ** 2  # active_index_set's bound takes its powers
+                # Rejects only an epsilon whose square overflows; where
+                # active_index_set's values along the ray overflow at a
+                # smaller one, the solve ends field_failure.
+                float(self.epsilon) ** 2
             except OverflowError:
                 raise ValueError("t31 requires epsilon ** 2 to be finite") from None
         else:
@@ -165,22 +174,50 @@ def active_index_set(p, fe, x, epsilon):
     """Indices whose constraint may rise above -epsilon along the Euler ray.
 
     One run of the ray kernel of the problem's constraint stack gives each
-    g_j along x + s*F as c_0 + c_1 s + ... + c_D s^D (``ray_polynomials``).
-    Over s in [0, epsilon] that is at most c_0 + sum max(0, c_i) epsilon^i,
-    and j is active when this bound exceeds -epsilon.  The bound is exact
-    up to rounding on constraints of degree at most RAY_DEGREE, and a
-    truncated Taylor model on others.  A bound that is not finite raises the
-    EvalError of an overflow.
+    g_j along x + s*F as P(s) = c_0 + c_1 s + ... + c_D s^D
+    (``ray_polynomials``): exactly for a constraint of degree at most
+    RAY_DEGREE, a truncated Taylor model otherwise.  On it, with no kernel
+    run, j is active where the ray sampler's test flags it: the largest
+    P(s_i) over the RAY_SEGMENTS+1 points s_i of [0, epsilon], lifted by
+    epsilon^2/2 times the largest positive second difference of P over
+    ds^2, exceeds -epsilon.  That second difference is P''(s_i) + 2 c_4
+    ds^2 exactly, taken without dividing by ds^2, so it does not break down
+    where ds^2 underflows.
+
+    The sum of |c_i| (2 epsilon)^i over i >= 1 bounds both the rise of P
+    and the lift, so where it is finite, a constraint with c_0 > -epsilon
+    is active and one that stays below -epsilon by more than the test's
+    rounding is not, without the points.  A constraint whose coefficients
+    or second differences are not finite is active, as the sampler's
+    overflowing differences made it; one whose P(s_i) is not finite raises
+    the EvalError of an overflow.
     """
+    ss = _offsets(epsilon, RAY_SEGMENTS)
+    inner, ds2, lift, width = ss[1:-1], ss[1] * ss[1], 0.5 * (epsilon * epsilon), 2.0 * epsilon
     active = []
     for j, c in enumerate(ray_polynomials(p.constraint_stack, x, fe.F)[p.m:]):
-        bound = 0.0
-        for ci in c[:0:-1]:  # Horner's rule, on non-negative terms: no inf - inf
-            bound = (bound + max(0.0, ci)) * epsilon
-        bound += c[0]
-        if not math.isfinite(bound):
+        if not all(map(math.isfinite, c)):
+            active.append(j)
+            continue
+        reach = 0.0
+        for ci in c[:0:-1]:
+            reach = (reach + abs(ci)) * width
+        size = abs(c[0]) + reach
+        if math.isfinite(size):  # no P(s_i) overflows
+            if c[0] > -epsilon:
+                active.append(j)
+                continue
+            if c[0] + reach + RAY_SLACK * size < -epsilon:
+                continue
+        top = max(_horner(c[::-1], ss))
+        if not math.isfinite(top):
             raise EvalError(_OVERFLOW)
-        if bound > -epsilon:
+        bend = 0.0
+        if len(c) > 2:
+            bend = max(_horner([i * (i - 1) * c[i] for i in range(len(c) - 1, 1, -1)], inner))
+            if len(c) > 4:
+                bend += 2.0 * c[4] * ds2
+        if not math.isfinite(bend) or top + lift * max(0.0, bend) > -epsilon:
             active.append(j)
     return tuple(active)
 
@@ -249,29 +286,39 @@ def project_inexact(target, p, indices):
 
 def _slope_polynomials(p, fe, x):
     """The slopes along F of theta and of every g_j on the ray x + s*F, as
-    polynomials in s: for each, the coefficients of sum i*c_i*s^(i-1),
-    highest first, for Horner's rule.
+    polynomials: ``(slopes, scale)``, where each of ``slopes`` holds the
+    coefficients of sum i*c_i*t^(i-1), highest first, for Horner's rule,
+    and the slope at s is that polynomial at t = s/scale, over scale.
 
     One ray run (``ray_polynomials``) of the field stack, which is (theta,
     g_1, ..., g_k) on the problems ``solve`` accepts, gives every c_i, with
     the elimination map they share, and every operation they repeat,
-    computed once.
+    computed once.  Its scale is 1.  Where a slope coefficient along F is
+    not finite (|F|^D overflows), the ray runs again along F * scale, the
+    scale falling by 2^-64 a run, an exact scaling, until every one is
+    finite or F * scale is below 2^-64.
     """
-    return [[i * c[i] for i in range(len(c) - 1, 0, -1)]
-            for c in ray_polynomials(p.field_stack, x, fe.F)]
+    scale, u = 1.0, fe.F
+    while True:
+        slopes = [[i * c[i] for i in range(len(c) - 1, 0, -1)]
+                  for c in ray_polynomials(p.field_stack, x, u)]
+        if all([all(map(math.isfinite, d)) for d in slopes]) or not np.abs(u).max() > 2.0 ** -64:
+            return slopes, scale
+        scale *= 2.0 ** -64
+        u = fe.F * scale
 
 
-def _curvature_scan(slopes, span):
+def _curvature_scan(slopes, span, scale=1.0):
     """Curvature bounds for g_j and theta along F over [0, span].
 
-    Evaluates each slope polynomial of ``_slope_polynomials`` at
-    CURV_SEGMENTS+1 equally spaced points of [0, span], with no kernel run.
-    The largest forward difference of these slopes bounds the second
-    derivative on the sampled interval, while the end-to-end chord gives
-    its average; the estimate is their mean.  The worst-case bound alone
-    over-throttles steps along strongly curved facets, and the average
-    alone can underestimate badly enough to exhaust the rejection loop, so
-    the blend trades a few rejections for steps of useful length.
+    Evaluates each slope polynomial of ``_slope_polynomials``, with its
+    ``scale``, at CURV_SEGMENTS+1 equally spaced points of [0, span], with
+    no kernel run.  The largest forward difference of these slopes bounds
+    the second derivative on the sampled interval, while the end-to-end
+    chord gives its average; the estimate is their mean.  The worst-case
+    bound alone over-throttles steps along strongly curved facets, and the
+    average alone can underestimate badly enough to exhaust the rejection
+    loop, so the blend trades a few rejections for steps of useful length.
 
     Differencing first derivatives rather than function values keeps the
     estimate conditioned at small spans: value second differences drown
@@ -290,7 +337,11 @@ def _curvature_scan(slopes, span):
     """
     while True:
         ss = _offsets(span, CURV_SEGMENTS)
-        rows = [_horner(d, ss) for d in slopes]
+        if scale == 1.0:
+            rows = [_horner(d, ss) for d in slopes]
+        else:
+            ts = [s / scale for s in ss]
+            rows = [[v / scale for v in _horner(d, ts)] for d in slopes]
         if all([all(map(math.isfinite, row)) for row in rows]):
             break
         span *= 0.5
@@ -366,7 +417,7 @@ def _t31_step(p, cfg, fe, x, rec):
     run of the constraint stack at the candidate, which gives its g.
 
     Where the ray run of the constraint stack fails, or a constraint's
-    bound along the Euler ray is not finite (it overflows at a large
+    value at a point of the ray test is not finite (it overflows at a large
     epsilon), the solve ends ``field_failure``.
     """
     try:
@@ -396,19 +447,20 @@ def _r35_step(p, cfg, fe, x, rec):
     candidate is snapped onto the facets within SNAP_BAND that a Newton
     step no longer than s*|F| reaches, then tested.
 
-    One ray run of the field stack gives the slope polynomials; every scan,
-    refinement and overflow halving evaluates them with no kernel run.  A
-    ray run that fails ends the solve ``field_failure``.
+    One ray run of the field stack gives the slope polynomials (a few more
+    where their coefficients along F overflow); every scan, refinement and
+    overflow halving evaluates them with no kernel run.  A ray run that
+    fails ends the solve ``field_failure``.
     """
     # g's rate along F from the identity g_j*omega_j - r3_j*v_j^+, not the
     # dot product: on a facet it is an exact zero where the dot product
     # leaves rounding noise of either sign, which can stall the steps.
     dgF = fe.g * fe.omega - fe.r3 * fe.vplus
     try:
-        slopes = _slope_polynomials(p, fe, x)
+        slopes, scale = _slope_polynomials(p, fe, x)
     except EvalError as exc:
         raise _Stop("field_failure", f"curvature scan failed on the ray: {exc}") from None
-    K, K_theta, span = _curvature_scan(slopes, cfg.r)
+    K, K_theta, span = _curvature_scan(slopes, cfg.r, scale)
     s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Refine the scan span toward the step actually proposed so the
     # quadratic models are local; a whole-ray scan can overestimate
@@ -417,7 +469,7 @@ def _r35_step(p, cfg, fe, x, rec):
         new_span = min(cfg.r, max(SPAN_COVER * s, SPAN_FLOOR))
         if new_span >= 0.9 * span:
             break
-        K, K_theta, span = _curvature_scan(slopes, new_span)
+        K, K_theta, span = _curvature_scan(slopes, new_span, scale)
         s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
     # Never step beyond the interval the models were sampled on.
     s = min(s, span)

@@ -2,12 +2,15 @@
 
 These are the recursive evaluators that ``nlpflow.exprlang`` used before
 it lowered expressions to a tape.  They are kept for tests only: the
-compiled kernels must reproduce their values and gradients bit for bit.
-Only overflow is
+compiled kernels must reproduce their values and gradients bit for bit,
+and the ray kernel's first coefficient must be the directional derivative
+of ``jvp``.  Only overflow is
 reported differently: these raise ``OverflowError`` where the tape raises
 ``EvalError``.  Like the tape, they raise ``EvalError`` for a ``^0`` whose
 base is not finite, and take a power ``b^k`` as a multiplication chain,
-with the tangent's ``b^(k-1)`` a chain too.
+with the tangent's ``b^(k-1)`` a chain too; ``jvp`` with ``series`` takes
+it as the chain of dual-number products instead, as the ray kernel's
+truncated Taylor series do.
 
 ``post_order`` and ``lower`` are the tree walk and the lowering that
 ``nlpflow.exprlang`` used before its walk kept nodes alone on its work
@@ -122,6 +125,16 @@ class _Dual:
         v = _power(self.val, k)
         return _Dual(v, k * _chain(self.val, k - 1) * self.dot if k > 1 else self.dot)
 
+    def series_powi(self, k):
+        # The chain of dual products: each is the Taylor series product
+        # truncated after the first coefficient.
+        if k == 0:
+            return self.powi(0)
+        d = _chain(self, k)
+        if math.isinf(d.val) and math.isfinite(self.val):
+            raise OverflowError(34, "Numerical result out of range")
+        return d
+
 
 def _chain(base, k):
     """base^k, k >= 1, by the binary method (Knuth, TAOCP vol. 2, 4.6.3):
@@ -178,17 +191,18 @@ def _eval_node(node, x):
     return left / right
 
 
-def _eval_dual(node, duals):
+def _eval_dual(node, duals, series=False):
     if isinstance(node, Num):
         return _Dual(node.value, 0.0)
     if isinstance(node, Var):
         return duals[node.index]
     if isinstance(node, Neg):
-        return -_eval_dual(node.arg, duals)
+        return -_eval_dual(node.arg, duals, series)
     if isinstance(node, Pow):
-        return _eval_dual(node.base, duals).powi(node.exponent)
-    left = _eval_dual(node.left, duals)
-    right = _eval_dual(node.right, duals)
+        base = _eval_dual(node.base, duals, series)
+        return base.series_powi(node.exponent) if series else base.powi(node.exponent)
+    left = _eval_dual(node.left, duals, series)
+    right = _eval_dual(node.right, duals, series)
     if node.op == "+":
         return left + right
     if node.op == "-":
@@ -221,3 +235,15 @@ def grad(e, x):
             raise EvalError("non-finite value in derivative sweep")
         out[i] = d.dot
     return out
+
+
+def jvp(e, x, u, series=False):
+    """The derivative at ``x`` along ``u`` by one dual-number tree walk,
+    with each power's tangent by the chain of dual products if ``series``."""
+    n = len(e.variables)
+    if len(x) != n or len(u) != n:
+        raise ExprError(f"expected {n} coordinates")
+    d = _eval_dual(e.root, [_Dual(float(x[j]), float(u[j])) for j in range(n)], series)
+    if not (math.isfinite(d.val) and math.isfinite(d.dot)):
+        raise EvalError("non-finite value in derivative sweep")
+    return d.dot

@@ -1,5 +1,6 @@
 import math
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -499,7 +500,9 @@ def test_reduced_r35_scan_runs_the_field_stack(monkeypatch):
 
 
 def test_scan_that_fails_at_every_span_ends_field_failure(p42, monkeypatch):
-    # 4 * c_4 overflows, so no span gives a finite slope; the halving runs
+    # The slope c_1 + 2 c_2 s, with c_1 the largest float, overflows at
+    # every offset s > 5e-10, so no span gives a finite slope; its
+    # coefficients are finite, so the ray runs once, and the halving runs
     # no kernel.
     _, red = p42
     params = FieldParams.default(red.n, red.k, sigma=0.2)
@@ -508,7 +511,7 @@ def test_scan_that_fails_at_every_span_ends_field_failure(p42, monkeypatch):
 
     def overflowing(stack, x, u):
         rays.append(stack)
-        return [(0.0, 1.0, 0.0, 0.0, 1.7e308)] * len(stack.exprs)
+        return [(0.0, sys.float_info.max, 1e301, 0.0, 0.0)] * len(stack.exprs)
 
     def recording(span, segments):
         spans.append(span)
@@ -555,9 +558,9 @@ def test_every_iteration_makes_one_ray_run(p42, monkeypatch, algo, spans):
         runs.append(stack)
         return ray_polynomials(stack, x, u)
 
-    def scanning(slopes, span):
+    def scanning(slopes, span, scale):
         scans.append(span)
-        return scan(slopes, span)
+        return scan(slopes, span, scale)
     monkeypatch.setattr(solver, "ray_polynomials", counting)
     monkeypatch.setattr(solver, "_curvature_scan", scanning)
     stack = red.field_stack if algo == "r35" else red.constraint_stack

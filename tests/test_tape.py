@@ -5,8 +5,10 @@ the recursive interpreters in ``exprlang_reference``, and fail with the
 same exception class (an overflow there is an ``EvalError`` here).
 At an ndarray point, or at a list of NumPy scalars, they return Python
 floats, with the bits that the interpreters give on the NumPy scalars.
-The ray kernel's c_0 must be the value, bit for bit, and it must fail where
-the value fails.  The stacked kernels, run by ``evaluate_stack`` and
+The ray kernel's c_0 must be the value, bit for bit, failing where the
+value fails with its message, and its c_1 the dual-number walk's
+directional derivative, with each power's tangent by the chain of dual
+products.  The stacked kernels, run by ``evaluate_stack`` and
 ``ray_polynomials``, must return what they return one expression at a
 time, and the solver's ray sampler and projection what their
 per-expression forms in ``solver_reference`` return; its curvature scan
@@ -85,8 +87,6 @@ def _reference(fn, e, x, *args):
 
 # Directions of the rays, truncated to the number of variables.
 DIRECTION = (0.7, -1.3, 2.9, -0.1)
-# The error of a ray run whose value or coefficient is not finite.
-SWEEP = (EvalError, "non-finite value in derivative sweep")
 
 
 def _ray(s, x, u):
@@ -100,6 +100,12 @@ def _ray_values(s, x, u):
     return [row[0] for row in ray_polynomials(s, x, u)]
 
 
+def _slope(e, x, u):
+    """c_1 of the one expression's ray polynomial, 0.0 where it has none."""
+    [c] = ray_polynomials(e, x, u)
+    return c[1] if len(c) > 1 else 0.0
+
+
 def _result(fn, *args):
     """The bits of the floats ``fn`` returns, or its error's class and message."""
     try:
@@ -111,23 +117,39 @@ def _result(fn, *args):
 def assert_ray_runs_the_values(s, x):
     """The ray run of ``s`` (a Stack or an Expr) at ``x`` does the value
     run's work: c_0 has the bits of ``evaluate_stack``, and the ray fails
-    where it fails, with its message, except that a value that is not
-    finite is the error of a derivative sweep.  Where the values are all
-    finite, only a coefficient that is not finite makes the ray fail."""
-    want = _result(evaluate_stack, s, x)
-    got = _result(_ray_values, s, x, DIRECTION[:len(s.variables)])
-    if isinstance(want, list):
-        assert got in (want, SWEEP)
-    elif want[1].startswith("non-finite value"):
-        assert got == SWEEP
-    else:
-        assert got == want
+    where it fails, with its message."""
+    assert (_result(_ray_values, s, x, DIRECTION[:len(s.variables)])
+            == _result(evaluate_stack, s, x))
+
+
+def assert_slope_is_the_dual_walk(e, x):
+    """Where the dual-number walk with series powers gives a derivative
+    along u, c_1 is that derivative: a Taylor coefficient product truncated
+    after c_1 is the dual-number product.  Where a tree has no power, the
+    walk is ``ref.jvp``'s, the dual-number rules.  The series leaves out the
+    terms that the walk multiplies by a constant's zero tangent, so a zero
+    may differ in sign; and where such a term is 0 * inf, NaN, the walk
+    fails and c_1 may be finite."""
+    u = DIRECTION[:len(x)]
+    want = _reference(ref.jvp, e, x, u, True)
+    if not _has_power(e.root):
+        assert _reference(ref.jvp, e, x, u) == want
+    if not isinstance(want, type):
+        got = _slope(e, x, u)
+        assert type(got) is float and got == struct.unpack("<d", want[1])[0]
+
+
+def _has_power(root):
+    return exprlang._post_order(
+        root, lambda node: False,
+        lambda node, kids: any(kids) or isinstance(node, exprlang.Pow) and node.exponent > 1)
 
 
 def assert_same(e, x):
     assert _outcome(evaluate, e, x) == _reference(ref.evaluate, e, x)
     assert _outcome(grad, e, x) == _reference(ref.grad, e, x)
     assert_ray_runs_the_values(e, x)
+    assert_slope_is_the_dual_walk(e, x)
 
 
 def test_criterion_8_expressions_match_reference():
@@ -298,13 +320,16 @@ def test_reparsing_a_problem_compiles_nothing():
         residuals(full, red.lift(x))
         fe = field_eval(red, FieldParams.default(red.n, red.k, sigma=0.2), x)
         solver.active_index_set(red, fe, x, 1e-6)
-        solver._curvature_scan(solver._slope_polynomials(red, fe, x), 1.0)
+        slopes, scale = solver._slope_polynomials(red, fe, x)
+        solver._curvature_scan(slopes, 1.0, scale)
 
     exercise()
-    before = exprlang._compile.cache_info()
+    caches = (exprlang._compile, exprlang._compile_ray)
+    before = [cache.cache_info() for cache in caches]
     exercise()
-    after = exprlang._compile.cache_info()
-    assert after.misses == before.misses and after.hits > before.hits
+    for cache, was in zip(caches, before):
+        now = cache.cache_info()
+        assert now.misses == was.misses and now.hits > was.hits
 
 
 @pytest.mark.parametrize("name, sigma", [("p41", 2.0), ("p42", 0.2)])
@@ -313,7 +338,8 @@ def test_stacked_scan_and_ray_match_per_expression(name, sigma, request):
     params = FieldParams.default(red.n, red.k, sigma=sigma)
     for x in sample_feasible(red, 20, seed=5):
         fe = field_eval(red, params, x)
-        slopes = solver._slope_polynomials(red, fe, x)
+        slopes, scale = solver._slope_polynomials(red, fe, x)
+        assert scale == 1.0
         for span in (1.0, 0.05, 1e-4, 1e-8):
             K, K_theta, scanned = solver._curvature_scan(slopes, span)
             assert scanned == span and K.dtype == np.float64
@@ -322,17 +348,14 @@ def test_stacked_scan_and_ray_match_per_expression(name, sigma, request):
             # estimate takes differences of two slopes over ds, or over more.
             bound = 64 * np.finfo(float).eps * np.array(sizes) / (span / solver.CURV_SEGMENTS)
             assert (np.abs(np.array([K_theta, *K]) - [K_theta_ref, *K_ref]) <= bound).all()
-        for epsilon in (1e-3, 1e-6):
-            assert (solver.active_index_set(red, fe, x, epsilon)
-                    == solver_reference.active_index_set(red, fe, x, epsilon))
-        # Farther out the two over-approximations part, and either may flag
-        # a constraint that the other leaves out; the ray bound still flags
-        # every constraint that rises above -epsilon at some point of the ray.
-        for epsilon in (1.0, 0.1):
+        for epsilon in (1.0, 0.1, 1e-3, 1e-6):
+            active = solver.active_index_set(red, fe, x, epsilon)
+            assert active == solver_reference.active_index_set(red, fe, x, epsilon)
+            # Every constraint that rises above -epsilon on a fine grid of
+            # the ray is flagged.
             ss = np.linspace(0.0, epsilon, 513)
             G = np.array([evaluate_stack(red.constraint_stack, x + s * fe.F) for s in ss])
-            reached = {j for j in range(red.k) if G[:, j].max() > -epsilon}
-            assert reached <= set(solver.active_index_set(red, fe, x, epsilon))
+            assert {j for j in range(red.k) if G[:, j].max() > -epsilon} <= set(active)
 
 
 def _projection(fn, target, p, indices):
@@ -428,25 +451,76 @@ def _wall_problem(scale):
 @pytest.mark.parametrize("x0, epsilon", [
     (-1.0, 2.0), (-1.0, 0.5), (-0.75, 1.5),
     # The sampler's squared spacing underflowed to 0, so a second difference
-    # of 0 gave a NaN curvature, which NumPy's max kept, and g_1 was left out
-    # although g_1 >= 0 at every sample.
+    # of 0 gave a NaN curvature, which NumPy's max kept, and every
+    # constraint was left out, g_1 although g_1 >= 0 at every sample.
     (0.0, 1e-170), (0.0, 5e-324)])
 def test_ray_sampler_edges_match_numpy(scale, x0, epsilon):
     p = _wall_problem(scale)
     fe = SimpleNamespace(F=np.array([1.0]))
     x = np.array([x0])
-    if scale != "1":
-        # g_0's coefficients overflow, where the sampler's differences did.
-        with pytest.raises(EvalError, match="^non-finite value in derivative sweep$"):
-            solver.active_index_set(p, fe, x, epsilon)
-        return
     got = solver.active_index_set(p, fe, x, epsilon)
     if epsilon < 1e-160:
-        # g_1 = s on the ray: its bound 0 + 1 * epsilon exceeds -epsilon.
-        assert 1 in got
+        # g_1 = s on the ray.  g_0 is 1 at x at scale 1, and its
+        # coefficients overflow at the large scales, which flags it.
+        assert got == (0, 1)
     else:
+        # At the large scales g_0's coefficients overflow where the
+        # sampler's differences did.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             assert got == solver_reference.active_index_set(p, fe, x, epsilon)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x1^4 - 6.6", (0,)), ("x1^4 - 6.62", ()), ("x1 - 1.8", (0,)), ("x1 - 2.2", ())])
+def test_active_set_at_exact_samples_is_the_samplers(text, want):
+    # Along F = 1 from 0 with epsilon 1 the samples and their second
+    # differences are exact.  For x1^4 - a the test's bound is 1 - a plus
+    # (12 (7/8)^2 + 2/64) / 2 against -1: the 2 ds^2 term of the exact
+    # second difference decides a = 6.6.  For x1 - a only the last sample,
+    # 1 - a, counts, which c_0 + |c_1| epsilon / 2 would miss at a = 1.8.
+    names = ("x1",)
+    p = Problem(names=names, objective=parse("x1", names), inequalities=(parse(text, names),))
+    fe, x = SimpleNamespace(F=np.array([1.0])), np.array([0.0])
+    assert solver.active_index_set(p, fe, x, 1.0) == want
+    assert solver_reference.active_index_set(p, fe, x, 1.0) == want
+
+
+def test_scan_reruns_a_ray_whose_coefficients_overflow(monkeypatch):
+    # Along F = 1e80, c_4 of x1^4 is 1e320, which overflows: the ray runs
+    # again along F * 2^-64, an exact scaling.  The scan halves from span 1
+    # to the span at which the sampled slopes grad . F are finite, as the
+    # sampled scan's halving did; there, as on a short span, it agrees with
+    # the sampled scan.
+    names = ("x1",)
+    p = Problem(names=names, objective=parse("x1^4", names),
+                inequalities=(parse("x1^4 - 2*x1^3 - 1", names),))
+    fe, x = SimpleNamespace(F=np.array([1e80])), np.array([0.5])
+    runs = []
+
+    def counting(stack, x, u):
+        runs.append(u[0])
+        return ray_polynomials(stack, x, u)
+    monkeypatch.setattr(solver, "ray_polynomials", counting)
+    slopes, scale = solver._slope_polynomials(p, fe, x)
+    assert scale == 2.0 ** -64 and runs == [1e80, 1e80 * 2.0 ** -64]
+    K, K_theta, span = solver._curvature_scan(slopes, 1.0, scale)
+    want = 1.0
+    while True:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                K_ref, K_theta_ref, sizes = solver_reference.curvature_scan(p, fe, x, want)
+            if np.isfinite(sizes).all():
+                break
+        except EvalError:  # the sampled gradient overflows
+            pass
+        want *= 0.5
+    # Slopes near the largest float, over ds < 1: both estimates overflow.
+    assert span == want < 1e-4 and [K_theta, *K] == [K_theta_ref, *K_ref] == [math.inf] * 2
+    K, K_theta, span = solver._curvature_scan(slopes, 1e-20, scale)
+    K_ref, K_theta_ref, sizes = solver_reference.curvature_scan(p, fe, x, 1e-20)
+    bound = 64 * np.finfo(float).eps * np.array(sizes) / (span / solver.CURV_SEGMENTS)
+    assert (np.abs(np.array([K_theta, *K]) - [K_theta_ref, *K_ref]) <= bound).all()
+    assert span == 1e-20 and 0.0 < K_theta < math.inf
 
 
 def test_peak_curvature_is_the_numpy_formula():
@@ -493,6 +567,13 @@ def assert_same_with_messages(e, x):
     floats = [float(v) for v in x]
     assert _failure(evaluate, e, x) == _failure(ref.evaluate, e, floats)
     assert _failure(grad, e, x) == _failure(ref.grad, e, floats)
+    # The ray fails where the dual-number walk fails on a value, with its
+    # message.  The walk's sweep error is a final value or tangent that is
+    # not finite: the ray fails on the value alone, with evaluate's message.
+    u = DIRECTION[:len(x)]
+    ray, walk = _failure(_slope, e, x, u), _failure(ref.jvp, e, floats, u, True)
+    assert ray == walk or walk == (EvalError, "non-finite value in derivative sweep") and \
+        ray in (None, _failure(ref.evaluate, e, floats))
 
 
 def _copy(root):
