@@ -24,11 +24,12 @@ tangent lane, its directional derivative along the lane's seed.  A power
 ``a^k`` is the binary-method multiplication chain (Knuth, TAOCP vol. 2,
 4.6.3), one statement per multiplication, and so is the ``a^(k-1)`` of
 its tangent: its bits depend on no libm.  The ray kernel is univariate
-Taylor mode (Griewank & Walther, ch. 13): seeded with a direction u, it
-gives every output's coefficients c_0..c_D along the ray x + t*u, one
-statement per coefficient of an operation.  Kernels are cached by the
-tape's structure, not its constants, so re-parsing a problem compiles
-nothing.
+Taylor mode (Griewank & Walther, ch. 13), in which c_1 is the tangent:
+it is the kernel with one lane, seeded with a direction u, and after
+each operation's value and tangent it writes the coefficients c_2..c_D
+along the ray x + t*u, one statement per coefficient.  One writer,
+``_compile``, writes every kernel, and caches it by the tape's
+structure, not its constants, so re-parsing a problem compiles nothing.
 
 Each kernel's source is compiled once and defined for two runners.
 ``_run`` runs it at one point on Python floats, whatever the point's
@@ -37,7 +38,7 @@ with ``float`` per entry), so every result is a Python float; it raises
 EvalError for a zero divisor, for a power that overflows from a finite
 base, for a ``^0`` whose base is not finite and for a value that is not
 finite, and in a gradient for a tangent that is not finite; the ray
-kernel's coefficients come back as they are.  ``_columns`` runs it once
+kernel's coefficients above c_0 come back as they are.  ``_columns`` runs it once
 on NumPy columns, one array per slot, for a block of at least
 ``COLUMNS_FROM`` points: the same IEEE operations, so each point gets the
 same bits.  A column run cannot
@@ -54,8 +55,7 @@ along the Euler ray.  ``evaluate_columns`` and ``gradient_columns`` are
 the column runs of the value and the gradient kernel, as arrays, for the
 callers with wide blocks (the sampler, ``reduce``'s check and the field's
 inputs), which run the block by rows themselves where the column run
-gives up.  The ray kernel has no caller with a block, so it is defined
-for rows only.
+gives up.  No caller runs the ray kernel on a block.
 
 Grammar (EBNF)::
 
@@ -175,11 +175,12 @@ class Tape:
     Each operation is ``(code, a, b)``: ``a`` and ``b`` are operand slots,
     except that ``b`` is the integer exponent of a power and unused by a
     negation.  ``outs`` holds one output slot per expression.  The tape
-    runs as compiled kernels, built on first use: one for the values, one
-    for the values and a tangent per variable, which gives the gradient in
-    one run, and one for the Taylor coefficients along a ray.  Each is a
-    ``_Kernel``: its row function and its column function, which the ray
-    kernel leaves out, as no caller runs it on a wide block.
+    runs as kernels that ``_compile`` writes on first use: the value kernel;
+    the gradient kernel, with a tangent lane per variable, which gives the
+    gradient in one run; and the ray kernel, with one lane and the Taylor
+    coefficients along a ray up to D = min(the tape's degree, RAY_DEGREE).
+    A tape of degree 0 has no coefficient but c_0, so its ray kernel is its
+    value kernel.  Each is a ``_Kernel``: its row and its column function.
     """
 
     consts: tuple  # floats
@@ -192,12 +193,27 @@ class Tape:
         return _compile(self.ops, len(self.consts), self.outs, self.n, 0)
 
     @functools.cached_property
-    def ray_kernel(self):
-        return _compile_ray(self.ops, len(self.consts), self.outs, self.n)
-
-    @functools.cached_property
     def gradient_kernel(self):
         return _compile(self.ops, len(self.consts), self.outs, self.n, self.n)
+
+    @functools.cached_property
+    def ray_kernel(self):
+        # Each slot's polynomial degree; a variable divisor gives none.
+        degree = [1] * self.n + [0] * len(self.consts)
+        for code, a, b in self.ops:
+            if code == _POW:
+                d = degree[a] * b if b else 0
+            elif code == _NEG:
+                d = degree[a]
+            elif code == _DIV:
+                d = inf if degree[b] else degree[a]
+            else:
+                d = degree[a] + degree[b] if code == _MUL else max(degree[a], degree[b])
+            degree.append(d)
+        D = min(max((degree[s] for s in self.outs), default=0), RAY_DEGREE)
+        if not D:
+            return self.value_kernel
+        return _compile(self.ops, len(self.consts), self.outs, self.n, 1, D)
 
 
 def _post_order(root, leaf, combine, done=None):
@@ -534,7 +550,8 @@ class _Chain:
     tangent's ``a^(k-1)`` share what they have in common.  ``multiply(name,
     a, b)`` writes one product under ``name`` and returns what stands for
     it: by default the one statement ``name = a * b``; the ray kernel's
-    chains multiply truncated series instead (``_Series.product``).
+    chains multiply truncated series instead (``_Series.product``), whose
+    c_0 are the value chain's products, by name.
     """
 
     def __init__(self, lines, base, prefix, multiply=None):
@@ -567,9 +584,12 @@ class _Chain:
 # process that runs many of them would otherwise compile the same kernels
 # again each time.  The bound is the number of distinct structures kept.
 @functools.lru_cache(maxsize=256)
-def _compile(ops, nconst, outs, n, lanes):
+def _compile(ops, nconst, outs, n, lanes, degree=0):
     """Compile tape operations to straight-line Python, once, and define it
     for both runners: a ``_Kernel`` of the row and the column function.
+    Every kernel of a tape is one of its cases: the value kernel has no
+    tangent lane, the gradient kernel a lane per variable and the ray
+    kernel one lane and a ``degree``.
 
     Each function is ``kernel(x, d, c)``: ``x`` holds the ``n`` variables,
     ``d`` holds ``lanes`` seed vectors and ``c`` the ``nconst`` constants,
@@ -579,6 +599,12 @@ def _compile(ops, nconst, outs, n, lanes):
     slot seeded with that lane's vector.  Tangents follow the dual-number
     rules: (a*b)' = a*b' + a'*b, (a/b)' = (a' - q*b')/b with q = a/b,
     (a^k)' = k*a^(k-1)*a', and a^0 = (1, 0).
+
+    With a ``degree`` D >= 1 and one lane, seeded with a direction u, the
+    value and the tangent of each slot are c_0 and c_1 of its Taylor series
+    along x + t*u (Griewank & Walther, ch. 13), and ``_Series`` writes
+    c_2..c_D after each operation.  The second tuple then holds c_1..c_D of
+    each output in turn, 0.0 above the output's degree.
 
     A power ``a^k`` is the binary-method chain of ``_Chain``, and so is the
     tangent's ``a^(k-1)``: the same multiplications on Python floats and on
@@ -591,20 +617,22 @@ def _compile(ops, nconst, outs, n, lanes):
     arithmetic whatever the constants are, and each lane does the
     arithmetic of a one-lane kernel with its seed.
     """
-    lines = _unpacked(n, nconst)
+    lines = _unpack(0, n, "v", "x") + _unpack(n, nconst, "v", "c")
     tangents = [f"t{lane}_" for lane in range(lanes)]  # name prefix of each lane
     for lane, t in enumerate(tangents):
         lines += _unpack(0, n, t, f"d[{lane}]")
         lines.extend(f"{t}{i} = 0.0" for i in range(n, n + nconst))
+    series = _Series(lines, n, nconst, degree) if degree else None
     for s, (code, a, b) in enumerate(ops, start=n + nconst):
         if code == _POW and b == 0:
-            lines += _zeroth_power(s, a)
+            lines += [f"if not isfinite(v{a}): raise EvalError('non-finite base of ^0')",
+                      f"v{s} = one"]
             lines.extend(f"{t}{s} = 0.0" for t in tangents)
         elif code == _POW:
             chain = _Chain(lines, f"v{a}", f"p{s}_")
             lines.append(f"v{s} = {chain(b)}")
             if b > 1:
-                lines.append(_overflow_check(s, a))
+                lines.append(f"if isinf(v{s}) and isfinite(v{a}): raise EvalError({_OVERFLOW!r})")
             slope = f"{float(b)!r} * {chain(b - 1)} * " if b > 1 and tangents else ""
             lines.extend(f"{t}{s} = {slope}{t}{a}" for t in tangents)
         else:
@@ -619,30 +647,14 @@ def _compile(ops, nconst, outs, n, lanes):
                     lines.append(f"{t}{s} = -{t}{a}")
                 else:
                     lines.append(f"{t}{s} = {t}{a} {_SYMBOL[code]} {t}{b}")
-    lines.append(f"return {_row(f'v{i}' for i in outs)}, "
-                 f"{_row(f'{t}{i}' for t in tangents for i in outs)}")
-    code = _code(lines)
+        if series:
+            series.write(s, code, a, b)
+    derivatives = series.coefficients(outs) if series else [f"{t}{i}" for t in tangents
+                                                            for i in outs]
+    lines.append(f"return {_row(f'v{i}' for i in outs)}, {_row(derivatives)}")
+    source = "def kernel(x, d, c):\n" + "".join(f"    {line}\n" for line in lines)
+    code = compile(source, "<tape kernel>", "exec")
     return _Kernel(_define(code, _ROW_HELPERS), _define(code, _COLUMN_HELPERS))
-
-
-@functools.lru_cache(maxsize=256)
-def _compile_ray(ops, nconst, outs, n):
-    """Compile tape operations to the ray kernel, once (``_Series``), and
-    define it for the row runner: a ``_Kernel`` of the row function and
-    None, as no caller runs it on a wide block.
-
-    The function is ``kernel(x, d, c)`` as ``_compile``'s, with ``d`` the
-    one direction u.  It returns ``(values, coefficients)``: the value of
-    each slot of ``outs``, by the value kernel's statements, so with their
-    bits and their errors, and in one flat tuple, output by output, the
-    Taylor coefficients c_1..c_D of each along x + t*u.
-    """
-    lines = _unpacked(n, nconst)
-    series = _Series(lines, ops, nconst, outs, n)
-    for s, op in enumerate(ops, start=n + nconst):
-        series.write(s, *op)
-    lines.append(f"return {_row(f'v{i}' for i in outs)}, {_row(series.coefficients(outs))}")
-    return _Kernel(_define(_code(lines), _ROW_HELPERS), None)
 
 
 def _unpack(first, count, prefix, source):
@@ -652,28 +664,8 @@ def _unpack(first, count, prefix, source):
     return ["".join(f"{prefix}{i}, " for i in range(first, first + count)) + f"= {source}"]
 
 
-def _unpacked(n, nconst):
-    """The statements that name a kernel's variables and constants."""
-    return _unpack(0, n, "v", "x") + _unpack(n, nconst, "v", "c")
-
-
 def _row(names):
     return "(" + "".join(f"{name}, " for name in names) + ")"
-
-
-def _code(lines):
-    source = "def kernel(x, d, c):\n" + "".join(f"    {line}\n" for line in lines)
-    return compile(source, "<tape kernel>", "exec")
-
-
-def _zeroth_power(s, a):
-    """The statements of slot ``s`` = a^0, for the value ``v{a}``."""
-    return [f"if not isfinite(v{a}): raise EvalError('non-finite base of ^0')", f"v{s} = one"]
-
-
-def _overflow_check(s, a):
-    """The statement that raises if the power ``v{s}`` of ``v{a}`` overflowed."""
-    return f"if isinf(v{s}) and isfinite(v{a}): raise EvalError({_OVERFLOW!r})"
 
 
 # The highest Taylor coefficient that a ray kernel computes: the series of a
@@ -682,92 +674,78 @@ RAY_DEGREE = 4
 
 
 class _Series:
-    """Writes the ray kernel: the Taylor coefficients c_0..c_d of each slot
+    """Writes the ray kernel's Taylor coefficients c_2..c_D of each slot
     along the ray x + t*u (Griewank & Walther, *Evaluating Derivatives*, 2nd
-    ed., ch. 13), one statement per coefficient of an operation.
+    ed., ch. 13), one statement per coefficient of an operation, after the
+    statements of ``_compile`` that write the slot's value ``v{s}`` and
+    tangent ``t0_{s}``: they are its c_0 and c_1, read here by name.
 
-    ``d`` is the slot's polynomial degree, tracked while the code is
-    written, capped at D = min(the outputs' largest degree, RAY_DEGREE): a
-    variable has degree 1 and a constant 0, a sum the larger degree of its
-    operands, a product their sum and ``a^k`` k times a's.  A divisor of
-    degree 0 divides each coefficient; a variable divisor makes the
-    quotient a series division truncated at D.  A coefficient above a
-    slot's degree is an exact zero, which is never written, and a sum's
-    coefficient that one operand alone has is that operand's, by name.
-
-    Coefficient k of the series named N is N itself for k = 0 and ``N_k``
-    above, so c_0 of slot s is ``v{s}``, the value kernel's name: a product
-    is a Cauchy product whose c_0 is the value kernel's product, ``a^k`` is
-    the ``_Chain`` of truncated Cauchy products, and a quotient's c_0 is
-    the value kernel's quotient, so the values, and every error raised on
-    them, are the value kernel's.
+    A slot's series is the list of the names of its coefficients up to its
+    polynomial degree, capped at D: a variable has degree 1 and a constant
+    0, a sum the larger degree of its operands, a product their sum and
+    ``a^k`` k times a's.  A divisor of degree 0 divides each coefficient; a
+    variable divisor makes the quotient a series division truncated at D.
+    A coefficient above a slot's degree is an exact zero, which is never
+    written, and a sum's coefficient that one operand alone has is that
+    operand's, by name.  A product is a Cauchy product, and ``a^k`` the
+    ``_Chain`` of Cauchy products whose c_0 are the value chain's products;
+    each of them but the last, whose c_1 is the tangent, gets its c_1 here.
     """
 
-    def __init__(self, lines, ops, nconst, outs, n):
-        degree = [1] * n + [0] * nconst
-        for code, a, b in ops:
-            if code == _POW:
-                d = degree[a] * b if b else 0
-            elif code == _NEG:
-                d = degree[a]
-            elif code == _DIV:
-                d = inf if degree[b] else degree[a]
-            else:
-                d = degree[a] + degree[b] if code == _MUL else max(degree[a], degree[b])
-            degree.append(d)
-        self.lines, self.D = lines, min(max((degree[s] for s in outs), default=0), RAY_DEGREE)
-        self.series = [[f"v{i}", f"v{i}_1"][:self.D + 1] for i in range(n)]
+    def __init__(self, lines, n, nconst, D):
+        self.lines, self.D = lines, D
+        self.series = [[f"v{i}", f"t0_{i}"] for i in range(n)]
         self.series += ([f"v{i}"] for i in range(n, n + nconst))
-        if n and self.D:
-            lines.append("".join(f"v{i}_1, " for i in range(n)) + "= d[0]")
 
     def _write(self, name, k, expression):
-        """Write coefficient k of the series ``name``; returns its name."""
-        target = f"{name}_{k}" if k else name
-        self.lines.append(f"{target} = {expression}")
-        return target
+        """Write coefficient k >= 1 of the series ``name``; returns its name."""
+        self.lines.append(f"{name}_{k} = {expression}")
+        return f"{name}_{k}"
 
-    def product(self, name, a, b):
-        """The Cauchy product of the series ``a`` and ``b``, truncated at D."""
+    def product(self, name, a, b, c1=None):
+        """The Cauchy product of the series ``a`` and ``b``, truncated at D:
+        its c_0 is ``name``, and its c_1 ``c1`` if given, both written by
+        ``_compile``; the other coefficients are written here."""
         def coefficient(k):
             return " + ".join(f"{a[i]} * {b[k - i]}"
                               for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))))
 
-        return [self._write(name, k, coefficient(k))
-                for k in range(min(len(a) + len(b) - 1, self.D + 1))]
+        return [name, *(c1 if k == 1 and c1 else self._write(name, k, coefficient(k))
+                        for k in range(1, min(len(a) + len(b) - 1, self.D + 1)))]
 
     def write(self, s, code, a, b):
-        """Write slot ``s``, the operation ``(code, a, b)``, and keep its series."""
-        A, name = self.series[a], f"v{s}"
+        """Write c_2..c_D of slot ``s``, the operation ``(code, a, b)``, and
+        keep its series."""
+        A, name, tangent = self.series[a], f"v{s}", f"t0_{s}"
         B = self.series[b] if code not in (_NEG, _POW) else None
-        if code == _POW and b == 0:
-            self.lines.extend(_zeroth_power(s, a))
-            out = [name]
-        elif code == _POW:
-            power = _Chain(self.lines, A, f"p{s}_", self.product)(b)
-            self.lines.append(f"{name} = {power[0]}")
-            if b > 1:
-                self.lines.append(_overflow_check(s, a))
-            out = [name, *power[1:]]
+        head = [name, tangent]  # c_0 and c_1
+        if code == _POW:
+            def multiply(p, x, y):
+                return self.product(p, x, y, tangent if p == f"p{s}_{b}" else None)
+
+            power = _Chain(self.lines, A, f"p{s}_", multiply)(b) if b else head[:1]
+            out = head[:len(power)] + power[2:]
         elif code == _NEG:
-            out = [self._write(name, k, f"-{c}") for k, c in enumerate(A)]
+            out = head[:len(A)] + [self._write(name, k, f"-{A[k]}") for k in range(2, len(A))]
         elif code == _MUL:
-            out = self.product(name, A, B)
+            out = self.product(name, A, B, tangent)
         elif code == _DIV and len(B) == 1:
-            out = [self._write(name, k, f"{c} / {B[0]}") for k, c in enumerate(A)]
+            out = head[:len(A)] + [self._write(name, k, f"{A[k]} / {B[0]}")
+                                   for k in range(2, len(A))]
         elif code == _DIV:
-            # q_k = (a_k - q_0 b_k - ... - q_(k-1) b_1) / b_0, truncated at D.
-            out = [self._write(name, 0, f"{A[0]} / {B[0]}")]
-            for k in range(1, self.D + 1):
+            # q_k = (a_k - q_(k-1) b_1 - ... - q_0 b_k) / b_0, truncated at D.
+            out = head
+            for k in range(2, self.D + 1):
                 terms = "".join(f" - {out[k - j]} * {B[j]}" for j in range(1, min(k + 1, len(B))))
                 out.append(self._write(name, k, f"({A[k] if k < len(A) else ''}{terms}) / {B[0]}"))
         else:
             symbol = _SYMBOL[code]
-            out = [self._write(name, k, f"{A[k]} {symbol} {B[k]}") if k < len(B) else A[k]
-                   for k in range(len(A))]
+            out = head[:max(len(A), len(B))] + [
+                self._write(name, k, f"{A[k]} {symbol} {B[k]}") if k < len(B) else A[k]
+                for k in range(2, len(A))]
             # The coefficients that b alone has: b's own, negated for a difference.
             out += [B[k] if code == _ADD else self._write(name, k, f"-{B[k]}")
-                    for k in range(len(A), len(B))]
+                    for k in range(max(2, len(A)), len(B))]
         self.series.append(out)
 
     def coefficients(self, outs):
@@ -935,11 +913,14 @@ def ray_polynomials(s, x, u):
     expression e of the Stack ``s`` (or of one Expr), from one run of the
     ray kernel (``_Series``): each expression restricted to the ray is
     sum c_i t^i, exactly for a polynomial of degree at most RAY_DEGREE and
-    truncated at D = RAY_DEGREE otherwise.  D is the tape's: a coefficient
-    above an expression's own degree is 0.0.
+    truncated at D = RAY_DEGREE otherwise.  D is the tape's, 0 for a tape
+    of degree 0: a coefficient above an expression's own degree is 0.0.
 
     c_0 has the bits of ``evaluate_stack`` at ``x``, and it raises the
-    errors that ``evaluate_stack`` raises there, with their messages.  A
+    errors that ``evaluate_stack`` raises there, with their messages.  c_1
+    is the tangent that a gradient lane seeded with u computes, so along
+    the unit vector e_i it has the bits of ``grad``'s entry i, except in a
+    stack, where an expression of degree 0 has the padding 0.0.  A
     coefficient c_1..c_D that is not finite (it overflows where the value
     does not) is returned as it is, for the caller to judge.
     """

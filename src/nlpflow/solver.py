@@ -120,6 +120,8 @@ class SolveConfig:
         else:
             if not 0 < self.armijo <= 0.5:
                 raise ValueError("r35 requires armijo in (0, 1/2]")
+            if not self.r / CURV_SEGMENTS > 0:  # the first scan's spacing
+                raise ValueError(f"r35 requires r / {CURV_SEGMENTS} > 0, so r >= 2.5e-323")
 
 
 @dataclass

@@ -8,9 +8,7 @@ of ``jvp``.  Only overflow is
 reported differently: these raise ``OverflowError`` where the tape raises
 ``EvalError``.  Like the tape, they raise ``EvalError`` for a ``^0`` whose
 base is not finite, and take a power ``b^k`` as a multiplication chain,
-with the tangent's ``b^(k-1)`` a chain too; ``jvp`` with ``series`` takes
-it as the chain of dual-number products instead, as the ray kernel's
-truncated Taylor series do.
+with the tangent's ``b^(k-1)`` a chain too.
 
 ``post_order`` and ``lower`` are the tree walk and the lowering that
 ``nlpflow.exprlang`` used before its walk kept nodes alone on its work
@@ -125,16 +123,6 @@ class _Dual:
         v = _power(self.val, k)
         return _Dual(v, k * _chain(self.val, k - 1) * self.dot if k > 1 else self.dot)
 
-    def series_powi(self, k):
-        # The chain of dual products: each is the Taylor series product
-        # truncated after the first coefficient.
-        if k == 0:
-            return self.powi(0)
-        d = _chain(self, k)
-        if math.isinf(d.val) and math.isfinite(self.val):
-            raise OverflowError(34, "Numerical result out of range")
-        return d
-
 
 def _chain(base, k):
     """base^k, k >= 1, by the binary method (Knuth, TAOCP vol. 2, 4.6.3):
@@ -191,18 +179,17 @@ def _eval_node(node, x):
     return left / right
 
 
-def _eval_dual(node, duals, series=False):
+def _eval_dual(node, duals):
     if isinstance(node, Num):
         return _Dual(node.value, 0.0)
     if isinstance(node, Var):
         return duals[node.index]
     if isinstance(node, Neg):
-        return -_eval_dual(node.arg, duals, series)
+        return -_eval_dual(node.arg, duals)
     if isinstance(node, Pow):
-        base = _eval_dual(node.base, duals, series)
-        return base.series_powi(node.exponent) if series else base.powi(node.exponent)
-    left = _eval_dual(node.left, duals, series)
-    right = _eval_dual(node.right, duals, series)
+        return _eval_dual(node.base, duals).powi(node.exponent)
+    left = _eval_dual(node.left, duals)
+    right = _eval_dual(node.right, duals)
     if node.op == "+":
         return left + right
     if node.op == "-":
@@ -237,13 +224,12 @@ def grad(e, x):
     return out
 
 
-def jvp(e, x, u, series=False):
-    """The derivative at ``x`` along ``u`` by one dual-number tree walk,
-    with each power's tangent by the chain of dual products if ``series``."""
+def jvp(e, x, u):
+    """The derivative at ``x`` along ``u`` by one dual-number tree walk."""
     n = len(e.variables)
     if len(x) != n or len(u) != n:
         raise ExprError(f"expected {n} coordinates")
-    d = _eval_dual(e.root, [_Dual(float(x[j]), float(u[j])) for j in range(n)], series)
+    d = _eval_dual(e.root, [_Dual(float(x[j]), float(u[j])) for j in range(n)])
     if not (math.isfinite(d.val) and math.isfinite(d.dot)):
         raise EvalError("non-finite value in derivative sweep")
     return d.dot

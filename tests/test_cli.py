@@ -497,6 +497,14 @@ def test_stalled_solve_is_an_error(tmp_path, capsys):
     assert "# diagnostic: accepted step 0.000e+00 left x unchanged" in out
 
 
+def test_r35_r_whose_scan_spacing_underflows_is_one_error_line(capsys):
+    rc = _run_without_warnings(["solve", "--problem", P42, "--r", "5e-324",
+                                "--x0=-0.9,-1,2"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: r35 requires r / 8 > 0, so r >= 2.5e-323\n"
+
+
 def test_t31_ray_sampling_overflow_is_field_failure(capsys):
     rc = _run_without_warnings(["solve", "--problem", P42, "--algo", "t31", "--r", "1e200",
                                 "--eps", "1e150", "--x0=-0.9,-1,2", "--max-iter", "3"])

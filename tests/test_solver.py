@@ -72,6 +72,22 @@ def test_t31_epsilon_whose_square_overflows_is_a_config_error(p42):
     SolveConfig(algorithm="r35", r=1e200, epsilon=1e160).validate()
 
 
+def test_r35_r_whose_scan_spacing_underflows_is_a_config_error(p42):
+    # r35's first curvature scan spans [0, r] in steps of r / 8, which is 0
+    # below r = 2.5e-323: a bad configuration, not a ZeroDivisionError.
+    _, red = p42
+    for r in (5e-324, 2e-323):
+        with pytest.raises(ValueError, match=r"r / 8 > 0"):
+            SolveConfig(r=r).validate()
+        with pytest.raises(ValueError, match=r"r / 8 > 0"):
+            solve(red, FieldParams.default(red.n, red.k), SolveConfig(r=r), [-0.9, -1, 2])
+    SolveConfig(r=2.5e-323).validate()
+    report = solve(red, FieldParams.default(red.n, red.k), SolveConfig(r=2.5e-323, max_iter=3),
+                   [-0.9, -1, 2])
+    # The smallest r that passes makes a step too small to move x.
+    assert report.termination == "stalled" and report.iterations == 0
+
+
 def test_config_defaults_valid():
     SolveConfig().validate()
 

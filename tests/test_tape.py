@@ -6,9 +6,10 @@ same exception class (an overflow there is an ``EvalError`` here).
 At an ndarray point, or at a list of NumPy scalars, they return Python
 floats, with the bits that the interpreters give on the NumPy scalars.
 The ray kernel's c_0 must be the value, bit for bit, failing where the
-value fails with its message, and its c_1 the dual-number walk's
-directional derivative, with each power's tangent by the chain of dual
-products.  The stacked kernels, run by ``evaluate_stack`` and
+value fails with its message, and its c_1, where the tape has degree 1 or
+more, the dual-number walk's directional derivative, bit for bit: along a
+unit vector, the gradient's entry.  The stacked kernels, run by
+``evaluate_stack`` and
 ``ray_polynomials``, must return what they return one expression at a
 time, and the solver's ray sampler and projection what their
 per-expression forms in ``solver_reference`` return; its curvature scan
@@ -101,9 +102,9 @@ def _ray_values(s, x, u):
 
 
 def _slope(e, x, u):
-    """c_1 of the one expression's ray polynomial, 0.0 where it has none."""
+    """c_1 of the one expression's ray polynomial, or None at degree 0."""
     [c] = ray_polynomials(e, x, u)
-    return c[1] if len(c) > 1 else 0.0
+    return c[1] if len(c) > 1 else None
 
 
 def _result(fn, *args):
@@ -123,26 +124,14 @@ def assert_ray_runs_the_values(s, x):
 
 
 def assert_slope_is_the_dual_walk(e, x):
-    """Where the dual-number walk with series powers gives a derivative
-    along u, c_1 is that derivative: a Taylor coefficient product truncated
-    after c_1 is the dual-number product.  Where a tree has no power, the
-    walk is ``ref.jvp``'s, the dual-number rules.  The series leaves out the
-    terms that the walk multiplies by a constant's zero tangent, so a zero
-    may differ in sign; and where such a term is 0 * inf, NaN, the walk
-    fails and c_1 may be finite."""
+    """Where the dual-number walk gives a derivative along u, c_1 has its
+    bits, zero signs included, unless the tape has degree 0 and so no
+    c_1."""
     u = DIRECTION[:len(x)]
-    want = _reference(ref.jvp, e, x, u, True)
-    if not _has_power(e.root):
-        assert _reference(ref.jvp, e, x, u) == want
+    want = _reference(ref.jvp, e, x, u)
     if not isinstance(want, type):
         got = _slope(e, x, u)
-        assert type(got) is float and got == struct.unpack("<d", want[1])[0]
-
-
-def _has_power(root):
-    return exprlang._post_order(
-        root, lambda node: False,
-        lambda node, kids: any(kids) or isinstance(node, exprlang.Pow) and node.exponent > 1)
+        assert got is None or _bits(got) == want
 
 
 def assert_same(e, x):
@@ -172,7 +161,7 @@ def test_problem_expressions_match_reference(name, request):
                 assert_same(e, point.tolist())
 
 
-@pytest.mark.parametrize("text, point", [
+EDGE_CASES = [
     ("x1 / (x2 - x2)", [1.0, 2.0, 0.0]),
     ("(1 / x1)^0", [0.0, 1.0, 1.0]),
     ("x1^400", [10.0, 0.0, 0.0]),
@@ -181,7 +170,10 @@ def test_problem_expressions_match_reference(name, request):
     ("x1 * 1e308 * 10", [1.0, 0.0, 0.0]),
     ("(1e300*x1*x1)^0 + x1", [1e10, 0.0, 0.0]),
     ("(x1/x2)^0 + x3", [1.0, 1e-320, 2.0]),
-])
+]
+
+
+@pytest.mark.parametrize("text, point", EDGE_CASES)
 def test_edge_cases_match_reference(text, point):
     e = parse(text, NAMES)
     assert_same(e, point)
@@ -210,6 +202,43 @@ def test_random_trees_match_reference(text, point):
     e = parse(text, NAMES)
     assert_same(e, point)
     assert_same(e, np.array(point))
+
+
+def assert_slopes_are_the_gradient(exprs, x):
+    """Where ``grad`` gives an expression's gradient, c_1 of its ray along
+    each unit vector e_i has the bits of entry i, unless its tape has
+    degree 0 and so no c_1; in a stack of all ``exprs`` its c_1 is the one
+    it has alone, or 0.0 if it has none."""
+    s = Stack(tuple(exprs), exprs[0].variables)
+    for i, e_i in enumerate(exprlang._unit_vectors(len(x))):
+        try:
+            stacked = ray_polynomials(s, x, e_i)
+        except EvalError:  # the run of some expression fails, as alone
+            stacked = [None] * len(exprs)
+        for e, row in zip(exprs, stacked):
+            try:
+                want = _bits(grad(e, x)[i])
+            except EvalError:
+                continue
+            alone = _slope(e, x, e_i)
+            # Only a tape of degree 0 has no c_1, and it runs its value kernel.
+            assert (alone is None) == (e.tape.ray_kernel is e.tape.value_kernel)
+            assert alone is None or _bits(alone) == want
+            if row is not None and len(row) > 1:
+                assert _bits(row[1]) == (_bits(0.0) if alone is None else want)
+
+
+def test_criterion_8_slopes_are_the_gradient():
+    rng = np.random.default_rng(8)
+    for _ in range(250):
+        exprs = [parse(_random_expression(rng, NAMES), NAMES) for _ in range(4)]
+        assert_slopes_are_the_gradient(exprs, rng.uniform(-2.0, 2.0, size=3))
+
+
+@pytest.mark.parametrize("text, point", EDGE_CASES)
+def test_edge_case_slopes_are_the_gradient(text, point):
+    assert_slopes_are_the_gradient([parse(text, NAMES), parse("-(2) + x1^3 / x2", NAMES)],
+                                   point)
 
 
 def test_kernels_are_shared_by_structure():
@@ -284,6 +313,15 @@ def test_stack_edge_cases_match_one_by_one(texts, point):
 _HUGE = ("1e200", "1e300")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_expressions(NAMES, _HUGE), min_size=1, max_size=4),
+       st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_random_slopes_are_the_gradient(texts, point):
+    # Division, powers up to ^5 and constants that overflow.
+    assert_slopes_are_the_gradient([parse(t, NAMES) for t in texts], point)
+    assert_slopes_are_the_gradient([parse(t, NAMES) for t in texts], np.array(point))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_expressions(NAMES, _HUGE), min_size=1, max_size=4),
        _expressions(NAMES[:2]),
@@ -324,12 +362,10 @@ def test_reparsing_a_problem_compiles_nothing():
         solver._curvature_scan(slopes, 1.0, scale)
 
     exercise()
-    caches = (exprlang._compile, exprlang._compile_ray)
-    before = [cache.cache_info() for cache in caches]
+    was = exprlang._compile.cache_info()
     exercise()
-    for cache, was in zip(caches, before):
-        now = cache.cache_info()
-        assert now.misses == was.misses and now.hits > was.hits
+    now = exprlang._compile.cache_info()
+    assert now.misses == was.misses and now.hits > was.hits
 
 
 @pytest.mark.parametrize("name, sigma", [("p41", 2.0), ("p42", 0.2)])
@@ -571,7 +607,7 @@ def assert_same_with_messages(e, x):
     # message.  The walk's sweep error is a final value or tangent that is
     # not finite: the ray fails on the value alone, with evaluate's message.
     u = DIRECTION[:len(x)]
-    ray, walk = _failure(_slope, e, x, u), _failure(ref.jvp, e, floats, u, True)
+    ray, walk = _failure(_slope, e, x, u), _failure(ref.jvp, e, floats, u)
     assert ray == walk or walk == (EvalError, "non-finite value in derivative sweep") and \
         ray in (None, _failure(ref.evaluate, e, floats))
 
