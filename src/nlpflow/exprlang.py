@@ -26,10 +26,11 @@ tangent lane, its directional derivative along the lane's seed.  A power
 its tangent: its bits depend on no libm.  The ray kernel is univariate
 Taylor mode (Griewank & Walther, ch. 13), in which c_1 is the tangent:
 it is the kernel with one lane, seeded with a direction u, and after
-each operation's value and tangent it writes the coefficients c_2..c_D
-along the ray x + t*u, one statement per coefficient.  One writer,
-``_compile``, writes every kernel, and caches it by the tape's
-structure, not its constants, so re-parsing a problem compiles nothing.
+each operation's value and tangent it writes c_2..c_RAY_DEGREE along
+the ray x + t*u, one statement per coefficient up to the slot's degree.
+One writer, ``_compile``, writes every kernel, and caches it by the
+tape's structure, not its constants, so re-parsing a problem compiles
+nothing.
 
 Each kernel's source is compiled once and defined for two runners.
 ``_run`` runs it at one point on Python floats, whatever the point's
@@ -77,7 +78,7 @@ import re
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
-from math import inf, isfinite, isinf
+from math import isfinite, isinf
 
 import numpy as np
 
@@ -178,9 +179,8 @@ class Tape:
     runs as kernels that ``_compile`` writes on first use: the value kernel;
     the gradient kernel, with a tangent lane per variable, which gives the
     gradient in one run; and the ray kernel, with one lane and the Taylor
-    coefficients along a ray up to D = min(the tape's degree, RAY_DEGREE).
-    A tape of degree 0 has no coefficient but c_0, so its ray kernel is its
-    value kernel.  Each is a ``_Kernel``: its row and its column function.
+    coefficients c_0..c_RAY_DEGREE of each output along a ray.  Each is a
+    ``_Kernel``: its row and its column function.
     """
 
     consts: tuple  # floats
@@ -198,22 +198,7 @@ class Tape:
 
     @functools.cached_property
     def ray_kernel(self):
-        # Each slot's polynomial degree; a variable divisor gives none.
-        degree = [1] * self.n + [0] * len(self.consts)
-        for code, a, b in self.ops:
-            if code == _POW:
-                d = degree[a] * b if b else 0
-            elif code == _NEG:
-                d = degree[a]
-            elif code == _DIV:
-                d = inf if degree[b] else degree[a]
-            else:
-                d = degree[a] + degree[b] if code == _MUL else max(degree[a], degree[b])
-            degree.append(d)
-        D = min(max((degree[s] for s in self.outs), default=0), RAY_DEGREE)
-        if not D:
-            return self.value_kernel
-        return _compile(self.ops, len(self.consts), self.outs, self.n, 1, D)
+        return _compile(self.ops, len(self.consts), self.outs, self.n, 1, RAY_DEGREE)
 
 
 def _post_order(root, leaf, combine, done=None):
@@ -604,7 +589,8 @@ def _compile(ops, nconst, outs, n, lanes, degree=0):
     value and the tangent of each slot are c_0 and c_1 of its Taylor series
     along x + t*u (Griewank & Walther, ch. 13), and ``_Series`` writes
     c_2..c_D after each operation.  The second tuple then holds c_1..c_D of
-    each output in turn, 0.0 above the output's degree.
+    each output in turn: its tangent, whatever its degree, then c_2..c_D,
+    an exact 0.0 above its degree.
 
     A power ``a^k`` is the binary-method chain of ``_Chain``, and so is the
     tangent's ``a^(k-1)``: the same multiplications on Python floats and on
@@ -680,11 +666,12 @@ class _Series:
     statements of ``_compile`` that write the slot's value ``v{s}`` and
     tangent ``t0_{s}``: they are its c_0 and c_1, read here by name.
 
-    A slot's series is the list of the names of its coefficients up to its
-    polynomial degree, capped at D: a variable has degree 1 and a constant
-    0, a sum the larger degree of its operands, a product their sum and
-    ``a^k`` k times a's.  A divisor of degree 0 divides each coefficient; a
-    variable divisor makes the quotient a series division truncated at D.
+    It is the only code that knows degrees.  A slot's series is the list of
+    the names of its coefficients up to its polynomial degree, capped at D:
+    a variable has degree 1 and a constant 0, a sum the larger degree of
+    its operands, a product their sum and ``a^k`` k times a's.  A divisor
+    of degree 0 divides each coefficient; a variable divisor makes the
+    quotient a series division truncated at D.
     A coefficient above a slot's degree is an exact zero, which is never
     written, and a sum's coefficient that one operand alone has is that
     operand's, by name.  A product is a Cauchy product, and ``a^k`` the
@@ -749,9 +736,11 @@ class _Series:
         self.series.append(out)
 
     def coefficients(self, outs):
-        """The names of c_1..c_D of each of ``outs`` in turn, 0.0 above its degree."""
+        """The names of c_1..c_D of each of ``outs`` in turn: its tangent
+        ``t0_{s}`` at every degree, 0 included, then c_2..c_D, 0.0 above its
+        degree."""
         return [c for s in outs
-                for c in [*self.series[s][1:], *["0.0"] * (self.D + 1 - len(self.series[s]))]]
+                for c in [f"t0_{s}", *(self.series[s] + ["0.0"] * self.D)[2:self.D + 1]]]
 
 
 # The kernels' helpers, for Python floats and for NumPy columns: ``isinf``
@@ -909,24 +898,23 @@ def grad(e, x):
 
 
 def ray_polynomials(s, x, u):
-    """The Taylor coefficients (c_0, ..., c_D) of t -> e(x + t*u) for every
-    expression e of the Stack ``s`` (or of one Expr), from one run of the
-    ray kernel (``_Series``): each expression restricted to the ray is
-    sum c_i t^i, exactly for a polynomial of degree at most RAY_DEGREE and
-    truncated at D = RAY_DEGREE otherwise.  D is the tape's, 0 for a tape
-    of degree 0: a coefficient above an expression's own degree is 0.0.
+    """The Taylor coefficients (c_0, ..., c_D), D = RAY_DEGREE, of
+    t -> e(x + t*u) for every expression e of the Stack ``s`` (or of one
+    Expr), from one run of the ray kernel (``_Series``): each expression
+    restricted to the ray is sum c_i t^i, exactly for a polynomial of
+    degree at most RAY_DEGREE, where a coefficient above its degree is an
+    exact 0.0, and truncated at D otherwise.
 
     c_0 has the bits of ``evaluate_stack`` at ``x``, and it raises the
     errors that ``evaluate_stack`` raises there, with their messages.  c_1
     is the tangent that a gradient lane seeded with u computes, so along
-    the unit vector e_i it has the bits of ``grad``'s entry i, except in a
-    stack, where an expression of degree 0 has the padding 0.0.  A
-    coefficient c_1..c_D that is not finite (it overflows where the value
-    does not) is returned as it is, for the caller to judge.
+    the unit vector e_i it has the bits of ``grad``'s entry i, alone and in
+    any stack.  A coefficient c_1..c_D that is not finite (it overflows
+    where the value does not) is returned as it is, for the caller to judge.
     """
     tape = s.tape
     values, coefficients = _run(tape, tape.ray_kernel, x, (_point(tape.n, u),))
-    D = len(coefficients) // len(values) if values else 0
+    D = RAY_DEGREE
     return [(c0, *coefficients[i * D:(i + 1) * D]) for i, c0 in enumerate(values)]
 
 

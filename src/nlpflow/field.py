@@ -152,13 +152,13 @@ def _mv(M, v):
     return (M @ v[..., None])[..., 0]
 
 
-def _gain_terms(params, vplus, extra):
-    """c_i * v+_i^(2 p_i + extra) at each row of the stack v+, and 0 where
+def _gain_terms(params, vplus):
+    """c_i * v+_i^(2 p_i + 2) at each row of the stack v+, and 0 where
     c_i = 0, the default: there the power may overflow, and 0 * inf is NaN."""
     out = np.zeros(vplus.shape)
     on = params.c > 0
     if on.any():
-        out[:, on] = params.c[on] * vplus[:, on] ** (2 * params.p[on] + extra)
+        out[:, on] = params.c[on] * vplus[:, on] ** (2 * params.p[on] + 2)
     return out
 
 
@@ -593,7 +593,7 @@ def dissipation_rates(params, xi, g, v, vplus):
     rate -= np.vecdot(gv, _mv(params.R2, gv))
     rate -= np.sum(params.a * np.abs(g) * v ** 2, axis=1)
     rate -= np.sum(params.b * vplus ** 2, axis=1)
-    rate -= np.sum(_gain_terms(params, vplus, 2), axis=1)
+    rate -= np.sum(_gain_terms(params, vplus), axis=1)
     return rate
 
 

@@ -161,15 +161,14 @@ def _offsets(span, segments):
     return [i * ds for i in range(segments)] + [span]
 
 
-def _ray_points(x, F, ss):
-    """The points x + s*F for each s in ``ss``, as lists of Python floats.
+def _ray_point(x, F, s):
+    """The point x + s*F as a list of Python floats.
 
     Each coordinate is one IEEE product and one sum, the same bits as
-    NumPy's ``x + s * F``, without an array per point; one that overflows
-    is an inf without NumPy's warning.
+    NumPy's ``x + s * F``, without an array; one that overflows is an inf
+    without NumPy's warning.
     """
-    x, F = np.asarray(x, dtype=float).tolist(), F.tolist()
-    return [[a + s * f for a, f in zip(x, F)] for s in ss]
+    return [a + s * f for a, f in zip(np.asarray(x, dtype=float).tolist(), F.tolist())]
 
 
 def active_index_set(p, fe, x, epsilon):
@@ -214,11 +213,8 @@ def active_index_set(p, fe, x, epsilon):
         top = max(_horner(c[::-1], ss))
         if not math.isfinite(top):
             raise EvalError(_OVERFLOW)
-        bend = 0.0
-        if len(c) > 2:
-            bend = max(_horner([i * (i - 1) * c[i] for i in range(len(c) - 1, 1, -1)], inner))
-            if len(c) > 4:
-                bend += 2.0 * c[4] * ds2
+        bend = max(_horner([i * (i - 1) * c[i] for i in range(len(c) - 1, 1, -1)], inner))
+        bend += 2.0 * c[4] * ds2
         if not math.isfinite(bend) or top + lift * max(0.0, bend) > -epsilon:
             active.append(j)
     return tuple(active)
@@ -335,21 +331,22 @@ def _curvature_scan(slopes, span, scale=1.0):
 
     Returns ``(K, K_theta, span)``.  A span at which a slope is not finite
     (an overflow at a large span) is halved until every slope is; below
-    SPAN_FLOOR the solve ends ``field_failure``.
+    SPAN_FLOOR the solve ends ``field_failure``.  A halved span's slopes
+    are evaluated at its end first, and at its other points only where
+    they are finite there: a slope that overflows at the end fails the span.
     """
-    while True:
-        ss = _offsets(span, CURV_SEGMENTS)
-        if scale == 1.0:
-            rows = [_horner(d, ss) for d in slopes]
-        else:
-            ts = [s / scale for s in ss]
-            rows = [[v / scale for v in _horner(d, ts)] for d in slopes]
-        if all([all(map(math.isfinite, row)) for row in rows]):
-            break
-        span *= 0.5
-        if span < SPAN_FLOOR:
-            raise _Stop("field_failure", f"curvature scan failed at every span "
-                                         f"down to {SPAN_FLOOR:g}: {_OVERFLOW}")
+    ss = _offsets(span, CURV_SEGMENTS)
+    rows = _slopes_at(slopes, ss, scale)
+    while not all([all(map(math.isfinite, row)) for row in rows]):
+        end = rows  # halve until the slopes at the span's end are finite
+        while not all([all(map(math.isfinite, row)) for row in end]):
+            span *= 0.5
+            if span < SPAN_FLOOR:
+                raise _Stop("field_failure", f"curvature scan failed at every span "
+                                             f"down to {SPAN_FLOOR:g}: {_OVERFLOW}")
+            ss = _offsets(span, CURV_SEGMENTS)
+            end = _slopes_at(slopes, ss[-1:], scale)
+        rows = _slopes_at(slopes, ss, scale)
     ds = ss[1]
 
     def kest(slopes):
@@ -359,6 +356,15 @@ def _curvature_scan(slopes, span, scale=1.0):
 
     K_theta, *K = map(kest, rows)
     return np.array(K, dtype=float), K_theta, span
+
+
+def _slopes_at(slopes, ss, scale):
+    """Each slope polynomial of ``_slope_polynomials``, with its ``scale``, at
+    each of ``ss``: the polynomial at s/scale, over scale."""
+    if scale == 1.0:
+        return [_horner(d, ss) for d in slopes]
+    ts = [s / scale for s in ss]
+    return [[v / scale for v in _horner(d, ts)] for d in slopes]
 
 
 def _horner(coefficients, ss):
@@ -430,7 +436,7 @@ def _t31_step(p, cfg, fe, x, rec):
     s = cfg.r
     backtracks = 0
     while True:
-        [y] = _ray_points(x, fe.F, (s,))
+        y = _ray_point(x, fe.F, s)
         try:
             y, g = _project_inexact(y, p, active)
             if _accepts(p, cfg, rec, s, y, g):
@@ -478,7 +484,7 @@ def _r35_step(p, cfg, fe, x, rec):
 
     increments = 0
     while True:
-        [y] = _ray_points(x, fe.F, (s,))
+        y = _ray_point(x, fe.F, s)
         try:
             y, steps, _, g = _newton_project(p, y, _in_snap_band, SNAP_SWEEPS,
                                              s * rec.normF)

@@ -15,9 +15,9 @@ NAMES = ("x1", "x2", "x3")
 
 def _jvp(e, x, u):
     """The derivative of the one expression ``e`` at ``x`` along ``u``: c_1
-    of its ray polynomial, 0.0 where it has none."""
+    of its ray polynomial."""
     [c] = ray_polynomials(e, x, u)
-    return c[1] if len(c) > 1 else 0.0
+    return c[1]
 
 
 def test_evaluate_polynomial():

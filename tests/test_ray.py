@@ -1,8 +1,9 @@
 """The ray kernel against its oracles.
 
-``ray_polynomials`` gives the Taylor coefficients c_0..c_D of an
-expression along the ray x + s*u.  On a polynomial tree of degree at most
-RAY_DEGREE, sum c_i s^i must be the value at x + s*u, and sum i c_i
+``ray_polynomials`` gives the Taylor coefficients c_0..c_D, D =
+RAY_DEGREE, of an expression along the ray x + s*u.  On a polynomial tree
+of degree at most RAY_DEGREE, every coefficient above its degree must be
+an exact 0.0, sum c_i s^i must be the value at x + s*u, and sum i c_i
 s^(i-1) the slope ``grad . u`` there, each within a bound tied to the
 rounding of both paths.  On a rational tree the series is truncated at
 D = RAY_DEGREE, and the truncation error is O(s^(D+1)).
@@ -39,6 +40,11 @@ def _degree(root):
             return kids[0] + kids[1] if node.op == "*" else max(kids)
         return kids[0]
     return _post_order(root, lambda node: int(isinstance(node, Var)), combine)
+
+
+def _zeros(coefficients):
+    """Whether every one of ``coefficients`` is an exact 0.0, with its sign bit clear."""
+    return all(ci == 0.0 and math.copysign(1.0, ci) == 1.0 for ci in coefficients)
 
 
 def _operations(root):
@@ -84,7 +90,11 @@ def test_ray_polynomial_is_the_value_and_the_slope_along_the_ray(root, x, u, s):
         M, M_slope = evaluate(size, z), float(np.dot(grad(size, z), np.abs(u)))
     except EvalError:  # an overflow of the 1e300 leaves
         assume(False)
-    assert len(c) - 1 == _degree(root)
+    # Above the degree, c_1 is the tangent, a zero of either sign, and c_2
+    # on are the padding 0.0.
+    degree = _degree(root)
+    assert len(c) == RAY_DEGREE + 1 and all(ci == 0.0 for ci in c[degree + 1:])
+    assert _zeros(c[max(2, degree + 1):])
     roundings = _operations(root) + RAY_DEGREE + len(NAMES) + 4
     assert abs(sum(ci * s ** i for i, ci in enumerate(c)) - value) <= 4 * roundings * EPS * M
     assert (abs(sum(i * ci * s ** (i - 1) for i, ci in enumerate(c) if i) - slope)
@@ -123,7 +133,9 @@ def test_field_stack_rays_have_the_problem_degree(name, degree, request):
     _, red = request.getfixturevalue(name)
     x, u = [0.1] * red.n, [1.0] * red.n
     rays = ray_polynomials(red.field_stack, x, u)
-    assert [len(c) for c in rays] == [degree + 1] * (1 + red.k)
+    assert [len(c) for c in rays] == [RAY_DEGREE + 1] * (1 + red.k)
+    # c_degree is some output's top coefficient, and every one above it is 0.0.
+    assert any(c[degree] for c in rays) and all(_zeros(c[degree + 1:]) for c in rays)
     # c_0 is the value kernel's value, bit for bit.
     assert [c[0] for c in rays] == [evaluate(e, x) for e in red.field_stack.exprs]
     assert all(math.isfinite(ci) for c in rays for ci in c)

@@ -543,6 +543,34 @@ def test_scan_that_fails_at_every_span_ends_field_failure(p42, monkeypatch):
     assert rays == [red.field_stack]
 
 
+def test_overflow_halving_evaluates_the_span_end_first(p42, monkeypatch):
+    # The first scan at r = 1e200 halves its span over 300 times.  It
+    # evaluates the slopes at all 9 offsets of its first and its last span,
+    # and at the end alone on each halving: where the end overflows, the
+    # span fails.  It ends where every offset's slopes are finite, as the
+    # scan that evaluated every offset of every span did.
+    _, red = p42
+    fe = field_eval(red, FieldParams.default(red.n, red.k, sigma=0.2), [-0.9, -1.0, 2.0])
+    slopes, scale = solver._slope_polynomials(red, fe, np.array([-0.9, -1.0, 2.0]))
+    want = 1e200
+    while not all(map(math.isfinite, (v for d in slopes
+                                      for v in solver._horner(d, solver._offsets(want, 8))))):
+        want *= 0.5
+    points = []
+    horner = solver._horner
+
+    def recording(coefficients, ss):
+        points.append(len(ss))
+        return horner(coefficients, ss)
+    monkeypatch.setattr(solver, "_horner", recording)
+    K, K_theta, span = solver._curvature_scan(slopes, 1e200, scale)
+    halvings = round(math.log2(1e200 / span))
+    assert span == want == 1e200 * 0.5 ** halvings and halvings > 300 and scale == 1.0
+    k = len(slopes)
+    assert points == [9] * k + [1] * (k * halvings) + [9] * k
+    assert 0.0 < K_theta < math.inf and np.isfinite(K).all()
+
+
 @pytest.mark.parametrize("algo, why", [
     ("r35", "curvature scan failed on the ray"),
     ("t31", "Euler-ray sampling failed at epsilon = 1e-06")])

@@ -6,14 +6,14 @@ same exception class (an overflow there is an ``EvalError`` here).
 At an ndarray point, or at a list of NumPy scalars, they return Python
 floats, with the bits that the interpreters give on the NumPy scalars.
 The ray kernel's c_0 must be the value, bit for bit, failing where the
-value fails with its message, and its c_1, where the tape has degree 1 or
-more, the dual-number walk's directional derivative, bit for bit: along a
-unit vector, the gradient's entry.  The stacked kernels, run by
-``evaluate_stack`` and
-``ray_polynomials``, must return what they return one expression at a
-time, and the solver's ray sampler and projection what their
-per-expression forms in ``solver_reference`` return; its curvature scan
-must agree with the sampled one there within a bound tied to rounding.
+value fails with its message, and its c_1, at every degree, the
+dual-number walk's directional derivative, bit for bit: along a unit
+vector, the gradient's entry, alone and in any stack.  The stacked
+kernels, run by ``evaluate_stack`` and ``ray_polynomials``, must return
+what they return one expression at a time, and the solver's ray sampler
+and projection what their per-expression forms in ``solver_reference``
+return; its curvature scan must agree with the sampled one there within
+a bound tied to rounding.
 r35's snap must return what the per-constraint sweeps it replaced return.
 """
 
@@ -102,9 +102,9 @@ def _ray_values(s, x, u):
 
 
 def _slope(e, x, u):
-    """c_1 of the one expression's ray polynomial, or None at degree 0."""
+    """c_1 of the one expression's ray polynomial."""
     [c] = ray_polynomials(e, x, u)
-    return c[1] if len(c) > 1 else None
+    return c[1]
 
 
 def _result(fn, *args):
@@ -125,13 +125,11 @@ def assert_ray_runs_the_values(s, x):
 
 def assert_slope_is_the_dual_walk(e, x):
     """Where the dual-number walk gives a derivative along u, c_1 has its
-    bits, zero signs included, unless the tape has degree 0 and so no
-    c_1."""
+    bits, zero signs included."""
     u = DIRECTION[:len(x)]
     want = _reference(ref.jvp, e, x, u)
     if not isinstance(want, type):
-        got = _slope(e, x, u)
-        assert got is None or _bits(got) == want
+        assert _bits(_slope(e, x, u)) == want
 
 
 def assert_same(e, x):
@@ -206,9 +204,8 @@ def test_random_trees_match_reference(text, point):
 
 def assert_slopes_are_the_gradient(exprs, x):
     """Where ``grad`` gives an expression's gradient, c_1 of its ray along
-    each unit vector e_i has the bits of entry i, unless its tape has
-    degree 0 and so no c_1; in a stack of all ``exprs`` its c_1 is the one
-    it has alone, or 0.0 if it has none."""
+    each unit vector e_i has the bits of entry i, alone and in a stack of
+    all ``exprs``."""
     s = Stack(tuple(exprs), exprs[0].variables)
     for i, e_i in enumerate(exprlang._unit_vectors(len(x))):
         try:
@@ -220,12 +217,9 @@ def assert_slopes_are_the_gradient(exprs, x):
                 want = _bits(grad(e, x)[i])
             except EvalError:
                 continue
-            alone = _slope(e, x, e_i)
-            # Only a tape of degree 0 has no c_1, and it runs its value kernel.
-            assert (alone is None) == (e.tape.ray_kernel is e.tape.value_kernel)
-            assert alone is None or _bits(alone) == want
-            if row is not None and len(row) > 1:
-                assert _bits(row[1]) == (_bits(0.0) if alone is None else want)
+            assert _bits(_slope(e, x, e_i)) == want
+            if row is not None:
+                assert _bits(row[1]) == want
 
 
 def test_criterion_8_slopes_are_the_gradient():
@@ -241,6 +235,20 @@ def test_edge_case_slopes_are_the_gradient(text, point):
                                    point)
 
 
+def test_constant_member_of_a_stack_has_the_gradient_as_c_1():
+    # grad of -(2) is -0.0 in every entry, the negated tangent of a
+    # constant; in a stack with an expression of degree 4 too.
+    lone = parse("-(2)", NAMES)
+    s = Stack((parse("x1^3 / x2", NAMES), lone), NAMES)
+    x = [1.5, 2.0, -0.5]
+    assert [_bits(v) for v in grad(lone, x)] == [_bits(-0.0)] * 3
+    for e_i in exprlang._unit_vectors(3):
+        [c] = ray_polynomials(lone, x, e_i)
+        assert [_bits(v) for v in c] == [_bits(v) for v in (-2.0, -0.0, 0.0, 0.0, 0.0)]
+        _, constant = ray_polynomials(s, x, e_i)
+        assert [_bits(v) for v in constant] == [_bits(v) for v in c]
+
+
 def test_kernels_are_shared_by_structure():
     # Same operations, different constants: one pair of compiled kernels.
     a, b = parse("2*x1 + 1", NAMES), parse("3*x1 + 5", NAMES)
@@ -252,8 +260,8 @@ def test_kernels_are_shared_by_structure():
         assert evaluate(b, x) == 3 * x1 + 5
         assert grad(a, x) == [2.0, 0.0, 0.0]
         assert grad(b, x) == [3.0, 0.0, 0.0]
-        assert _ray(a, x, [1.0, 1.0, 1.0]) == [2 * x1 + 1, 2.0]
-        assert _ray(b, x, [1.0, 1.0, 1.0]) == [3 * x1 + 5, 3.0]
+        assert _ray(a, x, [1.0, 1.0, 1.0]) == [2 * x1 + 1, 2.0, 0.0, 0.0, 0.0]
+        assert _ray(b, x, [1.0, 1.0, 1.0]) == [3 * x1 + 5, 3.0, 0.0, 0.0, 0.0]
 
 
 # --- stacked kernels ---------------------------------------------------------
