@@ -29,8 +29,8 @@ it is the kernel with one lane, seeded with a direction u, and after
 each operation's value and tangent it writes c_2..c_RAY_DEGREE along
 the ray x + t*u, one statement per coefficient up to the slot's degree.
 One writer, ``_compile``, writes every kernel, and caches it by the
-tape's structure, not its constants, so re-parsing a problem compiles
-nothing.
+tape's structure, not its constants, so a tape lowered again, from an
+edited problem or a stack of the same structure, compiles nothing.
 
 Each kernel's source is compiled once and defined for two runners.
 ``_run`` runs it at one point on Python floats, whatever the point's
@@ -483,6 +483,8 @@ class _Parser:
             if text != ")":
                 raise ParseError("expected ')'", off)
             return node
+        if kind == "end":
+            raise ParseError("unexpected end of expression", off)
         raise ParseError(f"unexpected token {text!r}", off)
 
 
@@ -565,9 +567,11 @@ class _Chain:
         return self.names[result]
 
 
-# Cached by tape structure: every CLI run re-parses its problem file, so a
-# process that runs many of them would otherwise compile the same kernels
-# again each time.  The bound is the number of distinct structures kept.
+# Cached by tape structure, not by tape: ``io.load_problem`` keeps the
+# tapes of a text it has loaded, but an edited file is parsed again, and
+# distinct stacks of equal structure lower to distinct tapes; each gets the
+# kernels already compiled for its structure.  The bound is the number of
+# distinct structures kept.
 @functools.lru_cache(maxsize=256)
 def _compile(ops, nconst, outs, n, lanes, degree=0):
     """Compile tape operations to straight-line Python, once, and define it

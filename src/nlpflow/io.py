@@ -14,6 +14,8 @@ if present, must name a suffix of the variable list in order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import exprlang, model
@@ -42,14 +44,33 @@ def _fmt(x):
 
 
 def load_problem(path):
-    """Parse a problem file; returns (Problem, ReducedProblem or None)."""
-    with open(path) as fh:
-        lines = fh.readlines()
+    """Parse a problem file; returns (Problem, ReducedProblem or None).
 
+    The file is read at every call, and its text is parsed and reduced
+    once per process: the result is cached by ``(path, text)`` for the
+    last 8 texts.  A repeat load returns the same frozen objects, with
+    each stack that an earlier caller ran already lowered and compiled,
+    so it parses, reduces, lowers and compiles nothing.  An edited file
+    is a new text and is parsed again.  A load that fails is not cached:
+    each call raises an error of its own.  A load depends on load-time
+    constants too (``model.REDUCE_*``, ``exprlang.COLUMNS_FROM``), so
+    code that patches one sees its effect only on a text not loaded
+    before.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    return _parse_problem(path, text)
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_problem(path, text):
+    """``load_problem`` of the file at ``path`` that holds ``text``."""
+    # Lines end at "\n" alone: ``splitlines`` would also end one at "\x0c",
+    # "\x85" and others, and shift the line numbers in an error.
     names = None
     objective_text = None
     eq_texts, ineq_texts, elim_texts = [], [], []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

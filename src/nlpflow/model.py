@@ -115,7 +115,14 @@ class ReducedProblem(Problem):
     def lift_block(self, points):
         """``lift`` at each row of ``points``.  Returns ``(lifted, errors)``:
         ``errors[r]`` is the ExprError that ``lift`` raises at row r, or
-        None, and ``lifted`` stacks the lifted rows without an error."""
+        None, and ``lifted`` stacks the lifted rows without an error.
+
+        One column run of the map gives every row's trailing coordinates,
+        with ``lift``'s bits; where it gives up on the block, each row is
+        lifted by itself, and keeps its own error."""
+        phi = evaluate_columns(self.phi_stack, points)
+        if phi is not None:
+            return np.hstack([np.asarray(points, dtype=float), phi]), [None] * len(phi)
         lifted, errors = [], []
         for xi in points:
             try:

@@ -107,6 +107,8 @@ def test_parse_error_reports_offset():
 @pytest.mark.parametrize("text, message, offset", [
     ("x1 + $x2", "unexpected character '$'", 5),
     ("(x1 + x2", "expected ')'", 8),
+    ("x1 +", "unexpected end of expression", 4),
+    ("-", "unexpected end of expression", 1),
 ])
 def test_parse_error_names_its_offset(text, message, offset):
     with pytest.raises(ParseError, match=re.escape(f"{message} (at offset {offset})")) as exc:

@@ -1,18 +1,21 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import checks_reference
-from nlpflow import exprlang, io
+from nlpflow import cli, exprlang, io, model
 from nlpflow.exprlang import EvalError, evaluate, parse
 from nlpflow.field import FieldParams, field_eval
 from nlpflow.flow import Trajectory
 from nlpflow.io import (ProblemFormatError, SamplingError, kkt_block, load_problem,
                         sample_feasible, solve_report_csv, trajectory_csv,
                         trajectory_csv_rows)
-from nlpflow.model import Problem, is_feasible
+from nlpflow.model import Problem, ReductionError, is_feasible
 from nlpflow.solver import IterateRecord, SolveConfig, SolveReport, solve
+
+PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 
 
 def test_load_problem_41(p41):
@@ -62,6 +65,62 @@ def test_comments_and_blank_lines_ignored(tmp_path):
 def test_load_problem_errors(tmp_path, text, fragment):
     with pytest.raises(ProblemFormatError, match=fragment):
         load_problem(_write(tmp_path, text))
+
+
+def test_an_expression_cut_short_names_its_line_and_offset(tmp_path):
+    path = _write(tmp_path, "vars: x\nobjective: x^2\nineq: x +\n")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(path)
+    assert str(exc.value) == f"{path}:3: unexpected end of expression (at offset 3)"
+
+
+def test_a_form_feed_in_a_comment_keeps_the_line_numbers(tmp_path):
+    # ``str.splitlines`` would end a line at each of these characters.
+    path = _write(tmp_path, "vars: x\n# page \x0c break \x1c\x1d\x1e\nobjective: x^\n")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(path)
+    assert str(exc.value).startswith(f"{path}:3: exponent must be")
+
+
+def test_a_repeat_check_reuses_the_load_and_lowers_nothing(tmp_path, count_calls, capsys):
+    path = str(_write(tmp_path, (PROBLEMS / "p42.nlp").read_text(), "p42.nlp"))
+    argv = ["check", "--problem", path, "--samples", "50", "--seed", "1"]
+    assert cli.main(argv) == 0
+    first = load_problem(path)
+    counts = count_calls(exprlang.parse, exprlang._lower, model.reduce)
+    compiled = exprlang._compile.cache_info()
+    assert cli.main(argv) == 0
+    assert not counts and exprlang._compile.cache_info() == compiled
+    assert load_problem(path) is first
+    # The second op's output is the first's.
+    out = capsys.readouterr().out.splitlines()
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+
+
+def test_an_edited_file_loads_anew(tmp_path):
+    path = _write(tmp_path, "vars: x y\nobjective: x^2 + y^2\nineq: -x\n")
+    before = load_problem(path)
+    path.write_text("vars: x y\nobjective: x^2 + 2*y^2\nineq: -x\n")
+    after = load_problem(path)
+    assert after[0] is not before[0]
+    assert (evaluate(before[0].objective, [1.0, 1.0]), evaluate(after[0].objective, [1.0, 1.0])
+            ) == (2.0, 3.0)
+    path.write_text("vars: x y\nobjective: x^2 + y^2\nineq: -x\n")
+    assert load_problem(path)[0] is before[0]
+
+
+def test_a_failing_load_raises_afresh_and_is_not_kept(tmp_path):
+    path = _write(tmp_path, "vars: x y\nobjective: x^2\neq: x + y - 1\neliminate: y = 2 - x\n")
+    io._parse_problem.cache_clear()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ReductionError) as exc:
+            load_problem(path)
+        raised.append(exc.value)
+    assert raised[0] is not raised[1]
+    assert str(raised[0]) == str(raised[1]) == ("elimination violates an equality constraint "
+                                                "by 1.000e+00 at a sampled point")
+    assert io._parse_problem.cache_info().currsize == 0
 
 
 def test_sample_feasible_is_seeded_and_feasible(p41):

@@ -541,6 +541,41 @@ def test_reduce_checks_its_samples_alike_on_columns(map_text, error, message, mo
 
 
 @pytest.mark.parametrize("name", ["p41", "p42"])
+def test_lift_block_lifts_on_columns_bit_for_bit(name, request, monkeypatch):
+    """One column run of the map lifts a block, with ``lift``'s bits at
+    each row.  A point where the map overflows makes the block run by
+    rows, and its row keeps ``lift``'s error."""
+    _, red = request.getfixturevalue(name)
+    X = sample_feasible(red, 50, seed=7)
+    cases = [(points, [_outcome(lambda x=x: [red.lift(x).tolist()]) for x in points])
+             for points in (X, np.insert(X, 25, 1e308, axis=0))]
+    assert [isinstance(want, tuple) for want in cases[1][1]].count(True) == 1
+    tape = red.phi_stack.tape
+    kernel, runs = tape.value_kernel, []
+
+    def counted(runner):
+        def run(*args):
+            runs.append(runner)
+            return getattr(kernel, runner)(*args)
+        return run
+    monkeypatch.setitem(tape.__dict__, "value_kernel",
+                        type(kernel)(counted("rows"), counted("columns")))
+    for (points, want), fails in zip(cases, (False, True)):
+        for columns_from in _crossovers(monkeypatch, len(points)):
+            runs.clear()
+            lifted, errors = red.lift_block(points)
+            rows = iter(lifted.tolist())
+            assert [[[float.hex(v) for v in next(rows)]] if error is None
+                    else (type(error), str(error)) for error in errors] == want
+            assert next(rows, None) is None and lifted.shape[1] == red.parent.n
+            by_rows = ["rows"] * len(points)
+            if columns_from > len(points):
+                assert runs == by_rows
+            else:
+                assert runs == ["columns"] + (by_rows if fails else [])
+
+
+@pytest.mark.parametrize("name", ["p41", "p42"])
 def test_field_inputs_on_columns_keep_each_row_error(name, request, monkeypatch):
     # A finite infeasible row leaves a column run standing and is reported
     # from its values; an overflowing row makes the whole block run by rows.

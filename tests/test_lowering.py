@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exprlang_reference as ref
+import nlpflow.io
 from nlpflow import cli, exprlang
 from nlpflow.exprlang import BinOp, Expr, Neg, Num, Pow, Stack, Var, parse, substitute
 from nlpflow.field import FieldParams
@@ -141,6 +142,7 @@ def _holds_tape(obj):
 
 
 def test_a_reduced_solve_lowers_no_full_space_expression():
+    nlpflow.io._parse_problem.cache_clear()  # objects no earlier test ran
     full, red = load_problem(PROBLEMS / "p42.nlp")
     params = FieldParams.default(red.n, red.k, sigma=0.2)
     report = solve(red, params, SolveConfig(max_iter=5), [-0.9, -1.0, 2.0])
@@ -154,7 +156,9 @@ def test_a_reduced_solve_lowers_no_full_space_expression():
 
 def test_check_lowers_only_its_stacks(monkeypatch):
     # From COLUMNS_FROM points the field's inputs come from one column run
-    # of the field stack; narrower blocks run each expression by rows.
+    # of the field stack; narrower blocks run each expression by rows.  A
+    # cold check: the problem text is parsed again, as in a fresh process.
+    nlpflow.io._parse_problem.cache_clear()
     samples = 2 * exprlang.COLUMNS_FROM
     lowered = []
     lower = exprlang._lower

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import exprlang_reference as ref
 import solver_reference
-from nlpflow import exprlang, solver
+from nlpflow import exprlang, io, solver
 from nlpflow.exprlang import (EvalError, Stack, evaluate, evaluate_stack, grad, parse,
                               ray_polynomials, substitute)
 from nlpflow.field import FieldParams, field_eval
@@ -361,6 +361,7 @@ def test_stack_needs_one_namespace():
 
 def test_reparsing_a_problem_compiles_nothing():
     def exercise():
+        io._parse_problem.cache_clear()  # parse the text again, to new tapes
         full, red = load_problem(ROOT / "problems" / "p42.nlp")
         x = np.array([-0.9, -1.0, 2.0])
         residuals(full, red.lift(x))
