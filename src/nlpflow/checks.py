@@ -104,8 +104,11 @@ def criticality_block(p, block):
     disagreement permitted) or "disagree".
     """
     mu = np.maximum(0.0, -block.v)
-    lam = np.reshape([equality_multipliers(p, block.grad_theta[j], block.A[j], block.B[j], mu[j])
-                      for j in range(len(mu))], (len(mu), p.m))
+    if p.m == 0:
+        lam = np.zeros((len(mu), 0))
+    else:  # one lstsq per row, as ``multipliers`` solves at a point
+        lam = np.reshape([equality_multipliers(p, block.grad_theta[j], block.A[j], block.B[j],
+                                               mu[j]) for j in range(len(mu))], (len(mu), p.m))
     residuals = kkt_residuals(block.grad_theta, block.A, block.B, block.g, lam, mu)
     verdicts = []
     for normF, *rep in zip(norms(block.F).tolist(), *(r.tolist() for r in residuals)):

@@ -87,8 +87,14 @@ class FieldParams:
                                      (self.R1, self.R2, self.a, self.b, self.c, self.p)))
 
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def default(cls, n, k, sigma=1.0):
-        """R1 = sigma*I, R2 = 0, a = b = 1, c = 0, p = 1."""
+        """R1 = sigma*I, R2 = 0, a = b = 1, c = 0, p = 1.
+
+        One instance per (n, k, sigma) and process: it is frozen, so a
+        repeat call returns it and validates nothing again.  A bad sigma
+        raises on every call, since a call that raises is not kept.
+        """
         if not 0 < sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {sigma}")
         return cls(sigma * np.eye(n), np.zeros((k, k)),

@@ -8,6 +8,13 @@ the feasible set, so the field is evaluated with the drift tolerance
 DRIFT_ABORT.  A trajectory whose inequality drift exceeds it, or whose
 field assembly or expression kernels fail, stops there with a diagnostic
 that names its cause; the others go on.
+
+The flow's equilibria are the critical points, and in floating point the
+Euler map reaches one: from some step on, x + step*F(x) is x, bit for
+bit.  The map is deterministic and a row's field has the same bits in any
+block, so every later record of such a trajectory repeats its last one.
+It leaves the block there, still ``completed``, and its remaining records
+are copies of that last one, the rows that evaluating every step gives.
 """
 
 from __future__ import annotations
@@ -54,11 +61,16 @@ def _advance(p, params, starts, step, steps):
     Records (t, x, theta, |F|, max g, max |h|) at every visited point.  A
     trajectory whose field evaluation fails, by a FieldError or by an
     ExprError of the kernels, stops with a diagnostic that names the step
-    and the cause; the others go on.
+    and the cause; the others go on.  A trajectory whose Euler step leaves
+    x unchanged bit for bit (on its bytes, so 0.0 and -0.0 differ)
+    sits at a fixed point of the map: it leaves the block too, but
+    completes, with its last record repeated for each remaining step.
+    Once no trajectory is left in the block, the steps stop.
     """
     X = np.array(starts, dtype=float)
     N, n = X.shape
     status, diagnostic = ["completed"] * N, [""] * N
+    repeats = [0] * N  # copies of the last record that follow it
     live = np.arange(N)
     # The live set only shrinks.  Each run of steps with the same live set
     # keeps (x, theta, F, g, h) of its trajectories, one tuple per step.
@@ -76,8 +88,22 @@ def _advance(p, params, starts, step, steps):
                 break
             runs.append((live, []))
         runs[-1][1].append((X, block.theta, block.F, block.g, block.h))
-        if i < steps:
-            X = X + step * block.F
+        if i == steps:
+            break
+        moved = X + step * block.F
+        # Bytes, not ==, so 0.0 and -0.0 differ; at a few rows slicing them
+        # costs less than comparing int64 views.
+        old, new, width = X.tobytes(), moved.tobytes(), 8 * n
+        keep = [old[j:j + width] != new[j:j + width] for j in range(0, len(old), width)]
+        if not all(keep):
+            for r, moves in zip(live.tolist(), keep):
+                if not moves:
+                    repeats[r] = steps - i
+            live, moved = live[keep], moved[keep]
+            if not live.size:
+                break
+            runs.append((live, []))
+        X = moved
 
     parts = [[] for _ in range(N)]
     for live, rows in runs:
@@ -94,6 +120,8 @@ def _advance(p, params, starts, step, steps):
 
     trajectories = []
     for r in range(N):
+        if repeats[r]:
+            parts[r].append(np.repeat(parts[r][-1][-1:], repeats[r], axis=0))
         rec = np.concatenate(parts[r]) if parts[r] else np.zeros((0, n + 4))
         theta, normF, max_g, max_h = rec[:, n:].T.copy()
         trajectories.append(Trajectory(

@@ -35,7 +35,7 @@ class KktReport:
 def equality_multipliers(p, grad_theta, A, B, mu):
     """lam at one point: the least-squares solution of the stationarity
     equation A' lam = -(grad(theta) + B' mu), given mu."""
-    if p.m == 0:  # else check's criticality block runs one lstsq per row
+    if p.m == 0:
         return np.zeros(0)
     rhs = -(grad_theta + B.T @ mu)
     lam, _, rank, _ = np.linalg.lstsq(A.T, rhs, rcond=None)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from nlpflow import flow
 from nlpflow.io import load_problem
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -41,3 +42,17 @@ def count_calls(monkeypatch):
                             monkeypatch.setattr(module, attr, counted)
         return counts
     return watch
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """The rows of every ``field_block`` call that ``flow`` makes, one list
+    of bytes per call."""
+    calls, field_block = [], flow.field_block
+
+    def recording(p, params, X, feas_tol):
+        calls.append([x.tobytes() for x in X])
+        return field_block(p, params, X, feas_tol)
+
+    monkeypatch.setattr(flow, "field_block", recording)
+    return calls

@@ -4,7 +4,9 @@ The oracle for ``field.field_block`` and ``flow.phase_grid``, which
 assemble the field on stacked blocks of points and advance every
 trajectory together.  This is the earlier per-point code: the expression
 kernels run on the NumPy point itself, the linear algebra is 2-D, and
-each trajectory is integrated to its end before the next one starts.
+each trajectory is integrated to its end before the next one starts,
+evaluating the field at every step, also where the Euler map has reached
+a fixed point and ``flow`` stops evaluating.
 The stacked code must give every quantity, every trajectory row and
 every diagnostic with the same bits.  A FieldError or an ExprError of
 the kernels ends its own trajectory with a diagnostic.  ``field_eval``
@@ -16,7 +18,9 @@ criterion 7 apply to a trajectory.
 The linear algebra is BLAS and LAPACK (``dpotrf``/``dpotrs`` from
 ``scipy.linalg.get_lapack_funcs``), not the package's generated field
 kernel, so it is an independent oracle: the kernel sums in its own
-order, and the tests compare the two within stated bounds.
+order, and the tests compare the two within stated bounds.  Driven by
+the package's own one-point field instead (``euler_flow``'s ``field``),
+the every-step loop must give ``flow``'s trajectories bit for bit.
 """
 
 import numpy as np
@@ -111,7 +115,9 @@ def field_eval(p, params, x, feas_tol=FIELD_FEAS_TOL):
                       omega=omega, xi=xi)
 
 
-def euler_flow(p, params, x0, step, steps):
+def euler_flow(p, params, x0, step, steps, field=field_eval):
+    """Euler from ``x0``, one ``field(p, params, x, feas_tol)`` at every
+    step, which returns the point's FieldBlock row or raises."""
     x = np.asarray(x0, dtype=float)
     if step <= 0:
         raise ValueError("step must be positive")
@@ -122,7 +128,7 @@ def euler_flow(p, params, x0, step, steps):
     status, diagnostic = "completed", ""
     for i in range(steps + 1):
         try:
-            fe = field_eval(p, params, x, feas_tol=DRIFT_ABORT)
+            fe = field(p, params, x, feas_tol=DRIFT_ABORT)
         except (FieldError, ExprError) as exc:
             status, diagnostic = "aborted", f"field evaluation failed at step {i}: {exc}"
             break

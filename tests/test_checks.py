@@ -179,8 +179,9 @@ def test_identity_block_names_a_rate_that_is_not_negative(p42):
 
 def test_criticality_block_runs_no_kernel(p42, count_calls):
     # The block holds every input of the KKT residuals (grad(theta), B and
-    # g), so the check runs no gradient and no other kernel.
-    from nlpflow import exprlang
+    # g), so the check runs no gradient and no other kernel.  With m = 0
+    # lam is empty, and no row asks for its equality multipliers.
+    from nlpflow import exprlang, kkt
     from nlpflow.field import field_block
     _, red = p42
     params = FieldParams.default(red.n, red.k, sigma=0.2)
@@ -188,6 +189,6 @@ def test_criticality_block_runs_no_kernel(p42, count_calls):
     block, errors = field_block(red, params, points)
     assert errors == [None] * 50
     want = [ref.criticality_agreement(red, params, x) for x in points]
-    counts = count_calls(exprlang.grad, exprlang._run)
+    counts = count_calls(exprlang.grad, exprlang._run, kkt.equality_multipliers)
     assert checks.criticality_block(red, block) == want
     assert counts == {}

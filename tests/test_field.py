@@ -87,6 +87,22 @@ def test_default_rejects_non_finite_sigma(sigma):
         FieldParams.default(2, 1, sigma=sigma)
 
 
+def test_default_is_built_once_per_n_k_and_sigma(monkeypatch):
+    # A repeat call returns the frozen instance and validates nothing; a
+    # bad sigma raises again on every call.
+    built, validate = [], FieldParams._validate
+    monkeypatch.setattr(FieldParams, "_validate", lambda self: (built.append(self), validate(self)))
+    first = FieldParams.default(4, 3, sigma=0.75)
+    count = len(built)
+    assert FieldParams.default(4, 3, sigma=0.75) is first
+    assert len(built) == count
+    assert FieldParams.default(4, 3, sigma=1.5) is not first
+    assert FieldParams.default(4, 2, sigma=0.75) is not first
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            FieldParams.default(4, 3, sigma=-0.75)
+
+
 def _symmetry_decisions(S):
     """Whether FieldParams takes S as R1 and as R2, and whether
     ``np.allclose`` takes it as symmetric; S is positive definite."""

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import flow_reference as ref
 from flow_reference import check_theta_monotone
 from nlpflow.exprlang import parse
 from nlpflow.field import FieldParams
 from nlpflow.flow import euler_flow, phase_grid
 from nlpflow.model import Problem
+from test_lockstep import assert_same_trajectories, frozen_from, package_field
 
 
 def _quadratic_bowl():
@@ -94,3 +96,33 @@ def test_phase_grid_skips_infeasible(p41):
     assert len(grid.skipped) > 0
     for traj in grid.trajectories:
         assert check_theta_monotone(traj)
+
+
+def test_a_zero_that_changes_sign_has_moved(block_rows):
+    # F = (5e-324, -0.0) at the origin, and 0.1 * 5e-324 rounds to +0.0, so
+    # the first step takes x1 from -0.0 to +0.0: equal as floats, but a
+    # move.  The start is evaluated again, and the second step freezes it.
+    names = ("x1", "x2")
+    p = Problem(names=names, objective=parse("x2^2 - 5e-324*x1", names))
+    params = FieldParams.default(2, 0)
+    traj = euler_flow(p, params, np.array([-0.0, 0.0]), step=0.1, steps=5)
+    assert len(block_rows) == 2 and frozen_from(traj) == 1
+    assert [x.hex() for x in traj.x[:, 0]] == ["-0x0.0p+0"] + ["0x0.0p+0"] * 5
+    assert_same_trajectories([traj], [ref.euler_flow(p, params, [-0.0, 0.0], 0.1, 5,
+                                                     field=package_field)])
+
+
+def test_a_frozen_row_leaves_every_later_block(p41, block_rows):
+    # Criterion 7's settings on the benchmark's grid: each trajectory is
+    # in the blocks up to the step at which it freezes and in none after,
+    # and once both have frozen no block is assembled.
+    _, red = p41
+    grid = phase_grid(red, FieldParams.default(red.n, red.k, sigma=2.0), plane=(0, 1),
+                      ranges=(0.0, 1.5, 0.01, 1.51), counts=(2, 2),
+                      base=np.zeros(2), step=0.01, steps=2000)
+    frozen = [frozen_from(traj) for traj in grid.trajectories]
+    assert max(frozen) < 2000 and min(frozen) < max(frozen)
+    assert len(block_rows) == max(frozen) + 1
+    for i, rows in enumerate(block_rows):
+        assert rows == [traj.x[i].tobytes() for traj, f in zip(grid.trajectories, frozen)
+                        if i <= f]

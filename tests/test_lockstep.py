@@ -78,6 +78,22 @@ def _one_by_one(p, params, starts, step, steps):
             [ref.euler_flow(p, params, x0, step, steps) for x0 in starts])
 
 
+def package_field(p, params, x, feas_tol):
+    """The package's field at one point, assembled afresh as a one-row
+    block: ``ref.euler_flow``'s ``field`` for the every-step loop."""
+    block, (error,) = field_block(p, params, np.asarray(x)[None], feas_tol)
+    if error is not None:
+        raise error
+    return block.row(0)
+
+
+def frozen_from(traj):
+    """The first step i whose Euler step leaves x unchanged bit for bit,
+    or None."""
+    rows = [x.tobytes() for x in traj.x]
+    return next((i for i in range(len(rows) - 1) if rows[i] == rows[i + 1]), None)
+
+
 def _grid_pair(p, params, **grid):
     got = phase_grid(p, params, **grid)
     want = ref.phase_grid(p, params, **grid)
@@ -89,7 +105,10 @@ def _grid_pair(p, params, **grid):
     return got
 
 
-@pytest.mark.parametrize("d1, d2", [(0.0, 0.01), (0.013, 0.037)])
+PHASE_SHIFTS = pytest.mark.parametrize("d1, d2", [(0.0, 0.01), (0.013, 0.037)])
+
+
+@PHASE_SHIFTS
 def test_phase_benchmark_shape_matches_reference(p41, d1, d2):
     # The benchmark's phase op: a 2x2 grid over a shifted [0, 1.5]^2,
     # two feasible starts, 2000 steps.
@@ -98,6 +117,23 @@ def test_phase_benchmark_shape_matches_reference(p41, d1, d2):
                       ranges=(d1, 1.5 + d1, d2, 1.5 + d2), counts=(2, 2),
                       base=np.zeros(2), step=0.01, steps=2000)
     assert len(grid.trajectories) == 2
+
+
+@PHASE_SHIFTS
+def test_frozen_trajectories_match_the_every_step_loop(p41, d1, d2):
+    # At the benchmark's settings both trajectories reach a fixed point of
+    # the Euler map and stop being evaluated; the reference loop, driven by
+    # the package's own one-point field, evaluates all 2001 steps and gives
+    # the same bits.
+    _, red = p41
+    params = FieldParams.default(red.n, red.k, sigma=2.0)
+    grid = phase_grid(red, params, plane=(0, 1), ranges=(d1, 1.5 + d1, d2, 1.5 + d2),
+                      counts=(2, 2), base=np.zeros(2), step=0.01, steps=2000)
+    every_step = [ref.euler_flow(red, params, x0, 0.01, 2000, field=package_field)
+                  for x0 in grid.starts]
+    assert_same_trajectories(grid.trajectories, every_step)
+    for traj in grid.trajectories:
+        assert len(traj) == 2001 and frozen_from(traj) < 2000
 
 
 def test_portrait_grid_matches_reference(p41):
@@ -154,6 +190,22 @@ def test_trajectories_end_on_their_own():
         "(smallest pivot 0.000e+00): LICQ violated or point infeasible")
     for x0, traj in zip(starts, lockstep):
         assert_same_trajectories([euler_flow(p, params, x0, 1.5, 10)], [traj])
+
+
+def test_an_aborted_trajectory_is_not_padded(block_rows):
+    # The start at the minimizer freezes at step 0 and leaves the block;
+    # its 10 remaining records copy its first.  The start that drifts out
+    # is the block alone until it aborts at step 5, and keeps its 5
+    # records; the one on the singular facet keeps none.
+    p, params = _doubled_facet()
+    starts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 5.0])]
+    lockstep = _advance(p, params, starts, 1.5, 10)
+    assert [len(rows) for rows in block_rows] == [3, 1, 1, 1, 1, 1]
+    assert [(t.status, len(t)) for t in lockstep] == [
+        ("completed", 11), ("aborted", 5), ("aborted", 0)]
+    assert _bits(lockstep[0].x) == _bits(np.zeros((11, 2)))
+    assert_same_trajectories(lockstep, [ref.euler_flow(p, params, x0, 1.5, 10, field=package_field)
+                                        for x0 in starts])
 
 
 def test_an_expression_error_ends_only_its_own_trajectory():
