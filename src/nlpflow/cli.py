@@ -338,7 +338,8 @@ def build_parser():
                     help="comma-separated start point")
     sp.add_argument("--r", type=float, help="maximum step")
     sp.add_argument("--armijo", type=float)
-    sp.add_argument("--eps", dest="epsilon", type=float)
+    sp.add_argument("--eps", dest="epsilon", type=float,
+                    help="t31 only: reach of the Euler-ray test for active facets")
     sp.add_argument("--max-iter", type=int)
     sp.add_argument("--tol", dest="stop_tol", type=float,
                     help="stop when |F| falls below this")

@@ -68,7 +68,7 @@ class Problem:
     @functools.cached_property
     def field_stack(self):
         """(theta, h_1, ..., h_m, g_1, ..., g_k): every value whose gradient
-        the field takes, at a point; with m = 0, the curvature scan's slopes."""
+        the field takes, at a point; with m = 0, r35's ray polynomials."""
         return Stack((self.objective, *self.equalities, *self.inequalities), self.names)
 
 

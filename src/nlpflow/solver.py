@@ -9,26 +9,26 @@ takes its multipliers from the field held there.  How far to move along F
 is left to one of two step policies, selected by ``SolveConfig.algorithm``:
 
 * ``t31`` -- backtracking Euler steps; each candidate is projected onto
-  the constraints at risk of activation along the step.
-* ``r35`` -- curvature-estimating step selection; each rejection
-  inflates the curvature estimates, by an increment that doubles from
-  one rejection to the next, instead of halving the step.  Each
-  candidate is snapped onto the facets within SNAP_BAND of it that a
-  Newton step no longer than the candidate's own step reaches.
+  the constraints whose maximum along the ray over [0, epsilon] rises
+  above -epsilon.
+* ``r35`` -- the step ends where theta stops falling or a facet that does
+  not ride reaches BETA, at most r; each rejection halves it, and each
+  candidate is snapped onto the riding facets and those in SNAP_BAND.
 
-Both correct a candidate with one least-norm Newton projection
-(``_newton_project``) and accept it by one test, feasibility and then
-sufficient decrease of theta up to one rounding allowance (``_accepts``),
-which takes the constraint values that the projection computed at the
-candidate; a candidate at which a kernel or the projection fails is
-rejected.  A policy returns the accepted point, or raises ``_Stop`` to end
-the solve with a termination and a diagnostic.
+Both read theta and each g_j along x + s*F as the polynomials of one ray
+run (``_ray``), whose roots ``_sign_changes`` places, and correct a
+candidate with one least-norm Newton projection (``_newton_project``).
+Both accept it by one test, feasibility and then sufficient decrease of
+theta up to one rounding allowance (``_accepts``), on the constraint
+values that the projection computed; a candidate at which a kernel or the
+projection fails is rejected.  A policy returns the accepted point, or
+raises ``_Stop`` to end the solve with a termination and a diagnostic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -39,41 +39,31 @@ from .field import FieldError, field_eval, norms
 from .kkt import kkt_residual, multipliers
 from .model import FEAS_TOL, FIELD_FEAS_TOL, is_feasible
 
-# Backtracking floor (fraction of r) and the cap on r35's rejections,
-# whose curvature increments double each time (epsilon * 2^i on rejection
-# i); both convert theoretical non-termination into diagnosable failures.
-# Past 64 doublings the increment dwarfs any finite curvature.
+# Backtracking floor (fraction of r) and the cap on r35's rejections, each
+# of which halves its step; both convert theoretical non-termination into
+# diagnosable failures.
 STEP_FLOOR = 1e-14
-MAX_DOUBLINGS = 64
+MAX_HALVINGS = 64
 # Rounding allowance of the Armijo test, in units of eps * (1 + |theta|):
 # near a minimizer the required decrease falls below one ulp of theta,
 # where sufficient decrease cannot be certified in double precision (cf.
 # IPOPT's relaxation of its Armijo test, Waechter & Biegler 2006).
 ARMIJO_ROUNDING = 16.0
-# Step-bound slack: the per-constraint quadratic model is solved to the
-# level BETA instead of 0 so an iterate sitting on a facet keeps room to
-# move along it; landings stay within FEAS_TOL of feasibility.
+# r35's step bound keeps each facet that does not ride below BETA, not 0, so
+# an iterate that lands near a facet keeps room to move along it.
 BETA = 0.5 * FEAS_TOL
-# Candidates whose constraint values fall inside the snap band are pulled
-# back onto the exact facets (``_newton_project``) before being tested, in
-# at most SNAP_SWEEPS steps; this dissolves the O(1e-16) landing noise that
-# otherwise accumulates against the feasibility ceiling along a facet.  A
-# facet whose Newton step is longer than the candidate's own step is not
-# landing noise (its gradient is nearly zero), and is left out of the snap.
+# A facet within SNAP_BAND that the field's multiplier estimate holds
+# (v+_j = 0) rides: it leaves r35's step bound, and SNAP_SWEEPS Newton steps
+# pull each candidate back onto it and the other facets in the band, a
+# second-order correction (Nocedal & Wright, *Numerical Optimization*,
+# 15.6) that keeps landing noise off the feasibility ceiling.  A facet whose
+# Newton step is longer than the candidate's own is left out of the snap.
 SNAP_BAND = 2.0 * FEAS_TOL
 SNAP_SWEEPS = 3
-# Curvature-scan controls: number of segments per scan, refinement passes,
-# the factor by which a scan span must cover the proposed step, and the
-# smallest span that a refinement proposes or an overflow halving reaches.
-CURV_SEGMENTS = 8
-CURV_REFINEMENTS = 4
-SPAN_COVER = 1.5
-SPAN_FLOOR = 1e-8
-# Segments of [0, epsilon] at whose ends t31's active-set test takes each
-# constraint's ray polynomial.
-RAY_SEGMENTS = 8
-# Relative slack of the bound that lets the active-set test skip the points
-# of a constraint far below -epsilon: far more than the rounding of the test.
+# Relative slack of the bound ``_reach`` that skips a polynomial which
+# cannot change sign on an interval, or a constraint far below -epsilon in
+# t31's test: the bound is summed in floating point, and the slack is far
+# more than its rounding, so no value that the full test evaluates differs.
 RAY_SLACK = 2.0 ** -40
 # The cap on the Newton steps of ``project_inexact``.  The caps cannot be
 # one: more snap steps move r35's bits, and some snaps never reach g_j = 0
@@ -110,18 +100,13 @@ class SolveConfig:
                 raise ValueError("t31 requires epsilon < r")
             if not 0 < self.armijo < 1:
                 raise ValueError("t31 requires armijo in (0, 1)")
-            try:
-                # Rejects only an epsilon whose square overflows; where
-                # active_index_set's values along the ray overflow at a
-                # smaller one, the solve ends field_failure.
-                float(self.epsilon) ** 2
-            except OverflowError:
-                raise ValueError("t31 requires epsilon ** 2 to be finite") from None
-        else:
-            if not 0 < self.armijo <= 0.5:
-                raise ValueError("r35 requires armijo in (0, 1/2]")
-            if not self.r / CURV_SEGMENTS > 0:  # the first scan's spacing
-                raise ValueError(f"r35 requires r / {CURV_SEGMENTS} > 0, so r >= 2.5e-323")
+            # Past it the ray test's value of a quadratic at epsilon
+            # overflows; where a value along the ray overflows at a smaller
+            # epsilon, the solve ends field_failure.
+            if not math.isfinite(self.epsilon * self.epsilon):
+                raise ValueError("t31 requires epsilon ** 2 to be finite")
+        elif not 0 < self.armijo <= 0.5:
+            raise ValueError("r35 requires armijo in (0, 1/2]")
 
 
 @dataclass
@@ -154,13 +139,6 @@ class SolveReport:
         return self.records[-1].x
 
 
-def _offsets(span, segments):
-    """``np.linspace(0.0, span, segments + 1)`` as Python floats, with its
-    bits: i * (span / segments), and ``span`` itself last."""
-    ds = span / segments
-    return [i * ds for i in range(segments)] + [span]
-
-
 def _ray_point(x, F, s):
     """The point x + s*F as a list of Python floats.
 
@@ -171,51 +149,132 @@ def _ray_point(x, F, s):
     return [a + s * f for a, f in zip(np.asarray(x, dtype=float).tolist(), F.tolist())]
 
 
+def _ray(stack, x, F):
+    """``(polys, scale)``: c_0..c_D, lowest first, of each expression of
+    ``stack`` at x + t*(F*scale), from one ray run at scale 1, so s =
+    t*scale on the ray x + s*F.  Where a coefficient is not finite (|F|^D
+    overflows), the ray runs again along F * scale, the scale falling by
+    2^-64 a run, an exact scaling, until every one is finite or F * scale
+    is below 2^-64."""
+    scale, u = 1.0, F
+    while True:
+        polys = ray_polynomials(stack, x, u)
+        if all([all(map(math.isfinite, c)) for c in polys]) or not np.abs(u).max() > 2.0 ** -64:
+            return polys, scale
+        scale *= 2.0 ** -64
+        u = F * scale
+
+
+def _at(c, s):
+    """P, with coefficients ``c``, lowest first, at s: Horner's rule."""
+    v = 0.0
+    for ci in reversed(c):
+        v = v * s + ci
+    return v
+
+
+def _value_slope(c, s):
+    """P and P' at s, for P with coefficients ``c``, by one Horner pass."""
+    v = d = 0.0
+    for ci in reversed(c):
+        d = d * s + v
+        v = v * s + ci
+    return v, d
+
+
+def _derivative(c):
+    return [i * c[i] for i in range(1, len(c))]
+
+
+def _reach(c, hi):
+    """sum |c_i| hi^i over i >= 1: a bound on |P(s) - c_0| on [0, hi]."""
+    reach = 0.0
+    for ci in c[:0:-1]:
+        reach = (reach + abs(ci)) * hi
+    return reach
+
+
+def _sign_changes(c, hi):
+    """Each point of (0, hi] where P, with coefficients ``c``, changes side
+    of 0 (P > 0 or P <= 0), in order: the last float on the old side.  A
+    generator, so ``next(_sign_changes(c, hi), hi)`` finds the first alone.
+    No root lies past twice Cauchy's bound 1 + max |c_i / c_top|, which caps
+    hi.  The changes of P' split [0, hi] into pieces on which P is
+    monotone, each with at most one change, which ``_last_before`` places.
+    Where |c_0| exceeds ``_reach``, with RAY_SLACK, P changes nowhere."""
+    if hi > 2.0:  # twice Cauchy's bound is at least 2
+        top = max((i for i, ci in enumerate(c) if ci), default=0)
+        if top:
+            hi = min(hi, 2.0 * (1.0 + max(map(abs, c[:top])) / abs(c[top])))
+    a, pa = 0.0, _at(c, 0.0)
+    reach = _reach(c, hi)
+    if abs(pa) > reach + RAY_SLACK * (abs(pa) + reach):
+        return
+    for b in itertools.chain(_sign_changes(_derivative(c), hi) if any(c[2:]) else (), (hi,)):
+        pb = _at(c, b)
+        if (pb > 0) != (pa > 0):
+            yield _last_before(c, a, b, pa, pb)
+        a, pa = b, pb
+
+
+def _last_before(c, a, b, pa, pb):
+    """The last float of [a, b) on P's side at a, where P (coefficients
+    ``c``) is monotone on [a, b] and pa = P(a), pb = P(b) lie on different
+    sides: the bracket shrinks until its ends are adjacent.  Newton's steps
+    start from the secant point; one that leaves the bracket or does not
+    halve the one before gives way to the midpoint, and one below the
+    spacing of the floats to the next float toward the other end."""
+    up, width = pa > 0, b - a
+    t = a + pa / (pa - pb) * width
+    while a < a + 0.5 * (b - a) < b:  # the ends are not adjacent
+        if not a < t < b:
+            t, width = a + 0.5 * (b - a), b - a
+        pt, dt = _value_slope(c, t)
+        if (pt > 0) == up:
+            a, toward = t, b
+        else:
+            b, toward = t, a
+        step = -pt / dt if dt else math.inf
+        if abs(step) < 0.5 * width:
+            t, width = t + step if t + step != t else math.nextafter(t, toward), abs(step)
+        else:
+            t = math.nan  # bisect on the next pass
+    return a
+
+
 def active_index_set(p, fe, x, epsilon):
     """Indices whose constraint may rise above -epsilon along the Euler ray.
 
-    One run of the ray kernel of the problem's constraint stack gives each
-    g_j along x + s*F as P(s) = c_0 + c_1 s + ... + c_D s^D
-    (``ray_polynomials``): exactly for a constraint of degree at most
-    RAY_DEGREE, a truncated Taylor model otherwise.  On it, with no kernel
-    run, j is active where the ray sampler's test flags it: the largest
-    P(s_i) over the RAY_SEGMENTS+1 points s_i of [0, epsilon], lifted by
-    epsilon^2/2 times the largest positive second difference of P over
-    ds^2, exceeds -epsilon.  That second difference is P''(s_i) + 2 c_4
-    ds^2 exactly, taken without dividing by ds^2, so it does not break down
-    where ds^2 underflows.
-
-    The sum of |c_i| (2 epsilon)^i over i >= 1 bounds both the rise of P
-    and the lift, so where it is finite, a constraint with c_0 > -epsilon
-    is active and one that stays below -epsilon by more than the test's
-    rounding is not, without the points.  A constraint whose coefficients
-    or second differences are not finite is active, as the sampler's
-    overflowing differences made it; one whose P(s_i) is not finite raises
-    the EvalError of an overflow.
+    One ray run of the constraint stack (``_ray``) gives each g_j along
+    x + s*F as a polynomial P: exact up to degree RAY_DEGREE, a truncated
+    Taylor model above it, and along a scaled direction where a coefficient
+    overflows.  On it, with no kernel run, j is active where the maximum of
+    P over [0, epsilon], taken at 0, at epsilon and at the changes of P',
+    exceeds -epsilon.  Where the bound |c_0| + ``_reach`` is finite, c_0 >
+    -epsilon makes j active, and a bound below -epsilon by more than
+    RAY_SLACK makes it inactive, without the maximum.  A constraint whose
+    coefficients are not finite is active; one whose maximum is not finite
+    raises the EvalError of an overflow.
     """
-    ss = _offsets(epsilon, RAY_SEGMENTS)
-    inner, ds2, lift, width = ss[1:-1], ss[1] * ss[1], 0.5 * (epsilon * epsilon), 2.0 * epsilon
+    polys, scale = _ray(p.constraint_stack, x, fe.F)
+    hi = min(epsilon / scale, sys.float_info.max)
     active = []
-    for j, c in enumerate(ray_polynomials(p.constraint_stack, x, fe.F)[p.m:]):
-        if not all(map(math.isfinite, c)):
-            active.append(j)
-            continue
-        reach = 0.0
-        for ci in c[:0:-1]:
-            reach = (reach + abs(ci)) * width
+    for j, c in enumerate(polys[p.m:]):
+        reach = _reach(c, hi)
         size = abs(c[0]) + reach
-        if math.isfinite(size):  # no P(s_i) overflows
+        if math.isfinite(size):  # no value on [0, epsilon] overflows
             if c[0] > -epsilon:
                 active.append(j)
                 continue
             if c[0] + reach + RAY_SLACK * size < -epsilon:
                 continue
-        top = max(_horner(c[::-1], ss))
+        elif not all(map(math.isfinite, c)):
+            active.append(j)
+            continue
+        top = max(_at(c, t) for t in (0.0, hi, *_sign_changes(_derivative(c), hi)))
         if not math.isfinite(top):
             raise EvalError(_OVERFLOW)
-        bend = max(_horner([i * (i - 1) * c[i] for i in range(len(c) - 1, 1, -1)], inner))
-        bend += 2.0 * c[4] * ds2
-        if not math.isfinite(bend) or top + lift * max(0.0, bend) > -epsilon:
+        if top > -epsilon:
             active.append(j)
     return tuple(active)
 
@@ -282,124 +341,10 @@ def project_inexact(target, p, indices):
     return _project_inexact(target, p, indices)[0]
 
 
-def _slope_polynomials(p, fe, x):
-    """The slopes along F of theta and of every g_j on the ray x + s*F, as
-    polynomials: ``(slopes, scale)``, where each of ``slopes`` holds the
-    coefficients of sum i*c_i*t^(i-1), highest first, for Horner's rule,
-    and the slope at s is that polynomial at t = s/scale, over scale.
-
-    One ray run (``ray_polynomials``) of the field stack, which is (theta,
-    g_1, ..., g_k) on the problems ``solve`` accepts, gives every c_i, with
-    the elimination map they share, and every operation they repeat,
-    computed once.  Its scale is 1.  Where a slope coefficient along F is
-    not finite (|F|^D overflows), the ray runs again along F * scale, the
-    scale falling by 2^-64 a run, an exact scaling, until every one is
-    finite or F * scale is below 2^-64.
-    """
-    scale, u = 1.0, fe.F
-    while True:
-        slopes = [[i * c[i] for i in range(len(c) - 1, 0, -1)]
-                  for c in ray_polynomials(p.field_stack, x, u)]
-        if all([all(map(math.isfinite, d)) for d in slopes]) or not np.abs(u).max() > 2.0 ** -64:
-            return slopes, scale
-        scale *= 2.0 ** -64
-        u = fe.F * scale
-
-
-def _curvature_scan(slopes, span, scale=1.0):
-    """Curvature bounds for g_j and theta along F over [0, span].
-
-    Evaluates each slope polynomial of ``_slope_polynomials``, with its
-    ``scale``, at CURV_SEGMENTS+1 equally spaced points of [0, span], with
-    no kernel run.  The largest forward difference of these slopes bounds
-    the second derivative on the sampled interval, while the end-to-end
-    chord gives its average; the estimate is their mean.  The worst-case
-    bound alone over-throttles steps along strongly curved facets, and the
-    average alone can underestimate badly enough to exhaust the rejection
-    loop, so the blend trades a few rejections for steps of useful length.
-
-    Differencing first derivatives rather than function values keeps the
-    estimate conditioned at small spans: value second differences drown
-    in rounding noise (noise/ds^2 diverges as the span shrinks), which
-    would collapse the span refinement near critical points where theta
-    varies by less than one ulp.
-
-    Floored at zero, not epsilon: a positive floor makes the step bound
-    for a tangentially approached facet collapse like sqrt(|g_j|) and the
-    iteration crawl, while inner-loop termination is already guaranteed
-    by the rejection increments.
-
-    Returns ``(K, K_theta, span)``.  A span at which a slope is not finite
-    (an overflow at a large span) is halved until every slope is; below
-    SPAN_FLOOR the solve ends ``field_failure``.  A halved span's slopes
-    are evaluated at its end first, and at its other points only where
-    they are finite there: a slope that overflows at the end fails the span.
-    """
-    ss = _offsets(span, CURV_SEGMENTS)
-    rows = _slopes_at(slopes, ss, scale)
-    while not all([all(map(math.isfinite, row)) for row in rows]):
-        end = rows  # halve until the slopes at the span's end are finite
-        while not all([all(map(math.isfinite, row)) for row in end]):
-            span *= 0.5
-            if span < SPAN_FLOOR:
-                raise _Stop("field_failure", f"curvature scan failed at every span "
-                                             f"down to {SPAN_FLOOR:g}: {_OVERFLOW}")
-            ss = _offsets(span, CURV_SEGMENTS)
-            end = _slopes_at(slopes, ss[-1:], scale)
-        rows = _slopes_at(slopes, ss, scale)
-    ds = ss[1]
-
-    def kest(slopes):
-        worst = max(map(operator.sub, slopes[1:], slopes)) / ds
-        chord = (slopes[-1] - slopes[0]) / span
-        return max(0.0, 0.5 * (worst + chord))
-
-    K_theta, *K = map(kest, rows)
-    return np.array(K, dtype=float), K_theta, span
-
-
-def _slopes_at(slopes, ss, scale):
-    """Each slope polynomial of ``_slope_polynomials``, with its ``scale``, at
-    each of ``ss``: the polynomial at s/scale, over scale."""
-    if scale == 1.0:
-        return [_horner(d, ss) for d in slopes]
-    ts = [s / scale for s in ss]
-    return [[v / scale for v in _horner(d, ts)] for d in slopes]
-
-
-def _horner(coefficients, ss):
-    """The polynomial with ``coefficients``, highest first, at each of
-    ``ss``: ``np.polyval``'s Horner steps, from 0.0, on Python floats."""
-    values = []
-    for s in ss:
-        v = 0.0
-        for c in coefficients:
-            v = v * s + c
-        values.append(v)
-    return values
-
-
-def _step_bound(fe, rec, dgF, K, K_theta, r):
-    """Largest step the quadratic models allow, with BETA facet slack.
-
-    Per constraint this is the positive root of K/2 s^2 + a s + (g-BETA),
-    evaluated in the cancellation-free form -2(g-BETA)/(a + sqrt(...));
-    a non-positive denominator means the model never reaches the level
-    and the bound is r.  The arithmetic is on Python floats, so a square
-    that overflows gives inf, as NumPy's does, but without a warning.
-    """
-    s = r if K_theta <= 0.0 else min(r, abs(rec.dtheta_F) / K_theta)
-    for a, g, k in zip(map(float, dgF), fe.g.tolist(), map(float, K)):
-        g -= BETA
-        den = a + math.sqrt(max(a * a - 2.0 * k * g, 0.0))
-        if den > 0.0:
-            s = min(s, max(0.0, -2.0 * g / den))
-    return s
-
-
-def _in_snap_band(g):
-    """The facets r35 snaps a candidate onto: 0 < |g_j| <= SNAP_BAND."""
-    return [j for j, v in enumerate(g) if 0.0 < abs(v) <= SNAP_BAND]
+def _in_snap_band(g, riding=()):
+    """The facets r35 snaps a candidate onto: those with 0 < |g_j| <=
+    SNAP_BAND, and the ``riding`` ones with g_j != 0."""
+    return [j for j, v in enumerate(g) if v != 0.0 and (abs(v) <= SNAP_BAND or j in riding)]
 
 
 def _accepts(p, cfg, rec, s, y, g):
@@ -451,56 +396,47 @@ def _t31_step(p, cfg, fe, x, rec):
 
 
 def _r35_step(p, cfg, fe, x, rec):
-    """Curvature-bounded step; each rejection inflates the estimates.  Each
-    candidate is snapped onto the facets within SNAP_BAND that a Newton
-    step no longer than s*|F| reaches, then tested.
+    """The first point of the ray where theta stops falling or a facet that
+    does not ride reaches BETA, at most r; each rejection halves it.  Each
+    candidate is snapped onto the riding facets and those in SNAP_BAND that
+    a Newton step no longer than s*|F| reaches, then tested.
 
-    One ray run of the field stack gives the slope polynomials (a few more
-    where their coefficients along F overflow); every scan, refinement and
-    overflow halving evaluates them with no kernel run.  A ray run that
+    A facet rides where |g_j| <= SNAP_BAND and v+_j = 0: its ray slope is
+    rounding noise of either sign there, so it stays out of the bound.  One
+    ray run of the field stack (``_ray``) gives theta and every g_j; the
+    bound is the first change of theta', and of each g_j - BETA that does
+    not ride, in either direction, with no kernel run.  A ray run that
     fails ends the solve ``field_failure``.
     """
-    # g's rate along F from the identity g_j*omega_j - r3_j*v_j^+, not the
-    # dot product: on a facet it is an exact zero where the dot product
-    # leaves rounding noise of either sign, which can stall the steps.
-    dgF = fe.g * fe.omega - fe.r3 * fe.vplus
+    riding = {j for j, (g, v) in enumerate(zip(fe.g.tolist(), fe.vplus.tolist()))
+              if abs(g) <= SNAP_BAND and v == 0.0}
     try:
-        slopes, scale = _slope_polynomials(p, fe, x)
+        (theta, *gs), scale = _ray(p.field_stack, x, fe.F)
     except EvalError as exc:
-        raise _Stop("field_failure", f"curvature scan failed on the ray: {exc}") from None
-    K, K_theta, span = _curvature_scan(slopes, cfg.r, scale)
-    s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
-    # Refine the scan span toward the step actually proposed so the
-    # quadratic models are local; a whole-ray scan can overestimate
-    # curvature by orders of magnitude and stall the iteration.
-    for _ in range(CURV_REFINEMENTS):
-        new_span = min(cfg.r, max(SPAN_COVER * s, SPAN_FLOOR))
-        if new_span >= 0.9 * span:
-            break
-        K, K_theta, span = _curvature_scan(slopes, new_span, scale)
-        s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
-    # Never step beyond the interval the models were sampled on.
-    s = min(s, span)
+        raise _Stop("field_failure", f"ray run failed: {exc}") from None
+    hi = min(cfg.r / scale, sys.float_info.max)
+    t = next(_sign_changes(_derivative(theta), hi), hi)
+    for j, c in enumerate(gs):
+        if j not in riding:
+            t = next(_sign_changes([c[0] - BETA, *c[1:]], t), t)
+    s = cfg.r if t == hi else t * scale
 
-    increments = 0
+    halvings = 0
     while True:
         y = _ray_point(x, fe.F, s)
         try:
-            y, steps, _, g = _newton_project(p, y, _in_snap_band, SNAP_SWEEPS,
-                                             s * rec.normF)
+            y, steps, _, g = _newton_project(p, y, lambda g: _in_snap_band(g, riding),
+                                             SNAP_SWEEPS, s * rec.normF)
             if _accepts(p, cfg, rec, s, y, g):
-                rec.step, rec.backtracks, rec.proj_used = s, increments, steps > 0
+                rec.step, rec.backtracks, rec.proj_used = s, halvings, steps > 0
                 return y
             why = f"most violated constraint index {int(np.argmax(g)) if p.k else -1}"
         except (ProjectionFailure, EvalError) as exc:
             why = f"the last candidate failed: {exc}"
-        bump = cfg.epsilon * 2.0 ** increments
-        K = K + bump
-        K_theta += bump
-        increments += 1
-        s = _step_bound(fe, rec, dgF, K, K_theta, cfg.r)
-        if increments > MAX_DOUBLINGS:
-            raise _Stop("inner_cap", f"curvature increments exhausted; {why}")
+        if halvings == MAX_HALVINGS:
+            raise _Stop("inner_cap", f"{MAX_HALVINGS} step halvings exhausted; {why}")
+        s *= 0.5
+        halvings += 1
 
 
 def solve(p, params, cfg, x0):

@@ -7,9 +7,10 @@ kernels run on the NumPy point itself, the linear algebra is 2-D, and
 each trajectory is integrated to its end before the next one starts,
 evaluating the field at every step, also where the Euler map has reached
 a fixed point and ``flow`` stops evaluating.
-The stacked code must give every quantity, every trajectory row and
-every diagnostic with the same bits.  A FieldError or an ExprError of
-the kernels ends its own trajectory with a diagnostic.  ``field_eval``
+The stacked code must give every diagnostic, and every quantity and
+trajectory row within the stated bounds of the tests; with the package's
+field (below), the rows with the same bits.  A FieldError or an ExprError
+of the kernels ends its own trajectory with a diagnostic.  ``field_eval``
 returns its point's field as a one-point FieldBlock row, the type of
 ``field.field_eval``.
 ``check_theta_monotone`` is the descent test that the flow tests and

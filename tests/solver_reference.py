@@ -1,13 +1,15 @@
-"""Reference per-expression forms of the solver's curvature scan, ray
-sampler, inexact projection and facet snap.
+"""Reference per-expression forms of the solver's ray test, inexact
+projection and facet snap.
 
-``curvature_scan`` and ``active_index_set`` are ``_curvature_scan`` and
-``active_index_set`` as they were before the ray polynomials replaced
-their samples: the slope along F as ``grad . F`` at each of the scan's
-points, and the value of each g_j at RAY_SAMPLES points of the ray, with
-the sampler's curvature lift, on NumPy arrays.  The ray sampler's active
-set must be the same, and the scan must agree within a bound tied to
-rounding.  ``project_inexact`` takes the least-norm Newton steps of
+``active_index_set`` is t31's ray test one constraint at a time, on NumPy:
+the maximum of each g_j's ray polynomial over [0, epsilon], taken at 0,
+at epsilon and at the real parts of ``np.roots`` of its derivative, along
+the direction that ``solver._ray`` scales for that constraint alone.  The
+stacked test must give its active set, and fail where it fails.
+``sampled_active_index_set`` is the test as it was before the ray
+polynomials: the value of each g_j at RAY_SAMPLES points of the ray, with
+a curvature lift; where that lift does not decide, the two agree.
+``project_inexact`` takes the least-norm Newton steps of
 ``_newton_project`` with one ``evaluate`` and one ``grad`` call per
 expression; the stacked version must return the same bits.
 
@@ -19,15 +21,36 @@ projection must return its point and moved flag bit for bit.
 
 import numpy as np
 
-from nlpflow.exprlang import evaluate, grad
-from nlpflow.solver import (CURV_SEGMENTS, FEAS_TOL, PROJECTION_MAX_INNER, SNAP_BAND,
-                            SNAP_SWEEPS, ProjectionFailure)
+from nlpflow import solver
+from nlpflow.exprlang import _OVERFLOW, EvalError, evaluate, grad
+from nlpflow.solver import FEAS_TOL, PROJECTION_MAX_INNER, SNAP_BAND, SNAP_SWEEPS, ProjectionFailure
 
 # Points at which the ray sampler took the values of each g_j.
 RAY_SAMPLES = 9
 
 
 def active_index_set(p, fe, x, epsilon):
+    out = []
+    for j, gexpr in enumerate(p.inequalities):
+        [c], scale = solver._ray(gexpr, x, fe.F)
+        if not np.isfinite(c).all():
+            out.append(j)
+            continue
+        hi = min(epsilon / scale, np.finfo(float).max)
+        P = np.polynomial.Polynomial(c or [0.0])
+        ts = [0.0, hi]
+        if len(c) > 2:
+            ts += np.clip(P.deriv().roots().real, 0.0, hi).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = max(P(np.array(ts)))
+        if not np.isfinite(top):
+            raise EvalError(_OVERFLOW)
+        if top > -epsilon:
+            out.append(j)
+    return tuple(out)
+
+
+def sampled_active_index_set(p, fe, x, epsilon):
     F = fe.F
     ss = np.linspace(0.0, epsilon, RAY_SAMPLES)
     ds = ss[1] - ss[0]
@@ -38,28 +61,6 @@ def active_index_set(p, fe, x, epsilon):
         if np.max(vals) + 0.5 * epsilon ** 2 * khat > -epsilon:
             out.append(j)
     return tuple(out)
-
-
-def curvature_scan(p, fe, x, span):
-    """``(K, K_theta, sizes)``: the scan's estimates, and for theta and each
-    g_j the largest sum of |d_i e| |F_i| over the points, the size of a
-    slope that sets its rounding."""
-    x = np.asarray(x, dtype=float)
-    ss = np.linspace(0.0, span, CURV_SEGMENTS + 1)
-    ds = span / CURV_SEGMENTS
-    sizes = []
-
-    def kest(expr):
-        grads = [np.asarray(grad(expr, x + s * fe.F)) for s in ss]
-        slopes = [float(g @ fe.F) for g in grads]
-        sizes.append(max(float(np.abs(g) @ np.abs(fe.F)) for g in grads))
-        worst = float(np.max(np.diff(slopes))) / ds
-        chord = (slopes[-1] - slopes[0]) / span
-        return max(0.0, 0.5 * (worst + chord))
-
-    K_theta = kest(p.objective)
-    K = np.array([kest(e) for e in p.inequalities]) if p.k else np.zeros(0)
-    return K, K_theta, sizes
 
 
 def _least_norm_step(rows):

@@ -6,6 +6,8 @@ iteration budgets are pinned; see the README for the rationale behind
 each number.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -130,16 +132,16 @@ def test_criterion_04_degenerate_start(p42):
                 x0)
     first_step_ok = len(t31.records) > 1 and t31.records[0].step > 0
 
-    # The step-bound loop's behaviour here is recorded, not asserted:
-    # its step-length formula degenerates when an inequality is active
-    # with a vanishing activation measure.
-    r35 = solve(red, params, SolveConfig(algorithm="r35", max_iter=3), x0)
-    r35_note = f"step-bound loop: {r35.termination or 'running'}, " \
-               f"first step {r35.records[0].step:.3e}"
+    # The step-bound loop rides the facet that the start lies on, whose
+    # activation measure vanishes, and converges from it.
+    r35 = solve(red, params, SolveConfig(algorithm="r35", max_iter=150), x0)
+    r35_error = math.dist(red.lift(r35.final_x), X42_FULL)
+    r35_ok = r35.termination == "critical" and r35_error <= 1e-5
 
     _verdict(4, "active-constraint start behavior",
-             exact_zero and vplus_small and first_step_ok,
-             f"g_1=0 exact, max(0,v_1)={fe.vplus[0]:.1e}; {r35_note}")
+             exact_zero and vplus_small and first_step_ok and r35_ok,
+             f"g_1=0 exact, max(0,v_1)={fe.vplus[0]:.1e}; step-bound loop: "
+             f"{r35.termination} in {r35.iterations}, {r35_error:.1e} from x*")
 
 
 def test_criterion_05_structural_identities(p41, p42):

@@ -494,15 +494,7 @@ def test_stalled_solve_is_an_error(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "# termination: stalled" in out
-    assert "# diagnostic: accepted step 0.000e+00 left x unchanged" in out
-
-
-def test_r35_r_whose_scan_spacing_underflows_is_one_error_line(capsys):
-    rc = _run_without_warnings(["solve", "--problem", P42, "--r", "5e-324",
-                                "--x0=-0.9,-1,2"])
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert captured.err == "error: r35 requires r / 8 > 0, so r >= 2.5e-323\n"
+    assert "# diagnostic: accepted step 5.551e-17 left x unchanged at |F| = 1.000e+308" in out
 
 
 def test_t31_ray_sampling_overflow_is_field_failure(capsys):
@@ -579,13 +571,16 @@ def test_gradient_overflow_at_x0_aborts_flow(power_plane, capsys):
 
 @pytest.mark.parametrize("algo", ["r35", "t31"])
 def test_slope_that_overflows_gives_no_warning(algo, power, capsys):
-    # grad(theta) . F overflows at x0, where the field is finite.
+    # grad(theta) . F overflows at x0, where the field is finite.  The Armijo
+    # test's slope is then -inf, so no candidate passes it: r35 runs out of
+    # halvings and t31 reaches its backtracking floor.
     rc = _run_without_warnings(["solve", "--problem", power(11), "--algo", algo,
                                 "--x0=10.5"])
     captured = capsys.readouterr()
     assert (rc, captured.err) == (1, "")
     lines = captured.out.splitlines()
-    assert lines[1].startswith("0,10.5,") and lines[2] == "# termination: field_failure"
+    ending = {"r35": "inner_cap", "t31": "field_failure"}[algo]
+    assert lines[1].startswith("0,10.5,") and lines[2] == f"# termination: {ending}"
 
 
 @pytest.fixture

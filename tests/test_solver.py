@@ -25,14 +25,6 @@ def _disk():
                    inequalities=(parse("x1^2 + x2^2 - 1", names),))
 
 
-def test_sample_offsets_are_linspace_bit_for_bit():
-    # The scan evaluates its slopes at these offsets; np.linspace gave them.
-    rng = np.random.default_rng(2024)
-    for span in (10.0 ** rng.uniform(-17, math.log10(200), 10_000)).tolist():
-        got = np.array(solver._offsets(span, solver.CURV_SEGMENTS))
-        assert got.tobytes() == np.linspace(0.0, span, solver.CURV_SEGMENTS + 1).tobytes()
-
-
 # --- configuration ----------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [
@@ -70,22 +62,6 @@ def test_t31_epsilon_whose_square_overflows_is_a_config_error(p42):
         solve(red, FieldParams.default(red.n, red.k), cfg, [-0.9, -1, 2])
     SolveConfig(algorithm="t31", r=1e200, epsilon=1e150).validate()
     SolveConfig(algorithm="r35", r=1e200, epsilon=1e160).validate()
-
-
-def test_r35_r_whose_scan_spacing_underflows_is_a_config_error(p42):
-    # r35's first curvature scan spans [0, r] in steps of r / 8, which is 0
-    # below r = 2.5e-323: a bad configuration, not a ZeroDivisionError.
-    _, red = p42
-    for r in (5e-324, 2e-323):
-        with pytest.raises(ValueError, match=r"r / 8 > 0"):
-            SolveConfig(r=r).validate()
-        with pytest.raises(ValueError, match=r"r / 8 > 0"):
-            solve(red, FieldParams.default(red.n, red.k), SolveConfig(r=r), [-0.9, -1, 2])
-    SolveConfig(r=2.5e-323).validate()
-    report = solve(red, FieldParams.default(red.n, red.k), SolveConfig(r=2.5e-323, max_iter=3),
-                   [-0.9, -1, 2])
-    # The smallest r that passes makes a step too small to move x.
-    assert report.termination == "stalled" and report.iterations == 0
 
 
 def test_config_defaults_valid():
@@ -231,36 +207,75 @@ def test_record_norm_of_a_field_whose_square_overflows():
 
 
 def test_step_bound_whose_square_overflows_is_silent():
-    # The r35 step bound squares the rate of g along F, here about 7e307.  On
-    # Python floats the square is inf without a NumPy RuntimeWarning, which
-    # pytest turns into a failure; the bound, and so the report, is the one
-    # NumPy's inf gave.
-    # The bound is 0, so the one step taken leaves x where it was and the
-    # solve ends stalled (see test_step_that_leaves_x_unchanged_ends_stalled).
+    # The rate of g along F is about 7e307 here, so its square, and theta's
+    # c_2 along F, overflow.  On Python floats that is an inf without a NumPy
+    # RuntimeWarning, which pytest turns into a failure; the r35 step bound
+    # is taken along a scaled ray instead, and ends where g reaches BETA.
     p, params = _huge_gain()
     report = solve(p, params, SolveConfig(algorithm="r35", max_iter=1), np.zeros(2))
-    assert report.termination == "stalled"
-    for rec in report.records:
-        assert rec.x.tolist() == [0.0, 0.0] and rec.theta == 0.0
-        assert (rec.normF, rec.dtheta_F) == (1.217478166711729e+308, -1.6944444444444442e+308)
-        assert (rec.step, rec.backtracks, rec.proj_used) == (0.0, 0, False)
+    assert report.termination == "max_iter"
+    first, last = report.records
+    assert first.x.tolist() == [0.0, 0.0] and first.theta == 0.0
+    assert (first.normF, first.dtheta_F) == (1.217478166711729e+308, -1.6944444444444442e+308)
+    assert (first.step, first.backtracks, first.proj_used) == (7.200000000072001e-308, 0, True)
+    assert last.x.tolist() == report.final_x.tolist() == [-5.0, -7.200000000072001]
     kkt = report.kkt
-    assert (kkt.lam.tolist(), kkt.mu.tolist()) == ([], [0.1666666666666667])
+    assert (kkt.lam.tolist(), kkt.mu.tolist()) == ([], [1.0])
     assert (kkt.stationarity_residual, kkt.complementarity_residual,
-            kkt.mu_negativity, kkt.is_critical) == (1.3017082793177757, 0.8333333333333336,
-                                                    0.0, False)
+            kkt.mu_negativity, kkt.is_critical) == (1.0, 0.0, 0.0, False)
 
 
 def test_step_that_leaves_x_unchanged_ends_stalled():
-    # The r35 step bound is 0 here, so every iteration would accept the
-    # same step of 0 from the same x; the first one ends the solve.
+    # r35 on a field near the largest float, on Python floats, so without a
+    # NumPy RuntimeWarning, which pytest turns into a failure.  The first
+    # step ends where g reaches BETA, and the candidate is snapped onto the
+    # facet x1 = -5; along it x2 runs to the largest float, where a step of
+    # 5.6e-17 leaves x unchanged: every later iteration would repeat it.
     p, params = _huge_gain()
     report = solve(p, params, SolveConfig(algorithm="r35", max_iter=150), np.zeros(2))
+    first = report.records[0]
+    assert (first.normF, first.dtheta_F) == (1.217478166711729e+308, -1.6944444444444442e+308)
+    assert (first.step, first.backtracks, first.proj_used) == (7.200000000072001e-308, 0, True)
+    assert report.records[1].x.tolist() == [-5.0, -7.200000000072001]
     assert report.termination == "stalled"
-    assert report.diagnostic == ("accepted step 0.000e+00 left x unchanged "
-                                 "at |F| = 1.217e+308")
-    assert report.iterations == 0 and report.records[0].step == 0.0
-    assert report.kkt is not None
+    assert report.diagnostic == ("accepted step 5.551e-17 left x unchanged "
+                                 "at |F| = 1.000e+308")
+    assert report.iterations == 28 and report.final_x.tolist() == [-5.0, -sys.float_info.max]
+    kkt = report.kkt
+    assert (kkt.lam.tolist(), kkt.mu.tolist()) == ([], [1.0])
+    assert (kkt.stationarity_residual, kkt.complementarity_residual,
+            kkt.mu_negativity, kkt.is_critical) == (1.0, 0.0, 0.0, False)
+
+
+def test_smallest_r_ends_stalled(p42):
+    # r35 takes any finite r > 0; the smallest makes a step too small to
+    # move x, which ends the solve at once.
+    _, red = p42
+    report = solve(red, FieldParams.default(red.n, red.k, sigma=0.2),
+                   SolveConfig(r=5e-324, max_iter=3), [-0.9, -1, 2])
+    assert (report.termination, report.iterations) == ("stalled", 0)
+    assert report.diagnostic == "accepted step 4.941e-324 left x unchanged at |F| = 3.848e+00"
+
+
+def test_r35_steps_along_a_scaled_ray_as_along_an_unscaled_one():
+    # min x1^2 + x2^2 with |F| near 2e200: theta's c_2 along F overflows,
+    # so r35 takes its step bound along F * 2^-192 and maps it back; each
+    # step then lands where it lands at sigma 1e150, whose ray needs no
+    # scaling, to within rounding.
+    names = ("x1", "x2")
+    p = Problem(names=names, objective=parse("x1^2 + x2^2", names),
+                inequalities=(parse("x1 - 5", names),))
+    paths = []
+    for sigma in (1e200, 1e150):
+        params = FieldParams.default(2, 1, sigma=sigma)
+        fe = field_eval(p, params, np.ones(2))
+        assert solver._ray(p.field_stack, np.ones(2), fe.F)[1] == (
+            2.0 ** -192 if sigma == 1e200 else 1.0)
+        report = solve(p, params, SolveConfig(max_iter=8), np.ones(2))
+        assert report.termination == "max_iter"
+        paths.append(np.array([rec.x for rec in report.records]))
+    assert np.allclose(*paths, rtol=1e-12, atol=0.0)
+    assert np.abs(paths[0][-1]).max() < 1e-5
 
 
 def test_t31_candidate_that_overflows_is_rejected():
@@ -304,7 +319,7 @@ def test_candidate_whose_kernels_raise_is_rejected(algo, r, termination, iterati
 
 
 def test_r35_candidate_that_raises_ends_inner_cap_naming_the_error(p42, monkeypatch):
-    # Every acceptance test raises, so the increments run out, and the
+    # Every acceptance test raises, so the halvings run out, and the
     # diagnostic names the error without running the kernel again.
     _, red = p42
 
@@ -314,7 +329,7 @@ def test_r35_candidate_that_raises_ends_inner_cap_naming_the_error(p42, monkeypa
     report = solve(red, FieldParams.default(red.n, red.k, sigma=0.2), SolveConfig(),
                    np.array([-0.9, -1.0, 2.0]))
     assert (report.termination, report.iterations) == ("inner_cap", 0)
-    assert report.diagnostic == ("curvature increments exhausted; the last candidate "
+    assert report.diagnostic == ("64 step halvings exhausted; the last candidate "
                                  "failed: overflow: Numerical result out of range")
 
 
@@ -338,12 +353,12 @@ def test_zero_gradient_facet_in_the_snap_band_is_left_out(algo, r, iterations):
     assert (report.termination, report.iterations) == ("critical", iterations)
     if algo == "r35":
         assert [rec.proj_used for rec in report.records] == [True, False, False]
-        assert report.final_x.tolist() == [0.9999999999999999, 0.0]
+        assert report.final_x.tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("algo, r, x0, expected", [
-    ("r35", 1.0, (-0.9, -1.0, 2.0), ("critical", 63, 0)),
-    ("r35", 1.0, (-1.0, -1.0, -2.0), ("critical", 86, 0)),
+    ("r35", 1.0, (-0.9, -1.0, 2.0), ("critical", 48, 10)),
+    ("r35", 1.0, (-1.0, -1.0, -2.0), ("critical", 66, 18)),
     ("t31", 0.5, (-0.9, -1.0, 2.0), ("critical", 81, 139)),
     ("t31", 0.5, (-1.0, -1.0, -2.0), ("critical", 82, 115)),
     # Without the Armijo test's rounding allowance, t31 stalled here: the
@@ -376,8 +391,8 @@ def test_field_failure_at_start_gives_empty_report():
 @pytest.mark.parametrize("seed", [7, 8])
 def test_r35_converges_from_drawn_starts(p42, seed):
     # With a constant increment of epsilon per rejection, 10 of the 24
-    # seed-7 draws ran the rejection loop for minutes; doubling increments
-    # take at most a few dozen rejections per step.
+    # seed-7 draws ran the rejection loop for minutes; a rejection now
+    # halves the step, at most MAX_HALVINGS times.
     _, red = p42
     params = FieldParams.default(red.n, red.k, sigma=0.2)
     for x0 in sample_feasible(red, 24, seed=seed):
@@ -387,6 +402,18 @@ def test_r35_converges_from_drawn_starts(p42, seed):
         assert report.termination == "critical", x0
         assert math.dist(red.lift(report.final_x), (0.0, 1.0, 2.0, -1.0)) <= 1e-5
         assert elapsed < 1.0, (x0, elapsed)
+
+
+@pytest.mark.parametrize("r", [1.0, 10.0, 1e4, 1e100, 1e200, 1e300])
+def test_r35_converges_at_every_r(p42, r):
+    # The step bound is the exact root of the ray polynomials, so r only
+    # caps it.  With the curvature scan every r >= 10 crawled to max_iter,
+    # at steps of 1e-8 from r = 1e4, and the scan halved its span from r.
+    _, red = p42
+    report = solve(red, FieldParams.default(red.n, red.k, sigma=0.2),
+                   SolveConfig(r=r, max_iter=150), np.array([-0.9, -1.0, 2.0]))
+    assert report.termination == "critical" and report.iterations <= 150
+    assert math.dist(red.lift(report.final_x), (0.0, 1.0, 2.0, -1.0)) <= 1e-5
 
 
 def test_t31_converges_from_drawn_starts(p42):
@@ -404,13 +431,20 @@ def test_t31_converges_from_drawn_starts(p42):
 def test_r35_rejecting_every_candidate_ends_inner_cap(p42, monkeypatch):
     _, red = p42
     params = FieldParams.default(red.n, red.k, sigma=0.2)
-    monkeypatch.setattr(solver, "_accepts", lambda *args: False)
+    steps = []
+
+    def rejects(p, cfg, rec, s, y, g):
+        steps.append(s)
+        return False
+    monkeypatch.setattr(solver, "_accepts", rejects)
     t0 = time.perf_counter()
     report = solve(red, params, SolveConfig(), np.array([-0.9, -1.0, 2.0]))
     assert time.perf_counter() - t0 < 1.0
     assert report.termination == "inner_cap"
-    assert "curvature increments exhausted" in report.diagnostic
+    assert report.diagnostic.startswith("64 step halvings exhausted; most violated constraint")
     assert report.iterations == 0
+    # Each rejection halves the first step, which the ray bounds below r.
+    assert steps == [steps[0] * 0.5 ** i for i in range(65)] and 0.0 < steps[0] < 1.0
 
 
 def _bits_of_kkt(rep):
@@ -470,16 +504,6 @@ def test_kernel_error_in_a_later_field_ends_field_failure(p42, monkeypatch, algo
     assert len(report.records) == 2 and report.kkt is not None
 
 
-@pytest.mark.parametrize("r", [1e100, 1e200, 1e300])
-def test_r35_scan_halves_a_span_whose_kernels_overflow(p42, r):
-    # The first scan over [0, r] overflows; it is halved until it runs.
-    _, red = p42
-    params = FieldParams.default(red.n, red.k, sigma=0.2)
-    report = solve(red, params, SolveConfig(r=r, max_iter=2), np.array([-0.9, -1.0, 2.0]))
-    assert report.termination == "max_iter" and report.iterations == 2
-    assert report.kkt is not None
-
-
 def test_t31_backtracking_floor_ends_field_failure(p42, monkeypatch):
     _, red = p42
     params = FieldParams.default(red.n, red.k, sigma=0.2)
@@ -500,7 +524,7 @@ def test_t31_backtracking_floor_ends_field_failure(p42, monkeypatch):
 
 def test_reduced_r35_scan_runs_the_field_stack(monkeypatch):
     # With no equalities the field stack is (theta, g_1, ..., g_k): the
-    # curvature scan takes its slopes from the stack's ray polynomials.
+    # step bound scans the stack's ray polynomials for their roots.
     _, red = load_problem(PROBLEMS / "p42.nlp")
     stacks = []
 
@@ -515,64 +539,8 @@ def test_reduced_r35_scan_runs_the_field_stack(monkeypatch):
     assert red.field_stack.exprs == (red.objective, *red.inequalities)
 
 
-def test_scan_that_fails_at_every_span_ends_field_failure(p42, monkeypatch):
-    # The slope c_1 + 2 c_2 s, with c_1 the largest float, overflows at
-    # every offset s > 5e-10, so no span gives a finite slope; its
-    # coefficients are finite, so the ray runs once, and the halving runs
-    # no kernel.
-    _, red = p42
-    params = FieldParams.default(red.n, red.k, sigma=0.2)
-    rays, spans = [], []
-    offsets = solver._offsets
-
-    def overflowing(stack, x, u):
-        rays.append(stack)
-        return [(0.0, sys.float_info.max, 1e301, 0.0, 0.0)] * len(stack.exprs)
-
-    def recording(span, segments):
-        spans.append(span)
-        return offsets(span, segments)
-    monkeypatch.setattr(solver, "ray_polynomials", overflowing)
-    monkeypatch.setattr(solver, "_offsets", recording)
-    report = solve(red, params, SolveConfig(), np.array([-0.9, -1.0, 2.0]))
-    assert report.termination == "field_failure" and report.iterations == 0
-    assert report.diagnostic == ("curvature scan failed at every span down to 1e-08: "
-                                 "overflow: Numerical result out of range")
-    # Spans 1, 1/2, ..., 2^-26: the next halving falls below SPAN_FLOOR.
-    assert spans == [0.5 ** i for i in range(27)] and report.kkt is not None
-    assert rays == [red.field_stack]
-
-
-def test_overflow_halving_evaluates_the_span_end_first(p42, monkeypatch):
-    # The first scan at r = 1e200 halves its span over 300 times.  It
-    # evaluates the slopes at all 9 offsets of its first and its last span,
-    # and at the end alone on each halving: where the end overflows, the
-    # span fails.  It ends where every offset's slopes are finite, as the
-    # scan that evaluated every offset of every span did.
-    _, red = p42
-    fe = field_eval(red, FieldParams.default(red.n, red.k, sigma=0.2), [-0.9, -1.0, 2.0])
-    slopes, scale = solver._slope_polynomials(red, fe, np.array([-0.9, -1.0, 2.0]))
-    want = 1e200
-    while not all(map(math.isfinite, (v for d in slopes
-                                      for v in solver._horner(d, solver._offsets(want, 8))))):
-        want *= 0.5
-    points = []
-    horner = solver._horner
-
-    def recording(coefficients, ss):
-        points.append(len(ss))
-        return horner(coefficients, ss)
-    monkeypatch.setattr(solver, "_horner", recording)
-    K, K_theta, span = solver._curvature_scan(slopes, 1e200, scale)
-    halvings = round(math.log2(1e200 / span))
-    assert span == want == 1e200 * 0.5 ** halvings and halvings > 300 and scale == 1.0
-    k = len(slopes)
-    assert points == [9] * k + [1] * (k * halvings) + [9] * k
-    assert 0.0 < K_theta < math.inf and np.isfinite(K).all()
-
-
 @pytest.mark.parametrize("algo, why", [
-    ("r35", "curvature scan failed on the ray"),
+    ("r35", "ray run failed"),
     ("t31", "Euler-ray sampling failed at epsilon = 1e-06")])
 def test_ray_run_that_fails_ends_field_failure(p42, monkeypatch, algo, why):
     _, red = p42
@@ -590,25 +558,19 @@ def test_ray_run_that_fails_ends_field_failure(p42, monkeypatch, algo, why):
 
 @pytest.mark.parametrize("algo, spans", [("r35", (1.0, 1e200)), ("t31", (0.5,))])
 def test_every_iteration_makes_one_ray_run(p42, monkeypatch, algo, spans):
-    # Refinements, overflow halvings (r35 at r = 1e200 halves every first
-    # scan), rejections and backtracks run no kernel along the ray: one ray
-    # run per iteration, whatever they number.
+    # The step bound or the active set, rejections and backtracks run no
+    # kernel along the ray: one ray run per iteration, whatever they number,
+    # at every r.
     _, red = p42
     params = FieldParams.default(red.n, red.k, sigma=0.2)
-    runs, scans = [], []
-    scan = solver._curvature_scan
+    runs = []
 
     def counting(stack, x, u):
         runs.append(stack)
         return ray_polynomials(stack, x, u)
-
-    def scanning(slopes, span, scale):
-        scans.append(span)
-        return scan(slopes, span, scale)
     monkeypatch.setattr(solver, "ray_polynomials", counting)
-    monkeypatch.setattr(solver, "_curvature_scan", scanning)
     stack = red.field_stack if algo == "r35" else red.constraint_stack
-    solves = backtracks = 0
+    backtracks = 0
     for start in ((-0.9, -1.0, 2.0), (-1.0, -1.0, -2.0)):
         for r in spans:
             runs.clear()
@@ -616,12 +578,8 @@ def test_every_iteration_makes_one_ray_run(p42, monkeypatch, algo, spans):
                            np.array(start))
             assert (report.termination, report.iterations) == ("max_iter", 20)
             assert len(runs) == 20 and all(s is stack for s in runs)
-            solves += 1
             backtracks += sum(rec.backtracks for rec in report.records)
-    if algo == "r35":
-        assert len(scans) > 20 * solves  # refinements
-    else:
-        assert backtracks > 0
+    assert backtracks > 0
 
 
 def test_projection_onto_no_facet_is_one_stack_run(p42):

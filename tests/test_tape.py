@@ -10,10 +10,10 @@ value fails with its message, and its c_1, at every degree, the
 dual-number walk's directional derivative, bit for bit: along a unit
 vector, the gradient's entry, alone and in any stack.  The stacked
 kernels, run by ``evaluate_stack`` and ``ray_polynomials``, must return
-what they return one expression at a time, and the solver's ray sampler
-and projection what their per-expression forms in ``solver_reference``
-return; its curvature scan must agree with the sampled one there within
-a bound tied to rounding.
+what they return one expression at a time, and the solver's ray test and
+projection what their per-expression forms in ``solver_reference``
+return; the slopes of the field stack's ray polynomials must agree with
+``grad . F`` along the ray within a bound tied to rounding.
 r35's snap must return what the per-constraint sweeps it replaced return.
 """
 
@@ -367,8 +367,7 @@ def test_reparsing_a_problem_compiles_nothing():
         residuals(full, red.lift(x))
         fe = field_eval(red, FieldParams.default(red.n, red.k, sigma=0.2), x)
         solver.active_index_set(red, fe, x, 1e-6)
-        slopes, scale = solver._slope_polynomials(red, fe, x)
-        solver._curvature_scan(slopes, 1.0, scale)
+        solver._ray(red.field_stack, x, fe.F)
 
     exercise()
     was = exprlang._compile.cache_info()
@@ -381,18 +380,25 @@ def test_reparsing_a_problem_compiles_nothing():
 def test_stacked_scan_and_ray_match_per_expression(name, sigma, request):
     _, red = request.getfixturevalue(name)
     params = FieldParams.default(red.n, red.k, sigma=sigma)
+    exprs = (red.objective, *red.inequalities)
     for x in sample_feasible(red, 20, seed=5):
         fe = field_eval(red, params, x)
-        slopes, scale = solver._slope_polynomials(red, fe, x)
+        polys, scale = solver._ray(red.field_stack, x, fe.F)
         assert scale == 1.0
         for span in (1.0, 0.05, 1e-4, 1e-8):
-            K, K_theta, scanned = solver._curvature_scan(slopes, span)
-            assert scanned == span and K.dtype == np.float64
-            K_ref, K_theta_ref, sizes = solver_reference.curvature_scan(red, fe, x, span)
-            # Each path's slope is within 16 ulps of its size, and an
-            # estimate takes differences of two slopes over ds, or over more.
-            bound = 64 * np.finfo(float).eps * np.array(sizes) / (span / solver.CURV_SEGMENTS)
-            assert (np.abs(np.array([K_theta, *K]) - [K_theta_ref, *K_ref]) <= bound).all()
+            # Each stacked slope at the points of the span, against grad . F
+            # one expression at a time.  The bound is tied to the sizes of
+            # both paths' terms, sum |d_i e| |F_i| and sum i |c_i| s^(i-1),
+            # and covers the rounding of the point x + s*F, which the
+            # expression's curvature carries into grad . F (at most 105 of
+            # its ulps on these points).
+            for s in np.linspace(0.0, span, 9).tolist():
+                for c, e in zip(polys, exprs):
+                    b = np.asarray(grad(e, x + s * fe.F))
+                    slope = solver._value_slope(c, s)[1]
+                    size = float(np.abs(b) @ np.abs(fe.F))
+                    size += sum(i * abs(c[i]) * s ** (i - 1) for i in range(1, len(c)))
+                    assert abs(slope - float(b @ fe.F)) <= 256 * np.finfo(float).eps * size
         for epsilon in (1.0, 0.1, 1e-3, 1e-6):
             active = solver.active_index_set(red, fe, x, epsilon)
             assert active == solver_reference.active_index_set(red, fe, x, epsilon)
@@ -447,7 +453,7 @@ def test_snap_matches_the_per_constraint_sweeps(p42, monkeypatch):
     project = solver._newton_project
 
     def recording(p, y, select, max_steps, reach=math.inf):
-        if select is solver._in_snap_band:
+        if max_steps == solver.SNAP_SWEEPS:  # r35's snap, not a t31 projection
             candidates.append(np.array(y))
         return project(p, y, select, max_steps, reach)
     monkeypatch.setattr(solver, "_newton_project", recording)
@@ -500,29 +506,38 @@ def _wall_problem(scale):
     # constraint was left out, g_1 although g_1 >= 0 at every sample.
     (0.0, 1e-170), (0.0, 5e-324)])
 def test_ray_sampler_edges_match_numpy(scale, x0, epsilon):
+    # T_8 has degree 8, so its ray polynomial is a truncated Taylor model.
+    # At the large scales its coefficients along F overflow, and the test
+    # takes the model along a scaled direction, where its values may
+    # overflow too: the maximum from np.roots fails where the test fails.
     p = _wall_problem(scale)
     fe = SimpleNamespace(F=np.array([1.0]))
     x = np.array([x0])
-    got = solver.active_index_set(p, fe, x, epsilon)
+    got = _failure(solver.active_index_set, p, fe, x, epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _failure(solver_reference.active_index_set, p, fe, x, epsilon)
+    assert got == want
+    if got is None:
+        got = solver.active_index_set(p, fe, x, epsilon)
+        assert got == solver_reference.active_index_set(p, fe, x, epsilon)
     if epsilon < 1e-160:
-        # g_1 = s on the ray.  g_0 is 1 at x at scale 1, and its
-        # coefficients overflow at the large scales, which flags it.
-        assert got == (0, 1)
-    else:
-        # At the large scales g_0's coefficients overflow where the
-        # sampler's differences did.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            assert got == solver_reference.active_index_set(p, fe, x, epsilon)
+        # g_1 = s on the ray.  g_0 is c_0 = scale * T_8(0) = scale at x, and
+        # at -1.7e308 it stays there, far below -epsilon, along the whole
+        # ray; its overflowing coefficients no longer flag it.
+        assert got == ((1,) if scale == "-1.7e308" else (0, 1))
+    elif scale == "1":
+        # Where nothing overflows, the sampler with its lift gave the same set.
+        assert got == solver_reference.sampled_active_index_set(p, fe, x, epsilon)
 
 
 @pytest.mark.parametrize("text, want", [
-    ("x1^4 - 6.6", (0,)), ("x1^4 - 6.62", ()), ("x1 - 1.8", (0,)), ("x1 - 2.2", ())])
-def test_active_set_at_exact_samples_is_the_samplers(text, want):
-    # Along F = 1 from 0 with epsilon 1 the samples and their second
-    # differences are exact.  For x1^4 - a the test's bound is 1 - a plus
-    # (12 (7/8)^2 + 2/64) / 2 against -1: the 2 ds^2 term of the exact
-    # second difference decides a = 6.6.  For x1 - a only the last sample,
-    # 1 - a, counts, which c_0 + |c_1| epsilon / 2 would miss at a = 1.8.
+    ("x1^4 - 6.6", ()), ("x1^4 - 6.62", ()), ("x1 - 1.8", (0,)), ("x1 - 2.2", ()),
+    ("-(x1 - 0.5)^2 - 0.95", (0,)), ("-(x1 - 0.5)^2 - 1.05", ()), ("(x1 - 0.5)^2 - 1.2", (0,))])
+def test_active_set_is_the_exact_maximum(text, want):
+    # Along F = 1 from 0 with epsilon 1, j is active where max P over [0, 1]
+    # exceeds -1.  x1^4 - a peaks at 1 - a: the sampler's curvature lift
+    # flagged a = 6.6.  -(x1 - 0.5)^2 - a peaks at the root of P', -a, where
+    # both ends are 0.25 lower; (x1 - 0.5)^2 - 1.2 peaks at both ends.
     names = ("x1",)
     p = Problem(names=names, objective=parse("x1", names), inequalities=(parse(text, names),))
     fe, x = SimpleNamespace(F=np.array([1.0])), np.array([0.0])
@@ -530,12 +545,12 @@ def test_active_set_at_exact_samples_is_the_samplers(text, want):
     assert solver_reference.active_index_set(p, fe, x, 1.0) == want
 
 
-def test_scan_reruns_a_ray_whose_coefficients_overflow(monkeypatch):
+def test_ray_reruns_along_a_scaled_direction_where_coefficients_overflow(monkeypatch):
     # Along F = 1e80, c_4 of x1^4 is 1e320, which overflows: the ray runs
-    # again along F * 2^-64, an exact scaling.  The scan halves from span 1
-    # to the span at which the sampled slopes grad . F are finite, as the
-    # sampled scan's halving did; there, as on a short span, it agrees with
-    # the sampled scan.
+    # again along F * 2^-64, an exact scaling, where every coefficient is
+    # finite.  The ray test takes each maximum there over [0, epsilon *
+    # 2^64]: g = x1^4 - 2*x1^3 - 1 stays below -1 from x1 = 0.5 to 1.5, at
+    # epsilon 1e-80, and reaches 0 near x1 = 2.1069, at s = 1.6e-80.
     names = ("x1",)
     p = Problem(names=names, objective=parse("x1^4", names),
                 inequalities=(parse("x1^4 - 2*x1^3 - 1", names),))
@@ -546,50 +561,45 @@ def test_scan_reruns_a_ray_whose_coefficients_overflow(monkeypatch):
         runs.append(u[0])
         return ray_polynomials(stack, x, u)
     monkeypatch.setattr(solver, "ray_polynomials", counting)
-    slopes, scale = solver._slope_polynomials(p, fe, x)
-    assert scale == 2.0 ** -64 and runs == [1e80, 1e80 * 2.0 ** -64]
-    K, K_theta, span = solver._curvature_scan(slopes, 1.0, scale)
-    want = 1.0
-    while True:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                K_ref, K_theta_ref, sizes = solver_reference.curvature_scan(p, fe, x, want)
-            if np.isfinite(sizes).all():
-                break
-        except EvalError:  # the sampled gradient overflows
-            pass
-        want *= 0.5
-    # Slopes near the largest float, over ds < 1: both estimates overflow.
-    assert span == want < 1e-4 and [K_theta, *K] == [K_theta_ref, *K_ref] == [math.inf] * 2
-    K, K_theta, span = solver._curvature_scan(slopes, 1e-20, scale)
-    K_ref, K_theta_ref, sizes = solver_reference.curvature_scan(p, fe, x, 1e-20)
-    bound = 64 * np.finfo(float).eps * np.array(sizes) / (span / solver.CURV_SEGMENTS)
-    assert (np.abs(np.array([K_theta, *K]) - [K_theta_ref, *K_ref]) <= bound).all()
-    assert span == 1e-20 and 0.0 < K_theta < math.inf
+    (theta, g), scale = solver._ray(p.field_stack, x, fe.F)
+    u = 1e80 * 2.0 ** -64
+    assert scale == 2.0 ** -64 and runs == [1e80, u]
+    # g's Taylor coefficients at 0.5 are -1.1875, -1, -1.5, 0 and 1.
+    assert np.allclose(g, [-1.1875, -u, -1.5 * u ** 2, 0.0, u ** 4], rtol=1e-15, atol=0.0)
+    for epsilon, want in ((1e-80, ()), (1.5e-80, ()), (1.7e-80, (0,)), (1e-79, (0,))):
+        assert solver.active_index_set(p, fe, x, epsilon) == want
+        assert solver_reference.active_index_set(p, fe, x, epsilon) == want
 
 
-def test_peak_curvature_is_the_numpy_formula():
-    # The scan's estimate on Python floats is the NumPy formula on
-    # np.polyval's slopes (Horner's rule too), up to the sign of a zero, at
-    # slope coefficients whose values and differences overflow.
-    big = 1.7e308
-    slopes = [(big, -big, big), (0.0,) * 3, (-0.0, 0.0, 1e-300), (-big, 5.0, 1.0),
-              (1e200, -1e100, 2.0), (1.0,), ()]
-    for span in (1.0, 1e-100, 1e-300, 1e-320):
-        ss = np.linspace(0.0, span, solver.CURV_SEGMENTS + 1)
-        ds = ss[1]
-        want = []
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for d in slopes:
-                v = np.polyval(np.array(d or (0.0,)), ss)
-                assert solver._horner(d, ss.tolist()) == v.tolist()
-                want.append(max(0.0, 0.5 * (np.max(np.diff(v)) / ds + (v[-1] - v[0]) / span)))
-        if not all(np.isfinite(np.polyval(np.array(d or (0.0,)), ss)).all() for d in slopes):
-            continue
-        K, K_theta, scanned = solver._curvature_scan(slopes, span)
-        assert scanned == span
-        for got, w in zip([K_theta, *K], want):
-            assert got == w or math.isnan(got) and math.isnan(w), (span, got, w)
+@pytest.mark.parametrize("epsilon, want", [(1e-30, ()), (1e-26, ()), (1e-24, (0,))])
+def test_constraint_whose_coefficients_overflow_is_active_only_where_it_rises(epsilon, want):
+    # 1e-300 * x1^4 - 1 along F = 1e100 from 0: the kernel forms u^4 before
+    # it scales it, so c_4 overflows at scale 1 and at 2^-64, though the
+    # constraint stays near -1 until s*F nears 1e75.  Its maximum along the
+    # scaled direction decides; an overflowing coefficient flagged it.
+    names = ("x1",)
+    p = Problem(names=names, objective=parse("x1", names),
+                inequalities=(parse("1e-300*x1^4 - 1", names),))
+    fe, x = SimpleNamespace(F=np.array([1e100])), np.array([0.0])
+    assert not math.isfinite(ray_polynomials(p.constraint_stack, x, fe.F)[0][4])
+    assert solver._ray(p.constraint_stack, x, fe.F)[1] == 2.0 ** -128
+    assert solver.active_index_set(p, fe, x, epsilon) == want
+    assert solver_reference.active_index_set(p, fe, x, epsilon) == want
+
+
+def test_constraint_whose_coefficients_overflow_along_the_smallest_direction_is_active():
+    # 1/x1 - 3e200 at x1 = 1e-200 along F = 1: c_k = (-u)^k / x1^(k+1)
+    # overflows from c_1 on at u = 1 and at u = 2^-64, where the reruns
+    # stop, so no maximum can be taken and the constraint counts as active,
+    # though it falls from -2e200.  x1 - 1 stays below -1e-6 and is not.
+    names = ("x1",)
+    p = Problem(names=names, objective=parse("x1", names),
+                inequalities=(parse("1/x1 - 3e200", names), parse("x1 - 1", names)))
+    fe, x = SimpleNamespace(F=np.array([1.0])), np.array([1e-200])
+    (g0, _), scale = solver._ray(p.constraint_stack, x, fe.F)
+    assert scale == 2.0 ** -64 and g0[0] == -2e200 and g0[1] == -math.inf
+    assert solver.active_index_set(p, fe, x, 1e-6) == (0,)
+    assert solver_reference.active_index_set(p, fe, x, 1e-6) == (0,)
 
 
 # --- value numbering ---------------------------------------------------------
